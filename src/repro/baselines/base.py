@@ -30,7 +30,6 @@ from repro.actions.records import ActionOutcome, SetPowerOffEnabled
 from repro.errors import UsageError
 from repro.simulation import SimulationContext
 from repro.storage.enclosure import DiskEnclosure
-from repro.trace.records import IOType, LogicalIORecord
 
 
 class PowerPolicy(abc.ABC):
@@ -125,10 +124,7 @@ class PowerPolicy(abc.ABC):
         observability); the kernel ignores the value.
         """
 
-    def after_io(self, record: LogicalIORecord, response_time: float) -> None:
-        """Called after each application I/O has been served."""
-
-    def after_io_fast(
+    def after_io(
         self,
         timestamp: float,
         item_id: str,
@@ -138,26 +134,12 @@ class PowerPolicy(abc.ABC):
         sequential: bool,
         response_time: float,
     ) -> None:
-        """Scalar variant of :meth:`after_io` for the batched replay pump.
+        """Called after each application I/O has been served.
 
-        The base implementation materializes a
-        :class:`~repro.trace.records.LogicalIORecord` and defers to
-        :meth:`after_io`, so a policy that only overrides the record
-        hook behaves identically under both pumps.  Policies on the hot
-        path override this too and read the fields directly.  The kernel
-        skips the call entirely for policies that override neither hook.
+        The default does nothing, and the kernel skips the call (and the
+        checkpoint re-sync after it) for policies that do not override
+        this hook.
         """
-        self.after_io(
-            LogicalIORecord(
-                timestamp=timestamp,
-                item_id=item_id,
-                offset=offset,
-                size=size,
-                io_type=IOType.READ if is_read else IOType.WRITE,
-                sequential=sequential,
-            ),
-            response_time,
-        )
 
     def on_end(self, now: float) -> None:
         """Called once after the last record, before final settlement."""

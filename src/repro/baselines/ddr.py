@@ -27,7 +27,6 @@ from repro.actions.plan import ActionPlan
 from repro.actions.records import ChargeBlockMigration, SetPowerOffEnabled
 from repro.errors import ValidationError
 from repro.baselines.base import PowerPolicy
-from repro.trace.records import LogicalIORecord
 
 
 class DDRPolicy(PowerPolicy):
@@ -129,15 +128,7 @@ class DDRPolicy(PowerPolicy):
         self._next_checkpoint = now + self.monitoring_period
         return plan or None
 
-    def after_io(self, record: LogicalIORecord, response_time: float) -> None:
-        """On access to data on a cold enclosure, migrate those blocks.
-
-        The copy is charged to the source (read) and the least-loaded
-        hot enclosure (write) and counted as migrated data.
-        """
-        self._on_access(record.timestamp, record.item_id, record.size)
-
-    def after_io_fast(
+    def after_io(
         self,
         timestamp: float,
         item_id: str,
@@ -147,8 +138,11 @@ class DDRPolicy(PowerPolicy):
         sequential: bool,
         response_time: float,
     ) -> None:
-        """Scalar variant: the on-access migration check needs only
-        timestamp, item id, and size."""
+        """On access to data on a cold enclosure, migrate those blocks.
+
+        The copy is charged to the source (read) and the least-loaded
+        hot enclosure (write) and counted as migrated data.
+        """
         self._on_access(timestamp, item_id, size)
 
     def _on_access(self, now: float, item_id: str, size: int) -> None:

@@ -28,7 +28,6 @@ from repro.errors import ValidationError
 from repro.baselines.base import PowerPolicy
 from repro.simulation import SimulationContext
 from repro.storage.migration import PlacementPlan
-from repro.trace.records import LogicalIORecord
 
 
 class PDCPolicy(PowerPolicy):
@@ -78,11 +77,7 @@ class PDCPolicy(PowerPolicy):
         """Time of the next PDC migration checkpoint."""
         return self._next_checkpoint
 
-    def after_io(self, record: LogicalIORecord, response_time: float) -> None:
-        """Count item popularity for the current window."""
-        self._popularity[record.item_id] += 1
-
-    def after_io_fast(
+    def after_io(
         self,
         timestamp: float,
         item_id: str,
@@ -92,7 +87,7 @@ class PDCPolicy(PowerPolicy):
         sequential: bool,
         response_time: float,
     ) -> None:
-        """Scalar variant: popularity needs only the item id."""
+        """Count item popularity for the current window."""
         self._popularity[item_id] += 1
 
     def on_checkpoint(self, now: float) -> ActionPlan | None:

@@ -48,7 +48,6 @@ from repro.core.patterns import (
     ItemProfile,
 )
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import IOType, LogicalIORecord
 
 #: Tier names :func:`repro.simulation.build_tiered_context` wires up.
 FLASH_TIER = "flash"
@@ -108,19 +107,7 @@ class TieredLifecyclePolicy(PowerPolicy):
         return self._next_checkpoint
 
     # ------------------------------------------------------------------
-    def after_io(self, record: LogicalIORecord, response_time: float) -> None:
-        """Record-pump variant: defer to the scalar accumulator."""
-        self.after_io_fast(
-            record.timestamp,
-            record.item_id,
-            record.offset,
-            record.size,
-            record.io_type is IOType.READ,
-            record.sequential,
-            response_time,
-        )
-
-    def after_io_fast(
+    def after_io(
         self,
         timestamp: float,
         item_id: str,

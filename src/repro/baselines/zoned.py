@@ -26,7 +26,7 @@ from repro.storage.enclosure import DiskEnclosure
 from repro.storage.meter import PowerMeter
 from repro.storage.migration import MigrationEngine
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import LogicalIORecord, PhysicalIORecord
+from repro.trace.records import PhysicalIORecord
 
 
 @dataclass(frozen=True)
@@ -226,13 +226,23 @@ class ZonedPolicy(PowerPolicy):
         )
         return applied or None
 
-    def after_io(self, record: LogicalIORecord, response_time: float) -> None:
-        """Route the I/O record to the owning zone's policy."""
-        zone = self._zone_of(record.item_id)
+    def after_io(
+        self,
+        timestamp: float,
+        item_id: str,
+        offset: int,
+        size: int,
+        is_read: bool,
+        sequential: bool,
+        response_time: float,
+    ) -> None:
+        """Route the I/O to the owning zone's monitor and policy."""
+        zone = self._zone_of(item_id)
         if zone is None:
             return
-        zone.policy.context.app_monitor.record(record, response_time)
-        zone.policy.after_io(record, response_time)
+        fields = (timestamp, item_id, offset, size, is_read, sequential)
+        zone.policy.context.app_monitor.record(*fields, response_time)
+        zone.policy.after_io(*fields, response_time)
         self.determinations = sum(
             z.policy.determinations for z in self.zones
         )

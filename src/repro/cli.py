@@ -748,7 +748,7 @@ def _cmd_power_timeline(args: argparse.Namespace) -> int:
     )
     policy = STANDARD_POLICIES[args.policy]()
     TraceReplayer(context, policy, timeline).run(
-        workload.records, duration=workload.duration
+        workload.columnar(), duration=workload.duration
     )
     print(
         time_series_chart(

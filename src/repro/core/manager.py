@@ -51,7 +51,6 @@ from repro.core.patterns import (
 from repro.core.period import collect_long_intervals, next_monitoring_period
 from repro.core.placement import determine_placement
 from repro.core.triggers import PatternChangeTriggers
-from repro.trace.records import LogicalIORecord
 
 
 @dataclass(frozen=True)
@@ -153,28 +152,7 @@ class EnergyEfficientPolicy(PowerPolicy):
         """Run one management cycle (analysis plus determination)."""
         return self._run_management(now, triggered=False)
 
-    def after_io(self, record: LogicalIORecord, response_time: float) -> None:
-        """Check pattern-change triggers against the finished I/O."""
-        if not self.enable_triggers or self._split is None:
-            return
-        now = record.timestamp
-        throttle = self._trigger_throttle
-        if throttle is None or not throttle.ready(now):
-            return
-        context = self._require_context()
-        throttle.arm(now)
-        assert self._triggers is not None
-        result = self._triggers.check(
-            now,
-            hot=self._split.hot,
-            cold=self._split.cold,
-            storage_monitor=context.storage_monitor,
-        )
-        if result.fired:
-            self._trigger_count += 1
-            self._run_management(now, triggered=True)
-
-    def after_io_fast(
+    def after_io(
         self,
         timestamp: float,
         item_id: str,
@@ -184,7 +162,7 @@ class EnergyEfficientPolicy(PowerPolicy):
         sequential: bool,
         response_time: float,
     ) -> None:
-        """Scalar variant: the trigger check needs only the timestamp."""
+        """Check pattern-change triggers against the finished I/O."""
         if not self.enable_triggers or self._split is None:
             return
         throttle = self._trigger_throttle

@@ -11,8 +11,10 @@ and fired in ``(time, priority class, insertion order)`` order.
 Two entry points:
 
 * :meth:`SimulationKernel.replay` — batch mode.  Trace records arrive
-  as a pre-sorted stream, so the pump *merges* the record iterator with
-  the event heap instead of pushing every record through it: the heap
+  as a pre-sorted :class:`~repro.trace.columnar.ColumnarTrace` (any
+  other record iterable is packed into one first), so the one record
+  loop *merges* the columns with the event heap instead of pushing
+  every record through it: the heap
   only ever holds the handful of live recurring events, which keeps the
   hot loop allocation-free and the throughput at parity with the old
   hand-threaded loop.
@@ -42,7 +44,6 @@ policy, with and without faults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.actions.plan import ActionPlan
@@ -88,6 +89,13 @@ _EVENT_KINDS: dict[type[Event], str] = {
     FlushDeadlineEvent: "flush_deadline",
     ActionApplyEvent: "action_apply",
 }
+
+
+def _as_columnar(records: Iterable[LogicalIORecord]) -> ColumnarTrace:
+    """``records`` as a :class:`ColumnarTrace`, packing it if needed."""
+    if isinstance(records, ColumnarTrace):
+        return records
+    return ColumnarTrace.from_records(records)
 
 
 def _encode_event(event: Event) -> tuple[str, float, object]:
@@ -231,18 +239,24 @@ class SimulationKernel:
         :meth:`repro.trace.replay.TraceReplayer.run`; the golden test
         holds this method bit-identical to the pre-kernel loop.
 
-        A :class:`~repro.trace.columnar.ColumnarTrace` takes the batched
-        pump (:meth:`_replay_columnar`) — same simulation, no per-record
-        object materialization.
+        Any input that is not already a
+        :class:`~repro.trace.columnar.ColumnarTrace` is packed into one
+        first, so every replay runs the same column loop.  Raises
+        :class:`~repro.errors.UsageError`, before touching any state,
+        once the kernel has finished.
         """
+        if self._finished:
+            raise UsageError(
+                "cannot replay on a finished kernel: the run has settled; "
+                "build a fresh kernel for a new window"
+            )
         if duration is not None and duration <= 0.0:
             raise ReplayError(
                 f"declared duration must be positive, got {duration}"
             )
+        trace = _as_columnar(records)
         self._begin_replay()
-        if isinstance(records, ColumnarTrace):
-            return self._replay_columnar(records, duration)
-        return self._replay_objects(records, duration, 0, 0.0)
+        return self._pump(trace, duration, 0, 0.0)
 
     def resume_replay(
         self,
@@ -279,61 +293,22 @@ class SimulationKernel:
                 "resume cursor must be non-negative, got "
                 f"count={start_count}, ts={start_ts}"
             )
-        if isinstance(records, ColumnarTrace):
-            return self._replay_columnar(
-                records[start_count:], duration, start_count, start_ts
-            )
-        remaining = islice(iter(records), start_count, None)
-        return self._replay_objects(remaining, duration, start_count, start_ts)
+        trace = _as_columnar(records)[start_count:]
+        return self._pump(trace, duration, start_count, start_ts)
 
-    def _replay_objects(
+    def _pump(
         self,
-        records: Iterable[LogicalIORecord],
+        trace: ColumnarTrace,
         duration: float | None,
         count: int,
         last_ts: float,
     ) -> ReplayOutcome:
-        """The per-record-object pump, starting from an explicit cursor."""
-        context = self.context
-        policy = self.policy
-        app = context.app_monitor
-        controller = context.controller
-        clock = self.clock
-        hook = self._record_hook
+        """The record loop: drive the simulation straight off columns.
 
-        for record in records:
-            ts = record.timestamp
-            if ts < last_ts:
-                raise ReplayError(
-                    f"trace not time-ordered: {ts} after {last_ts}"
-                )
-            last_ts = ts
-            self._dispatch_until((ts, TRACE_RECORD))
-            clock.advance(ts)
-            response = controller.submit(record)
-            app.record(record, response)
-            policy.after_io(record, response)
-            count += 1
-            self._sync_checkpoint()
-            if hook is not None:
-                hook(count, ts)
-
-        return self._finish_replay(count, last_ts, duration)
-
-    def _replay_columnar(
-        self,
-        trace: ColumnarTrace,
-        duration: float | None,
-        count: int = 0,
-        last_ts: float = 0.0,
-    ) -> ReplayOutcome:
-        """The batched pump: drive the simulation straight off columns.
-
-        Column slices between queued events go through the scalar fast
-        paths (``submit_fast`` / ``record_fast`` / ``after_io_fast``) —
-        no :class:`~repro.trace.records.LogicalIORecord` exists anywhere
-        on the loop.  Every decision and float operation matches the
-        record pump; the golden bit-identity test holds the two equal.
+        Each record goes through the scalar I/O chain — controller
+        ``submit``, application-monitor ``record``, policy ``after_io``
+        — so no :class:`~repro.trace.records.LogicalIORecord` exists
+        anywhere on the loop.
         """
         from repro.baselines.base import PowerPolicy
 
@@ -354,23 +329,20 @@ class SimulationKernel:
         read_lut = [bool(value & FLAG_READ) for value in range(256)]
         sequential_lut = [bool(value & FLAG_SEQUENTIAL) for value in range(256)]
 
-        submit_fast = context.controller.submit_fast
-        record_fast = context.app_monitor.record_fast
+        submit = context.controller.submit
+        record = context.app_monitor.record
         sync = self._sync_checkpoint
         dispatch = self._dispatch_until
         peek = queue.peek_key
         advance = clock.advance
 
-        # Policies that override neither after-I/O hook (no-power-saving
-        # and friends) are skipped entirely: a no-op cannot move the
-        # checkpoint, so the per-record re-sync is dropped with it.
-        after_fast = policy.after_io_fast
-        policy_cls = type(policy)
-        if (
-            policy_cls.after_io is PowerPolicy.after_io
-            and policy_cls.after_io_fast is PowerPolicy.after_io_fast
-        ):
-            after_fast = None
+        # Policies that do not override the after-I/O hook
+        # (no-power-saving and friends) are skipped entirely: a no-op
+        # cannot move the checkpoint, so the per-record re-sync is
+        # dropped with it.
+        after_io: Callable[..., None] | None = policy.after_io
+        if type(policy).after_io is PowerPolicy.after_io:
+            after_io = None
 
         trace_record = TRACE_RECORD
         for ts, idx, offset, size, flag in zip(
@@ -394,11 +366,11 @@ class SimulationKernel:
             item = items[idx]
             is_read = read_lut[flag]
             sequential = sequential_lut[flag]
-            response = submit_fast(ts, item, offset, size, is_read, sequential)
-            record_fast(ts, item, offset, size, is_read, sequential, response)
+            response = submit(ts, item, offset, size, is_read, sequential)
+            record(ts, item, offset, size, is_read, sequential, response)
             count += 1
-            if after_fast is not None:
-                after_fast(ts, item, offset, size, is_read, sequential, response)
+            if after_io is not None:
+                after_io(ts, item, offset, size, is_read, sequential, response)
                 sync()
             if hook is not None:
                 hook(count, ts)
@@ -486,9 +458,17 @@ class SimulationKernel:
 
     def serve_record(self, record: LogicalIORecord) -> None:
         """Serve one I/O record: submit, observe, let the policy react."""
-        response = self.context.controller.submit(record)
-        self.context.app_monitor.record(record, response)
-        self.policy.after_io(record, response)
+        fields = (
+            record.timestamp,
+            record.item_id,
+            record.offset,
+            record.size,
+            record.is_read,
+            record.sequential,
+        )
+        response = self.context.controller.submit(*fields)
+        self.context.app_monitor.record(*fields, response)
+        self.policy.after_io(*fields, response)
         self._sync_checkpoint()
 
     def fire_timeline_sample(self, now: float) -> None:

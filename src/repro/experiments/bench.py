@@ -6,11 +6,7 @@ ROADMAP wants the perf trajectory to have actual data points.  This
 module measures end-to-end replay throughput (wall-clock seconds for a
 full :class:`~repro.trace.replay.TraceReplayer` run, best of N repeats
 to suppress scheduler noise) for the no-power-saving baseline and the
-proposed policy — in both pump modes, the per-record object loop and
-the batched :class:`~repro.trace.columnar.ColumnarTrace` pump, with the
-two interleaved per round so machine drift cannot masquerade as a
-pump-mode difference — and serializes the result as
-``BENCH_engine.json``:
+proposed policy, and serializes the result as ``BENCH_engine.json``:
 
 * locally via ``ecostor bench --out BENCH_engine.json``;
 * in CI's smoke mode (see ``.github/workflows/ci.yml``), so every
@@ -29,7 +25,7 @@ floor exceeded the real logging cost — there is nothing to gate).
 
 Since the multi-tier refactor generalized placement to ``(tier,
 device)``, the document also carries a ``tier_layer`` section: the
-legacy HDD-only columnar pump timed on a plain context versus the
+legacy HDD-only replay timed on a plain context versus the
 tiered single-HDD-tier equivalent (same clamping convention;
 ``benchmarks/test_tier_overhead.py`` holds it to ≤ 5 %), plus a
 ``tier_lifecycle`` throughput metric — a full FLASH/HDD/ARCHIVE replay
@@ -63,11 +59,14 @@ __all__ = ["BENCH_FORMAT", "DEFAULT_BENCH_POLICIES", "run_bench", "main"]
 #: ``overhead_fraction`` (clamped at zero for gating).  Format 4 adds
 #: the ``tier_layer`` section: a ``tier_lifecycle`` throughput metric
 #: (full FLASH/HDD/ARCHIVE replay under the lifecycle policy) and the
-#: generalized-placement overhead — the legacy HDD-only columnar pump
-#: on a plain context vs the same replay on a tiered single-HDD-tier
+#: generalized-placement overhead — the legacy HDD-only replay on a
+#: plain context vs the same replay on a tiered single-HDD-tier
 #: context with per-device tier metering armed, gated at ≤ 5 % by
-#: ``benchmarks/test_tier_overhead.py``.
-BENCH_FORMAT = 4
+#: ``benchmarks/test_tier_overhead.py``.  Format 5 drops the
+#: ``object`` / ``columnar`` sub-documents and ``columnar_speedup``:
+#: the kernel has one pump, so each policy row is its headline
+#: ``best_seconds`` / ``records_per_second`` plus ``repeats``.
+BENCH_FORMAT = 5
 
 #: Policies benchmarked by default: the do-nothing floor and the paper's
 #: method (the heaviest per-I/O and per-checkpoint work).
@@ -79,7 +78,6 @@ def _time_one_replay(
     full: bool,
     policy_name: str,
     record_actions: bool = True,
-    columnar: bool = False,
 ) -> float:
     workload = build_workload(workload_name, full)
     context = build_context(DEFAULT_CONFIG, workload.enclosure_count)
@@ -90,7 +88,7 @@ def _time_one_replay(
     # The columnar trace is built (and cached on the workload) outside
     # the timed region: the benchmark measures the pump, and a real
     # pipeline builds/loads the columns once, then replays many times.
-    records = workload.columnar() if columnar else workload.records
+    records = workload.columnar()
     # Wall-clock reads are the *product* here, not simulation state;
     # the replay itself never touches perf_counter.
     started = time.perf_counter()  # analysis: ignore[D203]
@@ -105,7 +103,7 @@ def _time_tiered_replay(
     flash_count: int,
     archive_count: int,
 ) -> float:
-    """Wall-clock one columnar replay on a tiered testbed."""
+    """Wall-clock one replay on a tiered testbed."""
     workload = build_workload(workload_name, full)
     context = build_tiered_context(
         DEFAULT_CONFIG,
@@ -127,7 +125,7 @@ def _bench_tier_layer(
 ) -> dict:
     """The ``tier_layer`` section: lifecycle throughput + path overhead.
 
-    The overhead half re-runs the legacy HDD-only columnar pump
+    The overhead half re-runs the legacy HDD-only replay
     (no-power-saving, the pump's fastest consumer) on a plain context
     and on a tiered context shaped to be its single-HDD-tier equivalent
     (``flash_count=0, archive_count=0`` — same devices, but placement
@@ -151,7 +149,7 @@ def _bench_tier_layer(
                 tiered_times.append(seconds)
             else:
                 seconds = _time_one_replay(
-                    workload_name, full, "no-power-saving", columnar=True
+                    workload_name, full, "no-power-saving"
                 )
                 legacy_times.append(seconds)
     legacy = min(legacy_times)
@@ -203,34 +201,13 @@ def run_bench(
     rounds = max(repeats, 1)
     results: dict[str, dict] = {}
     for policy_name in policies:
-        # Object and columnar pumps are interleaved (alternating order
-        # each round) so machine-speed drift between batches hits both
-        # equally instead of masquerading as a pump-mode difference.
-        object_times: list[float] = []
-        columnar_times: list[float] = []
-        for round_index in range(rounds):
-            order = (False, True) if round_index % 2 == 0 else (True, False)
-            for columnar in order:
-                seconds = _time_one_replay(
-                    workload_name, full, policy_name, columnar=columnar
-                )
-                (columnar_times if columnar else object_times).append(seconds)
-        object_best = min(object_times)
-        columnar_best = min(columnar_times)
+        best = min(
+            _time_one_replay(workload_name, full, policy_name)
+            for _ in range(rounds)
+        )
         results[policy_name] = {
-            # Headline numbers are the columnar pump's: it is the replay
-            # path everything downstream (sharding, online serving) uses.
-            "best_seconds": columnar_best,
-            "records_per_second": record_count / columnar_best,
-            "object": {
-                "best_seconds": object_best,
-                "records_per_second": record_count / object_best,
-            },
-            "columnar": {
-                "best_seconds": columnar_best,
-                "records_per_second": record_count / columnar_best,
-            },
-            "columnar_speedup": object_best / columnar_best,
+            "best_seconds": best,
+            "records_per_second": record_count / best,
             "repeats": rounds,
         }
     # Action-layer overhead: the proposed policy (the heaviest planner,
@@ -248,11 +225,7 @@ def run_bench(
         order = (True, False) if round_index % 2 == 0 else (False, True)
         for record_actions in order:
             seconds = _time_one_replay(
-                workload_name,
-                full,
-                overhead_policy,
-                record_actions,
-                columnar=True,
+                workload_name, full, overhead_policy, record_actions
             )
             (logged_times if record_actions else unlogged_times).append(seconds)
     logged = min(logged_times)
@@ -297,9 +270,8 @@ def main(
     for policy_name, row in document["policies"].items():
         print(
             f"{policy_name:>16}: "
-            f"{row['columnar']['records_per_second']:,.0f} records/s "
-            f"columnar vs {row['object']['records_per_second']:,.0f} object "
-            f"({row['columnar_speedup']:.2f}x, best of {row['repeats']})"
+            f"{row['records_per_second']:,.0f} records/s "
+            f"(best of {row['repeats']})"
         )
     overhead = document["action_layer"]
     print(

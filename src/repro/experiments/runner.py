@@ -141,7 +141,7 @@ def run_cell(
 
         auditor = InvariantAuditor(context)
     replayer = TraceReplayer(context, policy, auditor=auditor)
-    replay = replayer.run(workload.records, duration=workload.duration)
+    replay = replayer.run(workload.columnar(), duration=workload.duration)
     curve = interval_curve(
         context.storage_monitor.all_intervals(), config.break_even_time
     )
@@ -218,7 +218,7 @@ def run_tiered_cell(
 
         auditor = InvariantAuditor(context)
     replayer = TraceReplayer(context, policy, auditor=auditor)
-    replay = replayer.run(workload.records, duration=workload.duration)
+    replay = replayer.run(workload.columnar(), duration=workload.duration)
     curve = interval_curve(
         context.storage_monitor.all_intervals(), config.break_even_time
     )

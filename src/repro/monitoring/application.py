@@ -28,7 +28,7 @@ class WindowColumns:
     The Application Monitor buffers the current window here instead of
     as a list of record objects: the classification pass
     (:func:`repro.core.patterns.build_profiles`) consumes plain columns,
-    so neither pump mode has to materialize
+    so the replay never materializes
     :class:`~repro.trace.records.LogicalIORecord` objects per window.
     """
 
@@ -51,23 +51,6 @@ class WindowColumns:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def append(
-        self,
-        timestamp: float,
-        item_id: str,
-        offset: int,
-        size: int,
-        is_read: bool,
-        sequential: bool,
-    ) -> None:
-        """Append one I/O's fields."""
-        self.timestamps.append(timestamp)
-        self.item_ids.append(item_id)
-        self.offsets.append(offset)
-        self.sizes.append(size)
-        self.reads.append(is_read)
-        self.sequentials.append(sequential)
 
     def clear(self) -> None:
         """Drop all buffered I/Os."""
@@ -178,23 +161,7 @@ class ApplicationMonitor:
     # ------------------------------------------------------------------
     # logical I/O trace
     # ------------------------------------------------------------------
-    def record(self, record: LogicalIORecord, response_time: float) -> None:
-        """Capture one application I/O and its measured response."""
-        if self._keep_full_trace:
-            self._full_trace.append(record)
-        if self.repository is not None:
-            self.repository.append(record)
-        self._capture(
-            record.timestamp,
-            record.item_id,
-            record.offset,
-            record.size,
-            record.io_type is IOType.READ,
-            record.sequential,
-            response_time,
-        )
-
-    def record_fast(
+    def record(
         self,
         timestamp: float,
         item_id: str,
@@ -204,30 +171,24 @@ class ApplicationMonitor:
         sequential: bool,
         response_time: float,
     ) -> None:
-        """Capture one application I/O given as plain fields.
+        """Capture one application I/O and its measured response.
 
-        The batched replay pump's entry point: identical statistics to
-        :meth:`record` without constructing a record object.  When full
-        tracing or a repository needs real records, the call falls back
-        to :meth:`record` with a materialized one.
+        A :class:`~repro.trace.records.LogicalIORecord` is built only
+        when full tracing or a repository needs one.
         """
         if self._keep_full_trace or self.repository is not None:
-            self.record(
-                LogicalIORecord(
-                    timestamp=timestamp,
-                    item_id=item_id,
-                    offset=offset,
-                    size=size,
-                    io_type=IOType.READ if is_read else IOType.WRITE,
-                    sequential=sequential,
-                ),
-                response_time,
+            record = LogicalIORecord(
+                timestamp=timestamp,
+                item_id=item_id,
+                offset=offset,
+                size=size,
+                io_type=IOType.READ if is_read else IOType.WRITE,
+                sequential=sequential,
             )
-            return
-        # _capture and the window append, unrolled: one call per logical
-        # I/O on the batched hot path, so the two extra frames are
-        # measurable.  Keep in lockstep with :meth:`_capture` and
-        # :meth:`WindowColumns.append`.
+            if self._keep_full_trace:
+                self._full_trace.append(record)
+            if self.repository is not None:
+                self.repository.append(record)
         window = self._window
         window.timestamps.append(timestamp)
         window.item_ids.append(item_id)
@@ -235,27 +196,6 @@ class ApplicationMonitor:
         window.sizes.append(size)
         window.reads.append(is_read)
         window.sequentials.append(sequential)
-        self.io_count += 1
-        self.response_sum += response_time
-        self.response_samples.append((timestamp, response_time, is_read))
-        if response_time > self.max_response:
-            self.max_response = response_time
-        if is_read:
-            self.read_count += 1
-            self.read_response_sum += response_time
-        self.ios_per_item[item_id] += 1
-
-    def _capture(
-        self,
-        timestamp: float,
-        item_id: str,
-        offset: int,
-        size: int,
-        is_read: bool,
-        sequential: bool,
-        response_time: float,
-    ) -> None:
-        self._window.append(timestamp, item_id, offset, size, is_read, sequential)
         self.io_count += 1
         self.response_sum += response_time
         self.response_samples.append((timestamp, response_time, is_read))

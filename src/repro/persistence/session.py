@@ -74,7 +74,6 @@ class RunSpec:
     full: bool = False
     seed: int = 0
     audit: bool = False
-    columnar: bool = False
     timeline_interval: float | None = None
     faults_json: str | None = None
     #: Fleet coordinates (:mod:`repro.fleet`): this session replays
@@ -122,8 +121,13 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        """Rebuild a spec serialized by :meth:`to_dict`."""
-        return cls(**data)
+        """Rebuild a spec serialized by :meth:`to_dict`.
+
+        Snapshots written when a spec could pick between two replay
+        pumps carry a ``columnar`` key; the choice never changed any
+        state, so it is dropped.
+        """
+        return cls(**{k: v for k, v in data.items() if k != "columnar"})
 
 
 class SnapshotSession:
@@ -182,13 +186,6 @@ class SnapshotSession:
             self.auditor = InvariantAuditor(self.context)
             self.auditor.hook(self.kernel)
         self.snapshots_written = 0
-
-    @property
-    def records(self) -> object:
-        """The trace to pump: columnar or record objects, per the spec."""
-        if self.spec.columnar:
-            return self.workload.columnar()
-        return self.workload.records
 
     # ------------------------------------------------------------------
     # capture
@@ -271,7 +268,7 @@ class SnapshotSession:
         if hook is not None:
             self.kernel.set_record_hook(hook)
         outcome = self.kernel.replay(
-            self.records, duration=self.workload.duration
+            self.workload.columnar(), duration=self.workload.duration
         )
         return self._assemble(outcome)
 
@@ -332,7 +329,7 @@ class SnapshotSession:
         if self.auditor is not None:
             self.auditor.restore_state(self._state(states, "auditor"))
         outcome = self.kernel.resume_replay(
-            self.records,
+            self.workload.columnar(),
             self.workload.duration,
             meta["count"],
             meta["ts"],

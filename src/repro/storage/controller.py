@@ -16,7 +16,7 @@ subscribes there) as :class:`~repro.trace.records.PhysicalIORecord`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro import units
 from repro.units import Bytes, Rate, Seconds
@@ -32,7 +32,7 @@ from repro.storage import cache as cache_mod
 from repro.storage.cache import StorageCache
 from repro.storage.enclosure import DiskEnclosure, IOResult
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
+from repro.trace.records import IOType, PhysicalIORecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.clock import FaultClock
@@ -53,6 +53,8 @@ MIGRATION_CHUNK_BYTES = 64 * units.MB
 
 
 PhysicalTap = Callable[[PhysicalIORecord], None]
+
+_T = TypeVar("_T")
 
 #: Scalar variant of the physical tap used on the batched hot path:
 #: ``(timestamp, enclosure name, block, count, io_type, item_id)``.  A
@@ -297,8 +299,8 @@ class StorageController:
     def _with_fault_retry(
         self,
         now: float,
-        attempt: Callable[[float], IOResult],
-    ) -> tuple[IOResult, float]:
+        attempt: Callable[[float], _T],
+    ) -> tuple[_T, float]:
         """Run one physical operation, retrying across injected faults.
 
         Outage refusals are waited out (retry at the window's end);
@@ -364,31 +366,6 @@ class StorageController:
             )
         )
 
-    def _physical_io(
-        self,
-        now: float,
-        item_id: str,
-        offset: int,
-        io_type: IOType,
-        sequential: bool,
-    ) -> float:
-        """Issue one physical I/O; returns the mean response time seen by
-        the application, including any fault-imposed retry delay."""
-        enclosure_name, block = self.virtualization.resolve(item_id, offset)
-        enclosure = self.virtualization.enclosure(enclosure_name)
-        result, delay = self._with_fault_retry(
-            now,
-            lambda at: enclosure.submit(
-                at, count=1, read=io_type.is_read, sequential=sequential
-            ),
-        )
-        issued = now + delay
-        self._emit_physical(issued, enclosure_name, block, 1, io_type, item_id)
-        response = result.mean_response_time + delay
-        if self._device_service_seconds is not None:
-            self._note_tier_service(enclosure_name, item_id, response)
-        return response
-
     def _bulk_transfer(
         self,
         now: float,
@@ -417,7 +394,15 @@ class StorageController:
     # ------------------------------------------------------------------
     # application I/O path
     # ------------------------------------------------------------------
-    def submit(self, record: LogicalIORecord) -> Seconds:
+    def submit(
+        self,
+        timestamp: float,
+        item_id: str,
+        offset: int,
+        size: int,
+        is_read: bool,
+        sequential: bool,
+    ) -> Seconds:
         """Serve one application I/O; returns its response time in seconds.
 
         Reads are served from cache when possible (preloaded items always
@@ -427,50 +412,15 @@ class StorageController:
         enclosure.  The battery-backed cache makes absorbed writes durable,
         so their response is the cache latency (paper §II-E.2).
 
-        Fault-free runs take :meth:`submit_fast` (same decisions, scalar
-        arguments); fault injection keeps the record-level slow path.
+        With a fault clock attached, fault bookkeeping runs first
+        (:meth:`on_time`), a write whose enclosure is out may land in the
+        emergency buffer, and the physical I/O retries across injected
+        faults; without one none of that machinery is touched.
         """
-        if self._fault_clock is None:
-            return self.submit_fast(
-                record.timestamp,
-                record.item_id,
-                record.offset,
-                record.size,
-                record.io_type is IOType.READ,
-                record.sequential,
-            )
-        return self._submit_slow(record)
-
-    def submit_fast(
-        self,
-        timestamp: float,
-        item_id: str,
-        offset: int,
-        size: int,
-        is_read: bool,
-        sequential: bool,
-    ) -> Seconds:
-        """Serve one application I/O given as plain fields.
-
-        The batched replay pump's entry point: no
-        :class:`~repro.trace.records.LogicalIORecord` is required.  The
-        decisions and arithmetic mirror :meth:`submit` operation for
-        operation (the golden bit-identity test holds both to the same
-        timeline); with a fault clock attached the call materializes a
-        record and defers to the slow path.
-        """
-        if self._fault_clock is not None:
-            return self._submit_slow(
-                LogicalIORecord(
-                    timestamp=timestamp,
-                    item_id=item_id,
-                    offset=offset,
-                    size=size,
-                    io_type=IOType.READ if is_read else IOType.WRITE,
-                    sequential=sequential,
-                )
-            )
         self.logical_io_count += 1
+        faulted = self._fault_clock is not None
+        if faulted:
+            self.on_time(timestamp)
         virtualization = self.virtualization
         if not virtualization.has_item(item_id):
             raise MappingError(f"I/O to unplaced data item {item_id!r}")
@@ -499,90 +449,47 @@ class StorageController:
                 if needs_flush:
                     self.flush_write_delay(timestamp)
                 return CACHE_HIT_LATENCY
+            if faulted:
+                buffered = self._emergency_buffer_write(
+                    timestamp, item_id, first_page, last_page
+                )
+                if buffered is not None:
+                    return buffered
             io_type = IOType.WRITE
 
-        # Fault-free single physical I/O via the cached route, with the
-        # tap dispatch of :meth:`_emit_physical` unrolled — this is the
-        # hottest call chain of the whole replay, so every frame counts.
+        # One physical I/O via the cached route, with the tap dispatch of
+        # :meth:`_emit_physical` unrolled — this is the hottest call chain
+        # of the whole replay, so every frame counts.
         enclosure, name, base_block, item_size = virtualization.route(item_id)
         if offset < 0 or offset >= item_size:
             raise MappingError(
                 f"offset {offset} outside item {item_id!r} of size {item_size}"
             )
-        response = enclosure.submit_one(timestamp, is_read, sequential)
+        issued = timestamp
+        if faulted:
+            served, delay = self._with_fault_retry(
+                timestamp,
+                lambda at: enclosure.submit(
+                    at, read=is_read, sequential=sequential
+                ).mean_response_time,
+            )
+            issued = timestamp + delay
+            response = served + delay
+        else:
+            response = enclosure.submit_one(timestamp, is_read, sequential)
+        block = base_block + offset // units.BLOCK_SIZE
         tap_fast = self._physical_tap_fast
         if tap_fast is not None:
-            tap_fast(
-                timestamp,
-                name,
-                base_block + offset // units.BLOCK_SIZE,
-                1,
-                io_type,
-                item_id,
-            )
+            tap_fast(issued, name, block, 1, io_type, item_id)
         elif self._physical_tap is not None:
-            self._emit_physical(
-                timestamp,
-                name,
-                base_block + offset // units.BLOCK_SIZE,
-                1,
-                io_type,
-                item_id,
-            )
+            self._emit_physical(issued, name, block, 1, io_type, item_id)
         if self._device_service_seconds is not None:
             self._note_tier_service(name, item_id, response)
         return response
 
-    def _submit_slow(self, record: LogicalIORecord) -> Seconds:
-        """Record-level I/O path; the only one fault injection takes."""
-        self.logical_io_count += 1
-        self.on_time(record.timestamp)
-        item_id = record.item_id
-        if not self.virtualization.has_item(item_id):
-            raise MappingError(f"I/O to unplaced data item {item_id!r}")
-
-        if record.is_read:
-            # Evaluate every page (no short-circuit) so each one enters
-            # the LRU; the I/O is a hit only if all of them already were.
-            hits = [
-                self.cache.read_hit(item_id, page)
-                for page in record.page_range(cache_mod.PAGE_BYTES)
-            ]
-            if all(hits):
-                self.cache_hit_count += 1
-                return CACHE_HIT_LATENCY
-            return self._physical_io(
-                record.timestamp,
-                item_id,
-                record.offset,
-                IOType.READ,
-                record.sequential,
-            )
-
-        if self.cache.write_delay.is_selected(item_id):
-            self.cache_hit_count += 1
-            needs_flush = False
-            for page in record.page_range(cache_mod.PAGE_BYTES):
-                if self.cache.write_delay.absorb_write(item_id, page):
-                    needs_flush = True
-            if needs_flush:
-                self.flush_write_delay(record.timestamp)
-            return CACHE_HIT_LATENCY
-
-        if self._fault_clock is not None:
-            buffered = self._emergency_buffer_write(record)
-            if buffered is not None:
-                return buffered
-
-        return self._physical_io(
-            record.timestamp,
-            item_id,
-            record.offset,
-            IOType.WRITE,
-            record.sequential,
-        )
-
-    def _emergency_buffer_write(self, record: LogicalIORecord) -> Seconds | None:
+    def _emergency_buffer_write(
+        self, timestamp: float, item_id: str, first_page: int, last_page: int
+    ) -> Seconds | None:
         """Absorb a write whose home enclosure is out into the cache.
 
         While an enclosure is inside an injected outage window, the
@@ -594,17 +501,16 @@ class StorageController:
         """
         if self._battery_failed:
             return None
-        enclosure = self.virtualization.enclosure_of(record.item_id)
-        if self._fault_clock.outage_at(enclosure.name, record.timestamp) is None:
+        enclosure = self.virtualization.enclosure_of(item_id)
+        if self._fault_clock.outage_at(enclosure.name, timestamp) is None:
             return None
         wd = self.cache.write_delay
-        pages = list(record.page_range(cache_mod.PAGE_BYTES))
-        if wd.dirty_pages + len(pages) > wd.capacity_pages:
+        if wd.dirty_pages + (last_page - first_page + 1) > wd.capacity_pages:
             return None
-        wd.select(record.item_id)
-        self._emergency_items.add(record.item_id)
-        for page in pages:
-            wd.absorb_write(record.item_id, page)
+        wd.select(item_id)
+        self._emergency_items.add(item_id)
+        for page in range(first_page, last_page + 1):
+            wd.absorb_write(item_id, page)
         self.cache_hit_count += 1
         self.emergency_buffered_ios += 1
         return CACHE_HIT_LATENCY

@@ -386,11 +386,24 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
             chunk = view[offset : offset + record_count * width]
             columns[name] = chunk.cast(code)
             offset += record_count * width
-        if record_count and max(columns["item_index"]) >= len(items):
-            raise TraceError(
-                f"{path}: item index {max(columns['item_index'])} outside "
-                f"the {len(items)}-entry item table"
-            )
+        if record_count:
+            # The same bounds LogicalIORecord enforces: the replay reads
+            # these columns directly, so this is the only place to check.
+            if max(columns["item_index"]) >= len(items):
+                raise TraceError(
+                    f"{path}: item index {max(columns['item_index'])} "
+                    f"outside the {len(items)}-entry item table"
+                )
+            for name, lowest in (
+                ("timestamps", 0),
+                ("offsets", 0),
+                ("sizes", 1),
+            ):
+                if min(columns[name]) < lowest:
+                    raise TraceError(
+                        f"{path}: {name} column holds {min(columns[name])}, "
+                        f"below the minimum of {lowest}"
+                    )
         return cls(
             items=items,
             timestamps=columns["timestamps"],

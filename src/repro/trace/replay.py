@@ -130,9 +130,11 @@ class TraceReplayer:
         :class:`~repro.errors.ReplayError` — as does a non-positive
         declared ``duration``.
 
-        Passing a :class:`~repro.trace.columnar.ColumnarTrace` engages
-        the kernel's batched pump — identical results (the golden test
-        pins bit-identity), several times the throughput.
+        Any record iterable is packed into a
+        :class:`~repro.trace.columnar.ColumnarTrace` before the kernel
+        runs; pass one directly (e.g.
+        :meth:`repro.workloads.items.Workload.columnar`) to reuse columns
+        that already exist.
         """
         context = self.context
         policy = self.policy

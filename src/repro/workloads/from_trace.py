@@ -123,8 +123,8 @@ def workload_from_ecot(
 
     The columns are materialized into record objects once so the
     standard catalog inference and validation run; the replay itself
-    goes back through :meth:`Workload.columnar` (cached), so the batched
-    pump still drives primitive columns.
+    goes back through :meth:`Workload.columnar` (cached), so it still
+    drives primitive columns.
     """
     trace = ColumnarTrace.load(source)
     return workload_from_records(

@@ -87,10 +87,11 @@ class Workload:
         """The trace as a :class:`~repro.trace.columnar.ColumnarTrace`.
 
         Built once and cached on the instance; rebuilt if the record
-        list was replaced or resized in the meantime.  Feed this to
-        :meth:`repro.trace.replay.TraceReplayer.run` for the batched
-        pump, or to :func:`repro.experiments.parallel.workload_fingerprint`
-        for an allocation-free cache key.
+        list was replaced or resized in the meantime.  Every replay reads
+        these columns (:meth:`repro.trace.replay.TraceReplayer.run` packs
+        any other input first), and
+        :func:`repro.experiments.parallel.workload_fingerprint` hashes
+        them, so one pack serves both.
         """
         cached = self.__dict__.get("_columnar_cache")
         if not isinstance(cached, ColumnarTrace) or len(cached) != len(

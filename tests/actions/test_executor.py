@@ -22,6 +22,8 @@ from repro.config import EcoStorConfig
 from repro.simulation import SimulationContext, build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
 
+from tests.io_helpers import io_fields
+
 
 def executor_of(context: SimulationContext) -> ActionExecutor:
     return context.require_executor()
@@ -181,7 +183,7 @@ class TestWriteDelayFlush:
             0.0, ActionPlan([EnableWriteDelay((item,))])
         )
         context.controller.submit(
-            LogicalIORecord(1.0, item, 0, 8192, IOType.WRITE)
+            *io_fields(LogicalIORecord(1.0, item, 0, 8192, IOType.WRITE))
         )
 
     def test_flush_item_with_dirty_data(self, small_context):

@@ -9,6 +9,8 @@ from repro.simulation import build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
 from repro.trace.replay import TraceReplayer
 
+from tests.io_helpers import io_fields
+
 
 def build_system(items_per_enclosure=2, enclosures=3, size=10 * units.MB):
     context = build_context(DEFAULT_CONFIG, enclosures)
@@ -86,9 +88,8 @@ class TestPDCBehaviour:
         policy = PDCPolicy(monitoring_period=300.0)
         policy.bind(context)
         policy.on_start(0.0)
-        policy.after_io(
-            LogicalIORecord(1.0, "item-0-0", 0, 4096, IOType.READ), 0.1
-        )
+        record = LogicalIORecord(1.0, "item-0-0", 0, 4096, IOType.READ)
+        policy.after_io(*io_fields(record), 0.1)
         assert policy._popularity["item-0-0"] == 1
         policy.on_checkpoint(300.0)
         assert not policy._popularity

@@ -44,7 +44,7 @@ def bound_policy(context, **kwargs):
 
 def touch(policy, item, count, at=0.0):
     for _ in range(count):
-        policy.after_io_fast(at, item, 0, 4096, True, False, 0.001)
+        policy.after_io(at, item, 0, 4096, True, False, 0.001)
 
 
 class TestConfiguration:

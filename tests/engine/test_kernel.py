@@ -35,8 +35,8 @@ class PeriodicPolicy(PowerPolicy):
         self.checkpoints.append(now)
         self._next = now + self.period
 
-    def after_io(self, record, response_time):
-        self.io_seen.append(record.timestamp)
+    def after_io(self, timestamp, *fields):
+        self.io_seen.append(timestamp)
 
 
 def make_context(faults=None):
@@ -191,6 +191,23 @@ class TestFinishedKernelMisuse:
         with pytest.raises(UsageError, match="finished kernel"):
             kernel.resume_replay([], duration=100.0, start_count=1,
                                  start_ts=5.0)
+
+    def test_replay_after_finish_raises_before_touching_state(self):
+        kernel = self._finished_kernel()
+        context = kernel.context
+
+        def state():
+            return (
+                kernel.snapshot_state(),
+                context.app_monitor.snapshot_state(),
+                context.storage_monitor.snapshot_state(),
+                list(context.require_executor().log),
+            )
+
+        before = state()
+        with pytest.raises(UsageError, match="finished kernel"):
+            kernel.replay([record(60.0)], duration=100.0)
+        assert state() == before
 
     def test_run_until_into_the_past_raises_usage_error(self):
         context = make_context()

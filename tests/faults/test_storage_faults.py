@@ -35,6 +35,8 @@ from repro.storage.power import PowerState
 from repro.storage.virtualization import BlockVirtualization
 from repro.trace.records import IOType, LogicalIORecord
 
+from tests.io_helpers import io_fields
+
 ITEMS = ("a", "b")
 
 
@@ -155,7 +157,7 @@ class TestControllerRetry:
         plan = FaultPlan(events=(SpinUpFailure(enclosure="e0", failures=2),))
         controller, _, encs, clock = build(plan)
         power_off(encs[0], 1.0)
-        response = controller.submit(read("a", 1000.0))
+        response = controller.submit(*io_fields(read("a", 1000.0)))
         assert controller.fault_spin_up_retries == 2
         assert controller.fault_delayed_ios == 1
         assert clock.spin_up_failures_injected == 2
@@ -170,7 +172,7 @@ class TestControllerRetry:
             events=(EnclosureOutage(enclosure="e0", start=0.0, end=300.0),)
         )
         controller, _, _, clock = build(plan)
-        response = controller.submit(read("a", 100.0))
+        response = controller.submit(*io_fields(read("a", 100.0)))
         assert controller.fault_denied_ios == 1
         assert response >= 200.0  # delayed to the end of the window
         assert clock.outage_violations == []
@@ -183,7 +185,7 @@ class TestEmergencyBuffer:
         )
         controller, _, _, clock = build(plan)
         wd = controller.cache.write_delay
-        response = controller.submit(write("a", 100.0))
+        response = controller.submit(*io_fields(write("a", 100.0)))
         assert response == CACHE_HIT_LATENCY
         assert controller.emergency_buffered_ios == 1
         assert wd.dirty_pages > 0
@@ -202,7 +204,7 @@ class TestEmergencyBuffer:
             )
         )
         controller, _, _, _ = build(plan)
-        response = controller.submit(write("a", 150.0))
+        response = controller.submit(*io_fields(write("a", 150.0)))
         # No battery, no buffer: the write waits the outage out instead.
         assert controller.emergency_buffered_ios == 0
         assert response >= 150.0
@@ -214,7 +216,8 @@ class TestBatteryFailure:
         controller, _, _, _ = build(plan)
         wd = controller.cache.write_delay
         controller.select_write_delay(0.0, {"a"})
-        assert controller.submit(write("a", 10.0)) == CACHE_HIT_LATENCY
+        response = controller.submit(*io_fields(write("a", 10.0)))
+        assert response == CACHE_HIT_LATENCY
         assert wd.dirty_pages > 0
         controller.on_time(600.0)
         assert controller.battery_failed
@@ -232,7 +235,7 @@ class TestBatteryFailure:
         controller.select_write_delay(10.0, {"a"})
         assert controller.cache.write_delay.selected_items() == set()
         # Writes take the physical path, not the dead cache.
-        controller.submit(write("a", 20.0))
+        controller.submit(*io_fields(write("a", 20.0)))
         assert controller.cache.write_delay.dirty_pages == 0
 
 

@@ -5,6 +5,8 @@ import pytest
 from repro.monitoring.application import ApplicationMonitor
 from repro.trace.records import IOType, LogicalIORecord
 
+from tests.io_helpers import io_fields
+
 
 def rec(t, item="a", kind=IOType.READ):
     return LogicalIORecord(t, item, 0, 4096, kind)
@@ -30,20 +32,20 @@ class TestMapping:
 class TestWindowBuffer:
     def test_records_accumulate_in_window(self):
         monitor = ApplicationMonitor()
-        monitor.record(rec(1.0), 0.1)
-        monitor.record(rec(2.0), 0.1)
+        monitor.record(*io_fields(rec(1.0)), 0.1)
+        monitor.record(*io_fields(rec(2.0)), 0.1)
         assert len(monitor.window_records()) == 2
 
     def test_begin_window_clears_buffer(self):
         monitor = ApplicationMonitor()
-        monitor.record(rec(1.0), 0.1)
+        monitor.record(*io_fields(rec(1.0)), 0.1)
         monitor.begin_window(5.0)
         assert monitor.window_records() == []
         assert monitor.window_start == 5.0
 
     def test_window_records_returns_copy(self):
         monitor = ApplicationMonitor()
-        monitor.record(rec(1.0), 0.1)
+        monitor.record(*io_fields(rec(1.0)), 0.1)
         snapshot = monitor.window_records()
         snapshot.clear()
         assert len(monitor.window_records()) == 1
@@ -52,8 +54,8 @@ class TestWindowBuffer:
 class TestResponseStats:
     def test_totals(self):
         monitor = ApplicationMonitor()
-        monitor.record(rec(1.0), 0.5)
-        monitor.record(rec(2.0, kind=IOType.WRITE), 1.5)
+        monitor.record(*io_fields(rec(1.0)), 0.5)
+        monitor.record(*io_fields(rec(2.0, kind=IOType.WRITE)), 1.5)
         stats = monitor.response_stats()
         assert stats.io_count == 2
         assert stats.read_count == 1
@@ -68,15 +70,15 @@ class TestResponseStats:
 
     def test_stats_survive_window_reset(self):
         monitor = ApplicationMonitor()
-        monitor.record(rec(1.0), 0.5)
+        monitor.record(*io_fields(rec(1.0)), 0.5)
         monitor.begin_window(10.0)
-        monitor.record(rec(11.0), 1.5)
+        monitor.record(*io_fields(rec(11.0)), 1.5)
         assert monitor.response_stats().io_count == 2
 
     def test_response_samples_kept(self):
         monitor = ApplicationMonitor()
-        monitor.record(rec(1.0), 0.5)
-        monitor.record(rec(2.0, kind=IOType.WRITE), 0.7)
+        monitor.record(*io_fields(rec(1.0)), 0.5)
+        monitor.record(*io_fields(rec(2.0, kind=IOType.WRITE)), 0.7)
         assert monitor.response_samples == [
             (1.0, 0.5, True),
             (2.0, 0.7, False),
@@ -84,9 +86,9 @@ class TestResponseStats:
 
     def test_per_item_counters(self):
         monitor = ApplicationMonitor()
-        monitor.record(rec(1.0, "a"), 0.1)
-        monitor.record(rec(2.0, "a"), 0.1)
-        monitor.record(rec(3.0, "b"), 0.1)
+        monitor.record(*io_fields(rec(1.0, "a")), 0.1)
+        monitor.record(*io_fields(rec(2.0, "a")), 0.1)
+        monitor.record(*io_fields(rec(3.0, "b")), 0.1)
         assert monitor.ios_per_item["a"] == 2
         assert monitor.ios_per_item["b"] == 1
 
@@ -94,13 +96,13 @@ class TestResponseStats:
 class TestFullTrace:
     def test_disabled_by_default(self):
         monitor = ApplicationMonitor()
-        monitor.record(rec(1.0), 0.1)
+        monitor.record(*io_fields(rec(1.0)), 0.1)
         with pytest.raises(RuntimeError):
             monitor.full_trace()
 
     def test_enabled_retention(self):
         monitor = ApplicationMonitor(keep_full_trace=True)
-        monitor.record(rec(1.0), 0.1)
+        monitor.record(*io_fields(rec(1.0)), 0.1)
         monitor.begin_window(10.0)
-        monitor.record(rec(11.0), 0.1)
+        monitor.record(*io_fields(rec(11.0)), 0.1)
         assert len(monitor.full_trace()) == 2

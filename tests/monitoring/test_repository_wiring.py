@@ -10,6 +10,8 @@ from repro.trace.records import (
     PhysicalIORecord,
 )
 
+from tests.io_helpers import io_fields
+
 
 def logical(t):
     return LogicalIORecord(t, "a", 0, 4096, IOType.READ)
@@ -23,16 +25,16 @@ class TestApplicationMonitorRepository:
     def test_records_flow_into_repository(self, tmp_path):
         repo = TraceRepository(LogicalIORecord, spill_dir=tmp_path)
         monitor = ApplicationMonitor(repository=repo)
-        monitor.record(logical(1.0), 0.1)
-        monitor.record(logical(2.0), 0.1)
+        monitor.record(*io_fields(logical(1.0)), 0.1)
+        monitor.record(*io_fields(logical(2.0)), 0.1)
         assert len(repo) == 2
 
     def test_repository_survives_window_resets(self, tmp_path):
         repo = TraceRepository(LogicalIORecord, spill_dir=tmp_path)
         monitor = ApplicationMonitor(repository=repo)
-        monitor.record(logical(1.0), 0.1)
+        monitor.record(*io_fields(logical(1.0)), 0.1)
         monitor.begin_window(10.0)
-        monitor.record(logical(11.0), 0.1)
+        monitor.record(*io_fields(logical(11.0)), 0.1)
         assert [r.timestamp for r in repo] == [1.0, 11.0]
 
     def test_spill_behaviour_preserved(self, tmp_path):
@@ -41,13 +43,13 @@ class TestApplicationMonitorRepository:
         )
         monitor = ApplicationMonitor(repository=repo)
         for t in range(6):
-            monitor.record(logical(float(t)), 0.1)
+            monitor.record(*io_fields(logical(float(t))), 0.1)
         assert len(repo) == 6
         assert len(list(tmp_path.glob("spill-*.csv"))) == 1
 
     def test_no_repository_is_fine(self):
         monitor = ApplicationMonitor()
-        monitor.record(logical(1.0), 0.1)
+        monitor.record(*io_fields(logical(1.0)), 0.1)
         assert monitor.io_count == 1
 
 

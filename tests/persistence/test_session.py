@@ -95,7 +95,6 @@ class TestResumeBitIdentity:
             workload="fileserver",
             policy="tiered-lifecycle",
             audit=True,
-            columnar=True,
         )
         golden_session = SnapshotSession(spec)
         golden = golden_session.run()
@@ -107,7 +106,7 @@ class TestResumeBitIdentity:
         assert fresh.auditor.checks_run == golden_session.auditor.checks_run
 
     def test_columnar_pump_resumes_bit_identically(self, tmp_path):
-        spec = RunSpec(workload="tpcc", policy="ddr", columnar=True)
+        spec = RunSpec(workload="tpcc", policy="ddr")
         golden_session = SnapshotSession(spec)
         golden = golden_session.run()
         fresh, resumed, _ = _crash_and_resume(
@@ -171,11 +170,15 @@ class TestRunSpec:
             policy="proposed",
             full=True,
             audit=True,
-            columnar=True,
             timeline_interval=60.0,
             faults_json=_fault_plan().to_json(),
         )
         assert RunSpec.from_dict(spec.to_dict()) == spec
+
+    def test_retired_columnar_key_is_dropped(self):
+        spec = RunSpec(workload="tpcc", policy="ddr")
+        legacy = {**spec.to_dict(), "columnar": True}
+        assert RunSpec.from_dict(legacy) == spec
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValidationError, match="unknown workload"):

@@ -16,6 +16,8 @@ from repro.storage.enclosure import DiskEnclosure
 from repro.storage.virtualization import BlockVirtualization
 from repro.trace.records import IOType, LogicalIORecord
 
+from tests.io_helpers import io_fields
+
 ITEMS = ("a", "b", "c")
 
 
@@ -76,7 +78,7 @@ def run_ops(controller, virt, ops):
                 4096,
                 IOType.READ if is_read else IOType.WRITE,
             )
-            response = controller.submit(record)
+            response = controller.submit(*io_fields(record))
             assert response > 0
             submitted += 1
         elif kind == "preload":
@@ -130,12 +132,11 @@ def test_energy_monotone_under_any_operation_mix(ops):
         try:
             if op[0] == "io":
                 offset = (op[3] // units.BLOCK_SIZE) * units.BLOCK_SIZE
-                controller.submit(
-                    LogicalIORecord(
-                        clock, op[1], offset, 4096,
-                        IOType.READ if op[2] else IOType.WRITE,
-                    )
+                record = LogicalIORecord(
+                    clock, op[1], offset, 4096,
+                    IOType.READ if op[2] else IOType.WRITE,
                 )
+                controller.submit(*io_fields(record))
             elif op[0] == "migrate":
                 controller.migrate_item(clock, op[1], op[2])
         except Exception:

@@ -11,6 +11,8 @@ from repro.storage.power import PowerState
 from repro.storage.virtualization import BlockVirtualization
 from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
 
+from tests.io_helpers import io_fields
+
 
 def build(enclosures=2, cache_kwargs=None):
     encs = [
@@ -42,7 +44,7 @@ def write(t, item="a", offset=0, size=8192, seq=False):
 class TestReadPath:
     def test_cold_read_goes_physical(self):
         controller, _, _, taps = build()
-        response = controller.submit(read(1.0))
+        response = controller.submit(*io_fields(read(1.0)))
         assert response == pytest.approx(0.5)
         assert len(taps) == 1
         assert taps[0].enclosure == "e0"
@@ -50,49 +52,50 @@ class TestReadPath:
 
     def test_repeat_read_hits_lru(self):
         controller, _, _, taps = build()
-        controller.submit(read(1.0))
-        response = controller.submit(read(2.0))
+        controller.submit(*io_fields(read(1.0)))
+        response = controller.submit(*io_fields(read(2.0)))
         assert response == CACHE_HIT_LATENCY
         assert len(taps) == 1
 
     def test_multi_page_read_requires_all_pages(self):
         controller, _, _, _ = build()
         # Two pages: first read misses and inserts both.
-        first = controller.submit(read(1.0, size=2 * PAGE_BYTES))
+        first = controller.submit(*io_fields(read(1.0, size=2 * PAGE_BYTES)))
         assert first > CACHE_HIT_LATENCY
-        second = controller.submit(read(2.0, size=2 * PAGE_BYTES))
+        second = controller.submit(*io_fields(read(2.0, size=2 * PAGE_BYTES)))
         assert second == CACHE_HIT_LATENCY
 
     def test_preloaded_item_reads_hit(self):
         controller, _, cache, taps = build()
         controller.preload_item(0.0, "a")
         taps.clear()
-        response = controller.submit(read(1.0, offset=50 * units.MB))
+        far = read(1.0, offset=50 * units.MB)
+        response = controller.submit(*io_fields(far))
         assert response == CACHE_HIT_LATENCY
         assert taps == []
 
     def test_sequential_hint_uses_sequential_rate(self):
         controller, _, _, _ = build()
-        response = controller.submit(read(1.0, seq=True))
+        response = controller.submit(*io_fields(read(1.0, seq=True)))
         assert response == pytest.approx(1.0 / 6.0)
 
     def test_unknown_item_rejected(self):
         controller, _, _, _ = build()
         with pytest.raises(MappingError):
-            controller.submit(read(1.0, item="ghost"))
+            controller.submit(*io_fields(read(1.0, item="ghost")))
 
 
 class TestWritePath:
     def test_normal_write_goes_physical(self):
         controller, _, _, taps = build()
-        response = controller.submit(write(1.0))
+        response = controller.submit(*io_fields(write(1.0)))
         assert response == pytest.approx(0.5)
         assert taps[0].io_type is IOType.WRITE
 
     def test_write_delayed_item_absorbs(self):
         controller, _, cache, taps = build()
         controller.select_write_delay(0.0, {"a"})
-        response = controller.submit(write(1.0))
+        response = controller.submit(*io_fields(write(1.0)))
         assert response == CACHE_HIT_LATENCY
         assert taps == []
         assert cache.write_delay.dirty_pages == 1
@@ -107,9 +110,9 @@ class TestWritePath:
             )
         )
         controller.select_write_delay(0.0, {"a"})
-        controller.submit(write(1.0, offset=0))
+        controller.submit(*io_fields(write(1.0, offset=0)))
         assert taps == []
-        controller.submit(write(2.0, offset=PAGE_BYTES))
+        controller.submit(*io_fields(write(2.0, offset=PAGE_BYTES)))
         # Threshold reached: a bulk write burst went to e0.
         assert any(t.io_type is IOType.WRITE for t in taps)
         assert cache.write_delay.dirty_pages == 0
@@ -118,7 +121,7 @@ class TestWritePath:
     def test_deselection_flushes_dirty_data(self):
         controller, _, cache, taps = build()
         controller.select_write_delay(0.0, {"a"})
-        controller.submit(write(1.0))
+        controller.submit(*io_fields(write(1.0)))
         taps.clear()
         controller.select_write_delay(10.0, set())
         assert len(taps) == 1
@@ -167,8 +170,8 @@ class TestPreload:
     def test_flush_item_drains_only_that_item(self):
         controller, _, cache, taps = build()
         controller.select_write_delay(0.0, {"a", "b"})
-        controller.submit(write(1.0, item="a"))
-        controller.submit(write(2.0, item="b"))
+        controller.submit(*io_fields(write(1.0, item="a")))
+        controller.submit(*io_fields(write(2.0, item="b")))
         taps.clear()
         completion = controller.flush_item(3.0, "a")
         assert completion > 3.0
@@ -195,7 +198,7 @@ class TestMigration:
     def test_migration_does_not_block_application_io(self):
         controller, _, _, _ = build()
         controller.migrate_item(10.0, "a", "e1")
-        response = controller.submit(read(11.0, item="b"))
+        response = controller.submit(*io_fields(read(11.0, item="b")))
         assert response == pytest.approx(0.5)
 
     def test_migration_emits_interval_markers(self):
@@ -237,7 +240,7 @@ class TestFinish:
     def test_finish_flushes_dirty_data(self):
         controller, _, cache, _ = build()
         controller.select_write_delay(0.0, {"a"})
-        controller.submit(write(1.0))
+        controller.submit(*io_fields(write(1.0)))
         controller.finish(100.0)
         assert cache.write_delay.dirty_pages == 0
 
@@ -251,8 +254,8 @@ class TestFinish:
 class TestStats:
     def test_cache_hit_ratio(self):
         controller, _, _, _ = build()
-        controller.submit(read(1.0))
-        controller.submit(read(2.0))
+        controller.submit(*io_fields(read(1.0)))
+        controller.submit(*io_fields(read(2.0)))
         assert controller.cache_hit_ratio == pytest.approx(0.5)
 
     def test_hit_ratio_empty(self):

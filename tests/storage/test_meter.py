@@ -10,6 +10,8 @@ from repro.storage.meter import PowerMeter
 from repro.storage.power import ControllerPowerModel, PowerState
 from repro.storage.virtualization import BlockVirtualization
 
+from tests.io_helpers import io_fields
+
 
 def make_meter(count=2):
     encs = [
@@ -53,7 +55,8 @@ class TestPowerMeter:
         controller = StorageController(virt, StorageCache())
         from repro.trace.records import IOType, LogicalIORecord
 
-        controller.submit(LogicalIORecord(1.0, "a", 0, 4096, IOType.READ))
+        record = LogicalIORecord(1.0, "a", 0, 4096, IOType.READ)
+        controller.submit(*io_fields(record))
         with_io = meter.read(10.0, controller)
         fresh_meter, _ = make_meter(1)
         without_io = fresh_meter.read(10.0)

@@ -7,6 +7,8 @@ from repro.config import DEFAULT_CONFIG
 from repro.simulation import build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
 
+from tests.io_helpers import io_fields
+
 
 class TestBuildContext:
     def test_enclosure_count(self):
@@ -50,7 +52,7 @@ class TestBuildContext:
             "a", units.MB, default_volume("enc-00")
         )
         context.controller.submit(
-            LogicalIORecord(1.0, "a", 0, 4096, IOType.READ)
+            *io_fields(LogicalIORecord(1.0, "a", 0, 4096, IOType.READ))
         )
         assert context.storage_monitor.physical_io_count == 1
 

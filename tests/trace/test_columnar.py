@@ -7,11 +7,12 @@ Three layers of guarantee, mirroring the tentpole's claims:
 * the ``.ecot`` file format is lossless and versioned: save → load
   (mmap-ed or copied) reproduces the same columns, and corrupt or
   future-versioned files are refused, never guessed at;
-* the batched pump is equivalent: replaying the columns produces a
-  bit-identical :class:`~repro.trace.replay.ReplayResult` to replaying
-  the record objects, on **every** standard workload (the golden test
-  pins fileserver against a historical capture; this one pins the two
-  pumps against each other everywhere).
+* the two replay inputs are equivalent: replaying the columns produces
+  a bit-identical :class:`~repro.trace.replay.ReplayResult` to replaying
+  the record objects (which the replayer packs itself), on **every**
+  standard workload (the golden test pins fileserver against a
+  historical capture; this one pins the two inputs against each other
+  everywhere).
 """
 
 from __future__ import annotations
@@ -158,6 +159,24 @@ class TestEcotFormat:
         with pytest.raises(TraceError, match="truncated"):
             ColumnarTrace.load(path)
 
+    @pytest.mark.parametrize(
+        "column, bad",
+        [("timestamps", -1.0), ("offsets", -4096), ("sizes", 0)],
+    )
+    def test_out_of_range_column_values_refused(self, tmp_path, column, bad):
+        """The bounds ``LogicalIORecord`` enforces hold on load too."""
+        records = [
+            LogicalIORecord(float(i), f"item-{i % 5}", 0, 4096, IOType.READ)
+            for i in range(50)
+        ]
+        trace = ColumnarTrace.from_records(records)
+        values = getattr(trace, column)
+        values[len(values) // 2] = bad
+        path = tmp_path / "bad.ecot"
+        trace.save(path)
+        with pytest.raises(TraceError, match=column):
+            ColumnarTrace.load(path)
+
     def test_magic_constant_is_first_four_bytes(self, tmp_path):
         path = tmp_path / "magic.ecot"
         ColumnarTrace.from_records([]).save(path)
@@ -165,7 +184,7 @@ class TestEcotFormat:
 
 
 class TestPumpEquivalence:
-    """Columnar replay == object replay, bit for bit, everywhere."""
+    """Columnar input == record-object input, bit for bit, everywhere."""
 
     @pytest.mark.parametrize("workload_name", WORKLOAD_NAMES)
     @pytest.mark.parametrize("policy_name", ["no-power-saving", "proposed"])
@@ -186,6 +205,6 @@ class TestPumpEquivalence:
             )
             results.append(json.dumps(asdict(result), sort_keys=True))
         assert results[0] == results[1], (
-            f"{workload_name}/{policy_name}: the batched columnar pump "
-            "diverged from the per-record object pump"
+            f"{workload_name}/{policy_name}: replaying the columnar trace "
+            "diverged from replaying the record objects"
         )

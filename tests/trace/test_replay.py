@@ -36,8 +36,8 @@ class CheckpointSpy(PowerPolicy):
         self.determinations += 1
         self._next = now + self.period
 
-    def after_io(self, record, response_time):
-        self.calls.append(("io", record.timestamp))
+    def after_io(self, timestamp, *fields):
+        self.calls.append(("io", timestamp))
 
     def on_end(self, now):
         self.calls.append(("end", now))

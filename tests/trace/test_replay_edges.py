@@ -69,8 +69,8 @@ class RecordingPolicy(PowerPolicy):
         self.events.append(("checkpoint", now))
         self._next = now + self.period
 
-    def after_io(self, record, response_time):
-        self.events.append(("io", record.timestamp))
+    def after_io(self, timestamp, *fields):
+        self.events.append(("io", timestamp))
 
 
 class TestCheckpointOrdering:

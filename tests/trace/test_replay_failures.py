@@ -34,7 +34,7 @@ class ExplodingPolicy(PowerPolicy):
             raise RuntimeError("boom in checkpoint")
         self._next = now + 10.0
 
-    def after_io(self, record, response_time):
+    def after_io(self, timestamp, *fields):
         if self.where == "after_io":
             raise RuntimeError("boom in after_io")
 

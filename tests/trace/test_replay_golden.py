@@ -71,9 +71,10 @@ def _capture_cell(
 ) -> dict:
     """Replay one (policy, fault?) cell and flatten every measurement.
 
-    ``columnar=True`` feeds the same trace as a
-    :class:`~repro.trace.columnar.ColumnarTrace`, engaging the kernel's
-    batched pump — which this test holds to the very same golden file.
+    ``columnar=False`` hands the replayer the list of record objects,
+    which it packs itself; ``columnar=True`` hands it a ready
+    :class:`~repro.trace.columnar.ColumnarTrace`.  Both inputs are held
+    to the very same golden file.
     """
     workload = build_workload("fileserver", full=False)
     faults = (
@@ -216,7 +217,7 @@ def test_replay_bit_identical_to_golden(columnar):
     for label in golden:
         assert captured[label] == golden[label], (
             f"replay of cell {label!r} ({'columnar' if columnar else 'object'}"
-            " pump) diverged from the pre-kernel golden result — the "
+            " input) diverged from the pre-kernel golden result — the "
             "engine's decision sequence changed"
         )
 
