@@ -136,7 +136,7 @@ class ActionExecutor:
     """Applies action plans to the storage layer; owns the action log.
 
     The executor is the *only* component that may call the controller's
-    mutators or an enclosure's power-off enablement (lint rule R9
+    mutators or an enclosure's power-off enablement (check R9
     enforces this across ``src/``).  It also owns the degraded-mode
     power-off gate that used to live on the policy base class: the
     per-enclosure cool-down state must sit beside the component that

@@ -39,7 +39,7 @@ class PowerPolicy(abc.ABC):
     :class:`~repro.actions.plan.ActionPlan` values, and apply them
     through the context's
     :class:`~repro.actions.executor.ActionExecutor` — never by calling
-    controller mutators directly (lint rule R9).
+    controller mutators directly (check R9).
     """
 
     #: Human-readable policy name used in reports.

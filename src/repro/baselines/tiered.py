@@ -18,7 +18,7 @@ powered, and power-off is enabled on the rest — so the single-tier
 energy machinery keeps working underneath the tier moves.
 
 All placement mutations travel as :class:`~repro.actions.plan.ActionPlan`
-values through the context executor (lint rules R9/R11): every
+values through the context executor (check R9): every
 inter-tier move is an auditable
 :class:`~repro.actions.records.ActionRecord`.  An archived item that is
 accessed (paying the archive shelf's long spin-up) is promoted back to

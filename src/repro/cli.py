@@ -25,9 +25,9 @@ Subcommands::
     ecostor fleet report PATH
     ecostor intervals WORKLOAD POLICY [--full]
     ecostor bench [--workload W] [--repeats N] [--out BENCH_engine.json]
-    ecostor lint [PATHS ...] [--format text|json] [--select RULE ...]
-    ecostor analyze [PATHS ...] [--format text|json] [--select CHECK ...]
-                    [--no-baseline] [--write-baseline]
+    ecostor check [PATHS ...] [--format text|json] [--select CHECK ...]
+                  [--baseline FILE] [--no-baseline] [--write-baseline]
+                  [--list-checks]
     ecostor chaos [--workload W] [--seeds N ...] [--faults KIND ...]
                   [--policies P ...] [--tiers] [--full] [--jobs N]
                   [--cache-dir DIR]
@@ -54,9 +54,9 @@ per-array books, and audits global conservation — fleet energy exactly
 equal to the sum of per-array energies (see ``docs/fleet.md``) —
 while ``fleet report`` re-renders a saved fleet JSON; ``intervals``
 draws a
-Fig 17-19 curve in the terminal; ``lint`` runs the
-:mod:`repro.devtools` domain linter; ``analyze`` runs the whole-program
-dimensional & determinism analyzer (:mod:`repro.devtools.analysis`)
+Fig 17-19 curve in the terminal; ``check`` runs the static checker
+(:mod:`repro.devtools.analysis`: domain conventions R1–R10,
+dimensional consistency and planner purity/determinism D101–D205)
 with the committed ``analysis-baseline.json`` applied; ``chaos`` sweeps
 policies against
 seeded fault plans (:mod:`repro.faults`) with the invariant auditor
@@ -429,34 +429,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools import lint
+def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.devtools.analysis.cli import run
 
-    argv = list(args.paths)
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", *args.select]
-    if args.list_rules:
-        argv += ["--list-rules"]
-    return lint.main(argv)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.devtools.analysis import cli as analysis_cli
-
-    argv = list(args.paths)
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", *args.select]
-    if args.no_baseline:
-        argv += ["--no-baseline"]
-    if args.write_baseline:
-        argv += ["--write-baseline"]
-    if args.list_checks:
-        argv += ["--list-checks"]
-    return analysis_cli.main(argv)
+    return run(args)
 
 
 def _cmd_patterns(args: argparse.Namespace) -> int:
@@ -958,29 +934,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.set_defaults(func=_cmd_bench)
 
-    lint = sub.add_parser(
-        "lint", help="run the domain linter (repro.devtools)"
-    )
-    lint.add_argument("paths", nargs="*", default=["src"])
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--select", nargs="+", metavar="RULE")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.set_defaults(func=_cmd_lint)
-
-    analyze_prog = sub.add_parser(
-        "analyze",
-        help="whole-program dimensional & determinism analysis "
+    check = sub.add_parser(
+        "check",
+        help="static checks: domain conventions, dimensions, determinism "
         "(repro.devtools.analysis)",
     )
-    analyze_prog.add_argument("paths", nargs="*", default=["src/repro"])
-    analyze_prog.add_argument(
-        "--format", choices=("text", "json"), default="text"
+    check.add_argument(
+        "paths", nargs="*", default=["src/repro"], help="files or directories"
     )
-    analyze_prog.add_argument("--select", nargs="+", metavar="CHECK")
-    analyze_prog.add_argument("--no-baseline", action="store_true")
-    analyze_prog.add_argument("--write-baseline", action="store_true")
-    analyze_prog.add_argument("--list-checks", action="store_true")
-    analyze_prog.set_defaults(func=_cmd_analyze)
+    check.add_argument("--format", choices=("text", "json"), default="text")
+    check.add_argument(
+        "--select",
+        nargs="+",
+        metavar="CHECK",
+        help="run only these checks (ids or names)",
+    )
+    check.add_argument(
+        "--baseline",
+        metavar="FILE",
+        help="grandfathered findings (default: analysis-baseline.json "
+        "when present)",
+    )
+    check.add_argument(
+        "--no-baseline",
+        action="store_true",
+        help="report every finding, ignoring the baseline",
+    )
+    check.add_argument(
+        "--write-baseline",
+        action="store_true",
+        help="accept all current findings into the baseline file and exit 0",
+    )
+    check.add_argument(
+        "--list-checks", action="store_true", help="print the check catalogue"
+    )
+    check.set_defaults(func=_cmd_check)
 
     patterns = sub.add_parser("patterns", help="classify a workload (Fig 6)")
     patterns.add_argument("workload", choices=WORKLOAD_NAMES)

@@ -278,7 +278,7 @@ class EnergyEfficientPolicy(PowerPolicy):
         cache_power_plan = ActionPlan()
         # EnableWriteDelay canonicalises the set itself (sorted tuple).
         cache_power_plan.add(
-            EnableWriteDelay(tuple(write_delay_items))  # analysis: ignore[D204]
+            EnableWriteDelay(tuple(write_delay_items))  # check: ignore[D204]
         )
         cache_power_plan.extend(UnpinItem(stale) for stale in stale_items)
         cache_power_plan.extend(PreloadItem(item) for item in preload_items)

@@ -1,14 +1,19 @@
-"""Whole-program static analysis: dimensional consistency and determinism.
+"""``ecostor check``: one static checker over a whole-program index.
 
-Where :mod:`repro.devtools.lint` checks one file at a time,
-this package analyses the *program*: pass 1
-(:mod:`~repro.devtools.analysis.symbols`) indexes every module under the
-given roots into a symbol table and call graph, pass 2
-(:mod:`~repro.devtools.analysis.framework`) runs registered checkers
-that resolve names, attribute types, and calls through that index.
+Pass 1 (:mod:`~repro.devtools.analysis.symbols`) reads and parses every
+file under the given roots once, into a symbol table and call graph.
+Pass 2 (:mod:`~repro.devtools.analysis.framework`) runs every registered
+checker over each indexed module; a checker may resolve names,
+attribute types and calls through the whole program.
 
-Built-in checkers:
+Built-in checkers, registered by importing this package:
 
+* **R1–R10 — domain conventions**
+  (:mod:`~repro.devtools.analysis.conventions`): per-file rules on
+  float equality, unit literals, the exception hierarchy, power-state
+  transitions, public API, mutable defaults, naked excepts, ad-hoc
+  virtual time, storage mutation outside the action layer, and
+  hardcoded cross-array names.
 * **D1 — dimensional consistency**
   (:mod:`~repro.devtools.analysis.dimensions`, D101–D104): propagates
   the :mod:`repro.units` dimension aliases (``Seconds``, ``Joules``,
@@ -18,56 +23,23 @@ Built-in checkers:
 * **D2 — planner purity & determinism**
   (:mod:`~repro.devtools.analysis.determinism`, D201–D204): proves
   policy checkpoint/trigger paths reach storage mutation only via
-  ``ActionExecutor.apply`` (closing lint rule R9's transitive-call
-  hole), and flags unseeded :mod:`random`, wall-clock reads, and
-  unordered ``set`` iteration feeding ordering-sensitive sinks.
+  ``ActionExecutor.apply`` (closing R9's transitive-call hole), and
+  flags unseeded :mod:`random`, wall-clock reads, and unordered ``set``
+  iteration feeding ordering-sensitive sinks.
 * **D205 — snapshot protocol**
   (:mod:`~repro.devtools.analysis.snapshots`): flags policy classes
-  whose mutable state is invisible to :mod:`repro.persistence` —
-  ``self`` attributes grown outside construction without a matching
-  ``snapshot_state``/``restore_state`` pair, and half-implemented
-  protocol pairs.
+  whose mutable state is invisible to :mod:`repro.persistence`.
 
-Run it as ``ecostor analyze`` or ``python -m repro.devtools.analysis``;
-findings are silenced inline (``# analysis: ignore[D203]``) or
+Findings are silenced inline (``# check: ignore[D203]``) or
 grandfathered in the committed ``analysis-baseline.json``
-(:mod:`~repro.devtools.analysis.baseline`).  See ``docs/analysis.md``.
+(:mod:`~repro.devtools.analysis.baseline`).  See ``docs/devtools.md``.
 """
 
-from typing import Any
-
-__all__ = [
-    "AnalysisReport",
-    "CHECKERS",
-    "Checker",
-    "Finding",
-    "Program",
-    "analyze_paths",
-    "index_paths",
-    "main",
-]
-
-#: Lazy attribute → defining submodule, mirroring :mod:`repro.devtools`.
-_EXPORTS = {
-    "AnalysisReport": "repro.devtools.analysis.framework",
-    "CHECKERS": "repro.devtools.analysis.framework",
-    "Checker": "repro.devtools.analysis.framework",
-    "Finding": "repro.devtools.analysis.framework",
-    "Program": "repro.devtools.analysis.symbols",
-    "analyze_paths": "repro.devtools.analysis.cli",
-    "index_paths": "repro.devtools.analysis.symbols",
-    "main": "repro.devtools.analysis.cli",
-}
-
-
-def __getattr__(name: str) -> Any:
-    """Import the submodule backing ``name`` on first access."""
-    if name in _EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_EXPORTS[name])
-        if name == "CHECKERS":
-            # Accessing the registry arms the built-in checkers first.
-            importlib.import_module("repro.devtools.analysis.checks")
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Importing the checker modules registers their checkers, in catalogue
+# order (R1–R10, D101–D104, D201–D204, D205).
+from repro.devtools.analysis import (  # noqa: F401
+    conventions,
+    dimensions,
+    determinism,
+    snapshots,
+)

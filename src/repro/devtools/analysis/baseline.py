@@ -1,6 +1,6 @@
 """Committed-baseline support for the analyzer.
 
-A baseline file grandfathers known findings so that ``ecostor analyze``
+A baseline file grandfathers known findings so that ``ecostor check``
 can gate CI on *new* findings only: every entry is the line-independent
 identity of one accepted finding (check id, file path, enclosing
 definition, message) plus a count, so a finding survives unrelated line
@@ -9,8 +9,8 @@ the message or multiplies occurrences.
 
 Workflow::
 
-    ecostor analyze src/repro                       # fails on new findings
-    ecostor analyze src/repro --write-baseline      # accept current state
+    ecostor check src/repro                         # fails on new findings
+    ecostor check src/repro --write-baseline        # accept current state
     git add analysis-baseline.json                  # grandfather them
 
 Entries for findings that no longer occur are dropped on the next
@@ -44,7 +44,7 @@ def _normalize(path_text: str) -> str:
     """Absolute form of a finding/entry path for identity comparison.
 
     The committed baseline stores paths relative to the repository root
-    (where ``ecostor analyze`` is run from), while callers may hand the
+    (where ``ecostor check`` is run from), while callers may hand the
     analyzer absolute paths; resolving both sides against the working
     directory makes the two spellings meet.
     """
@@ -109,7 +109,7 @@ def write_baseline(findings: list[Finding], path: str | Path) -> int:
     """Write all current findings as the new baseline; returns entry count.
 
     Entry paths are stored as the analyzer reported them, so running
-    ``ecostor analyze src/repro --write-baseline`` from the repository
+    ``ecostor check src/repro --write-baseline`` from the repository
     root keeps the committed document free of absolute checkout paths.
     """
     counts: dict[tuple[str, str, str, str], int] = {}
@@ -130,7 +130,7 @@ def write_baseline(findings: list[Finding], path: str | Path) -> int:
     ]
     document = {
         "format": BASELINE_FORMAT,
-        "tool": "ecostor analyze",
+        "tool": "ecostor check",
         "entries": entries,
     }
     Path(path).write_text(

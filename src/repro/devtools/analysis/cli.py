@@ -1,18 +1,19 @@
-"""Analyzer entry points: ``python -m repro.devtools.analysis`` / ``ecostor analyze``.
+"""``ecostor check``: index the given trees, run the checkers, gate on a baseline.
 
-Runs both passes (index, then checkers) over the given trees::
+::
 
-    python -m repro.devtools.analysis src/repro
-    ecostor analyze src/repro --format json
-    ecostor analyze src/repro --select D101 D202
-    ecostor analyze src/repro --write-baseline
+    ecostor check                         # src/repro, committed baseline
+    ecostor check src/repro --format json
+    ecostor check src/repro --select R9 D201 wall-clock
+    ecostor check src/repro --write-baseline
+    ecostor check --list-checks
 
 Exit status is 0 when no *new* findings survived the baseline and
 suppression filters, 1 when new findings were reported, 2 on usage
 errors (unknown check, unreadable path or baseline).  The committed
-``analysis-baseline.json`` at the repository root is applied
-automatically when present; ``--no-baseline`` ignores it and
-``--write-baseline`` regenerates it from the current findings.
+``analysis-baseline.json`` in the working directory is applied when
+present; ``--no-baseline`` ignores it and ``--write-baseline``
+regenerates it from the current findings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ValidationError
-from repro.devtools.analysis import checks  # noqa: F401  (registers checkers)
 from repro.devtools.analysis.baseline import (
     DEFAULT_BASELINE,
     load_baseline,
@@ -38,7 +38,7 @@ from repro.devtools.analysis.framework import (
 )
 from repro.devtools.analysis.symbols import index_paths
 
-__all__ = ["analyze_paths", "build_parser", "main"]
+__all__ = ["analyze_paths", "run"]
 
 
 def analyze_paths(
@@ -47,8 +47,8 @@ def analyze_paths(
     baseline_path: str | Path | None = None,
 ) -> AnalysisReport:
     """Run the full analysis over ``paths`` and apply the baseline filter."""
-    program = index_paths(paths)
     checkers = resolve_checkers(list(select) if select else None)
+    program = index_paths(paths)
     findings = run_checkers(program, checkers)
     baseline = None
     if baseline_path is not None and Path(baseline_path).exists():
@@ -56,95 +56,42 @@ def analyze_paths(
     new, grandfathered = partition_findings(findings, baseline)
     return AnalysisReport(
         findings=tuple(new),
-        files_indexed=len(program.modules) + len(program.parse_errors),
+        files_indexed=len(program.files) + len(program.parse_errors),
         baselined=tuple(grandfathered),
-        parse_errors=dict(program.parse_errors),
     )
 
 
 def _list_checks() -> str:
+    """The check catalogue: one ``id  name  checker`` line per check."""
     lines = []
     for checker in CHECKERS:
-        for check_id, name in sorted(checker.check_ids.items()):
-            lines.append(f"{check_id}  {name:<22}  {checker.__class__.__name__}")
+        for check_id, name in checker.check_ids.items():
+            lines.append(f"{check_id:<5} {name:<24}  {type(checker).__name__}")
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Argument parser for the ``analyze`` entry points."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.analysis",
-        description=(
-            "Whole-program dimensional & determinism analysis (stdlib-only)."
-        ),
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"], help="files or directories"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format",
-    )
-    parser.add_argument(
-        "--select",
-        nargs="+",
-        metavar="CHECK",
-        help="run only these checks (ids or names)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        metavar="FILE",
-        help="baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--list-checks", action="store_true", help="print the check catalogue"
-    )
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit status."""
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Execute ``ecostor check`` from parsed arguments; returns the exit status."""
     if args.list_checks:
         print(_list_checks())
         return 0
-    baseline_path = None if args.no_baseline else args.baseline
+    baseline = args.baseline or DEFAULT_BASELINE
     try:
         if args.write_baseline:
             report = analyze_paths(args.paths, select=args.select)
-            all_findings = [*report.findings, *report.baselined]
-            count = write_baseline(all_findings, args.baseline)
+            count = write_baseline([*report.findings, *report.baselined], baseline)
             print(
                 f"wrote {count} baseline entr"
-                f"{'y' if count == 1 else 'ies'} to {args.baseline}"
+                f"{'y' if count == 1 else 'ies'} to {baseline}"
             )
             return 0
         report = analyze_paths(
-            args.paths, select=args.select, baseline_path=baseline_path
+            args.paths,
+            select=args.select,
+            baseline_path=None if args.no_baseline else baseline,
         )
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    output = (
-        report.render_json() if args.format == "json" else report.render_text()
-    )
-    print(output)
+    print(report.render_json() if args.format == "json" else report.render_text())
     return 0 if report.clean else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

@@ -6,7 +6,7 @@ rest on two properties this checker proves statically:
 **Purity (D201).**  Policies are planners: the only way a policy's
 ``on_checkpoint``/``after_io``/trigger path may mutate storage is by
 submitting an :class:`~repro.actions.plan.ActionPlan` to
-:meth:`ActionExecutor.apply`.  Lint rule R9 flags *direct* mutator
+:meth:`ActionExecutor.apply`.  Check R9 flags *direct* mutator
 calls per file, but a policy could still reach a mutator through a
 helper chain (the transitive-call hole).  D201 closes it: starting from
 every policy entry point it walks the whole-program call graph, treats
@@ -36,14 +36,15 @@ from repro.devtools.analysis.framework import (
     Finding,
     register_checker,
 )
+from repro.devtools.analysis.conventions import MUTATOR_METHODS
 from repro.devtools.analysis.symbols import (
     CallSite,
     ClassInfo,
     FunctionInfo,
     ModuleIndex,
     Program,
+    terminal_name,
 )
-from repro.devtools.rules import MUTATOR_METHODS
 
 __all__ = ["DeterminismChecker", "PurityChecker"]
 
@@ -57,16 +58,6 @@ _POLICY_BASE = "PowerPolicy"
 #: The sanctioned mutation gateway: applying a typed plan.
 _GATEWAY_METHOD = "apply"
 _GATEWAY_CLASS = "ActionExecutor"
-
-
-def _terminal_name(node: ast.AST) -> str:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Call):
-        return _terminal_name(node.func)
-    return ""
 
 
 def _mentions_executor(node: ast.expr | None) -> bool:
@@ -327,7 +318,7 @@ class DeterminismChecker(Checker):
         context = contexts.get(node, "")
         func = node.func
         if isinstance(func, ast.Attribute):
-            receiver = _terminal_name(func.value)
+            receiver = terminal_name(func.value)
             target = module.imports.get(receiver, receiver)
             if receiver == "random" or target == "random":
                 if func.attr in _RANDOM_FUNCS:
@@ -376,7 +367,7 @@ class DeterminismChecker(Checker):
                     "simulation logic must use virtual time",
                 )
         # D204: sink(set_expr)
-        sink = _terminal_name(func)
+        sink = terminal_name(func)
         if sink in _ORDER_SINKS and node.args:
             set_names = self._set_typed_names(module)
             if self._is_set_expr(node.args[0], set_names):
@@ -423,7 +414,7 @@ class DeterminismChecker(Checker):
     def _builds_set(node: ast.expr) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
-        if isinstance(node, ast.Call) and _terminal_name(node.func) in (
+        if isinstance(node, ast.Call) and terminal_name(node.func) in (
             "set",
             "frozenset",
         ):

@@ -4,24 +4,25 @@ A :class:`Checker` runs over one indexed module at a time but sees the
 whole :class:`~repro.devtools.analysis.symbols.Program`, so its checks
 can follow calls and attribute types across module boundaries.  Each
 problem it yields is a :class:`Finding` carrying a stable *check id*
-(``D101`` …), the source location, and the enclosing definition's
-qualified name — the latter is what the committed baseline keys on, so
-baselined findings survive unrelated line drift.
+(``R1`` …, ``D101`` …), the source location, and the enclosing
+definition's qualified name — the latter is what the committed baseline
+keys on, so baselined findings survive unrelated line drift.
 
 A finding is silenced by a trailing comment on its line::
 
-    started = time.perf_counter()  # analysis: ignore[D203]
-    started = time.perf_counter()  # analysis: ignore        (all checks)
+    started = time.perf_counter()  # check: ignore[D203]
+    started = time.perf_counter()  # check: ignore[wall-clock]
+    started = time.perf_counter()  # check: ignore        (all checks)
 
-Suppressions accept check ids (``D203``) and checker names
-(``wall-clock``), mirroring the lint suppression grammar.
+Suppressions accept check ids and names, comma-separated.  A file that
+cannot be decoded or parsed is reported as ``E0[parse-error]``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import ValidationError
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 _SUPPRESSION = re.compile(
-    r"#\s*analysis:\s*ignore(?:\[(?P<checks>[^\]]*)\])?", re.IGNORECASE
+    r"#\s*check:\s*ignore(?:\[(?P<checks>[^\]]*)\])?", re.IGNORECASE
 )
 
 
@@ -179,32 +180,27 @@ def _is_suppressed(
 
 @dataclass
 class AnalysisReport:
-    """Outcome of one analysis run."""
+    """Outcome of one ``ecostor check`` run."""
 
     findings: tuple[Finding, ...]
     files_indexed: int
     #: Findings filtered out by the committed baseline.
     baselined: tuple[Finding, ...] = ()
-    #: Files that failed to parse: path → message.
-    parse_errors: dict[str, str] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
         """Whether no *new* (unbaselined) findings survived suppression."""
-        return not self.findings and not self.parse_errors
+        return not self.findings
 
     def render_text(self) -> str:
         """The default human-readable report."""
         lines = [f.render() for f in self.findings]
-        for path, message in sorted(self.parse_errors.items()):
-            lines.append(f"{path}:1:0: E0[parse-error] {message}")
         noun = "file" if self.files_indexed == 1 else "files"
         tail = f"{self.files_indexed} {noun} analyzed"
         if self.baselined:
             tail += f", {len(self.baselined)} baselined finding(s) suppressed"
-        if self.findings or self.parse_errors:
-            count = len(self.findings) + len(self.parse_errors)
-            lines.append(f"{count} new finding(s); {tail}")
+        if self.findings:
+            lines.append(f"{len(self.findings)} new finding(s); {tail}")
         else:
             lines.append(f"clean: {tail}")
         return "\n".join(lines)
@@ -227,7 +223,6 @@ class AnalysisReport:
                 "files_indexed": self.files_indexed,
                 "new_findings": [flat(f) for f in self.findings],
                 "baselined_findings": [flat(f) for f in self.baselined],
-                "parse_errors": self.parse_errors,
             },
             indent=2,
         )
@@ -236,11 +231,17 @@ class AnalysisReport:
 def run_checkers(
     program: Program, checkers: list[Checker] | None = None
 ) -> list[Finding]:
-    """Run pass 2 over every indexed module; returns surviving findings."""
+    """Run pass 2 over every indexed file; returns surviving findings.
+
+    Files that failed pass 1 come back as ``E0`` findings whatever the
+    selection, since none of their checks could run.
+    """
     chosen = checkers if checkers is not None else list(CHECKERS)
-    findings: list[Finding] = []
-    for name in sorted(program.modules):
-        module = program.modules[name]
+    findings = [
+        Finding("E0", "parse-error", path, err.line, err.col, "", err.message)
+        for path, err in program.parse_errors.items()
+    ]
+    for module in program.files:
         table = _suppressions(module.source)
         for checker in chosen:
             for finding in checker.check_module(module, program):

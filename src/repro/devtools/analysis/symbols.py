@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import ValidationError
 
@@ -33,10 +33,12 @@ __all__ = [
     "ClassInfo",
     "FunctionInfo",
     "ModuleIndex",
+    "ParseError",
     "Program",
     "index_paths",
     "iter_python_files",
     "module_name_for",
+    "terminal_name",
 ]
 
 #: Directory names never descended into during discovery.
@@ -89,7 +91,7 @@ def _annotation_text(node: ast.expr | None) -> str | None:
             return left
     # Optional[X]
     if isinstance(node, ast.Subscript):
-        base = _terminal_name(node.value)
+        base = terminal_name(node.value)
         if base == "Optional":
             return _annotation_text(node.slice)
         if base == "Final":
@@ -100,14 +102,14 @@ def _annotation_text(node: ast.expr | None) -> str | None:
         return None
 
 
-def _terminal_name(node: ast.AST) -> str:
+def terminal_name(node: ast.AST) -> str:
     """Last dotted component of a name-like expression, else ``''``."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Call):
-        return _terminal_name(node.func)
+        return terminal_name(node.func)
     return ""
 
 
@@ -192,10 +194,22 @@ class ModuleIndex:
     variables: dict[str, str] = field(default_factory=dict)
 
 
+class ParseError(NamedTuple):
+    """Where and why one file could not be indexed."""
+
+    line: int
+    col: int
+    message: str
+
+
 class Program:
     """The indexed program: pass-1 output, shared by every checker."""
 
     def __init__(self) -> None:
+        #: Every indexed file, in discovery order.  Two files may share a
+        #: dotted name (``a/mod.py`` and ``b/mod.py``); both are checked.
+        self.files: list[ModuleIndex] = []
+        #: Modules by dotted name, for import resolution (last file wins).
         self.modules: dict[str, ModuleIndex] = {}
         #: Every function/method by fully-qualified name.
         self.functions: dict[str, FunctionInfo] = {}
@@ -203,8 +217,8 @@ class Program:
         self.classes: dict[str, ClassInfo] = {}
         #: Bare class name → classes carrying it (fallback resolution).
         self.classes_by_name: dict[str, list[ClassInfo]] = {}
-        #: Files that failed to parse: path → error message.
-        self.parse_errors: dict[str, str] = {}
+        #: Files that could not be decoded or parsed, by path.
+        self.parse_errors: dict[str, ParseError] = {}
 
     # ------------------------------------------------------------------
     # name resolution
@@ -332,7 +346,7 @@ def _index_function(
     args = node.args
     positional = [*args.posonlyargs, *args.args]
     if class_name is not None and positional and not any(
-        _terminal_name(dec) == "staticmethod" for dec in node.decorator_list
+        terminal_name(dec) == "staticmethod" for dec in node.decorator_list
     ):
         positional = positional[1:]  # self / cls
     params: dict[str, str | None] = {}
@@ -348,7 +362,7 @@ def _index_function(
         returns=_annotation_text(node.returns),
         class_name=class_name,
         is_property=any(
-            _terminal_name(dec) in ("property", "cached_property")
+            terminal_name(dec) in ("property", "cached_property")
             for dec in node.decorator_list
         ),
         calls=_collect_calls(node),
@@ -397,7 +411,7 @@ def _index_instance_attributes(info: ClassInfo) -> None:
                 if text:
                     info.attributes[target.attr] = text
         elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = _terminal_name(node.value.func)
+            callee = terminal_name(node.value.func)
             if not callee or not callee[:1].isupper():
                 continue  # heuristics: constructor calls are CamelCase
             for target in node.targets:
@@ -444,14 +458,40 @@ def _index_imports(tree: ast.Module, index: ModuleIndex) -> None:
                 index.imports[local] = f"{base}.{alias.name}" if base else alias.name
 
 
+def _position(prefix: str) -> tuple[int, int]:
+    """Line (1-based) and column (0-based) just past ``prefix``."""
+    return prefix.count("\n") + 1, len(prefix) - (prefix.rfind("\n") + 1)
+
+
+def _parse(path: Path) -> tuple[str, ast.Module] | ParseError:
+    """Read and parse one file, or say where it stops being Python."""
+    data = path.read_bytes()
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line, col = _position(data[: exc.start].decode("utf-8"))
+        return ParseError(
+            line, col, f"file is not UTF-8: byte 0x{data[exc.start]:02x}"
+        )
+    try:
+        return source, ast.parse(source, filename=str(path))
+    except (SyntaxError, ValueError) as exc:
+        if isinstance(exc, SyntaxError) and exc.lineno is not None:
+            col = max((exc.offset or 1) - 1, 0)
+            return ParseError(exc.lineno, col, f"file does not parse: {exc.msg}")
+        # Only a null byte gets here: older Pythons raise ValueError for
+        # it, newer ones a SyntaxError without a line number.
+        line, col = _position(source.partition("\0")[0])
+        return ParseError(line, col, "file does not parse: null byte")
+
+
 def index_module(path: Path, program: Program) -> ModuleIndex | None:
     """Index one file into ``program``; returns ``None`` on a parse error."""
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        program.parse_errors[str(path)] = f"line {exc.lineno}: {exc.msg}"
+    parsed = _parse(path)
+    if isinstance(parsed, ParseError):
+        program.parse_errors[str(path)] = parsed
         return None
+    source, tree = parsed
     index = ModuleIndex(
         name=module_name_for(path),
         path=Path(path).as_posix(),
@@ -477,13 +517,21 @@ def index_module(path: Path, program: Program) -> ModuleIndex | None:
             text = _annotation_text(node.annotation)
             if text:
                 index.variables[node.target.id] = text
+    program.files.append(index)
     program.modules[index.name] = index
     return index
 
 
 def index_paths(paths: Iterable[str | Path]) -> Program:
-    """Pass 1: build the whole-program index for every file under ``paths``."""
+    """Pass 1: build the whole-program index for every file under ``paths``.
+
+    Each file is read and parsed once, even when roots overlap.
+    """
     program = Program()
+    seen: set[Path] = set()
     for path in iter_python_files(paths):
-        index_module(path, program)
+        resolved = path.resolve()
+        if resolved not in seen:
+            seen.add(resolved)
+            index_module(path, program)
     return program

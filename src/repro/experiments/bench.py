@@ -91,9 +91,9 @@ def _time_one_replay(
     records = workload.columnar()
     # Wall-clock reads are the *product* here, not simulation state;
     # the replay itself never touches perf_counter.
-    started = time.perf_counter()  # analysis: ignore[D203]
+    started = time.perf_counter()  # check: ignore[D203]
     replayer.run(records, duration=workload.duration)
-    return time.perf_counter() - started  # analysis: ignore[D203]
+    return time.perf_counter() - started  # check: ignore[D203]
 
 
 def _time_tiered_replay(
@@ -115,9 +115,9 @@ def _time_tiered_replay(
     policy = ALL_POLICIES[policy_name]()
     replayer = TraceReplayer(context, policy)
     records = workload.columnar()
-    started = time.perf_counter()  # analysis: ignore[D203]
+    started = time.perf_counter()  # check: ignore[D203]
     replayer.run(records, duration=workload.duration)
-    return time.perf_counter() - started  # analysis: ignore[D203]
+    return time.perf_counter() - started  # check: ignore[D203]
 
 
 def _bench_tier_layer(

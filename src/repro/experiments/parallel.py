@@ -372,7 +372,7 @@ def _execute_cell_safe(
     try:
         payload = _execute_cell(cell)
         return True, payload, time.perf_counter() - started
-    except Exception:  # lint: ignore[R7] - worker isolation boundary
+    except Exception:  # check: ignore[R7] - worker isolation boundary
         return False, traceback.format_exc(), time.perf_counter() - started
 
 
@@ -531,7 +531,7 @@ class ExperimentEngine:
                         item = futures[future]
                         try:
                             ok, payload, elapsed = future.result()
-                        except Exception:  # lint: ignore[R7] - pool boundary
+                        except Exception:  # check: ignore[R7] - pool boundary
                             # Worker died (pool broken, unpicklable
                             # payload, ...): isolate as a cell failure.
                             ok, payload, elapsed = (

@@ -12,7 +12,7 @@ Under the :mod:`repro.engine` kernel each interval boundary is a
 first-class recurring :class:`~repro.engine.events.TimelineSampleEvent`
 that fires at the boundary's exact time, *before* any same-instant
 mutation (lowest priority class) — nothing outside the kernel should
-call :meth:`PowerTimeline.sample` during a run (lint rule R8 flags such
+call :meth:`PowerTimeline.sample` during a run (check R8 flags such
 calls).  Boundaries after the last policy checkpoint are settled by
 :meth:`PowerTimeline.finish` once the end-of-run flush has landed.
 """

@@ -78,8 +78,8 @@ class Snapshottable(Protocol):
       capacities, taps, fault-clock references — comes from the normal
       build path, never from the snapshot).
 
-    The devtools analyzer's D205 check flags kernel-registered stateful
-    classes that do not satisfy this protocol.
+    ``ecostor check`` (D205) flags policy classes that grow state
+    without implementing this protocol.
     """
 
     def snapshot_state(self) -> dict:
@@ -137,7 +137,7 @@ def write_snapshot(path: str | os.PathLike, payload: dict) -> Path:
         os.replace(tmp_name, path)
     # Cleanup must cover KeyboardInterrupt too — a stray tmp file on ^C
     # would otherwise accumulate; the exception is always re-raised.
-    except BaseException:  # lint: ignore[R7]
+    except BaseException:  # check: ignore[R7]
         try:
             os.unlink(tmp_name)
         except OSError:
@@ -202,7 +202,7 @@ def load_snapshot(path: str | os.PathLike) -> dict:
     # inside pickle (UnpicklingError, EOFError, AttributeError, ...).
     try:
         payload = pickle.loads(blob)
-    except Exception as exc:  # lint: ignore[R7]
+    except Exception as exc:  # check: ignore[R7]
         raise SnapshotError(
             f"snapshot {path} payload does not decode: {exc}"
         ) from exc

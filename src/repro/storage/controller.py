@@ -229,7 +229,7 @@ class StorageController:
         :class:`~repro.engine.events.FaultBookkeepingEvent` fired just
         before each policy checkpoint — so battery failures are noticed
         and emergency buffers drained at deterministic points of virtual
-        time.  Calling it ad hoc elsewhere is flagged by lint rule R8.
+        time.  Calling it ad hoc elsewhere is flagged by check R8.
         """
         if self._fault_clock is None:
             return

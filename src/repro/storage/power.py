@@ -51,9 +51,8 @@ class PowerState(enum.Enum):
 #:     ACTIVE ⇄ IDLE → SPIN_DOWN → OFF → SPIN_UP → IDLE or ACTIVE
 #:
 #: Every state change performed by the simulator must be an edge of this
-#: graph.  ``repro.devtools`` extracts this table statically (rule R4)
-#: to flag code that fabricates transitions outside the
-#: :class:`DiskEnclosure` API.
+#: graph.  ``ecostor check`` reads this table (rule R4) to flag code
+#: that fabricates transitions outside the :class:`DiskEnclosure` API.
 LEGAL_TRANSITIONS: frozenset[tuple[PowerState, PowerState]] = frozenset(
     {
         (PowerState.ACTIVE, PowerState.IDLE),

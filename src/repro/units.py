@@ -4,7 +4,7 @@ The simulator works in SI base units throughout: **seconds** for time,
 **bytes** for data sizes, **watts** for power, and **joules** for energy.
 These constants exist so that call sites read naturally
 (``5 * units.MINUTE``, ``500 * units.MB``) instead of sprinkling magic
-numbers — and ``repro.devtools`` rule R2 enforces exactly that.
+numbers — and ``ecostor check`` rule R2 enforces exactly that.
 
 Types are deliberately consistent: data-size constants are ``int``
 (byte counts are exact), while time and power constants are ``float``
@@ -13,11 +13,11 @@ Types are deliberately consistent: data-size constants are ``int``
 The module also defines the **dimension aliases** :data:`Seconds`,
 :data:`Joules`, :data:`Watts`, :data:`Bytes`, and :data:`Rate`.  At
 runtime (and to mypy) they are plain ``float``/``int`` — annotating with
-them costs nothing — but the :mod:`repro.devtools.analysis` static pass
+them costs nothing — but ``ecostor check`` (:mod:`repro.devtools.analysis`)
 reads them as *dimensions* and flags mixed-dimension arithmetic,
 comparisons, returns, and arguments across the whole program (check ids
 D101–D104).  Annotate any quantity-carrying signature with the alias of
-its unit and the analyzer propagates it everywhere the value flows.
+its unit and the checker propagates it everywhere the value flows.
 """
 
 from __future__ import annotations

@@ -1,34 +1,63 @@
-"""Tests for the analyzer CLI (`ecostor analyze`) and its fixture matrix."""
+"""Tests for `ecostor check` and its pinned fixture matrix."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as ecostor_main
-from repro.devtools.analysis.cli import analyze_paths, main
+from repro.devtools.analysis.cli import analyze_paths
 from repro.devtools.analysis.framework import CHECKERS
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "analysis"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-#: Analysis fixture → exact finding ids it must produce, in order.
+#: Fixture under tests/devtools/fixtures/ → every finding id it produces
+#: with all checks enabled, in report order.
 FIXTURE_CHECKS = [
     ("d1_dimensions.py", ["D101", "D102", "D103", "D104"]),
     ("d2_determinism.py", ["D202", "D203", "D204", "D204"]),
-    ("d2_purity", ["D201"]),
-    ("d205_snapshots.py", ["D205", "D205"]),
+    ("d2_purity", ["R9", "R9", "R5", "D201", "R5", "D201", "R5"]),
+    ("d205_snapshots.py", ["D205", "R5", "D205", "R5", "R5", "R5", "R5", "R5"]),
+    ("r1_float_equality.py", ["R1"]),
+    ("r2_magic_number.py", ["R2"]),
+    ("r3_exception_hierarchy.py", ["R3"]),
+    ("r4_power_state.py", ["R4"]),
+    ("r5_public_api.py", ["R5"]),
+    ("r6_mutable_default.py", ["R6"]),
+    ("r7_naked_except.py", ["R7"] * 3),
+    ("r8_ad_hoc_time.py", ["R8"] * 3),
+    ("r9_direct_mutation.py", ["R9"] * 9),
+    ("r10_cross_array.py", ["R10"] * 8),
+    ("r11_tier_mutation.py", ["R9"] * 6),
 ]
+
+
+def ecostor(*argv: str) -> int:
+    """Run ``ecostor check ARGV...`` in-process; returns the exit status."""
+    return ecostor_main(["check", *argv])
 
 
 @pytest.mark.parametrize("fixture,expected", FIXTURE_CHECKS)
 def test_fixture_produces_expected_finding_ids(
     fixture: str, expected: list[str]
 ) -> None:
-    report = analyze_paths([FIXTURES / fixture])
+    report = analyze_paths([next(FIXTURES.rglob(fixture))])
     assert [f.check_id for f in report.findings] == expected
+
+
+def test_every_fixture_is_pinned() -> None:
+    on_disk = {
+        path.name
+        for path in [*FIXTURES.glob("*.py"), *(FIXTURES / "analysis").iterdir()]
+        if path.name != "__pycache__"
+    }
+    assert on_disk == {name for name, _ in FIXTURE_CHECKS}
 
 
 def test_every_check_id_has_a_fixture() -> None:
@@ -37,8 +66,8 @@ def test_every_check_id_has_a_fixture() -> None:
     covered = {cid for _, expected in FIXTURE_CHECKS for cid in expected}
     missing = sorted(registered - covered)
     assert not missing, (
-        "every analysis check needs a tests/devtools/fixtures/analysis/ "
-        f"fixture proving it fires; missing: {missing}"
+        "every check needs a tests/devtools/fixtures/ fixture proving it "
+        f"fires; missing: {missing}"
     )
 
 
@@ -53,25 +82,40 @@ def test_src_tree_analyzes_clean_with_committed_baseline() -> None:
     assert report.baselined, "committed baseline entries should still match"
 
 
-def test_main_exit_codes(capsys: pytest.CaptureFixture) -> None:
-    assert main([str(FIXTURES / "d2_purity"), "--no-baseline"]) == 1
+def test_same_named_modules_are_each_checked(tmp_path: Path) -> None:
+    for package in ("a", "b"):
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "mod.py").write_text(
+            "import random\n\nvalue = random.random()\n", encoding="utf-8"
+        )
+    # Overlapping roots still index each file once.
+    report = analyze_paths([tmp_path / "a", tmp_path / "b", tmp_path])
+    assert report.files_indexed == 2
+    assert [(f.check_id, Path(f.path).parent.name) for f in report.findings] == [
+        ("D202", "a"),
+        ("D202", "b"),
+    ]
+
+
+def test_main_exit_codes(capsys: pytest.CaptureFixture[str]) -> None:
+    assert ecostor(str(FIXTURES / "analysis" / "d2_purity"), "--no-baseline") == 1
     out = capsys.readouterr().out
     assert "D201[planner-purity]" in out
-    assert main([str(FIXTURES / "d2_purity"), "--select", "D203"]) == 0
-    assert main(["--list-checks"]) == 0
+    assert "R9[storage-mutation]" in out
+    assert ecostor(str(FIXTURES / "analysis" / "d2_purity"), "--select", "D203") == 0
+    assert ecostor("--list-checks") == 0
     assert "D101" in capsys.readouterr().out
+    assert ecostor(str(FIXTURES / "no_such_file.py")) == 2
 
 
-def test_main_rejects_unknown_check(capsys: pytest.CaptureFixture) -> None:
-    assert main(["--select", "D999"]) == 2
+def test_main_rejects_unknown_check(capsys: pytest.CaptureFixture[str]) -> None:
+    assert ecostor("--select", "D999") == 2
     assert "unknown check" in capsys.readouterr().err
 
 
-def test_main_json_format(capsys: pytest.CaptureFixture) -> None:
-    status = main(
-        [str(FIXTURES / "d1_dimensions.py"), "--format", "json", "--no-baseline"]
-    )
-    assert status == 1
+def test_main_json_format(capsys: pytest.CaptureFixture[str]) -> None:
+    target = str(FIXTURES / "analysis" / "d1_dimensions.py")
+    assert ecostor(target, "--format", "json", "--no-baseline") == 1
     document = json.loads(capsys.readouterr().out)
     assert [f["check_id"] for f in document["new_findings"]] == [
         "D101",
@@ -81,20 +125,34 @@ def test_main_json_format(capsys: pytest.CaptureFixture) -> None:
     ]
 
 
-def test_write_baseline_then_clean(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+def test_write_baseline_then_clean(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
     baseline = tmp_path / "baseline.json"
-    target = str(FIXTURES / "d2_determinism.py")
-    assert main([target, "--write-baseline", "--baseline", str(baseline)]) == 0
+    target = str(FIXTURES / "analysis" / "d2_determinism.py")
+    assert ecostor(target, "--write-baseline", "--baseline", str(baseline)) == 0
     assert baseline.exists()
-    assert main([target, "--baseline", str(baseline)]) == 0
+    assert ecostor(target, "--baseline", str(baseline)) == 0
     out = capsys.readouterr().out
     assert "baselined finding(s) suppressed" in out
 
 
-def test_ecostor_analyze_subcommand(capsys: pytest.CaptureFixture) -> None:
-    status = ecostor_main(
-        ["analyze", str(FIXTURES / "d1_dimensions.py"), "--no-baseline"]
+def test_ecostor_check_subcommand() -> None:
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    listed = subprocess.run(
+        [sys.executable, "-m", "repro", "check", "--list-checks"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    ids = [line.split()[0] for line in listed.splitlines()]
+    assert ids == [
+        *(f"R{i}" for i in range(1, 11)),
+        "D101", "D102", "D103", "D104",
+        "D201", "D202", "D203", "D204", "D205",
+    ]
+    dirty = subprocess.run(
+        [sys.executable, "-m", "repro", "check", "--no-baseline",
+         str(FIXTURES / "r6_mutable_default.py")],
+        capture_output=True, text=True, env=env,
     )
-    assert status == 1
-    assert "D101[mixed-dimension-arith]" in capsys.readouterr().out
-    assert ecostor_main(["analyze", "--list-checks"]) == 0
+    assert dirty.returncode == 1
+    assert "R6[mutable-default]" in dirty.stdout

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.devtools.analysis import checks  # noqa: F401  (registers checkers)
 from repro.devtools.analysis.framework import resolve_checkers, run_checkers
 from repro.devtools.analysis.symbols import index_paths
 
@@ -20,12 +19,19 @@ def _findings(paths: list[Path], select: list[str]) -> list:
 # ----------------------------------------------------------------------
 def test_d201_flags_transitive_mutation_with_chain() -> None:
     findings = _findings([FIXTURES / "d2_purity"], ["D201"])
-    assert len(findings) == 1
+    assert [f.check_id for f in findings] == ["D201", "D201"]
     finding = findings[0]
-    assert finding.check_id == "D201"
     assert finding.context == "d2_purity.policy.LeakyPolicy.on_checkpoint"
     assert "flush_write_delay" in finding.message
     assert "on_checkpoint -> _tidy -> drain_everything" in finding.message
+
+
+def test_d201_covers_the_tier_mutators() -> None:
+    findings = _findings([FIXTURES / "d2_purity"], ["D201"])
+    finding = findings[1]
+    assert finding.context == "d2_purity.policy.PromotingPolicy.on_checkpoint"
+    assert "'promote_item'" in finding.message
+    assert "on_checkpoint -> warm_up -> promote_item()" in finding.message
 
 
 def test_d201_executor_gateway_is_sanctioned() -> None:

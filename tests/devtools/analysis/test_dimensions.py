@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.analysis import checks  # noqa: F401  (registers checkers)
 from repro.devtools.analysis.dimensions import Dim, combine_div, combine_mul
 from repro.devtools.analysis.framework import resolve_checkers, run_checkers
 from repro.devtools.analysis.symbols import index_paths

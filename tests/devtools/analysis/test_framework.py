@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.analysis import checks  # noqa: F401  (registers checkers)
 from repro.devtools.analysis.framework import (
     CHECKERS,
     Checker,
@@ -86,7 +85,7 @@ def test_suppression_comment_silences_one_check(tmp_path: Path) -> None:
         "\n"
         "\n"
         "def stamp() -> float:\n"
-        "    return time.time()  # analysis: ignore[D203]\n"
+        "    return time.time()  # check: ignore[D203]\n"
         "\n"
         "\n"
         "def stamp_again() -> float:\n"
@@ -103,7 +102,7 @@ def test_bare_suppression_silences_every_check(tmp_path: Path) -> None:
         "import random\n"
         "import time\n"
         "\n"
-        "jitter = random.random() + time.time()  # analysis: ignore\n",
+        "jitter = random.random() + time.time()  # check: ignore\n",
         encoding="utf-8",
     )
     assert run_checkers(index_paths([module])) == []
@@ -143,3 +142,22 @@ def test_parse_error_reported_not_raised(tmp_path: Path) -> None:
     report = analyze_paths([bad])
     assert not report.clean
     assert "E0[parse-error]" in report.render_text()
+
+
+@pytest.mark.parametrize(
+    "content,line,col,message",
+    [
+        (b"x = 1\ndef oops(:\n", 2, 9, "file does not parse:"),
+        (b"x = 1\ny = 'ab\x00c'\n", 2, 7, "file does not parse: null byte"),
+        (b"x = 1\ny = 'caf\xff'\n", 2, 8, "file is not UTF-8: byte 0xff"),
+    ],
+    ids=["syntax-error", "null-byte", "not-utf8"],
+)
+def test_unreadable_file_is_one_located_e0_finding(
+    tmp_path: Path, content: bytes, line: int, col: int, message: str
+) -> None:
+    bad = tmp_path / "bad.py"
+    bad.write_bytes(content)
+    findings = run_checkers(index_paths([bad]))
+    assert [(f.check_id, f.line, f.col) for f in findings] == [("E0", line, col)]
+    assert findings[0].message.startswith(message)

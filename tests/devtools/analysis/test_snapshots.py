@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.devtools.analysis import checks  # noqa: F401  (registers checkers)
 from repro.devtools.analysis.framework import resolve_checkers, run_checkers
 from repro.devtools.analysis.symbols import index_paths
 

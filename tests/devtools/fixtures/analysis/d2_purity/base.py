@@ -22,6 +22,10 @@ class StorageController:
         """Mutator: bulk-flush the write-delay partition."""
         return now
 
+    def promote_item(self, now: float, item: str, tier: str) -> float:
+        """Tier mutator: move an item to a faster tier."""
+        return now
+
 
 class PowerPolicy:
     """Planner base class (matched by bare name, like the real one)."""

@@ -14,3 +14,8 @@ def submit_plan(now: float, plan: ActionPlan) -> None:
 def drain_everything(now: float) -> None:
     """Illegal path: calls a storage mutator directly."""
     _CONTROLLER.flush_write_delay(now)
+
+
+def warm_up(now: float) -> None:
+    """Illegal path: moves an item between tiers directly."""
+    _CONTROLLER.promote_item(now, "item", "flash")

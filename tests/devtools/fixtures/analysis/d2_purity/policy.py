@@ -1,7 +1,7 @@
-"""Policies: one pure (via the executor), one leaking a direct mutation."""
+"""Policies: one pure (via the executor), two leaking a direct mutation."""
 
 from d2_purity.base import ActionPlan, PowerPolicy
-from d2_purity.helpers import drain_everything, submit_plan
+from d2_purity.helpers import drain_everything, submit_plan, warm_up
 
 
 class PurePolicy(PowerPolicy):
@@ -19,3 +19,10 @@ class LeakyPolicy(PowerPolicy):
 
     def _tidy(self, now: float) -> None:
         drain_everything(now)
+
+
+class PromotingPolicy(PowerPolicy):
+    """Reaches a tier mutator through one helper hop."""
+
+    def on_checkpoint(self, now: float) -> None:
+        warm_up(now)

@@ -1,4 +1,4 @@
-"""Fixture: trips only R11 (tier placement mutated outside repro.actions)."""
+"""Fixture: trips only R9 (tier placement mutated outside repro.actions)."""
 
 storage_controller = object()
 virtualization = object()
