@@ -1,9 +1,9 @@
 """Temperature-driven lifecycle policy over typed storage tiers.
 
 :class:`TieredLifecyclePolicy` manages a FLASH / HDD / ARCHIVE array
-(:func:`repro.simulation.build_tiered_context`) with a per-item
-*temperature*: an exponentially-decayed access count whose half-life is
-``tier_half_life``.  Each checkpoint classifies every item —
+(:func:`repro.simulation.build_context` with flash and archive devices)
+with a per-item *temperature*: an exponentially-decayed access count
+whose half-life is ``tier_half_life``.  Each checkpoint classifies every item —
 
 * **HOT** (temperature ≥ ``tier_hot_temperature``) → promote to flash;
 * **WARM** (between the thresholds) → keep (or demote back) on HDD;
@@ -49,7 +49,7 @@ from repro.core.patterns import (
 )
 from repro.storage.virtualization import BlockVirtualization
 
-#: Tier names :func:`repro.simulation.build_tiered_context` wires up.
+#: Tier names :func:`repro.simulation.build_context` wires up.
 FLASH_TIER = "flash"
 HDD_TIER = "hdd"
 ARCHIVE_TIER = "archive"

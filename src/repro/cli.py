@@ -278,24 +278,29 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
     import json
 
     from repro.baselines.tiered import TieredLifecyclePolicy
-    from repro.experiments.runner import run_tiered_cell
+    from repro.config import DEFAULT_CONFIG
+    from repro.experiments.runner import run_on_context
+    from repro.monitoring.tiers import TierBooks
+    from repro.simulation import build_context
 
     workload = build_workload(args.workload, args.full)
-    policy = TieredLifecyclePolicy(replicate_hot=args.replicate_hot)
-    cell = run_tiered_cell(
-        workload,
-        policy,
-        audit=args.audit,
+    context = build_context(
+        DEFAULT_CONFIG,
+        workload.enclosure_count,
         flash_count=args.flash,
         archive_count=args.archive,
     )
-    result = cell.result
+    policy = TieredLifecyclePolicy(replicate_hot=args.replicate_hot)
+    result = run_on_context(context, workload, policy, audit=args.audit)
+    tier_reports = TierBooks(context.virtualization, context.controller).report()
+    energy_joules = sum(report.energy_joules for report in tier_reports)
+    capacity_cost = sum(report.cost_units for report in tier_reports)
     print(f"workload:        {workload.name} ({workload.io_count} I/Os)")
     print(f"policy:          {result.policy_name}")
     print(f"enclosure power: {watts(result.enclosure_watts)}")
     print(f"mean response:   {seconds(result.mean_response)}")
     print(f"read response:   {seconds(result.mean_read_response)}")
-    print(f"capacity cost:   {cell.capacity_cost:.2f} units")
+    print(f"capacity cost:   {capacity_cost:.2f} units")
     if args.audit:
         print(
             f"audit:           {result.audit_checks} invariant checks, "
@@ -306,7 +311,7 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
         f"{'tier':<10} {'devices':>7} {'placed':>10} {'in':>10} "
         f"{'out':>10} {'energy kJ':>10} {'svc s':>8} {'I/Os':>8}"
     )
-    for report in cell.tier_reports:
+    for report in tier_reports:
         print(
             f"{report.tier:<10} {len(report.devices):>7} "
             f"{gigabytes(report.placed_bytes):>10} "
@@ -322,10 +327,10 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
             "policy": result.policy_name,
             "io_count": workload.io_count,
             "audit_checks": result.audit_checks,
-            "energy_joules": cell.energy_joules,
-            "capacity_cost": cell.capacity_cost,
+            "energy_joules": energy_joules,
+            "capacity_cost": capacity_cost,
             "mean_read_response": result.mean_read_response,
-            "tiers": [report.to_dict() for report in cell.tier_reports],
+            "tiers": [report.to_dict() for report in tier_reports],
         }
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)

@@ -46,10 +46,22 @@ def analyze_paths(
     select: Sequence[str] | None = None,
     baseline_path: str | Path | None = None,
 ) -> AnalysisReport:
-    """Run the full analysis over ``paths`` and apply the baseline filter."""
+    """Run the full analysis over ``paths`` and apply the baseline filter.
+
+    ``select`` names check ids or names; a checker that emits several
+    checks runs whole, and only the selected checks' findings (plus
+    ``E0`` parse errors) are kept.
+    """
     checkers = resolve_checkers(list(select) if select else None)
     program = index_paths(paths)
     findings = run_checkers(program, checkers)
+    if select:
+        wanted = {selector.lower() for selector in select} | {"e0"}
+        findings = [
+            finding
+            for finding in findings
+            if finding.check_id.lower() in wanted or finding.check_name in wanted
+        ]
     baseline = None
     if baseline_path is not None and Path(baseline_path).exists():
         baseline = load_baseline(baseline_path)

@@ -22,10 +22,9 @@ from repro.experiments.runner import (
     ExperimentResult,
     STANDARD_POLICIES,
     TIERED_POLICIES,
-    TieredCellResult,
     run_cell,
     run_comparison,
-    run_tiered_cell,
+    run_on_context,
 )
 from repro.experiments.serialize import (
     result_from_dict,
@@ -44,7 +43,6 @@ __all__ = [
     "PolicySpec",
     "STANDARD_POLICIES",
     "TIERED_POLICIES",
-    "TieredCellResult",
     "WorkloadSpec",
     "build_workload",
     "comparison",
@@ -56,6 +54,6 @@ __all__ = [
     "result_to_json",
     "run_cell",
     "run_comparison",
-    "run_tiered_cell",
+    "run_on_context",
     "workload_fingerprint",
 ]

@@ -23,13 +23,9 @@ floor exceeded the real logging cost — there is nothing to gate).
 ``benchmarks/test_action_overhead.py`` holds the clamped fraction to
 ≤ 2 %.
 
-Since the multi-tier refactor generalized placement to ``(tier,
-device)``, the document also carries a ``tier_layer`` section: the
-legacy HDD-only replay timed on a plain context versus the
-tiered single-HDD-tier equivalent (same clamping convention;
-``benchmarks/test_tier_overhead.py`` holds it to ≤ 5 %), plus a
-``tier_lifecycle`` throughput metric — a full FLASH/HDD/ARCHIVE replay
-under :class:`~repro.baselines.tiered.TieredLifecyclePolicy`.
+The document also carries a ``tier_lifecycle`` row: a full
+FLASH/HDD/ARCHIVE replay under
+:class:`~repro.baselines.tiered.TieredLifecyclePolicy`.
 
 Wall-clock timing lives here, *outside* the kernel: virtual time inside
 the simulation never touches ``perf_counter``.
@@ -43,9 +39,9 @@ import time
 from pathlib import Path
 
 from repro.config import DEFAULT_CONFIG
-from repro.experiments.runner import ALL_POLICIES, STANDARD_POLICIES
+from repro.experiments.runner import ALL_POLICIES
 from repro.experiments.testbed import build_workload
-from repro.simulation import build_context, build_tiered_context
+from repro.simulation import build_context
 from repro.trace.replay import TraceReplayer
 
 __all__ = ["BENCH_FORMAT", "DEFAULT_BENCH_POLICIES", "run_bench", "main"]
@@ -61,12 +57,15 @@ __all__ = ["BENCH_FORMAT", "DEFAULT_BENCH_POLICIES", "run_bench", "main"]
 #: (full FLASH/HDD/ARCHIVE replay under the lifecycle policy) and the
 #: generalized-placement overhead — the legacy HDD-only replay on a
 #: plain context vs the same replay on a tiered single-HDD-tier
-#: context with per-device tier metering armed, gated at ≤ 5 % by
-#: ``benchmarks/test_tier_overhead.py``.  Format 5 drops the
+#: context with per-device tier metering armed.  Format 5 drops the
 #: ``object`` / ``columnar`` sub-documents and ``columnar_speedup``:
 #: the kernel has one pump, so each policy row is its headline
-#: ``best_seconds`` / ``records_per_second`` plus ``repeats``.
-BENCH_FORMAT = 5
+#: ``best_seconds`` / ``records_per_second`` plus ``repeats``.  Format 6
+#: drops the ``tier_layer`` plain-vs-tiered comparison (one context
+#: builder keeps the per-device tier books on every run, so both sides
+#: had become the same call) and moves its ``tier_lifecycle`` row to
+#: the top level.
+BENCH_FORMAT = 6
 
 #: Policies benchmarked by default: the do-nothing floor and the paper's
 #: method (the heaviest per-I/O and per-checkpoint work).
@@ -78,12 +77,19 @@ def _time_one_replay(
     full: bool,
     policy_name: str,
     record_actions: bool = True,
+    flash_count: int = 0,
+    archive_count: int = 0,
 ) -> float:
     workload = build_workload(workload_name, full)
-    context = build_context(DEFAULT_CONFIG, workload.enclosure_count)
+    context = build_context(
+        DEFAULT_CONFIG,
+        workload.enclosure_count,
+        flash_count=flash_count,
+        archive_count=archive_count,
+    )
     workload.install(context)
     context.require_executor().record_log = record_actions
-    policy = STANDARD_POLICIES[policy_name]()
+    policy = ALL_POLICIES[policy_name]()
     replayer = TraceReplayer(context, policy)
     # The columnar trace is built (and cached on the workload) outside
     # the timed region: the benchmark measures the pump, and a real
@@ -94,93 +100,6 @@ def _time_one_replay(
     started = time.perf_counter()  # check: ignore[D203]
     replayer.run(records, duration=workload.duration)
     return time.perf_counter() - started  # check: ignore[D203]
-
-
-def _time_tiered_replay(
-    workload_name: str,
-    full: bool,
-    policy_name: str,
-    flash_count: int,
-    archive_count: int,
-) -> float:
-    """Wall-clock one replay on a tiered testbed."""
-    workload = build_workload(workload_name, full)
-    context = build_tiered_context(
-        DEFAULT_CONFIG,
-        workload.enclosure_count,
-        flash_count=flash_count,
-        archive_count=archive_count,
-    )
-    workload.install(context)
-    policy = ALL_POLICIES[policy_name]()
-    replayer = TraceReplayer(context, policy)
-    records = workload.columnar()
-    started = time.perf_counter()  # check: ignore[D203]
-    replayer.run(records, duration=workload.duration)
-    return time.perf_counter() - started  # check: ignore[D203]
-
-
-def _bench_tier_layer(
-    workload_name: str, full: bool, record_count: int, rounds: int
-) -> dict:
-    """The ``tier_layer`` section: lifecycle throughput + path overhead.
-
-    The overhead half re-runs the legacy HDD-only replay
-    (no-power-saving, the pump's fastest consumer) on a plain context
-    and on a tiered context shaped to be its single-HDD-tier equivalent
-    (``flash_count=0, archive_count=0`` — same devices, but placement
-    runs through the generalized ``(tier, device)`` path with per-device
-    tier metering armed).  Interleaved per round like the action-layer
-    comparison, so machine drift cannot masquerade as path cost.
-    """
-    legacy_times: list[float] = []
-    tiered_times: list[float] = []
-    for round_index in range(rounds):
-        order = (False, True) if round_index % 2 == 0 else (True, False)
-        for tiered in order:
-            if tiered:
-                seconds = _time_tiered_replay(
-                    workload_name,
-                    full,
-                    "no-power-saving",
-                    flash_count=0,
-                    archive_count=0,
-                )
-                tiered_times.append(seconds)
-            else:
-                seconds = _time_one_replay(
-                    workload_name, full, "no-power-saving"
-                )
-                legacy_times.append(seconds)
-    legacy = min(legacy_times)
-    tiered = min(tiered_times)
-    raw_fraction = (tiered - legacy) / legacy
-    lifecycle_times = [
-        _time_tiered_replay(
-            workload_name,
-            full,
-            "tiered-lifecycle",
-            flash_count=1,
-            archive_count=1,
-        )
-        for _ in range(rounds)
-    ]
-    lifecycle_best = min(lifecycle_times)
-    return {
-        "policy": "no-power-saving",
-        "legacy_seconds": legacy,
-        "tiered_seconds": tiered,
-        "overhead_fraction_raw": raw_fraction,
-        "overhead_fraction": max(0.0, raw_fraction),
-        "tier_lifecycle": {
-            "policy": "tiered-lifecycle",
-            "flash_count": 1,
-            "archive_count": 1,
-            "best_seconds": lifecycle_best,
-            "records_per_second": record_count / lifecycle_best,
-        },
-        "repeats": rounds,
-    }
 
 
 def run_bench(
@@ -244,7 +163,16 @@ def run_bench(
         "overhead_fraction": max(0.0, raw_fraction),
         "repeats": rounds,
     }
-    tier_layer = _bench_tier_layer(workload_name, full, record_count, rounds)
+    lifecycle_best = min(
+        _time_one_replay(
+            workload_name,
+            full,
+            "tiered-lifecycle",
+            flash_count=1,
+            archive_count=1,
+        )
+        for _ in range(rounds)
+    )
     return {
         "format": BENCH_FORMAT,
         "benchmark": "replay-throughput",
@@ -255,7 +183,14 @@ def run_bench(
         "python": platform.python_version(),
         "policies": results,
         "action_layer": action_layer,
-        "tier_layer": tier_layer,
+        "tier_lifecycle": {
+            "policy": "tiered-lifecycle",
+            "flash_count": 1,
+            "archive_count": 1,
+            "best_seconds": lifecycle_best,
+            "records_per_second": record_count / lifecycle_best,
+            "repeats": rounds,
+        },
     }
 
 
@@ -280,14 +215,11 @@ def main(
         f"{overhead['policy']} ({overhead['logged_seconds']:.4f} s logged, "
         f"{overhead['unlogged_seconds']:.4f} s unlogged)"
     )
-    tier_layer = document["tier_layer"]
-    lifecycle = tier_layer["tier_lifecycle"]
+    lifecycle = document["tier_lifecycle"]
     print(
-        f"    tier layer:   {tier_layer['overhead_fraction_raw']:+.2%} raw "
-        f"({tier_layer['overhead_fraction']:.2%} gated) generalized-"
-        f"placement overhead ({tier_layer['legacy_seconds']:.4f} s legacy, "
-        f"{tier_layer['tiered_seconds']:.4f} s tiered); tier_lifecycle "
-        f"{lifecycle['records_per_second']:,.0f} records/s"
+        f"{'tiered-lifecycle':>16}: "
+        f"{lifecycle['records_per_second']:,.0f} records/s "
+        f"(best of {lifecycle['repeats']}, flash 1 / archive 1)"
     )
     if out is not None:
         path = Path(out)

@@ -22,8 +22,7 @@ from repro.baselines.tiered import TieredLifecyclePolicy
 from repro.config import DEFAULT_CONFIG, EcoStorConfig
 from repro.core.manager import EnergyEfficientPolicy
 from repro.faults.plan import FaultPlan
-from repro.monitoring.tiers import TierBooks, TierReport
-from repro.simulation import build_context, build_tiered_context
+from repro.simulation import SimulationContext, build_context
 from repro.trace.replay import ReplayResult, TraceReplayer
 from repro.workloads.items import Workload
 
@@ -39,14 +38,15 @@ STANDARD_POLICIES: dict[str, PolicyFactory] = {
 
 #: Every runnable policy: the paper's four plus the multi-tier
 #: extensions.  Policies here but not in :data:`STANDARD_POLICIES`
-#: need a tiered testbed (:func:`repro.simulation.build_tiered_context`)
-#: and are excluded from the figure-reproduction comparisons.
+#: need a testbed with flash and archive devices
+#: (:func:`repro.simulation.build_context`) and are excluded from the
+#: figure-reproduction comparisons.
 ALL_POLICIES: dict[str, PolicyFactory] = {
     **STANDARD_POLICIES,
     "tiered-lifecycle": TieredLifecyclePolicy,
 }
 
-#: Policies whose testbed must be built with tiers.
+#: Policies whose testbed must be built with flash and archive tiers.
 TIERED_POLICIES = frozenset({"tiered-lifecycle"})
 
 
@@ -134,6 +134,22 @@ def run_cell(
     context = build_context(
         config, workload.enclosure_count, faults=faults, array_id=array_id
     )
+    return run_on_context(context, workload, policy, audit=audit)
+
+
+def run_on_context(
+    context: SimulationContext,
+    workload: Workload,
+    policy: PowerPolicy,
+    audit: bool = False,
+) -> ExperimentResult:
+    """Install ``workload`` on a fresh ``context`` and replay it.
+
+    The body of every evaluation cell: :func:`run_cell` calls it on the
+    HDD-only testbed, and the tier commands call it on a testbed built
+    with flash/archive devices, then read
+    :class:`~repro.monitoring.tiers.TierBooks` from the same context.
+    """
     workload.install(context)
     auditor = None
     if audit:
@@ -143,7 +159,7 @@ def run_cell(
     replayer = TraceReplayer(context, policy, auditor=auditor)
     replay = replayer.run(workload.columnar(), duration=workload.duration)
     curve = interval_curve(
-        context.storage_monitor.all_intervals(), config.break_even_time
+        context.storage_monitor.all_intervals(), context.config.break_even_time
     )
     windows = (
         window_read_responses(context.app_monitor.response_samples, workload.phases)
@@ -160,85 +176,6 @@ def run_cell(
         controller_watts=replay.power.controller_watts,
         audit_checks=auditor.checks_run if auditor is not None else 0,
     )
-
-
-@dataclass(frozen=True)
-class TieredCellResult:
-    """One tiered (workload, policy) run plus its closing per-tier books."""
-
-    result: ExperimentResult
-    #: Per-tier energy/capacity/latency books at end of run, in
-    #: ``(kind.rank, name)`` order (flash, hdd, archive).
-    tier_reports: tuple[TierReport, ...]
-
-    @property
-    def energy_joules(self) -> float:
-        """Total enclosure energy across every tier, in joules."""
-        return sum(report.energy_joules for report in self.tier_reports)
-
-    @property
-    def capacity_cost(self) -> float:
-        """Total placed-byte capacity cost across tiers (docs/tiers.md)."""
-        return sum(report.cost_units for report in self.tier_reports)
-
-
-def run_tiered_cell(
-    workload: Workload,
-    policy: PowerPolicy,
-    config: EcoStorConfig = DEFAULT_CONFIG,
-    audit: bool = False,
-    flash_count: int = 1,
-    archive_count: int = 1,
-    faults: FaultPlan | None = None,
-    array_id: str | None = None,
-) -> TieredCellResult:
-    """Replay one workload under a tier-aware policy on a tiered testbed.
-
-    Mirrors :func:`run_cell` but builds the multi-tier Fig 5 variant
-    (:func:`repro.simulation.build_tiered_context`): the workload's
-    enclosures become the HDD tier and ``flash_count``/``archive_count``
-    extra devices form the flash and archive tiers (either may be 0).
-    The returned :class:`TieredCellResult` carries the closing per-tier
-    books next to the usual :class:`ExperimentResult`, so callers can
-    draw the energy-vs-latency-vs-capacity-cost frontier without
-    re-deriving anything.
-    """
-    context = build_tiered_context(
-        config,
-        workload.enclosure_count,
-        flash_count=flash_count,
-        archive_count=archive_count,
-        faults=faults,
-        array_id=array_id,
-    )
-    workload.install(context)
-    auditor = None
-    if audit:
-        from repro.devtools.audit import InvariantAuditor
-
-        auditor = InvariantAuditor(context)
-    replayer = TraceReplayer(context, policy, auditor=auditor)
-    replay = replayer.run(workload.columnar(), duration=workload.duration)
-    curve = interval_curve(
-        context.storage_monitor.all_intervals(), config.break_even_time
-    )
-    windows = (
-        window_read_responses(context.app_monitor.response_samples, workload.phases)
-        if workload.phases
-        else []
-    )
-    books = TierBooks(context.virtualization, context.controller)
-    result = ExperimentResult(
-        workload_name=workload.name,
-        policy_name=policy.name,
-        replay=replay,
-        interval_curve=curve,
-        window_responses=windows,
-        enclosure_watts=replay.power.enclosure_watts,
-        controller_watts=replay.power.controller_watts,
-        audit_checks=auditor.checks_run if auditor is not None else 0,
-    )
-    return TieredCellResult(result=result, tier_reports=tuple(books.report()))
 
 
 def run_comparison(

@@ -411,8 +411,11 @@ def run_tier_frontier(
     import traceback
 
     from repro.baselines.tiered import TieredLifecyclePolicy
+    from repro.config import DEFAULT_CONFIG
     from repro.errors import ReproError
-    from repro.experiments.runner import run_tiered_cell
+    from repro.experiments.runner import run_on_context
+    from repro.monitoring.tiers import TierBooks
+    from repro.simulation import build_context
 
     if workload not in WORKLOAD_NAMES:
         raise ValidationError(
@@ -423,12 +426,14 @@ def run_tier_frontier(
     for flash, archive in configs:
         label = f"f{flash}a{archive}"
         try:
-            cell = run_tiered_cell(
-                built,
-                TieredLifecyclePolicy(),
-                audit=True,
+            context = build_context(
+                DEFAULT_CONFIG,
+                built.enclosure_count,
                 flash_count=flash,
                 archive_count=archive,
+            )
+            result = run_on_context(
+                context, built, TieredLifecyclePolicy(), audit=True
             )
         except ReproError:
             report.cells.append(
@@ -445,20 +450,20 @@ def run_tier_frontier(
             if progress is not None:
                 progress(f"tier-frontier {label}: FAILED")
             continue
+        tiers = TierBooks(context.virtualization, context.controller).report()
         report.cells.append(
             TierFrontierCell(
                 flash=flash,
                 archive=archive,
-                energy_joules=cell.energy_joules,
-                mean_read_response=cell.result.mean_read_response,
-                capacity_cost=cell.capacity_cost,
-                audit_checks=cell.result.audit_checks,
+                energy_joules=sum(tier.energy_joules for tier in tiers),
+                mean_read_response=result.mean_read_response,
+                capacity_cost=sum(tier.cost_units for tier in tiers),
+                audit_checks=result.audit_checks,
             )
         )
         if progress is not None:
             progress(
-                f"tier-frontier {label}: ok "
-                f"({cell.result.audit_checks} checks)"
+                f"tier-frontier {label}: ok ({result.audit_checks} checks)"
             )
     return report
 

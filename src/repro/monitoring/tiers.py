@@ -120,7 +120,6 @@ class TierBooks:
         virt = self._virtualization
         controller = self._controller
         ledger = virt.tier_ledger
-        tracking = controller.tier_tracking_enabled
         reports = []
         for tier in sorted(
             virt.tiers(), key=lambda t: (t.kind.rank, t.name)
@@ -136,11 +135,8 @@ class TierBooks:
                 replicas += virt.replica_bytes_on(device)
                 capacity += virt.enclosure(device).capacity_bytes
                 energy += virt.enclosure(device).energy_joules()
-                if tracking:
-                    service_seconds += controller.device_service_seconds(
-                        device
-                    )
-                    serviced_ios += controller.device_service_ios(device)
+                service_seconds += controller.device_service_seconds(device)
+                serviced_ios += controller.device_service_ios(device)
             reports.append(
                 TierReport(
                     tier=tier.name,

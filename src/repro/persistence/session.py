@@ -136,7 +136,7 @@ class SnapshotSession:
     def __init__(self, spec: RunSpec) -> None:
         from repro.experiments.runner import ALL_POLICIES, TIERED_POLICIES
         from repro.experiments.testbed import build_workload
-        from repro.simulation import build_context, build_tiered_context
+        from repro.simulation import build_context
 
         self.spec = spec
         self.workload = build_workload(spec.workload, spec.full, spec.seed)
@@ -150,23 +150,18 @@ class SnapshotSession:
                 self.workload, router, spec.array_index
             )
             array_id = router.array_id(spec.array_index)
-        # Tier-needing policies get the flash+HDD+archive testbed; the
-        # construction wiring is rebuilt identically on resume, so the
-        # tier structure itself never travels in a snapshot.
-        if spec.policy in TIERED_POLICIES:
-            self.context: SimulationContext = build_tiered_context(
-                DEFAULT_CONFIG,
-                self.workload.enclosure_count,
-                faults=spec.fault_plan(),
-                array_id=array_id,
-            )
-        else:
-            self.context = build_context(
-                DEFAULT_CONFIG,
-                self.workload.enclosure_count,
-                faults=spec.fault_plan(),
-                array_id=array_id,
-            )
+        # Tier-needing policies get one flash and one archive device on
+        # top of the HDDs; the construction wiring is rebuilt identically
+        # on resume, so the tier structure never travels in a snapshot.
+        extra_tier = 1 if spec.policy in TIERED_POLICIES else 0
+        self.context: SimulationContext = build_context(
+            DEFAULT_CONFIG,
+            self.workload.enclosure_count,
+            flash_count=extra_tier,
+            archive_count=extra_tier,
+            faults=spec.fault_plan(),
+            array_id=array_id,
+        )
         self.workload.install(self.context)
         self.timeline: PowerTimeline | None = None
         if spec.timeline_interval is not None:

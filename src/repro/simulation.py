@@ -95,15 +95,30 @@ class SimulationContext:
 def build_context(
     config: EcoStorConfig,
     enclosure_count: int,
+    *,
+    flash_count: int = 0,
+    archive_count: int = 0,
     enclosure_prefix: str = "enc",
     faults: FaultPlan | None = None,
     array_id: str | None = None,
 ) -> SimulationContext:
     """Assemble a fresh storage system with ``enclosure_count`` enclosures.
 
-    Every enclosure gets one default volume named after it, so callers can
+    Every device gets one default volume named after it, so callers can
     place items immediately; workload builders may create more volumes
     (Table I's File Server creates 36 across 12 enclosures).
+
+    ``flash_count`` / ``archive_count`` add the multi-tier devices
+    (:mod:`repro.storage.tiers`).  The HDD enclosures keep the
+    ``"{enclosure_prefix}-NN"`` names *and* come first in the device
+    order, so workload installs — which place items by index into the
+    context's enclosure list — land every initial placement on the HDD
+    tier.  Flash devices follow as ``flash-NN`` and archive devices as
+    ``arc-NN``; data only reaches them through
+    promote/demote/archive/replicate actions.  A tier exists only when
+    its count is positive (tier actions targeting an absent tier are
+    rejected by the executor); with both counts at zero the array is
+    the paper's HDD-only testbed with one ``"hdd"`` tier.
 
     ``faults`` installs a :class:`~repro.faults.clock.FaultClock` wired
     into every enclosure and the controller.  A ``None`` or empty plan
@@ -111,15 +126,17 @@ def build_context(
     pre-fault code paths (bit-identical results).
 
     ``array_id`` namespaces the array for fleet runs (:mod:`repro.fleet`):
-    enclosures become ``"{array_id}:{enclosure_prefix}-NN"`` and the
-    default volumes follow.  ``None`` keeps the legacy unprefixed names,
-    so standalone runs (and 1-array fleets) stay bit-identical to the
-    golden replay results.
+    every device becomes ``"{array_id}:{name}"`` and the default volumes
+    follow.  ``None`` keeps the legacy unprefixed names, so standalone
+    runs (and 1-array fleets) stay bit-identical to the golden replay
+    results.
     """
     if enclosure_count <= 0:
         raise ValidationError("enclosure_count must be positive")
+    if flash_count < 0 or archive_count < 0:
+        raise ValidationError("flash_count and archive_count must be >= 0")
     name_prefix = f"{array_id}:" if array_id is not None else ""
-    enclosures = [
+    hdds = [
         DiskEnclosure(
             name=f"{name_prefix}{enclosure_prefix}-{i:02d}",
             power_model=config.enclosure_power,
@@ -130,7 +147,37 @@ def build_context(
         )
         for i in range(enclosure_count)
     ]
-    virtualization = BlockVirtualization(enclosures)
+    flashes: list[DiskEnclosure] = [
+        FlashTier(
+            name=f"{name_prefix}flash-{i:02d}",
+            capacity_bytes=config.flash_capacity_bytes,
+        )
+        for i in range(flash_count)
+    ]
+    archives: list[DiskEnclosure] = [
+        ArchiveTier(
+            name=f"{name_prefix}arc-{i:02d}",
+            capacity_bytes=config.archive_capacity_bytes,
+        )
+        for i in range(archive_count)
+    ]
+    enclosures = hdds + flashes + archives
+    shape = (
+        ("flash", TierKind.FLASH, flashes, FLASH_COST_PER_BYTE),
+        ("hdd", TierKind.HDD, hdds, HDD_COST_PER_BYTE),
+        ("archive", TierKind.ARCHIVE, archives, ARCHIVE_COST_PER_BYTE),
+    )
+    tiers = tuple(
+        StorageTier(
+            name=name,
+            kind=kind,
+            devices=tuple(device.name for device in devices),
+            cost_per_byte=cost,
+        )
+        for name, kind, devices, cost in shape
+        if devices
+    )
+    virtualization = BlockVirtualization(enclosures, tiers=tiers)
     for enclosure in enclosures:
         virtualization.create_volume(f"vol/{enclosure.name}", enclosure.name)
     cache = StorageCache(
@@ -152,132 +199,6 @@ def build_context(
     # materializes PhysicalIORecord objects unless a repository stores
     # them; the record tap above stays as the fallback for custom taps.
     controller.set_physical_tap_fast(storage_monitor.on_physical_fast)
-    fault_clock: FaultClock | None = None
-    if faults is not None and faults:
-        fault_clock = FaultClock(faults)
-        for enclosure in enclosures:
-            enclosure.set_fault_clock(fault_clock)
-        controller.set_fault_clock(fault_clock)
-    return SimulationContext(
-        config=config,
-        virtualization=virtualization,
-        cache=cache,
-        controller=controller,
-        app_monitor=ApplicationMonitor(),
-        storage_monitor=storage_monitor,
-        migration_engine=MigrationEngine(controller),
-        meter=PowerMeter(enclosures, config.controller_power),
-        fault_clock=fault_clock,
-        array_id=array_id,
-    )
-
-
-def build_tiered_context(
-    config: EcoStorConfig,
-    hdd_count: int,
-    flash_count: int = 1,
-    archive_count: int = 1,
-    enclosure_prefix: str = "enc",
-    faults: FaultPlan | None = None,
-    array_id: str | None = None,
-) -> SimulationContext:
-    """Assemble a multi-tier storage system: flash + HDD + archive.
-
-    The HDD devices keep the ``build_context`` naming scheme
-    (``enc-NN``) *and* come first in the enclosure order, so workload
-    installs — which place items by index into the context's enclosure
-    list — land every initial placement on the HDD tier, exactly as on
-    a single-tier system.  Flash devices are named ``flash-NN`` and
-    archive devices ``arc-NN``; data only reaches them through
-    promote/demote/archive/replicate actions.
-
-    ``flash_count`` / ``archive_count`` may be zero (the tier is then
-    simply absent, and tier actions targeting it are rejected by the
-    executor), which is how the chaos frontier sweeps tier shapes.
-    Per-device tier tracking on the controller is always armed, so
-    per-tier service books and the auditor's archive-service check are
-    live.
-    """
-    if hdd_count <= 0:
-        raise ValidationError("hdd_count must be positive")
-    if flash_count < 0 or archive_count < 0:
-        raise ValidationError("flash_count and archive_count must be >= 0")
-    name_prefix = f"{array_id}:" if array_id is not None else ""
-    hdds: list[DiskEnclosure] = [
-        DiskEnclosure(
-            name=f"{name_prefix}{enclosure_prefix}-{i:02d}",
-            power_model=config.enclosure_power,
-            iops_random=config.service_iops_random,
-            iops_sequential=config.service_iops_sequential,
-            capacity_bytes=config.enclosure_size_bytes,
-            spin_down_timeout=config.spin_down_timeout,
-        )
-        for i in range(hdd_count)
-    ]
-    flashes: list[DiskEnclosure] = [
-        FlashTier(
-            name=f"{name_prefix}flash-{i:02d}",
-            capacity_bytes=config.flash_capacity_bytes,
-        )
-        for i in range(flash_count)
-    ]
-    archives: list[DiskEnclosure] = [
-        ArchiveTier(
-            name=f"{name_prefix}arc-{i:02d}",
-            capacity_bytes=config.archive_capacity_bytes,
-        )
-        for i in range(archive_count)
-    ]
-    enclosures = hdds + flashes + archives
-    tiers: list[StorageTier] = []
-    if flashes:
-        tiers.append(
-            StorageTier(
-                name="flash",
-                kind=TierKind.FLASH,
-                devices=tuple(device.name for device in flashes),
-                cost_per_byte=FLASH_COST_PER_BYTE,
-            )
-        )
-    tiers.append(
-        StorageTier(
-            name="hdd",
-            kind=TierKind.HDD,
-            devices=tuple(device.name for device in hdds),
-            cost_per_byte=HDD_COST_PER_BYTE,
-        )
-    )
-    if archives:
-        tiers.append(
-            StorageTier(
-                name="archive",
-                kind=TierKind.ARCHIVE,
-                devices=tuple(device.name for device in archives),
-                cost_per_byte=ARCHIVE_COST_PER_BYTE,
-            )
-        )
-    virtualization = BlockVirtualization(enclosures, tiers=tuple(tiers))
-    for enclosure in enclosures:
-        virtualization.create_volume(f"vol/{enclosure.name}", enclosure.name)
-    cache = StorageCache(
-        total_bytes=config.storage_cache_bytes,
-        preload_bytes=config.preload_cache_bytes,
-        write_delay_bytes=config.write_delay_cache_bytes,
-        dirty_block_rate=config.dirty_block_rate,
-    )
-    storage_monitor = StorageMonitor(enclosures)
-    controller = StorageController(
-        virtualization,
-        cache,
-        migration_throughput_bps=config.migration_throughput_bps,
-        physical_tap=storage_monitor.on_physical,
-        retry_backoff_base=config.fault_backoff_base,
-        retry_backoff_cap=config.fault_backoff_cap,
-    )
-    controller.set_physical_tap_fast(storage_monitor.on_physical_fast)
-    controller.enable_tier_tracking(
-        frozenset(device.name for device in archives)
-    )
     fault_clock: FaultClock | None = None
     if faults is not None and faults:
         fault_clock = FaultClock(faults)

@@ -31,6 +31,7 @@ from repro.errors import (
 from repro.storage import cache as cache_mod
 from repro.storage.cache import StorageCache
 from repro.storage.enclosure import DiskEnclosure, IOResult
+from repro.storage.tiers import TierKind
 from repro.storage.virtualization import BlockVirtualization
 from repro.trace.records import IOType, PhysicalIORecord
 
@@ -101,10 +102,9 @@ class StorageController:
         self.preloaded_bytes: Bytes = 0
         self.flushed_bytes: Bytes = 0
 
-        # Tier lifecycle books (:mod:`repro.storage.tiers`).  All of this
-        # is inert — one attribute load and a None/emptiness check on the
-        # hot path — until :meth:`enable_tier_tracking` arms it, so
-        # legacy single-tier replays execute unchanged float operations.
+        # Tier lifecycle books (:mod:`repro.storage.tiers`).  The service
+        # books are accumulated apart from every replay float, so keeping
+        # them on every run leaves the replay results unchanged.
         self.promotion_count = 0
         self.demotion_count = 0
         self.archive_move_count = 0
@@ -112,14 +112,18 @@ class StorageController:
         self.replicated_bytes: Bytes = 0
         #: Devices of the archive tier; service routed to one of these
         #: records the item in :attr:`archive_serviced_items`.
-        self._archive_devices: frozenset[str] = frozenset()
+        self._archive_devices = frozenset(
+            device
+            for tier in virtualization.tiers()
+            if tier.kind is TierKind.ARCHIVE
+            for device in tier.devices
+        )
         #: Items whose primary copy was serviced while on an archive
         #: device — the auditor requires a promote record for each.
         self.archive_serviced_items: set[str] = set()
         #: Per-device latency books (service seconds / served I/Os) for
-        #: the per-tier report; ``None`` until tier tracking is enabled.
-        self._device_service_seconds: dict[str, float] | None = None
-        self._device_service_ios: dict[str, int] = {}
+        #: the per-tier report.
+        self._zero_service_books()
 
         # Fault handling (:mod:`repro.faults`).  All of this is inert —
         # strictly zero-cost on the hot path — until a fault clock is
@@ -174,44 +178,20 @@ class StorageController:
         """Attach the simulation's fault oracle (:mod:`repro.faults`)."""
         self._fault_clock = clock
 
-    def enable_tier_tracking(self, archive_devices: frozenset[str]) -> None:
-        """Arm per-device latency books and archive-service tracking.
-
-        Called by the tiered context builder; legacy single-tier
-        contexts never call it, which keeps the application I/O path
-        free of tier bookkeeping.
-        """
-        self._archive_devices = archive_devices
-        self._device_service_seconds = {
-            name: 0.0 for name in self.virtualization.enclosure_names
+    def _zero_service_books(self) -> None:
+        names = self.virtualization.enclosure_names
+        self._device_service_seconds: dict[str, float] = {
+            name: 0.0 for name in names
         }
-        self._device_service_ios = {
-            name: 0 for name in self.virtualization.enclosure_names
-        }
-
-    @property
-    def tier_tracking_enabled(self) -> bool:
-        """Whether per-device latency/archive-service books are armed."""
-        return self._device_service_seconds is not None
+        self._device_service_ios: dict[str, int] = {name: 0 for name in names}
 
     def device_service_seconds(self, device: str) -> float:
         """Accumulated application service seconds on one device."""
-        if self._device_service_seconds is None:
-            return 0.0
         return self._device_service_seconds.get(device, 0.0)
 
     def device_service_ios(self, device: str) -> int:
         """Application I/Os served physically by one device."""
         return self._device_service_ios.get(device, 0)
-
-    def _note_tier_service(
-        self, device: str, item_id: str, response: float
-    ) -> None:
-        """Accrue one served I/O into the armed tier books."""
-        self._device_service_seconds[device] += response
-        self._device_service_ios[device] += 1
-        if device in self._archive_devices:
-            self.archive_serviced_items.add(item_id)
 
     @property
     def battery_failed(self) -> bool:
@@ -483,8 +463,10 @@ class StorageController:
             tap_fast(issued, name, block, 1, io_type, item_id)
         elif self._physical_tap is not None:
             self._emit_physical(issued, name, block, 1, io_type, item_id)
-        if self._device_service_seconds is not None:
-            self._note_tier_service(name, item_id, response)
+        self._device_service_seconds[name] += response
+        self._device_service_ios[name] += 1
+        if name in self._archive_devices:
+            self.archive_serviced_items.add(item_id)
         return response
 
     def _emergency_buffer_write(
@@ -619,6 +601,53 @@ class StorageController:
             self.flushed_bytes += size
         return completion
 
+    def _background_copy(
+        self,
+        now: Seconds,
+        item_id: str,
+        size: Bytes,
+        src: DiskEnclosure,
+        dst: DiskEnclosure,
+    ) -> Seconds:
+        """Charge one throttled item copy from ``src`` to ``dst``.
+
+        Shared by migrations and replications; returns the completion
+        time.  Fault injection is consulted before anything is charged:
+        an aborted copy is discarded, leaving placement maps, used-bytes
+        and energy books exactly as they were (the MigrationEngine
+        re-plans at the next checkpoint).
+        """
+        if self._fault_clock is not None:
+            if self._fault_clock.migration_abort(item_id, now):
+                self.migration_aborts += 1
+                raise MigrationAbortedError(item_id, now)
+            for name in (src.name, dst.name):
+                if self._fault_clock.outage_at(name, now) is not None:
+                    self.migration_aborts += 1
+                    raise MigrationAbortedError(item_id, now)
+        # The copy runs in the background at the throttled average rate;
+        # its actual platter time is size / bulk bandwidth.  Both
+        # enclosures stay awake for the copy's duration and physical
+        # records are dropped along it so the interval analysis sees the
+        # activity (a migrating enclosure has no Long Interval).
+        duration = size / self.migration_throughput_bps
+        busy = size / self.bulk_bandwidth_bps
+        count = max(1, size // BULK_IO_UNIT)
+        src.background_transfer(now, duration, busy, count, read=True)
+        dst.background_transfer(now, duration, busy, count, read=False)
+        completion = now + duration
+        marker = now
+        per_marker = max(1, int(count // max(1, duration // 60.0 + 1)))
+        while marker < completion:
+            self._emit_physical(
+                marker, src.name, 0, per_marker, IOType.READ, item_id
+            )
+            self._emit_physical(
+                marker, dst.name, 0, per_marker, IOType.WRITE, item_id
+            )
+            marker += 60.0
+        return completion
+
     def migrate_item(self, now: Seconds, item_id: str, target_enclosure: str) -> Seconds:
         """Move a data item to another enclosure (paper §V-A).
 
@@ -646,39 +675,7 @@ class StorageController:
                 f"cannot migrate {item_id!r} to {target_enclosure!r}: "
                 "insufficient space"
             )
-        # Fault injection is consulted before anything is charged or
-        # remapped: an aborted move's partial copy is discarded, leaving
-        # placement maps, used-bytes and energy books exactly as they
-        # were (the MigrationEngine re-plans at the next checkpoint).
-        if self._fault_clock is not None:
-            if self._fault_clock.migration_abort(item_id, now):
-                self.migration_aborts += 1
-                raise MigrationAbortedError(item_id, now)
-            for name in (src_name, target_enclosure):
-                if self._fault_clock.outage_at(name, now) is not None:
-                    self.migration_aborts += 1
-                    raise MigrationAbortedError(item_id, now)
-        # The copy runs in the background at the throttled average rate;
-        # its actual platter time is size / bulk bandwidth.  Both
-        # enclosures stay awake for the copy's duration and physical
-        # records are dropped along it so the interval analysis sees the
-        # activity (a migrating enclosure has no Long Interval).
-        duration = size / self.migration_throughput_bps
-        busy = size / self.bulk_bandwidth_bps
-        count = max(1, size // BULK_IO_UNIT)
-        src.background_transfer(now, duration, busy, count, read=True)
-        dst.background_transfer(now, duration, busy, count, read=False)
-        completion = now + duration
-        marker = now
-        per_marker = max(1, int(count // max(1, duration // 60.0 + 1)))
-        while marker < completion:
-            self._emit_physical(
-                marker, src_name, 0, per_marker, IOType.READ, item_id
-            )
-            self._emit_physical(
-                marker, target_enclosure, 0, per_marker, IOType.WRITE, item_id
-            )
-            marker += 60.0
+        completion = self._background_copy(now, item_id, size, src, dst)
         self.virtualization.move_item(item_id, target_enclosure)
         # Cached copies of the moved item remain valid (logical addressing)
         # but the write-delay buffer must target the new enclosure; dirty
@@ -756,30 +753,7 @@ class StorageController:
                 f"cannot replicate {item_id!r} to {target_enclosure!r}: "
                 "insufficient space"
             )
-        if self._fault_clock is not None:
-            if self._fault_clock.migration_abort(item_id, now):
-                self.migration_aborts += 1
-                raise MigrationAbortedError(item_id, now)
-            for name in (src_name, target_enclosure):
-                if self._fault_clock.outage_at(name, now) is not None:
-                    self.migration_aborts += 1
-                    raise MigrationAbortedError(item_id, now)
-        duration = size / self.migration_throughput_bps
-        busy = size / self.bulk_bandwidth_bps
-        count = max(1, size // BULK_IO_UNIT)
-        src.background_transfer(now, duration, busy, count, read=True)
-        dst.background_transfer(now, duration, busy, count, read=False)
-        completion = now + duration
-        marker = now
-        per_marker = max(1, int(count // max(1, duration // 60.0 + 1)))
-        while marker < completion:
-            self._emit_physical(
-                marker, src_name, 0, per_marker, IOType.READ, item_id
-            )
-            self._emit_physical(
-                marker, target_enclosure, 0, per_marker, IOType.WRITE, item_id
-            )
-            marker += 60.0
+        completion = self._background_copy(now, item_id, size, src, dst)
         self.virtualization.add_replica(item_id, target_enclosure)
         self.replicated_bytes += size
         self.replication_count += 1
@@ -891,11 +865,7 @@ class StorageController:
             "replication_count": self.replication_count,
             "replicated_bytes": self.replicated_bytes,
             "archive_serviced_items": sorted(self.archive_serviced_items),
-            "device_service_seconds": (
-                None
-                if self._device_service_seconds is None
-                else dict(self._device_service_seconds)
-            ),
+            "device_service_seconds": dict(self._device_service_seconds),
             "device_service_ios": dict(self._device_service_ios),
         }
 
@@ -931,8 +901,11 @@ class StorageController:
         self.archive_serviced_items = set(
             state.get("archive_serviced_items", ())
         )
+        # Snapshots of untiered runs written before the books were kept
+        # on every run carry ``None`` (or nothing): start those at zero.
         service_seconds = state.get("device_service_seconds")
-        self._device_service_seconds = (
-            None if service_seconds is None else dict(service_seconds)
-        )
-        self._device_service_ios = dict(state.get("device_service_ios", {}))
+        if service_seconds is None:
+            self._zero_service_books()
+        else:
+            self._device_service_seconds = dict(service_seconds)
+            self._device_service_ios = dict(state["device_service_ios"])

@@ -413,29 +413,8 @@ class DiskEnclosure:
         """
         if count <= 0:
             raise ValidationError("count must be positive")
-        self.settle(max(now, self._clock))
-        self._check_outage(max(now, self._clock))
-        self._ensure_on()
-        start = max(now, self._clock, self._busy_until)
-        # The queue (or spin-up wait) may have pushed the start into an
-        # outage window that opened after arrival — refuse before any
-        # service state is mutated; the controller retries past the window.
-        self._check_outage(start)
-        self.settle(start)
         service = self.service_time(count, sequential)
-        completion = start + service
-        if self._fault_clock is not None:
-            self._fault_clock.note_service(self.name, start)
-        if self._state is not PowerState.ACTIVE:
-            self._transition(PowerState.ACTIVE, start)
-        self._busy_until = max(self._busy_until, completion)
-        self.io_count += count
-        if read:
-            self.read_count += count
-        else:
-            self.write_count += count
-        self.last_io_time = now
-        return IOResult(arrival=now, start=start, completion=completion, count=count)
+        return self._serve(now, service, count, read)
 
     def submit_one(
         self,
@@ -546,10 +525,19 @@ class DiskEnclosure:
             raise ValidationError("seconds must be non-negative")
         if count <= 0:
             raise ValidationError("count must be positive")
+        return self._serve(now, seconds, count, read)
+
+    def _serve(
+        self, now: Seconds, seconds: Seconds, count: int, read: bool
+    ) -> IOResult:
+        """Queue ``count`` I/Os arriving at ``now`` for ``seconds`` of service."""
         self.settle(max(now, self._clock))
         self._check_outage(max(now, self._clock))
         self._ensure_on()
         start = max(now, self._clock, self._busy_until)
+        # The queue (or spin-up wait) may have pushed the start into an
+        # outage window that opened after arrival — refuse before any
+        # service state is mutated; the controller retries past the window.
         self._check_outage(start)
         self.settle(start)
         completion = start + seconds

@@ -24,12 +24,12 @@ from repro.actions.records import (
     ReplicateItem,
 )
 from repro.faults.plan import FaultPlan, MigrationAbort
-from repro.simulation import SimulationContext, build_tiered_context
+from repro.simulation import SimulationContext, build_context
 
 
 def tiered_context(config, flash_count=1, archive_count=1, faults=None):
     """Two-HDD testbed with optional flash/archive tiers and two items."""
-    context = build_tiered_context(
+    context = build_context(
         config,
         2,
         flash_count=flash_count,

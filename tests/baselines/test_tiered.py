@@ -7,9 +7,10 @@ import dataclasses
 from repro import units
 from repro.baselines.tiered import TieredLifecyclePolicy
 from repro.config import DEFAULT_CONFIG
-from repro.experiments.runner import run_tiered_cell
+from repro.experiments.runner import run_on_context
 from repro.experiments.testbed import build_workload
-from repro.simulation import build_tiered_context
+from repro.monitoring.tiers import TierBooks
+from repro.simulation import build_context
 
 
 def lifecycle_config(**overrides):
@@ -27,7 +28,7 @@ def lifecycle_config(**overrides):
 
 
 def build_system(config, items=2):
-    context = build_tiered_context(config, 2)
+    context = build_context(config, 2, flash_count=1, archive_count=1)
     for index in range(items):
         context.virtualization.add_item(
             f"item-{index}", 64 * units.MB, f"vol/enc-{index % 2:02d}"
@@ -124,31 +125,36 @@ class TestLifecycleLadder:
         assert virt.tier_of_device(replica_device).name == "hdd"
 
 
+def audited_smoke(workload_name, policy):
+    """Replay a smoke workload audited on a flash+HDD+archive testbed;
+    returns the result and the closing per-tier reports."""
+    workload = build_workload(workload_name, False)
+    context = build_context(
+        DEFAULT_CONFIG, workload.enclosure_count, flash_count=1, archive_count=1
+    )
+    result = run_on_context(context, workload, policy, audit=True)
+    return result, TierBooks(context.virtualization, context.controller).report()
+
+
 class TestEndToEnd:
     def test_fileserver_smoke_with_auditor(self):
-        cell = run_tiered_cell(
-            build_workload("fileserver", False),
-            TieredLifecyclePolicy(),
-            audit=True,
-        )
-        assert cell.result.audit_checks > 0
-        assert cell.result.replay.io_count > 0
-        assert cell.energy_joules > 0
-        assert cell.capacity_cost > 0
-        by_name = {report.tier: report for report in cell.tier_reports}
+        result, reports = audited_smoke("fileserver", TieredLifecyclePolicy())
+        assert result.audit_checks > 0
+        assert result.replay.io_count > 0
+        assert sum(report.energy_joules for report in reports) > 0
+        assert sum(report.cost_units for report in reports) > 0
+        by_name = {report.tier: report for report in reports}
         assert set(by_name) == {"flash", "hdd", "archive"}
         # Data actually moved through the lifecycle...
         assert by_name["flash"].bytes_in > 0
         # ...and every tier's ledger identity holds at end of run.
-        for report in cell.tier_reports:
+        for report in reports:
             assert report.net_bytes == report.placed_bytes
 
     def test_tpcc_smoke_with_auditor_and_replication(self):
-        cell = run_tiered_cell(
-            build_workload("tpcc", False),
-            TieredLifecyclePolicy(replicate_hot=True),
-            audit=True,
+        result, reports = audited_smoke(
+            "tpcc", TieredLifecyclePolicy(replicate_hot=True)
         )
-        assert cell.result.audit_checks > 0
-        for report in cell.tier_reports:
+        assert result.audit_checks > 0
+        for report in reports:
             assert report.net_bytes == report.placed_bytes

@@ -108,6 +108,24 @@ def test_main_exit_codes(capsys: pytest.CaptureFixture[str]) -> None:
     assert ecostor(str(FIXTURES / "no_such_file.py")) == 2
 
 
+@pytest.mark.parametrize(
+    "selector, expected",
+    [
+        ("D202", ["D202"]),
+        ("wall-clock", ["D203"]),
+        ("d204", ["D204", "D204"]),
+    ],
+)
+def test_select_keeps_only_the_selected_checks(
+    selector: str, expected: list[str]
+) -> None:
+    # One DeterminismChecker emits D202-D204; selecting one id of it
+    # must not report its siblings.
+    target = FIXTURES / "analysis" / "d2_determinism.py"
+    report = analyze_paths([target], select=[selector])
+    assert [f.check_id for f in report.findings] == expected
+
+
 def test_main_rejects_unknown_check(capsys: pytest.CaptureFixture[str]) -> None:
     assert ecostor("--select", "D999") == 2
     assert "unknown check" in capsys.readouterr().err

@@ -13,12 +13,14 @@ from repro.config import DEFAULT_CONFIG
 from repro.errors import AuditError, ValidationError
 from repro.fleet import audit_tier_books, merge_tier_reports
 from repro.monitoring.tiers import TierBooks, TierReport
-from repro.simulation import build_tiered_context
+from repro.simulation import build_context
 
 
 def array_reports(array_id, moves):
     """One tiered array's closing tier reports after ``moves``."""
-    context = build_tiered_context(DEFAULT_CONFIG, 2, array_id=array_id)
+    context = build_context(
+        DEFAULT_CONFIG, 2, flash_count=1, archive_count=1, array_id=array_id
+    )
     virt = context.virtualization
     virt.add_item("item-0", 64 * units.MB, f"vol/{array_id}:enc-00")
     virt.add_item("item-1", 32 * units.MB, f"vol/{array_id}:enc-01")

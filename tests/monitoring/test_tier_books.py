@@ -9,10 +9,13 @@ import pytest
 from repro import units
 from repro.actions.plan import ActionPlan
 from repro.actions.records import ArchiveItem, PromoteItem, ReplicateItem
+from repro.baselines.nopower import NoPowerSavingPolicy
 from repro.config import DEFAULT_CONFIG
 from repro.errors import ValidationError
+from repro.experiments.runner import run_on_context
+from repro.experiments.testbed import build_workload
 from repro.monitoring.tiers import TierBooks, TierReport
-from repro.simulation import build_tiered_context
+from repro.simulation import build_context
 
 
 def make_report(**overrides) -> TierReport:
@@ -32,6 +35,11 @@ def make_report(**overrides) -> TierReport:
     )
     values.update(overrides)
     return TierReport(**values)
+
+
+def tiered_context():
+    """Two HDDs plus one flash and one archive device."""
+    return build_context(DEFAULT_CONFIG, 2, flash_count=1, archive_count=1)
 
 
 class TestTierReport:
@@ -55,13 +63,13 @@ class TestTierReport:
 
 class TestTierBooks:
     def test_rejects_controller_of_other_virtualization(self):
-        one = build_tiered_context(DEFAULT_CONFIG, 2)
-        other = build_tiered_context(DEFAULT_CONFIG, 2)
+        one = tiered_context()
+        other = tiered_context()
         with pytest.raises(ValidationError):
             TierBooks(one.virtualization, other.controller)
 
     def test_reports_project_the_storage_books(self):
-        context = build_tiered_context(DEFAULT_CONFIG, 2)
+        context = tiered_context()
         virt = context.virtualization
         size = 64 * units.MB
         virt.add_item("item-0", size, "vol/enc-00")
@@ -95,8 +103,21 @@ class TestTierBooks:
         for report in reports:
             assert report.net_bytes == report.placed_bytes
 
+    def test_hdd_only_run_keeps_service_books(self):
+        workload = build_workload("tpcc", False)
+        context = build_context(DEFAULT_CONFIG, workload.enclosure_count)
+        run_on_context(context, workload, NoPowerSavingPolicy())
+        controller = context.controller
+        (hdd,) = TierBooks(context.virtualization, controller).report()
+        assert hdd.tier == "hdd"
+        assert hdd.serviced_ios > 0
+        assert hdd.serviced_ios == (
+            controller.logical_io_count - controller.cache_hit_count
+        )
+        assert hdd.service_seconds > 0.0
+
     def test_capacity_cost_orders_by_technology(self):
-        context = build_tiered_context(DEFAULT_CONFIG, 2)
+        context = tiered_context()
         virt = context.virtualization
         size = 64 * units.MB
         virt.add_item("on-hdd", size, "vol/enc-00")

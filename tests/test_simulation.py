@@ -65,3 +65,66 @@ class TestBuildContext:
     def test_custom_prefix(self):
         context = build_context(DEFAULT_CONFIG, 1, enclosure_prefix="disk")
         assert context.enclosure_names() == ["disk-00"]
+
+    def test_hdd_only_has_one_hdd_tier(self):
+        context = build_context(DEFAULT_CONFIG, 3)
+        virt = context.virtualization
+        assert virt.tier_names == ["hdd"]
+        assert virt.devices_in_tier("hdd") == ("enc-00", "enc-01", "enc-02")
+
+
+class TestTierShapes:
+    def test_devices_follow_the_hdds(self):
+        context = build_context(
+            DEFAULT_CONFIG, 2, flash_count=2, archive_count=1
+        )
+        assert context.enclosure_names() == [
+            "enc-00", "enc-01", "flash-00", "flash-01", "arc-00",
+        ]
+        virt = context.virtualization
+        assert virt.tier_names == ["flash", "hdd", "archive"]
+        assert virt.devices_in_tier("flash") == ("flash-00", "flash-01")
+        assert virt.devices_in_tier("archive") == ("arc-00",)
+        assert virt.volume(default_volume("arc-00")).enclosure == "arc-00"
+
+    def test_capacities_from_config(self):
+        context = build_context(
+            DEFAULT_CONFIG, 1, flash_count=1, archive_count=1
+        )
+        virt = context.virtualization
+        assert (
+            virt.enclosure("flash-00").capacity_bytes
+            == DEFAULT_CONFIG.flash_capacity_bytes
+        )
+        assert (
+            virt.enclosure("arc-00").capacity_bytes
+            == DEFAULT_CONFIG.archive_capacity_bytes
+        )
+
+    @pytest.mark.parametrize(
+        "flash, archive, tiers",
+        [
+            (1, 0, ["flash", "hdd"]),
+            (0, 1, ["hdd", "archive"]),
+        ],
+    )
+    def test_a_tier_exists_only_with_devices(self, flash, archive, tiers):
+        context = build_context(
+            DEFAULT_CONFIG, 2, flash_count=flash, archive_count=archive
+        )
+        assert context.virtualization.tier_names == tiers
+
+    def test_array_id_prefixes_every_device(self):
+        context = build_context(
+            DEFAULT_CONFIG, 1, flash_count=1, archive_count=1, array_id="a1"
+        )
+        assert context.enclosure_names() == [
+            "a1:enc-00", "a1:flash-00", "a1:arc-00",
+        ]
+
+    @pytest.mark.parametrize("flash, archive", [(-1, 0), (0, -1)])
+    def test_negative_counts_rejected(self, flash, archive):
+        with pytest.raises(ValueError):
+            build_context(
+                DEFAULT_CONFIG, 2, flash_count=flash, archive_count=archive
+            )

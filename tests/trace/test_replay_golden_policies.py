@@ -29,7 +29,7 @@ from repro.baselines.zoned import Zone, ZonedPolicy
 from repro.config import DEFAULT_CONFIG
 from repro.core.manager import EnergyEfficientPolicy
 from repro.experiments.testbed import build_workload
-from repro.simulation import build_context, build_tiered_context
+from repro.simulation import build_context
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.replay import TraceReplayer
 
@@ -40,7 +40,9 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / (
 
 def _tiered_cell():
     workload = build_workload("fileserver", full=False)
-    context = build_tiered_context(DEFAULT_CONFIG, workload.enclosure_count)
+    context = build_context(
+        DEFAULT_CONFIG, workload.enclosure_count, flash_count=1, archive_count=1
+    )
     return workload, context, TieredLifecyclePolicy()
 
 
