@@ -87,40 +87,49 @@ class DDRPolicy(PowerPolicy):
         return self._next_checkpoint
 
     def on_checkpoint(self, now: float) -> ActionPlan | None:
-        """Rebalance data across gears from the window's IOPS profile."""
+        """Classify enclosures hot or cold by smoothed IOPS; toggle power-off.
+
+        Power-off enablement is planned only while some enclosure is or
+        was cold: with both cold sets empty the plan would be empty.
+        """
         context = self._require_context()
         window = now - self._window_start
         assert self.monitoring_period is not None
         if window <= 0:
             self._next_checkpoint = now + self.monitoring_period
             return None
-        stats = context.storage_monitor.window_stats(now)
+        window_iops = context.storage_monitor.window_stats(now)
         # Exponentially smoothed IOPS with ~iops_smoothing_seconds
         # time constant: DDR's placement decisions are sub-second but
         # its hot/cold judgement reflects sustained load, otherwise any
         # quiet quarter-second would flap every enclosure cold.
         alpha = min(1.0, window / self.iops_smoothing_seconds)
+        low_th = self.low_th
+        smoothed_iops = self._smoothed_iops
         cold: set[str] = set()
-        for name, stat in stats.items():
-            previous = self._smoothed_iops.get(name, 0.0)
-            smoothed = (1 - alpha) * previous + alpha * stat.iops
-            self._smoothed_iops[name] = smoothed
-            if smoothed < self.low_th:
+        for name, iops in window_iops.items():
+            smoothed = (1 - alpha) * smoothed_iops.get(name, 0.0) + alpha * iops
+            smoothed_iops[name] = smoothed
+            if smoothed < low_th:
                 cold.add(name)
         self.determinations += 1
 
         # Power-off decisions go through the executor's degraded-mode
         # gate: a cold enclosure whose spin-ups keep failing is vetoed
         # for a cool-down window (repro.faults); without faults the gate
-        # is a pass-through.  Enclosures neither newly cold nor leaving
-        # the cold set are left untouched, exactly as before.
-        plan = ActionPlan()
-        for enclosure in context.enclosures:
-            if enclosure.name in cold:
-                plan.add(SetPowerOffEnabled(enclosure.name, True))
-            elif enclosure.name in self._cold:
-                plan.add(SetPowerOffEnabled(enclosure.name, False))
-        self.executor().apply(now, plan)
+        # is a pass-through.  A still-cold enclosure is re-enabled at
+        # every checkpoint, so power-off returns once a veto's cool-down
+        # ends; enclosures neither cold nor leaving the cold set are left
+        # untouched.
+        plan: ActionPlan | None = None
+        if cold or self._cold:
+            plan = ActionPlan()
+            for enclosure in context.enclosures:
+                if enclosure.name in cold:
+                    plan.add(SetPowerOffEnabled(enclosure.name, True))
+                elif enclosure.name in self._cold:
+                    plan.add(SetPowerOffEnabled(enclosure.name, False))
+            self.executor().apply(now, plan)
         self._cold = cold
 
         context.storage_monitor.begin_window(now)

@@ -65,7 +65,7 @@ class IOSequence:
 
     @property
     def duration(self) -> float:
-        """Wall-clock span of the analysed window, in seconds."""
+        """Span of this sequence, first I/O to last, in seconds."""
         return self.end - self.start
 
 

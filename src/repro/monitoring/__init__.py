@@ -2,13 +2,12 @@
 
 from repro.monitoring.application import ApplicationMonitor, ResponseStats
 from repro.monitoring.repository import TraceRepository
-from repro.monitoring.storage import EnclosureWindowStats, StorageMonitor
+from repro.monitoring.storage import StorageMonitor
 from repro.monitoring.tiers import TierBooks, TierReport
 from repro.monitoring.timeline import PowerTimeline, TimelinePoint
 
 __all__ = [
     "ApplicationMonitor",
-    "EnclosureWindowStats",
     "PowerTimeline",
     "ResponseStats",
     "StorageMonitor",

@@ -13,7 +13,6 @@ paper's Figs 17–19: per-enclosure inter-arrival gaps of physical I/O.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from repro.monitoring.repository import TraceRepository
 from repro.storage.enclosure import DiskEnclosure
@@ -23,21 +22,6 @@ from repro.trace.records import (
     PowerSample,
     PowerStatusRecord,
 )
-
-
-@dataclass(frozen=True)
-class EnclosureWindowStats:
-    """Physical I/O activity of one enclosure over one window."""
-
-    enclosure: str
-    io_count: int
-    read_count: int
-    window_seconds: float
-
-    @property
-    def iops(self) -> float:
-        """Mean I/O rate over the window, in operations per second."""
-        return self.io_count / self.window_seconds if self.window_seconds > 0 else 0.0
 
 
 class StorageMonitor:
@@ -57,12 +41,10 @@ class StorageMonitor:
         #: :class:`~repro.monitoring.repository.TraceRepository`).
         self.repository = repository
         self._window_counts: defaultdict[str, int] = defaultdict(int)
-        self._window_reads: defaultdict[str, int] = defaultdict(int)
         self._window_start = 0.0
         self._last_io: dict[str, float] = {}
         #: Per-enclosure retained physical I/O gaps (>= MIN_RETAINED_GAP).
         self._gaps: defaultdict[str, list[float]] = defaultdict(list)
-        self._short_gap_total: defaultdict[str, float] = defaultdict(float)
         self.physical_io_count = 0
         self._finished_at: float | None = None
 
@@ -71,10 +53,13 @@ class StorageMonitor:
     # ------------------------------------------------------------------
     def on_physical(self, record: PhysicalIORecord) -> None:
         """Physical-tap callback from the storage controller."""
-        if self.repository is not None:
-            self.repository.append(record)
-        self._note_physical(
-            record.timestamp, record.enclosure, record.count, record.is_read
+        self.on_physical_fast(
+            record.timestamp,
+            record.enclosure,
+            record.block_address,
+            record.count,
+            record.io_type,
+            record.item_id,
         )
 
     def on_physical_fast(
@@ -88,8 +73,7 @@ class StorageMonitor:
     ) -> None:
         """Scalar physical-tap callback for the batched hot path.
 
-        Same statistics as :meth:`on_physical`; a
-        :class:`~repro.trace.records.PhysicalIORecord` is materialized
+        A :class:`~repro.trace.records.PhysicalIORecord` is materialized
         only when a repository actually stores the trace.
         """
         if self.repository is not None:
@@ -103,55 +87,31 @@ class StorageMonitor:
                     item_id=item_id,
                 )
             )
-        # _note_physical, unrolled: this callback fires once per physical
-        # I/O on the batched hot path, so the extra frame is measurable.
         self.physical_io_count += count
         self._window_counts[enclosure] += count
-        if io_type is IOType.READ:
-            self._window_reads[enclosure] += count
         prev = self._last_io.get(enclosure)
         if prev is not None:
             gap = timestamp - prev
             if gap >= self.MIN_RETAINED_GAP:
                 self._gaps[enclosure].append(gap)
-            elif gap > 0:
-                self._short_gap_total[enclosure] += gap
         self._last_io[enclosure] = timestamp
-
-    def _note_physical(
-        self, timestamp: float, name: str, count: int, is_read: bool
-    ) -> None:
-        self.physical_io_count += count
-        self._window_counts[name] += count
-        if is_read:
-            self._window_reads[name] += count
-        prev = self._last_io.get(name)
-        if prev is not None:
-            gap = timestamp - prev
-            if gap >= self.MIN_RETAINED_GAP:
-                self._gaps[name].append(gap)
-            elif gap > 0:
-                self._short_gap_total[name] += gap
-        self._last_io[name] = timestamp
 
     def begin_window(self, now: float) -> None:
         """Reset per-window counters and mark the window start."""
         self._window_counts.clear()
-        self._window_reads.clear()
         self._window_start = now
 
-    def window_stats(self, now: float) -> dict[str, EnclosureWindowStats]:
-        """Per-enclosure activity in the current window."""
+    def window_stats(self, now: float) -> dict[str, float]:
+        """Per-enclosure mean IOPS over the current window.
+
+        Each value is the window's physical I/O count over its length;
+        a window of zero length or less gives ``0.0`` everywhere.
+        """
         window = now - self._window_start
-        return {
-            name: EnclosureWindowStats(
-                enclosure=name,
-                io_count=self._window_counts.get(name, 0),
-                read_count=self._window_reads.get(name, 0),
-                window_seconds=window,
-            )
-            for name in self.enclosures
-        }
+        counts = self._window_counts
+        if window > 0:
+            return {name: counts.get(name, 0) / window for name in self.enclosures}
+        return dict.fromkeys(self.enclosures, 0.0)
 
     def finish(self, now: float) -> None:
         """Close the final gap of every enclosure (last I/O → end of run)."""
@@ -193,25 +153,25 @@ class StorageMonitor:
         """
         return {
             "window_counts": dict(self._window_counts),
-            "window_reads": dict(self._window_reads),
             "window_start": self._window_start,
             "last_io": dict(self._last_io),
             "gaps": {name: list(gaps) for name, gaps in self._gaps.items()},
-            "short_gap_total": dict(self._short_gap_total),
             "physical_io_count": self.physical_io_count,
             "finished_at": self._finished_at,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore the monitor exactly as :meth:`snapshot_state` captured it."""
+        """Restore the monitor exactly as :meth:`snapshot_state` captured it.
+
+        States written by older versions also carry ``window_reads`` and
+        ``short_gap_total``; nothing reads those books, so they are ignored.
+        """
         self._window_counts = defaultdict(int, state["window_counts"])
-        self._window_reads = defaultdict(int, state["window_reads"])
         self._window_start = state["window_start"]
         self._last_io = dict(state["last_io"])
         self._gaps = defaultdict(list)
         for name, gaps in state["gaps"].items():
             self._gaps[name] = list(gaps)
-        self._short_gap_total = defaultdict(float, state["short_gap_total"])
         self.physical_io_count = state["physical_io_count"]
         self._finished_at = state["finished_at"]
 

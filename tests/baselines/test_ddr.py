@@ -1,12 +1,16 @@
 """Tests for the DDR baseline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import units
+from repro.actions.records import ActionOutcome, SetPowerOffEnabled
 from repro.baselines.ddr import DDRPolicy
 from repro.config import DEFAULT_CONFIG
+from repro.faults.plan import FaultPlan, SpinUpFailure
 from repro.simulation import build_context, default_volume
-from repro.trace.records import IOType, LogicalIORecord
+from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
 from repro.trace.replay import TraceReplayer
 
 
@@ -119,8 +123,6 @@ class TestDDRBehaviour:
         policy.on_start(0.0)
         # Simulate sustained traffic then one quiet window.
         monitor = context.storage_monitor
-        from repro.trace.records import PhysicalIORecord
-
         clock = 0.0
         for _ in range(200):
             clock += 0.5
@@ -133,3 +135,163 @@ class TestDDRBehaviour:
         clock += 0.5
         policy.on_checkpoint(clock)
         assert "enc-00" not in policy._cold
+
+
+def started_policy(context, **kwargs):
+    policy = DDRPolicy(**kwargs)
+    policy.bind(context)
+    policy.on_start(0.0)
+    context.storage_monitor.begin_window(0.0)
+    return policy
+
+
+def post(monitor, t, enclosure, count):
+    if count:
+        monitor.on_physical(PhysicalIORecord(t, enclosure, 0, count, IOType.READ))
+
+
+class TestDDRRecurrence:
+    """The smoothing recurrence s_k = (1-a)*s_{k-1} + a*n_k/w, exactly."""
+
+    # period w = 0.5 s, smoothing 2 s -> alpha = 0.25; LowTH = 8 / 2 = 4.
+    COUNTS = {
+        "enc-00": (1, 10, 10),  # iops 2, 20, 20: cold, then hot from k=2
+        "enc-01": (0, 0, 0),  # silent: cold throughout
+        "enc-02": (12, 0, 0),  # iops 24, 0, 0: hot until k=3
+    }
+    # Dyadic values, exact in binary floating point.
+    EXPECTED = {
+        "enc-00": (0.5, 5.375, 9.03125),
+        "enc-01": (0.0, 0.0, 0.0),
+        "enc-02": (6.0, 4.5, 3.375),
+    }
+    COLD_AFTER = (
+        {"enc-00", "enc-01"},
+        {"enc-01"},
+        {"enc-01", "enc-02"},
+    )
+
+    def test_smoothed_iops_match_hand_oracle_exactly(self):
+        context = build_context(DEFAULT_CONFIG, 3)
+        period, alpha = 0.5, 0.25
+        policy = started_policy(
+            context,
+            monitoring_period=period,
+            target_th=8.0,
+            iops_smoothing_seconds=2.0,
+        )
+        oracle = dict.fromkeys(self.COUNTS, 0.0)
+        for k in range(3):
+            now = (k + 1) * period
+            for name, counts in self.COUNTS.items():
+                post(context.storage_monitor, now - period / 2, name, counts[k])
+            policy.on_checkpoint(now)
+            for name, counts in self.COUNTS.items():
+                oracle[name] = (1 - alpha) * oracle[name] + alpha * (
+                    counts[k] / period
+                )
+                assert policy._smoothed_iops[name] == oracle[name]
+                assert policy._smoothed_iops[name] == self.EXPECTED[name][k]
+            assert policy._cold == self.COLD_AFTER[k]
+            enabled = {
+                e.name for e in context.enclosures if e.power_off_enabled
+            }
+            assert enabled == self.COLD_AFTER[k]
+
+
+class TestDDRPlanRule:
+    def spy_on_apply(self, context, monkeypatch):
+        executor = context.require_executor()
+        calls = []
+        real_apply = executor.apply
+
+        def spy(now, plan, dry_run=False):
+            calls.append((now, list(plan)))
+            return real_apply(now, plan, dry_run)
+
+        monkeypatch.setattr(executor, "apply", spy)
+        return calls
+
+    def test_no_plan_while_nothing_is_or_was_cold(self, monkeypatch):
+        context = build_context(DEFAULT_CONFIG, 3)
+        policy = started_policy(
+            context, monitoring_period=1.0, target_th=2.0,
+            iops_smoothing_seconds=1.0,
+        )
+        calls = self.spy_on_apply(context, monkeypatch)
+        for name in context.enclosure_names():
+            post(context.storage_monitor, 0.5, name, 5)
+        assert policy.on_checkpoint(1.0) is None
+        assert policy._cold == set()
+        assert calls == []
+
+    def test_plan_applied_while_some_enclosure_is_or_was_cold(
+        self, monkeypatch
+    ):
+        context = build_context(DEFAULT_CONFIG, 2)
+        policy = started_policy(
+            context, monitoring_period=1.0, target_th=2.0,
+            iops_smoothing_seconds=1.0,
+        )
+        calls = self.spy_on_apply(context, monkeypatch)
+        post(context.storage_monitor, 0.5, "enc-00", 5)
+        policy.on_checkpoint(1.0)  # enc-01 silent: cold
+        for now in (2.0, 3.0):
+            for name in ("enc-00", "enc-01"):
+                post(context.storage_monitor, now - 0.5, name, 5)
+            # 2.0: enc-01 leaves the cold set; 3.0: nothing cold at all.
+            policy.on_checkpoint(now)
+        assert calls == [
+            (1.0, [SetPowerOffEnabled("enc-01", True)]),
+            (2.0, [SetPowerOffEnabled("enc-01", False)]),
+        ]
+
+
+class TestDDRDegradedMode:
+    def test_still_cold_enclosure_reenabled_after_cooldown(self):
+        # One failed spin-up trips the gate; the failure ages out of its
+        # window before the cool-down ends, so the first checkpoint after
+        # the cool-down re-enables power-off on the still-cold enclosure.
+        config = replace(
+            DEFAULT_CONFIG,
+            spin_up_failure_threshold=1,
+            spin_up_failure_window=5.0,
+            power_off_cooldown=20.0,
+        )
+        faults = FaultPlan(events=(SpinUpFailure("enc-01", after=60.0),))
+        context = build_context(config, 3, faults=faults)
+        names = context.enclosure_names()
+        for e, name in enumerate(names):
+            item = f"item-{e}"
+            context.virtualization.add_item(
+                item, 4 * units.GB, default_volume(name)
+            )
+            context.app_monitor.register_item(item, default_volume(name))
+        policy = DDRPolicy(monitoring_period=1.0, iops_smoothing_seconds=5.0)
+        records = stream("item-0", 0.0, 200.0, gap=1.0)
+        records.append(LogicalIORecord(100.5, "item-1", 0, 4096, IOType.READ))
+        TraceReplayer(context, policy).run(sorted(records), duration=200.0)
+
+        enc = context.virtualization.enclosure("enc-01")
+        assert len(enc.spin_up_failure_times) == 1
+        enables = [
+            r
+            for r in context.require_executor().log
+            if r.action == SetPowerOffEnabled("enc-01", True)
+        ]
+        vetoed = [
+            r for r in enables
+            if r.outcome is ActionOutcome.VETOED_BY_DEGRADED_MODE
+        ]
+        assert vetoed, "the spin-up failure never tripped the gate"
+        tripped = vetoed[0].time
+        assert vetoed[0].reason == "degraded-mode"
+        assert all(r.reason == "cooldown" for r in vetoed[1:])
+        # enc-01 stays cold through the cool-down, and the enablement is
+        # re-issued at every checkpoint: vetoed for 20 s, then applied.
+        window = [r for r in enables if tripped <= r.time <= tripped + 20]
+        assert [r.time for r in window] == [tripped + k for k in range(21)]
+        assert window[:-1] == vetoed
+        assert window[-1].outcome is ActionOutcome.APPLIED
+        assert enc.power_off_enabled
+        assert context.require_executor().degraded_cooldowns == 1

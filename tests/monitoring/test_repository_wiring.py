@@ -1,5 +1,7 @@
 """Tests: §III repositories wired into the monitors."""
 
+from dataclasses import astuple
+
 from repro.monitoring.application import ApplicationMonitor
 from repro.monitoring.repository import TraceRepository
 from repro.monitoring.storage import StorageMonitor
@@ -68,3 +70,23 @@ class TestStorageMonitorRepository:
         monitor.on_physical(physical(0.0))
         monitor.on_physical(physical(100.0))
         assert monitor.intervals("e0") == [100.0]
+
+    def test_record_tap_stores_field_equal_records(self, tmp_path):
+        # on_physical delegates to on_physical_fast, which stores a fresh
+        # record: every field must survive, spilled records included.
+        repo = TraceRepository(
+            PhysicalIORecord, max_memory_records=2, spill_dir=tmp_path
+        )
+        monitor = StorageMonitor(
+            [DiskEnclosure("e0"), DiskEnclosure("e1")], repository=repo
+        )
+        sent = [
+            PhysicalIORecord(1.0, "e0", 7, 2, IOType.READ, "item-a"),
+            PhysicalIORecord(2.0, "e1", 9, 1, IOType.WRITE, None),
+            PhysicalIORecord(3.5, "e0", 11, 3, IOType.WRITE, "item-b"),
+        ]
+        for record in sent:
+            monitor.on_physical(record)
+        assert list(tmp_path.glob("spill-*.csv"))
+        assert [astuple(r) for r in repo] == [astuple(r) for r in sent]
+        assert monitor.physical_io_count == 6
