@@ -282,13 +282,20 @@ class InvariantAuditor:
         # clock: every page ever absorbed into the write-delay partition
         # is either still dirty or was flushed to disk.  Exact integer
         # identity — any slip here means an acknowledged write vanished
-        # (or was flushed twice).
+        # (or was flushed twice).  The dirty side is recounted from the
+        # page sets, so a drifted O(1) counter cannot hide a lost page.
         delay = ctx.cache.write_delay
-        if delay.absorbed_pages != delay.flushed_pages + delay.dirty_pages:
+        dirty = delay.recount_dirty_pages()
+        if delay.dirty_pages != dirty:
+            problems.append(
+                f"write-delay dirty-page counter drift: counter says "
+                f"{delay.dirty_pages} pages, page sets hold {dirty}"
+            )
+        if delay.absorbed_pages != delay.flushed_pages + dirty:
             problems.append(
                 "acknowledged-write conservation broken: absorbed "
                 f"{delay.absorbed_pages} pages != flushed "
-                f"{delay.flushed_pages} + dirty {delay.dirty_pages}"
+                f"{delay.flushed_pages} + dirty {dirty}"
             )
         clock = ctx.fault_clock
         if clock is None:

@@ -7,9 +7,9 @@ questions the storage layer asks at its injection points:
 * :meth:`FaultClock.spin_up_attempt` — from
   :meth:`~repro.storage.enclosure.DiskEnclosure._ensure_on`: does this
   spin-up attempt fail, and how slow is it?
-* :meth:`FaultClock.outage_at` — from enclosure ``submit``/``occupy``
-  and the controller's routing logic: is this enclosure inside an
-  injected outage window right now?
+* :meth:`FaultClock.outage_at` — from enclosure
+  ``submit_one``/``submit``/``occupy`` and the controller's routing
+  logic: is this enclosure inside an injected outage window right now?
 * :meth:`FaultClock.battery_failure_time` — from the controller's
   virtual-time hook (:meth:`~repro.storage.controller.StorageController.on_time`,
   driven as kernel :class:`~repro.engine.events.FaultBookkeepingEvent`
@@ -65,6 +65,23 @@ class FaultClock:
 
     def __init__(self, plan: FaultPlan | None = None) -> None:
         self.plan = plan if plan is not None else FaultPlan()
+        # The plan is immutable, so the questions asked on every I/O are
+        # answered from an index built once here.  Derived data: rebuilt
+        # by construction on resume, never part of :meth:`snapshot_state`.
+        outages: dict[str, list[EnclosureOutage]] = {}
+        battery_times: list[Seconds] = []
+        for event in self.plan.events:
+            if isinstance(event, EnclosureOutage):
+                outages.setdefault(event.enclosure, []).append(event)
+            elif isinstance(event, CacheBatteryFailure):
+                battery_times.append(event.time)
+        #: Outage windows per enclosure, in plan order.
+        self._outages: dict[str, tuple[EnclosureOutage, ...]] = {
+            name: tuple(windows) for name, windows in outages.items()
+        }
+        self._battery_failure_time: Seconds | None = (
+            min(battery_times) if battery_times else None
+        )
         self._states: dict[str, _EnclosureFaultState] = {}
         self._consumed_spin_up_events: set[int] = set()
         self._consumed_aborts: set[int] = set()
@@ -132,34 +149,25 @@ class FaultClock:
     def outage_at(self, enclosure: str, now: Seconds) -> EnclosureOutage | None:
         """The outage window covering ``now``, if any.
 
-        With overlapping windows the one ending last wins, so a caller
-        waiting until ``.end`` makes progress past the whole cluster.
+        With overlapping windows the one ending last wins (the first in
+        plan order among equal ends), so a caller waiting until ``.end``
+        makes progress past the whole cluster.
         """
+        windows = self._outages.get(enclosure)
+        if windows is None:
+            return None
         found: EnclosureOutage | None = None
-        for event in self.plan.events:
-            if (
-                isinstance(event, EnclosureOutage)
-                and event.enclosure == enclosure
-                and event.start <= now < event.end
+        for event in windows:
+            if event.start <= now < event.end and (
+                found is None or event.end > found.end
             ):
-                if found is None or event.end > found.end:
-                    found = event
+                found = event
         return found
 
     @property
     def battery_failure_time(self) -> Seconds | None:
         """Virtual time of the earliest scheduled battery failure."""
-        times = [
-            event.time
-            for event in self.plan.events
-            if isinstance(event, CacheBatteryFailure)
-        ]
-        return min(times) if times else None
-
-    def battery_failed(self, now: Seconds) -> bool:
-        """Whether the cache battery has failed at or before ``now``."""
-        time = self.battery_failure_time
-        return time is not None and now >= time
+        return self._battery_failure_time
 
     def migration_abort(self, item_id: str, now: Seconds) -> bool:
         """Consume a matching one-shot :class:`MigrationAbort`, if any."""

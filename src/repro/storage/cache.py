@@ -198,6 +198,10 @@ class WriteDelayPartition:
         self.dirty_block_rate = dirty_block_rate
         self._selected: set[str] = set()
         self._dirty: dict[str, set[int]] = {}
+        #: Pages across every set of ``_dirty``, kept by each mutator so
+        #: the per-I/O dirty-rate test is O(1); the invariant auditor
+        #: recounts the sets and checks this against them.
+        self._dirty_count = 0
         self.flush_count = 0
         #: Acknowledged-write conservation books: every page ever absorbed
         #: (acknowledged to the application) is either still dirty here or
@@ -221,6 +225,10 @@ class WriteDelayPartition:
     @property
     def dirty_pages(self) -> int:
         """Number of dirty pages currently buffered."""
+        return self._dirty_count
+
+    def recount_dirty_pages(self) -> int:
+        """Dirty pages counted from the page sets (the audit's oracle)."""
         return sum(len(pages) for pages in self._dirty.values())
 
     def selected_items(self) -> set[str]:
@@ -250,6 +258,7 @@ class WriteDelayPartition:
         if not pages:
             return FlushPlan({})
         self.flushed_pages += len(pages)
+        self._dirty_count -= len(pages)
         return FlushPlan({item_id: len(pages) * PAGE_BYTES})
 
     def absorb_write(self, item_id: str, page: int) -> bool:
@@ -264,7 +273,8 @@ class WriteDelayPartition:
         if page not in pages:
             pages.add(page)
             self.absorbed_pages += 1
-        return self.dirty_pages >= self.dirty_threshold_pages
+            self._dirty_count += 1
+        return self._dirty_count >= self.dirty_threshold_pages
 
     def is_dirty(self, item_id: str, page: int) -> bool:
         """Whether the given page of the item is dirty."""
@@ -284,6 +294,7 @@ class WriteDelayPartition:
         if not pages:
             return FlushPlan({})
         self.flushed_pages += len(pages)
+        self._dirty_count -= len(pages)
         return FlushPlan({item_id: len(pages) * PAGE_BYTES})
 
     def flush_all(self) -> FlushPlan:
@@ -295,10 +306,9 @@ class WriteDelayPartition:
                 if pages
             }
         )
-        self.flushed_pages += sum(
-            len(pages) for pages in self._dirty.values()
-        )
+        self.flushed_pages += self._dirty_count
         self._dirty.clear()
+        self._dirty_count = 0
         self.flush_count += 1
         return plan
 
@@ -324,6 +334,7 @@ class WriteDelayPartition:
         """Restore the partition exactly as captured."""
         self._selected = set(state["selected"])
         self._dirty = {item: set(pages) for item, pages in state["dirty"]}
+        self._dirty_count = self.recount_dirty_pages()
         self.flush_count = state["flush_count"]
         self.absorbed_pages = state["absorbed_pages"]
         self.flushed_pages = state["flushed_pages"]

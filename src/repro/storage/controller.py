@@ -245,6 +245,8 @@ class StorageController:
 
     def _drain_emergency(self, now: Seconds) -> None:
         """Flush emergency-buffered items whose outage has ended."""
+        if not self._emergency_items:
+            return
         for item_id in sorted(self._emergency_items):
             enclosure = self.virtualization.enclosure_of(item_id)
             if self._fault_clock.outage_at(enclosure.name, now) is not None:
@@ -449,9 +451,7 @@ class StorageController:
         if faulted:
             served, delay = self._with_fault_retry(
                 timestamp,
-                lambda at: enclosure.submit(
-                    at, read=is_read, sequential=sequential
-                ).mean_response_time,
+                lambda at: enclosure.submit_one(at, is_read, sequential),
             )
             issued = timestamp + delay
             response = served + delay

@@ -223,14 +223,6 @@ class DiskEnclosure:
         """Attach the simulation's fault oracle (:mod:`repro.faults`)."""
         self._fault_clock = clock
 
-    def _check_outage(self, at: Seconds) -> None:
-        """Refuse service while inside an injected outage window."""
-        if self._fault_clock is None:
-            return
-        outage = self._fault_clock.outage_at(self.name, at)
-        if outage is not None:
-            raise EnclosureUnavailableError(self.name, at, outage.end)
-
     # ------------------------------------------------------------------
     # timeline
     # ------------------------------------------------------------------
@@ -414,7 +406,8 @@ class DiskEnclosure:
         if count <= 0:
             raise ValidationError("count must be positive")
         service = self.service_time(count, sequential)
-        return self._serve(now, service, count, read)
+        start, completion = self._serve(now, service, count, read)
+        return IOResult(arrival=now, start=start, completion=completion, count=count)
 
     def submit_one(
         self,
@@ -424,18 +417,32 @@ class DiskEnclosure:
     ) -> Seconds:
         """Serve a single I/O; returns its mean response time in seconds.
 
-        The allocation-free specialization of :meth:`submit` for
-        ``count=1`` that the batched replay pump drives: no
-        :class:`IOResult` is built, and the no-fault run skips the
-        outage/spin-up-failure machinery entirely.  Kept
-        operation-for-operation float-identical to
-        ``submit(now, count=1, ...).mean_response_time`` — the golden
-        bit-identity test holds both paths to the same timeline.
+        The allocation-free form of :meth:`submit` for ``count=1`` that
+        the replay path drives: no :class:`IOResult` is built.  Both
+        branches walk the timeline exactly as :meth:`submit` does and
+        leave the same state; they differ only in how the response is
+        summed.
+
+        * With a fault clock attached, the outage refusals, spin-up fault
+          draw and outage-violation audit of :meth:`submit` run in the
+          same order, and the return value is ``(start - now) +
+          (completion - start)`` — bit-equal to
+          ``submit(now, count=1, ...).mean_response_time`` (its
+          ``service × 2 / 2`` is exact in floating point).
+        * Without one, the return value is ``(start - now) + 1/rate``.
+          ``(start + s) - start`` may differ from ``s`` in the last bit,
+          so this can differ from :meth:`submit` by one ULP; the
+          fault-free golden replay fixtures pin this form.
         """
         if self._fault_clock is not None:
-            return self.submit(
-                now, count=1, read=read, sequential=sequential
-            ).mean_response_time
+            # 1/rate == service_time(1, sequential), as in the branch below.
+            start, completion = self._serve(
+                now,
+                1.0 / (self.iops_sequential if sequential else self.iops_random),
+                1,
+                read,
+            )
+            return (start - now) + (completion - start)
         self.settle(now)
         state = self._state
         if state is not PowerState.ACTIVE and state is not PowerState.IDLE:
@@ -525,34 +532,61 @@ class DiskEnclosure:
             raise ValidationError("seconds must be non-negative")
         if count <= 0:
             raise ValidationError("count must be positive")
-        return self._serve(now, seconds, count, read)
+        start, completion = self._serve(now, seconds, count, read)
+        return IOResult(arrival=now, start=start, completion=completion, count=count)
 
     def _serve(
         self, now: Seconds, seconds: Seconds, count: int, read: bool
-    ) -> IOResult:
-        """Queue ``count`` I/Os arriving at ``now`` for ``seconds`` of service."""
-        self.settle(max(now, self._clock))
-        self._check_outage(max(now, self._clock))
-        self._ensure_on()
-        start = max(now, self._clock, self._busy_until)
-        # The queue (or spin-up wait) may have pushed the start into an
-        # outage window that opened after arrival — refuse before any
-        # service state is mutated; the controller retries past the window.
-        self._check_outage(start)
-        self.settle(start)
+    ) -> tuple[Seconds, Seconds]:
+        """Queue ``count`` I/Os arriving at ``now`` for ``seconds`` of service.
+
+        Returns the service ``(start, completion)``.  Every faulted I/O
+        goes through here, so the outage refusals, spin-up fault draw and
+        outage-violation audit run in one order for all of them.
+        """
+        faults = self._fault_clock
+        # at = max(now, clock) and start = max(now, clock, busy_until),
+        # written out: this runs for every faulted I/O.
+        at = self._clock if self._clock > now else now
+        self.settle(at)
+        if faults is not None:
+            outage = faults.outage_at(self.name, at)
+            if outage is not None:
+                raise EnclosureUnavailableError(self.name, at, outage.end)
+        state = self._state
+        if state is not PowerState.ACTIVE and state is not PowerState.IDLE:
+            self._ensure_on()
+        start = now
+        if self._clock > start:
+            start = self._clock
+        if self._busy_until > start:
+            start = self._busy_until
+        if faults is not None:
+            # The queue (or spin-up wait) may have pushed the start into
+            # an outage window that opened after arrival — refuse before
+            # any service state is mutated; the controller retries past
+            # the window.
+            outage = faults.outage_at(self.name, start)
+            if outage is not None:
+                raise EnclosureUnavailableError(self.name, start, outage.end)
+        # settle(start) is a no-op unless the queue pushed the start past
+        # the settled clock.
+        if start > self._clock:
+            self.settle(start)
         completion = start + seconds
-        if self._fault_clock is not None:
-            self._fault_clock.note_service(self.name, start)
+        if faults is not None:
+            faults.note_service(self.name, start)
         if self._state is not PowerState.ACTIVE:
             self._transition(PowerState.ACTIVE, start)
-        self._busy_until = max(self._busy_until, completion)
+        if completion > self._busy_until:
+            self._busy_until = completion
         self.io_count += count
         if read:
             self.read_count += count
         else:
             self.write_count += count
         self.last_io_time = now
-        return IOResult(arrival=now, start=start, completion=completion, count=count)
+        return start, completion
 
     def finish(self, now: Seconds) -> None:
         """Settle the timeline to the end of the run."""

@@ -86,6 +86,36 @@ def test_placement_drift_raises_audit_error() -> None:
         auditor.check(2.0)
 
 
+def _context_with_one_dirty_page() -> SimulationContext:
+    context = _fresh_context()
+    wd = context.cache.write_delay
+    wd.select("item-x")
+    wd.absorb_write("item-x", 0)
+    return context
+
+
+def test_drifted_dirty_counter_raises_audit_error() -> None:
+    context = _context_with_one_dirty_page()
+    auditor = InvariantAuditor(context)
+    auditor.check(1.0)
+    # Corrupt the O(1) dirty-page counter behind the API's back.
+    context.cache.write_delay._dirty_count += 1
+    with pytest.raises(AuditError, match="dirty-page counter drift"):
+        auditor.check(2.0)
+
+
+def test_lost_dirty_page_caught_despite_counter() -> None:
+    context = _context_with_one_dirty_page()
+    auditor = InvariantAuditor(context)
+    auditor.check(1.0)
+    # The page vanishes from the sets but the counter still holds it, so
+    # absorbed == flushed + counter would pass; the recount must not.
+    context.cache.write_delay._dirty["item-x"].clear()
+    assert context.cache.write_delay.dirty_pages == 1
+    with pytest.raises(AuditError, match="conservation broken"):
+        auditor.check(2.0)
+
+
 def test_time_moving_backwards_raises_audit_error() -> None:
     context = _fresh_context()
     auditor = InvariantAuditor(context)

@@ -146,14 +146,15 @@ class TestClockBatteryAndMigration:
             )
         )
         clock = FaultClock(plan)
-        assert clock.battery_failure_time == 50.0
-        assert not clock.battery_failed(49.9)
-        assert clock.battery_failed(50.0)
+        failure_time = clock.battery_failure_time
+        assert failure_time == 50.0
+        # The controller treats the battery as failed from that instant.
+        assert not 49.9 >= failure_time
+        assert 50.0 >= failure_time
 
     def test_no_battery_event(self) -> None:
         clock = FaultClock(FaultPlan())
         assert clock.battery_failure_time is None
-        assert not clock.battery_failed(1e9)
 
     def test_migration_abort_is_one_shot(self) -> None:
         plan = FaultPlan(
@@ -165,3 +166,75 @@ class TestClockBatteryAndMigration:
         assert clock.migration_abort("item-1", 15.0)
         assert not clock.migration_abort("item-1", 16.0)
         assert clock.migration_aborts_injected == 1
+
+
+class TestClockIndex:
+    """The per-enclosure outage index and the cached battery time."""
+
+    PLAN = FaultPlan(
+        events=(
+            EnclosureOutage(enclosure="e0", start=10.0, end=30.0),
+            CacheBatteryFailure(time=300.0),
+            EnclosureOutage(enclosure="e1", start=0.0, end=500.0),
+            EnclosureOutage(enclosure="e0", start=20.0, end=60.0),
+            SpinUpFailure(enclosure="e0", after=5.0, failures=2),
+            EnclosureOutage(enclosure="e0", start=25.0, end=45.0),
+            CacheBatteryFailure(time=120.0),
+            EnclosureOutage(enclosure="e0", start=50.0, end=60.0),
+            CacheBatteryFailure(time=200.0),
+        ),
+        model=FaultModel(seed=5, spin_up_failure_prob=0.4),
+    )
+
+    def test_overlapping_windows_latest_ending_wins(self) -> None:
+        clock = FaultClock(self.PLAN)
+        assert clock.outage_at("e0", 12.0).end == 30.0
+        # [10, 30), [20, 60) and [25, 45) all cover t=26.
+        assert clock.outage_at("e0", 26.0).end == 60.0
+        assert clock.outage_at("e0", 59.0).end == 60.0
+        assert clock.outage_at("e0", 60.0) is None
+
+    def test_equal_ends_keep_plan_order(self) -> None:
+        # [20, 60) precedes [50, 60) in the plan and wins the tie.
+        outage = FaultClock(self.PLAN).outage_at("e0", 55.0)
+        assert (outage.start, outage.end) == (20.0, 60.0)
+
+    def test_other_enclosures_windows_ignored(self) -> None:
+        clock = FaultClock(self.PLAN)
+        # e1's window ends later than every e0 window and covers them all.
+        assert clock.outage_at("e0", 5.0) is None
+        assert clock.outage_at("e0", 70.0) is None
+        assert clock.outage_at("e1", 26.0).end == 500.0
+
+    def test_enclosure_without_windows(self) -> None:
+        clock = FaultClock(self.PLAN)
+        assert clock.outage_at("e2", 26.0) is None
+        assert FaultClock(FaultPlan()).outage_at("e0", 26.0) is None
+
+    def test_battery_failure_time_is_minimum(self) -> None:
+        assert FaultClock(self.PLAN).battery_failure_time == 120.0
+
+    def test_restored_clock_answers_identically(self) -> None:
+        clock = FaultClock(self.PLAN)
+        for at in (6.0, 7.0, 8.0, 9.0):
+            clock.spin_up_attempt("e0", at)
+        clock.note_service("e0", 26.0)
+        state = clock.snapshot_state()
+        restored = FaultClock(self.PLAN)
+        restored.restore_state(state)
+        assert restored.snapshot_state() == state
+        assert restored.battery_failure_time == clock.battery_failure_time
+        for name in ("e0", "e1", "e2"):
+            for step in range(0, 1300, 7):
+                at = step / 2.0
+                assert restored.outage_at(name, at) == clock.outage_at(
+                    name, at
+                )
+        for at in (70.0, 71.0, 72.0):
+            assert restored.spin_up_attempt("e0", at) == (
+                clock.spin_up_attempt("e0", at)
+            )
+
+    def test_index_is_not_snapshotted(self) -> None:
+        state = FaultClock(self.PLAN).snapshot_state()
+        assert state == FaultClock(FaultPlan()).snapshot_state()

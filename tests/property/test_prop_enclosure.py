@@ -3,11 +3,16 @@
 Whatever sequence of I/Os, settles, and policy flips happens, the
 timeline must remain consistent: time-in-state sums to the clock, energy
 equals Σ state-power × state-time, and the FIFO queue never reorders.
+Under fault injection, the single-I/O path (``submit_one``) must be
+indistinguishable from ``submit(count=1)``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import EnclosureUnavailableError, SpinUpFailedError
+from repro.faults import FaultClock, FaultModel, FaultPlan
+from repro.faults.plan import EnclosureOutage, SlowSpinUp, SpinUpFailure
 from repro.storage.enclosure import DiskEnclosure
 from repro.storage.power import PowerState
 
@@ -115,3 +120,100 @@ def test_response_never_below_service_time(deltas):
         result = enc.submit(clock)
         assert result.response_time >= enc.service_time(1, False) - 1e-9
         assert result.wait_time >= 0.0
+
+
+# ----------------------------------------------------------------------
+# Faulted I/O: submit_one against submit(count=1)
+# ----------------------------------------------------------------------
+@st.composite
+def fault_plans(draw):
+    windows = st.tuples(
+        st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
+        st.floats(min_value=0.5, max_value=300.0, allow_nan=False),
+    )
+    events = [
+        EnclosureOutage(enclosure="e0", start=start, end=start + length)
+        for start, length in draw(st.lists(windows, max_size=4))
+    ]
+    events += [
+        SpinUpFailure(enclosure="e0", after=after, failures=failures)
+        for after, failures in draw(
+            st.lists(
+                st.tuples(
+                    st.floats(min_value=0.0, max_value=2000.0),
+                    st.integers(min_value=1, max_value=3),
+                ),
+                max_size=3,
+            )
+        )
+    ]
+    events += [
+        SlowSpinUp(
+            enclosure="e0", start=start, end=start + length, multiplier=3.0
+        )
+        for start, length in draw(st.lists(windows, max_size=2))
+    ]
+    model = FaultModel(
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        spin_up_failure_prob=draw(st.floats(min_value=0.0, max_value=0.6)),
+        max_consecutive_failures=draw(st.integers(min_value=1, max_value=3)),
+        slow_spin_up_prob=draw(st.floats(min_value=0.0, max_value=0.6)),
+    )
+    return FaultPlan(events=tuple(draw(st.permutations(events))), model=model)
+
+
+faulted_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["io", "io", "io", "settle", "enable", "disable"]),
+        st.floats(min_value=0.0, max_value=120.0, allow_nan=False),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+def _outcome(call):
+    """A call's return value, or its exception type and fault time."""
+    try:
+        return call()
+    except EnclosureUnavailableError as err:
+        return (EnclosureUnavailableError, err.at, err.until)
+    except SpinUpFailedError as err:
+        return (SpinUpFailedError, err.at)
+
+
+@given(fault_plans(), faulted_ops)
+@settings(max_examples=200, deadline=None)
+def test_faulted_submit_one_matches_submit(plan, ops):
+    one, batch = (
+        DiskEnclosure(
+            "e0", iops_random=2.0, iops_sequential=6.0, spin_down_timeout=20.0
+        )
+        for _ in range(2)
+    )
+    one_clock, batch_clock = FaultClock(plan), FaultClock(plan)
+    one.set_fault_clock(one_clock)
+    batch.set_fault_clock(batch_clock)
+    now = 0.0
+    for op, delta, read, sequential in ops:
+        now += delta
+        if op == "io":
+            got = _outcome(lambda: one.submit_one(now, read, sequential))
+            want = _outcome(
+                lambda: batch.submit(
+                    now, count=1, read=read, sequential=sequential
+                ).mean_response_time
+            )
+            assert got == want
+        elif op == "settle":
+            one.settle(now)
+            batch.settle(now)
+        elif op == "enable":
+            one.enable_power_off(now)
+            batch.enable_power_off(now)
+        else:
+            one.disable_power_off(now)
+            batch.disable_power_off(now)
+        assert one.snapshot_state() == batch.snapshot_state()
+        assert one_clock.snapshot_state() == batch_clock.snapshot_state()
