@@ -154,9 +154,6 @@ class ActionExecutor:
         self.fault_clock = fault_clock
         #: Every record of every live (non-dry) apply, in order.
         self.log: list[ActionRecord] = []
-        #: Benchmarks may disable log retention to measure its overhead;
-        #: counters keep updating either way.
-        self.record_log = True
 
         # Outcome counters (live applies only).
         self.actions_applied = 0
@@ -256,8 +253,7 @@ class ActionExecutor:
             completed = max(completed, record.completion)
         if not dry_run:
             self._count(records)
-            if self.record_log:
-                self.log.extend(records)
+            self.log.extend(records)
         return ApplyReport(
             records=tuple(records),
             started_at=now,

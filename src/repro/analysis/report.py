@@ -44,15 +44,6 @@ def render_table(title: str, rows: Sequence[PaperRow]) -> str:
     return "\n".join(lines)
 
 
-def render_simple(title: str, rows: dict[str, str]) -> str:
-    """Render a name → value mapping as a small text table."""
-    width = max(len(k) for k in rows) if rows else 0
-    lines = [title]
-    for key, value in rows.items():
-        lines.append(f"  {key:<{width}}  {value}")
-    return "\n".join(lines)
-
-
 def experiment_rows(
     results: Mapping[str, "ExperimentResult"],
 ) -> list[PaperRow]:

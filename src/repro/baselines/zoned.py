@@ -26,7 +26,7 @@ from repro.storage.enclosure import DiskEnclosure
 from repro.storage.meter import PowerMeter
 from repro.storage.migration import MigrationEngine
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import PhysicalIORecord
+from repro.trace.records import IOType
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,24 @@ class ZonedPolicy(PowerPolicy):
     # PowerPolicy interface: fan out to the zones
     # ------------------------------------------------------------------
     def _install_fan_out(self) -> None:
-        """Tap physical records and fan them out per zone's monitor."""
+        """Tap physical I/O and fan it out per zone's monitor."""
         context = self._require_context()
-        inner_tap = context.storage_monitor.on_physical
+        inner_tap = context.storage_monitor.on_physical_fast
 
-        def fan_out(record: PhysicalIORecord) -> None:
-            inner_tap(record)
+        def fan_out(
+            timestamp: float,
+            enclosure: str,
+            block: int,
+            count: int,
+            io_type: IOType,
+            item_id: str | None,
+        ) -> None:
+            inner_tap(timestamp, enclosure, block, count, io_type, item_id)
             for zone in self.zones:
-                if record.enclosure in zone.enclosures:
-                    zone.policy.context.storage_monitor.on_physical(record)
+                if enclosure in zone.enclosures:
+                    zone.policy.context.storage_monitor.on_physical_fast(
+                        timestamp, enclosure, block, count, io_type, item_id
+                    )
                     break
 
         context.controller.set_physical_tap(fan_out)

@@ -24,7 +24,6 @@ Subcommands::
                       [--jobs N] [--cache-dir DIR]
     ecostor fleet report PATH
     ecostor intervals WORKLOAD POLICY [--full]
-    ecostor bench [--workload W] [--repeats N] [--out BENCH_engine.json]
     ecostor check [PATHS ...] [--format text|json] [--select CHECK ...]
                   [--baseline FILE] [--no-baseline] [--write-baseline]
                   [--list-checks]
@@ -421,17 +420,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     print(report.render())
     return 0 if report.ok else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import main as bench_main
-
-    return bench_main(
-        workload_name=args.workload,
-        full=args.full,
-        repeats=args.repeats,
-        out=args.out,
-    )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -927,17 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_options(chaos)
     chaos.set_defaults(func=_cmd_chaos)
-
-    bench = sub.add_parser(
-        "bench", help="replay-throughput benchmark (BENCH_engine.json)"
-    )
-    bench.add_argument("--workload", choices=WORKLOAD_NAMES, default="tpcc")
-    bench.add_argument("--full", action="store_true")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--out", default=None, help="write the JSON document here"
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     check = sub.add_parser(
         "check",

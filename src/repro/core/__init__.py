@@ -11,12 +11,11 @@ from repro.core.cache_policy import (
     select_preload_items,
     select_write_delay_items,
 )
-from repro.core.hotcold import HotColdSplit, determine_hot_cold
+from repro.core.hotcold import HotColdSplit
 from repro.core.intervals import (
     Interval,
     IOSequence,
     ItemActivity,
-    activity_from_records,
     extract_activity,
 )
 from repro.core.manager import EnergyEfficientPolicy, ManagementSnapshot
@@ -43,10 +42,8 @@ __all__ = [
     "ManagementSnapshot",
     "PatternChangeTriggers",
     "TriggerResult",
-    "activity_from_records",
     "build_profiles",
     "classify",
-    "determine_hot_cold",
     "determine_placement",
     "extract_activity",
     "next_monitoring_period",

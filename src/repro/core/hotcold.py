@@ -60,36 +60,22 @@ def _p3_totals(
     return totals, p3_bytes
 
 
-def _peak_from_totals(
-    totals: Mapping[int, int], bucket_seconds: float, percentile: float
-) -> float:
+def _peak_from_totals(totals: Mapping[int, int], bucket_seconds: float) -> float:
+    """``I_max``: peak over time of the summed IOPS of all P3 items.
+
+    The totals are the profiles' aligned bucket counts, so simultaneous
+    bursts of different items add up in the bucket where they coincide
+    — the paper's ``max_t Σ_i I_it``.  The peak is taken as the 95th
+    percentile of the bucket sums rather than the strict maximum: at
+    simulation scale each bucket holds few I/Os, and a single noisy
+    bucket would inflate ``N_hot`` and churn the hot set window over
+    window.
+    """
     if not totals:
         return 0.0
     values = sorted(totals.values())
-    index = max(0, math.ceil(len(values) * percentile / 100.0) - 1)
+    index = max(0, math.ceil(len(values) * 95.0 / 100.0) - 1)
     return values[index] / bucket_seconds
-
-
-def p3_peak_aggregate_iops(
-    profiles: Mapping[str, ItemProfile],
-    bucket_seconds: float,
-    percentile: float = 95.0,
-) -> float:
-    """``I_max``: peak over time of the summed IOPS of all P3 items.
-
-    Uses the profiles' aligned bucket counts, so simultaneous bursts of
-    different items add up in the bucket where they coincide — the
-    paper's ``max_t Σ_i I_it``.  The peak is taken as a high percentile
-    of the bucket sums rather than the strict maximum: at simulation
-    scale each bucket holds few I/Os, and a single noisy bucket would
-    inflate ``N_hot`` and churn the hot set window over window.
-    """
-    if bucket_seconds <= 0:
-        raise ValidationError("bucket_seconds must be positive")
-    if not 0 < percentile <= 100:
-        raise ValidationError("percentile must be in (0, 100]")
-    totals, _ = _p3_totals(profiles)
-    return _peak_from_totals(totals, bucket_seconds, percentile)
 
 
 def required_hot_count(
@@ -106,7 +92,7 @@ def required_hot_count(
     if bucket_seconds <= 0:
         raise ValidationError("bucket_seconds must be positive")
     totals, p3_bytes = _p3_totals(profiles)
-    i_max = _peak_from_totals(totals, bucket_seconds, 95.0)
+    i_max = _peak_from_totals(totals, bucket_seconds)
     n_for_iops = math.ceil(i_max / max_enclosure_iops)
     n_for_size = math.ceil(p3_bytes / enclosure_size_bytes)
     return max(n_for_iops, n_for_size), i_max
@@ -158,17 +144,3 @@ def choose_hot_cold(
         i_max=i_max,
         n_hot=n_hot,
     )
-
-
-def determine_hot_cold(
-    profiles: Mapping[str, ItemProfile],
-    enclosure_names: Sequence[str],
-    max_enclosure_iops: float,
-    enclosure_size_bytes: int,
-    bucket_seconds: float,
-) -> HotColdSplit:
-    """The full §IV-C procedure: Steps 1–3 in one call."""
-    n_hot, i_max = required_hot_count(
-        profiles, max_enclosure_iops, enclosure_size_bytes, bucket_seconds
-    )
-    return choose_hot_cold(profiles, enclosure_names, n_hot, i_max)

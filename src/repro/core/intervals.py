@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ValidationError
-from repro.trace.records import LogicalIORecord
 
 
 @dataclass(frozen=True)
@@ -191,18 +190,4 @@ def extract_activity(
         window_end=window_end,
         long_intervals=tuple(long_intervals),
         sequences=tuple(sequences),
-    )
-
-
-def activity_from_records(
-    item_id: str,
-    records: Sequence[LogicalIORecord],
-    window_start: float,
-    window_end: float,
-    break_even_time: float,
-) -> ItemActivity:
-    """Convenience wrapper taking :class:`LogicalIORecord` objects."""
-    events = [(rec.timestamp, rec.is_read) for rec in records]
-    return extract_activity(
-        item_id, events, window_start, window_end, break_even_time
     )

@@ -231,13 +231,3 @@ def pattern_fractions(
     if total == 0:
         return {pattern: 0.0 for pattern in IOPattern}
     return {pattern: count / total for pattern, count in counts.items()}
-
-
-def items_with_pattern(
-    profiles: Mapping[str, ItemProfile], pattern: IOPattern
-) -> list[ItemProfile]:
-    """All profiles of one pattern, in deterministic (item id) order."""
-    return sorted(
-        (p for p in profiles.values() if p.pattern is pattern),
-        key=lambda p: p.item_id,
-    )

@@ -344,7 +344,7 @@ class InvariantAuditor:
             + executor.actions_vetoed
             + executor.actions_rejected
         )
-        if executor.record_log and len(executor.log) != outcome_total:
+        if len(executor.log) != outcome_total:
             problems.append(
                 f"action log length {len(executor.log)} disagrees with "
                 f"outcome counters summing to {outcome_total}"

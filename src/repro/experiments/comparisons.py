@@ -47,18 +47,6 @@ def power_rows(
     return rows
 
 
-def saving_percentages(
-    results: dict[str, ExperimentResult],
-) -> dict[str, float]:
-    """Measured power-saving percentage per policy."""
-    baseline = results["no-power-saving"].enclosure_watts
-    return {
-        policy: power_saving_percent(baseline, result.enclosure_watts)
-        for policy, result in results.items()
-        if policy != "no-power-saving"
-    }
-
-
 def migration_rows(
     workload_name: str, results: dict[str, ExperimentResult]
 ) -> list[PaperRow]:

@@ -72,9 +72,3 @@ def comparison(
     from repro.experiments import parallel
 
     return parallel.comparison_results(name, full=full, config=config)
-
-
-def clear_cache() -> None:
-    """Drop memoized workloads and comparisons (tests use this)."""
-    build_workload.cache_clear()
-    comparison.cache_clear()

@@ -20,9 +20,7 @@ See ``docs/fleet.md``.
 from repro.fleet.aggregate import (
     FleetResult,
     audit_fleet,
-    audit_tier_books,
     merge_results,
-    merge_tier_reports,
 )
 from repro.fleet.chaos import array_outage_plans
 from repro.fleet.routing import (
@@ -42,9 +40,7 @@ __all__ = [
     "array_name",
     "array_outage_plans",
     "audit_fleet",
-    "audit_tier_books",
     "merge_results",
-    "merge_tier_reports",
     "shard_columnar",
     "shard_for",
     "shard_workload",

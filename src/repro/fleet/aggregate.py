@@ -30,14 +30,11 @@ from repro.experiments.runner import ExperimentResult
 from repro.faults.report import AvailabilityReport
 from repro.fleet.routing import ARRAY_SEPARATOR, HashRouter, array_name
 from repro.monitoring.application import ResponseStats
-from repro.monitoring.tiers import TierReport
 
 __all__ = [
     "FleetResult",
     "audit_fleet",
-    "audit_tier_books",
     "merge_results",
-    "merge_tier_reports",
 ]
 
 
@@ -266,122 +263,6 @@ def merge_results(
         actions_by_kind=tuple(sorted(kinds.items())),
         audit_checks=sum(r.audit_checks for r in results),
     )
-
-
-def merge_tier_reports(
-    per_array: Sequence[Sequence[TierReport]],
-) -> tuple[TierReport, ...]:
-    """Fold per-array tier reports into fleet-wide per-tier rows.
-
-    Rows merge by tier *name* (every array builds the same tier layout,
-    so names line up); byte and I/O books are exact integer sums,
-    energy/cost/service books plain float sums, and the merged row's
-    ``devices`` concatenates the per-array device names in array order.
-    A tier name appearing with two different kinds is a wiring error
-    and raises :class:`~repro.errors.ValidationError`.
-    """
-    order: list[str] = []
-    rows: dict[str, list[TierReport]] = {}
-    for reports in per_array:
-        for report in reports:
-            if report.tier not in rows:
-                order.append(report.tier)
-                rows[report.tier] = []
-            elif rows[report.tier][0].kind != report.kind:
-                raise ValidationError(
-                    f"tier {report.tier!r} appears as kind "
-                    f"{rows[report.tier][0].kind!r} and {report.kind!r}"
-                )
-            rows[report.tier].append(report)
-    merged = []
-    for tier in order:
-        parts = rows[tier]
-        merged.append(
-            TierReport(
-                tier=tier,
-                kind=parts[0].kind,
-                devices=tuple(
-                    device for part in parts for device in part.devices
-                ),
-                capacity_bytes=sum(p.capacity_bytes for p in parts),
-                used_bytes=sum(p.used_bytes for p in parts),
-                replica_bytes=sum(p.replica_bytes for p in parts),
-                bytes_in=sum(p.bytes_in for p in parts),
-                bytes_out=sum(p.bytes_out for p in parts),
-                energy_joules=sum(p.energy_joules for p in parts),
-                cost_units=sum(p.cost_units for p in parts),
-                service_seconds=sum(p.service_seconds for p in parts),
-                serviced_ios=sum(p.serviced_ios for p in parts),
-            )
-        )
-    return tuple(merged)
-
-
-def audit_tier_books(
-    merged: Sequence[TierReport],
-    per_array: Sequence[Sequence[TierReport]],
-) -> int:
-    """Verify fleet tier books conserve exactly; returns checks run.
-
-    Every merged row's integer books must equal the sum of the
-    per-array rows for that tier (bytes in/out, placement, capacity,
-    serviced I/Os — no tolerance), its float books must equal the plain
-    left-to-right sums, and the ledger identity ``bytes_in − bytes_out
-    == placed bytes`` must hold on the merged row itself.  Raises
-    :class:`~repro.errors.AuditError` on the first violation.
-    """
-    checks = 0
-    parts_by_tier: dict[str, list[TierReport]] = {}
-    for reports in per_array:
-        for report in reports:
-            parts_by_tier.setdefault(report.tier, []).append(report)
-    for row in merged:
-        parts = parts_by_tier.get(row.tier, [])
-        books: list[tuple[str, float, float]] = [
-            ("bytes_in", row.bytes_in, sum(p.bytes_in for p in parts)),
-            ("bytes_out", row.bytes_out, sum(p.bytes_out for p in parts)),
-            ("used_bytes", row.used_bytes, sum(p.used_bytes for p in parts)),
-            (
-                "replica_bytes",
-                row.replica_bytes,
-                sum(p.replica_bytes for p in parts),
-            ),
-            (
-                "capacity_bytes",
-                row.capacity_bytes,
-                sum(p.capacity_bytes for p in parts),
-            ),
-            (
-                "serviced_ios",
-                row.serviced_ios,
-                sum(p.serviced_ios for p in parts),
-            ),
-            (
-                "energy_joules",
-                row.energy_joules,
-                sum(p.energy_joules for p in parts),
-            ),
-            ("cost_units", row.cost_units, sum(p.cost_units for p in parts)),
-            (
-                "service_seconds",
-                row.service_seconds,
-                sum(p.service_seconds for p in parts),
-            ),
-        ]
-        for label, value, derived in books:
-            checks += 1
-            if value != derived:
-                raise AuditError(
-                    f"fleet tier {row.tier!r} {label} book broken: merged "
-                    f"{value!r} != sum of arrays {derived!r}"
-                )
-        checks += 1
-        if row.net_bytes != row.placed_bytes:
-            raise AuditError(
-                f"fleet tier {row.tier!r} conservation broken: ledger net "
-                f"{row.net_bytes} bytes != placed {row.placed_bytes} bytes"
-            )
-    return checks
 
 
 def _action_item_ids(action: Any) -> tuple[str, ...]:

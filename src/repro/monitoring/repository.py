@@ -11,6 +11,7 @@ records first, then the in-memory tail).
 
 from __future__ import annotations
 
+import csv
 import tempfile
 from pathlib import Path
 from typing import Generic, Iterator, TypeVar
@@ -68,51 +69,23 @@ class TraceRepository(Generic[RecordT]):
             self.append(record)
 
     def _spill(self) -> None:
+        new_file = self._spill_path is None
         if self._spill_path is None:
             directory = self._spill_dir or Path(tempfile.mkdtemp(prefix="repro-trace-"))
             directory.mkdir(parents=True, exist_ok=True)
             suffix = "logical" if self.record_type is LogicalIORecord else "physical"
             self._spill_path = directory / f"spill-{suffix}-{id(self):x}.csv"
-            self._write_header()
-        with open(self._spill_path, "a", newline="") as handle:
-            import csv
-
+        with open(self._spill_path, "w" if new_file else "a", newline="") as handle:
             writer = csv.writer(handle)
-            for record in self._memory:
-                writer.writerow(self._serialize(record))
+            if new_file:
+                writer.writerow(
+                    trace_writer.LOGICAL_HEADER
+                    if self.record_type is LogicalIORecord
+                    else trace_writer.PHYSICAL_HEADER
+                )
+            writer.writerows(map(trace_writer.trace_row, self._memory))
         self._spilled_count += len(self._memory)
         self._memory.clear()
-
-    def _write_header(self) -> None:
-        assert self._spill_path is not None
-        header = (
-            trace_writer.LOGICAL_HEADER
-            if self.record_type is LogicalIORecord
-            else trace_writer.PHYSICAL_HEADER
-        )
-        with open(self._spill_path, "w", newline="") as handle:
-            import csv
-
-            csv.writer(handle).writerow(header)
-
-    def _serialize(self, record: RecordT) -> list[str]:
-        if isinstance(record, LogicalIORecord):
-            return [
-                f"{record.timestamp:.6f}",
-                record.item_id,
-                str(record.offset),
-                str(record.size),
-                record.io_type.value,
-                "1" if record.sequential else "0",
-            ]
-        return [
-            f"{record.timestamp:.6f}",
-            record.enclosure,
-            str(record.block_address),
-            str(record.count),
-            record.io_type.value,
-            record.item_id or "",
-        ]
 
     def __iter__(self) -> Iterator[RecordT]:
         """Iterate all records: spilled (from disk) first, then memory."""

@@ -52,7 +52,7 @@ class StorageMonitor:
     # physical I/O trace
     # ------------------------------------------------------------------
     def on_physical(self, record: PhysicalIORecord) -> None:
-        """Physical-tap callback from the storage controller."""
+        """Record one physical I/O passed as a record."""
         self.on_physical_fast(
             record.timestamp,
             record.enclosure,
@@ -71,7 +71,7 @@ class StorageMonitor:
         io_type: IOType,
         item_id: str | None,
     ) -> None:
-        """Scalar physical-tap callback for the batched hot path.
+        """Physical-tap callback from the storage controller.
 
         A :class:`~repro.trace.records.PhysicalIORecord` is materialized
         only when a repository actually stores the trace.

@@ -191,14 +191,10 @@ def build_context(
         virtualization,
         cache,
         migration_throughput_bps=config.migration_throughput_bps,
-        physical_tap=storage_monitor.on_physical,
+        physical_tap=storage_monitor.on_physical_fast,
         retry_backoff_base=config.fault_backoff_base,
         retry_backoff_cap=config.fault_backoff_cap,
     )
-    # The storage monitor understands scalar taps, so the hot path never
-    # materializes PhysicalIORecord objects unless a repository stores
-    # them; the record tap above stays as the fallback for custom taps.
-    controller.set_physical_tap_fast(storage_monitor.on_physical_fast)
     fault_clock: FaultClock | None = None
     if faults is not None and faults:
         fault_clock = FaultClock(faults)

@@ -31,11 +31,6 @@ PAGE_BLOCKS = 64
 PAGE_BYTES = PAGE_BLOCKS * units.BLOCK_SIZE
 
 
-def block_to_page(block: int) -> int:
-    """Map a block index to its cache-page index."""
-    return block // PAGE_BLOCKS
-
-
 class LRUBlockCache:
     """Page-grained LRU over ``(item_id, page_index)`` keys."""
 

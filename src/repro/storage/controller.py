@@ -11,7 +11,8 @@ so their energy and response-time costs are charged, exactly as the
 paper's measurements include them (§VII-A.4).
 
 Physical I/O is reported to an optional tap (the Storage Monitor
-subscribes there) as :class:`~repro.trace.records.PhysicalIORecord`.
+subscribes there) as the plain fields of a
+:class:`~repro.trace.records.PhysicalIORecord`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.storage.cache import StorageCache
 from repro.storage.enclosure import DiskEnclosure, IOResult
 from repro.storage.tiers import TierKind
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import IOType, PhysicalIORecord
+from repro.trace.records import IOType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.clock import FaultClock
@@ -53,14 +54,11 @@ BULK_BANDWIDTH_BPS = 150.0 * units.MB
 MIGRATION_CHUNK_BYTES = 64 * units.MB
 
 
-PhysicalTap = Callable[[PhysicalIORecord], None]
-
 _T = TypeVar("_T")
 
-#: Scalar variant of the physical tap used on the batched hot path:
-#: ``(timestamp, enclosure name, block, count, io_type, item_id)``.  A
-#: subscriber that installs one receives plain fields and decides for
-#: itself whether a :class:`PhysicalIORecord` needs to exist.
+#: The physical tap: ``(timestamp, enclosure name, block, count,
+#: io_type, item_id)``, the fields of a ``PhysicalIORecord`` in order.
+#: The subscriber decides for itself whether a record needs to exist.
 PhysicalTapFast = Callable[[float, str, int, int, IOType, "str | None"], None]
 
 
@@ -73,7 +71,7 @@ class StorageController:
         cache: StorageCache,
         migration_throughput_bps: Rate = 60.0 * units.MB,
         bulk_bandwidth_bps: Rate = BULK_BANDWIDTH_BPS,
-        physical_tap: PhysicalTap | None = None,
+        physical_tap: PhysicalTapFast | None = None,
         retry_backoff_base: Seconds = 1.0,
         retry_backoff_cap: Seconds = 64.0,
     ) -> None:
@@ -91,7 +89,6 @@ class StorageController:
         self.migration_throughput_bps = migration_throughput_bps
         self.bulk_bandwidth_bps = bulk_bandwidth_bps
         self._physical_tap = physical_tap
-        self._physical_tap_fast: PhysicalTapFast | None = None
         self.retry_backoff_base = retry_backoff_base
         self.retry_backoff_cap = retry_backoff_cap
 
@@ -154,25 +151,9 @@ class StorageController:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def set_physical_tap(self, tap: PhysicalTap | None) -> None:
-        """Attach the storage monitor's physical-trace listener.
-
-        Installing a record-level tap clears any scalar fast tap so a
-        custom listener observes every physical I/O as a record, exactly
-        as before the batched path existed.
-        """
+    def set_physical_tap(self, tap: PhysicalTapFast | None) -> None:
+        """Attach the storage monitor's physical-I/O listener."""
         self._physical_tap = tap
-        self._physical_tap_fast = None
-
-    def set_physical_tap_fast(self, tap: PhysicalTapFast | None) -> None:
-        """Attach a scalar physical-I/O listener for the batched path.
-
-        Takes precedence over the record tap: when set, physical I/O is
-        reported as plain fields and no :class:`PhysicalIORecord` is
-        constructed here — the subscriber materializes one only if it
-        actually stores full traces.
-        """
-        self._physical_tap_fast = tap
 
     def set_fault_clock(self, clock: "FaultClock") -> None:
         """Attach the simulation's fault oracle (:mod:`repro.faults`)."""
@@ -330,23 +311,8 @@ class StorageController:
         io_type: IOType,
         item_id: str | None,
     ) -> None:
-        if self._physical_tap_fast is not None:
-            self._physical_tap_fast(
-                timestamp, enclosure, block, count, io_type, item_id
-            )
-            return
-        if self._physical_tap is None:
-            return
-        self._physical_tap(
-            PhysicalIORecord(
-                timestamp=timestamp,
-                enclosure=enclosure,
-                block_address=block,
-                count=count,
-                io_type=io_type,
-                item_id=item_id,
-            )
-        )
+        if self._physical_tap is not None:
+            self._physical_tap(timestamp, enclosure, block, count, io_type, item_id)
 
     def _bulk_transfer(
         self,
@@ -458,11 +424,9 @@ class StorageController:
         else:
             response = enclosure.submit_one(timestamp, is_read, sequential)
         block = base_block + offset // units.BLOCK_SIZE
-        tap_fast = self._physical_tap_fast
-        if tap_fast is not None:
-            tap_fast(issued, name, block, 1, io_type, item_id)
-        elif self._physical_tap is not None:
-            self._emit_physical(issued, name, block, 1, io_type, item_id)
+        tap = self._physical_tap
+        if tap is not None:
+            tap(issued, name, block, 1, io_type, item_id)
         self._device_service_seconds[name] += response
         self._device_service_ios[name] += 1
         if name in self._archive_devices:

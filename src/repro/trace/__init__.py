@@ -15,7 +15,7 @@ from repro.trace.records import (
     PowerSample,
     PowerStatusRecord,
 )
-from repro.trace.stats import TraceSummary, interarrival_gaps, summarize
+from repro.trace.stats import TraceSummary, summarize
 from repro.trace.writer import write_logical_trace, write_physical_trace
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "PowerSample",
     "PowerStatusRecord",
     "TraceSummary",
-    "interarrival_gaps",
     "iter_logical_trace",
     "iter_physical_trace",
     "read_logical_trace",

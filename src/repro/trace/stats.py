@@ -7,7 +7,7 @@ and by tests that assert a generated trace has the intended shape
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -96,22 +96,3 @@ def summarize(records: Iterable[LogicalIORecord]) -> TraceSummary:
         ios_per_item=dict(per_item),
         reads_per_item=dict(reads_per_item),
     )
-
-
-def interarrival_gaps(
-    records: Iterable[LogicalIORecord],
-) -> dict[str, list[float]]:
-    """Per-item inter-arrival gaps (seconds), in trace order.
-
-    The gap list for an item with n I/Os has n-1 entries; boundary gaps
-    (before the first and after the last I/O) are the caller's concern
-    since only it knows the monitoring window.
-    """
-    last_seen: dict[str, float] = {}
-    gaps: dict[str, list[float]] = defaultdict(list)
-    for rec in records:
-        prev = last_seen.get(rec.item_id)
-        if prev is not None:
-            gaps[rec.item_id].append(rec.timestamp - prev)
-        last_seen[rec.item_id] = rec.timestamp
-    return dict(gaps)

@@ -25,46 +25,39 @@ PHYSICAL_HEADER = [
 ]
 
 
+def trace_row(record: LogicalIORecord | PhysicalIORecord) -> list[str]:
+    """One CSV row of a logical or physical record, in its header's order."""
+    if isinstance(record, LogicalIORecord):
+        return [
+            f"{record.timestamp:.6f}",
+            record.item_id,
+            str(record.offset),
+            str(record.size),
+            record.io_type.value,
+            "1" if record.sequential else "0",
+        ]
+    return [
+        f"{record.timestamp:.6f}",
+        record.enclosure,
+        str(record.block_address),
+        str(record.count),
+        record.io_type.value,
+        record.item_id or "",
+    ]
+
+
 def write_logical_trace(
     records: Iterable[LogicalIORecord], destination: str | Path | TextIO
 ) -> int:
     """Write a logical trace as CSV; returns the record count."""
-    return _write(
-        destination,
-        LOGICAL_HEADER,
-        (
-            [
-                f"{rec.timestamp:.6f}",
-                rec.item_id,
-                str(rec.offset),
-                str(rec.size),
-                rec.io_type.value,
-                "1" if rec.sequential else "0",
-            ]
-            for rec in records
-        ),
-    )
+    return _write(destination, LOGICAL_HEADER, map(trace_row, records))
 
 
 def write_physical_trace(
     records: Iterable[PhysicalIORecord], destination: str | Path | TextIO
 ) -> int:
     """Write a physical trace as CSV; returns the record count."""
-    return _write(
-        destination,
-        PHYSICAL_HEADER,
-        (
-            [
-                f"{rec.timestamp:.6f}",
-                rec.enclosure,
-                str(rec.block_address),
-                str(rec.count),
-                rec.io_type.value,
-                rec.item_id or "",
-            ]
-            for rec in records
-        ),
-    )
+    return _write(destination, PHYSICAL_HEADER, map(trace_row, records))
 
 
 def _write(

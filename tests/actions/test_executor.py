@@ -359,13 +359,6 @@ class TestDryRun:
 
 
 class TestLogAndReport:
-    def test_record_log_toggle_keeps_counters(self, small_context):
-        executor = executor_of(small_context)
-        executor.record_log = False
-        executor.apply(0.0, ActionPlan([UnpinItem("item-0")]))
-        assert executor.log == []
-        assert executor.actions_applied == 1
-
     def test_empty_plan_report(self, small_context):
         report = executor_of(small_context).apply(7.0, ActionPlan())
         assert report.records == ()

@@ -5,7 +5,6 @@ from repro.analysis.report import (
     PaperRow,
     gigabytes,
     percent,
-    render_simple,
     render_table,
     seconds,
     watts,
@@ -49,14 +48,3 @@ class TestRenderTable:
         # Measured column starts at the same offset in every data line.
         positions = {line.rindex("  ") for line in data}
         assert len(positions) == 1
-
-
-class TestRenderSimple:
-    def test_key_values(self):
-        text = render_simple("Summary", {"alpha": "1.2", "period": "520 s"})
-        assert "Summary" in text
-        assert "alpha" in text
-        assert "520 s" in text
-
-    def test_empty(self):
-        assert render_simple("Empty", {}) == "Empty"

@@ -158,3 +158,12 @@ class TestEndToEnd:
         assert result.audit_checks > 0
         for report in reports:
             assert report.net_bytes == report.placed_bytes
+
+    def test_tpcc_smoke_default_lifecycle(self):
+        # The default lifecycle policy on flash 1 / archive 1 replays the
+        # whole TPC-C smoke trace audited.
+        result, reports = audited_smoke("tpcc", TieredLifecyclePolicy())
+        assert result.replay.io_count > 0
+        assert result.audit_checks > 0
+        for report in reports:
+            assert report.net_bytes == report.placed_bytes

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.hotcold import (
-    choose_hot_cold,
-    determine_hot_cold,
-    p3_peak_aggregate_iops,
-    required_hot_count,
-)
+from repro.core.hotcold import choose_hot_cold, required_hot_count
 from repro.core.patterns import IOPattern
 
 from tests.core.profile_helpers import BUCKET, make_profile
@@ -15,12 +10,17 @@ from tests.core.profile_helpers import BUCKET, make_profile
 GB = 1 << 30
 
 
+def i_max(profiles, bucket_seconds=BUCKET):
+    """``I_max`` as :func:`required_hot_count` computes it."""
+    return required_hot_count(profiles, 1.0, GB, bucket_seconds)[1]
+
+
 class TestPeakAggregate:
     def test_no_p3_items_gives_zero(self):
         profiles = {
             "a": make_profile("a", IOPattern.P1, "e0"),
         }
-        assert p3_peak_aggregate_iops(profiles, BUCKET) == 0.0
+        assert i_max(profiles) == 0.0
 
     def test_coincident_buckets_add(self):
         profiles = {
@@ -31,9 +31,7 @@ class TestPeakAggregate:
                 "b", IOPattern.P3, "e1", bucket_counts=(6, 0, 0)
             ),
         }
-        assert p3_peak_aggregate_iops(
-            profiles, BUCKET, percentile=100
-        ) == pytest.approx(12 / BUCKET)
+        assert i_max(profiles) == pytest.approx(12 / BUCKET)
 
     def test_non_coincident_buckets_do_not_add(self):
         profiles = {
@@ -44,24 +42,23 @@ class TestPeakAggregate:
                 "b", IOPattern.P3, "e1", bucket_counts=(0, 6)
             ),
         }
-        assert p3_peak_aggregate_iops(
-            profiles, BUCKET, percentile=100
-        ) == pytest.approx(6 / BUCKET)
+        assert i_max(profiles) == pytest.approx(6 / BUCKET)
 
     def test_percentile_suppresses_single_bucket_noise(self):
-        # 19 quiet buckets + 1 spike: the default p95 ignores the spike.
-        counts = tuple([6] * 19 + [60])
-        profiles = {"a": make_profile("a", IOPattern.P3, "e0", bucket_counts=counts)}
-        robust = p3_peak_aggregate_iops(profiles, BUCKET)
-        strict = p3_peak_aggregate_iops(profiles, BUCKET, percentile=100)
-        assert robust == pytest.approx(6 / BUCKET)
-        assert strict == pytest.approx(60 / BUCKET)
+        # 19 quiet buckets + 1 spike: the p95 ignores the spike...
+        spike = tuple([6] * 19 + [60])
+        profiles = {"a": make_profile("a", IOPattern.P3, "e0", bucket_counts=spike)}
+        assert i_max(profiles) == pytest.approx(6 / BUCKET)
+        # ...but a burst that spans two of the 20 buckets is load.
+        burst = tuple([6] * 18 + [60, 60])
+        profiles = {"a": make_profile("a", IOPattern.P3, "e0", bucket_counts=burst)}
+        assert i_max(profiles) == pytest.approx(60 / BUCKET)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            p3_peak_aggregate_iops({}, 0.0)
+            i_max({}, 0.0)
         with pytest.raises(ValueError):
-            p3_peak_aggregate_iops({}, BUCKET, percentile=0)
+            i_max({}, -BUCKET)
 
 
 class TestRequiredHotCount:
@@ -176,9 +173,8 @@ class TestDetermineHotCold:
             )
             for k in range(4)
         }
-        split = determine_hot_cold(
-            profiles, ["e0", "e1", "e2"], 1.0, 100 * GB, BUCKET
-        )
+        n_hot, peak = required_hot_count(profiles, 1.0, 100 * GB, BUCKET)
+        split = choose_hot_cold(profiles, ["e0", "e1", "e2"], n_hot, peak)
         # Aggregate 2 IOPS over capacity 1 -> 2 hot enclosures.
         assert split.n_hot == 2
         assert set(split.hot) == {"e0", "e1"}

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core.intervals import (
-    Interval,
-    IOSequence,
-    activity_from_records,
-    extract_activity,
-)
+from repro.core.intervals import Interval, IOSequence, extract_activity
+from repro.core.patterns import build_profiles
 from repro.trace.records import IOType, LogicalIORecord
 
 BE = 52.0  # break-even time used throughout
@@ -127,11 +123,14 @@ class TestValidation:
 
 class TestFromRecords:
     def test_wrapper_matches_raw_events(self):
+        # Profiles built from records carry the activity of the raw
+        # (timestamp, is_read) events.
         records = [
             LogicalIORecord(1.0, "x", 0, 1, IOType.READ),
             LogicalIORecord(200.0, "x", 0, 1, IOType.WRITE),
         ]
-        act = activity_from_records("x", records, 0.0, 300.0, BE)
+        profiles = build_profiles(records, 0.0, 300.0, BE, {"x": 1}, {"x": "e0"})
+        act = profiles["x"].activity
         raw = activity([(1.0, True), (200.0, False)], end=300.0)
         assert act.long_intervals == raw.long_intervals
         assert act.read_count == raw.read_count

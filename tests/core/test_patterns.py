@@ -7,7 +7,6 @@ from repro.core.patterns import (
     IOPattern,
     build_profiles,
     classify,
-    items_with_pattern,
     pattern_counts,
     pattern_fractions,
 )
@@ -124,8 +123,3 @@ class TestAggregations:
     def test_pattern_fractions_empty(self):
         fractions = pattern_fractions({})
         assert all(v == 0.0 for v in fractions.values())
-
-    def test_items_with_pattern_sorted(self):
-        profiles = profiles_for([])
-        p0_items = items_with_pattern(profiles, IOPattern.P0)
-        assert [p.item_id for p in p0_items] == ["a", "b"]

@@ -10,17 +10,33 @@ from repro.storage.cache import (
     PreloadPartition,
     StorageCache,
     WriteDelayPartition,
-    block_to_page,
 )
+from repro.storage.controller import StorageController
+from repro.storage.enclosure import DiskEnclosure
+from repro.storage.virtualization import BlockVirtualization
+
+
+def block_read_hits(*blocks):
+    """Cache hits of one-block controller reads at each of ``blocks``."""
+    enclosure = DiskEnclosure("e0", capacity_bytes=units.GB)
+    virt = BlockVirtualization([enclosure])
+    virt.create_volume("v0", "e0")
+    virt.add_item("a", units.MB, "v0")
+    controller = StorageController(virt, StorageCache())
+    for t, block in enumerate(blocks):
+        offset = block * units.BLOCK_SIZE
+        controller.submit(float(t), "a", offset, units.BLOCK_SIZE, True, False)
+    return controller.cache_hit_count
 
 
 class TestBlockToPage:
     def test_first_page(self):
-        assert block_to_page(0) == 0
-        assert block_to_page(63) == 0
+        # Blocks 0 and 63 share the first 64-block cache page.
+        assert block_read_hits(0, 63) == 1
 
     def test_second_page(self):
-        assert block_to_page(64) == 1
+        # Block 64 starts the second page.
+        assert block_read_hits(0, 64) == 0
 
 
 class TestLRU:

@@ -29,7 +29,12 @@ def build(enclosures=2, cache_kwargs=None):
     virt.add_item("b", 100 * units.MB, "v1")
     cache = StorageCache(**(cache_kwargs or {}))
     taps: list[PhysicalIORecord] = []
-    controller = StorageController(virt, cache, physical_tap=taps.append)
+
+    def tap(*fields):
+        # The tap hands over a record's fields, in order.
+        taps.append(PhysicalIORecord(*fields))
+
+    controller = StorageController(virt, cache, physical_tap=tap)
     return controller, virt, cache, taps
 
 

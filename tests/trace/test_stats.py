@@ -3,7 +3,7 @@
 import pytest
 
 from repro.trace.records import IOType, LogicalIORecord
-from repro.trace.stats import interarrival_gaps, summarize
+from repro.trace.stats import summarize
 
 
 def rec(t, item="a", kind=IOType.READ, size=4096, seq=False):
@@ -49,22 +49,3 @@ class TestSummarize:
         assert summary.item_read_ratio("a") == pytest.approx(0.5)
         assert summary.item_read_ratio("b") == 1.0
         assert summary.item_read_ratio("ghost") == 0.0
-
-
-class TestInterarrivalGaps:
-    def test_gaps_per_item(self):
-        gaps = interarrival_gaps(
-            [rec(0.0, "a"), rec(2.0, "a"), rec(5.0, "a"), rec(1.0, "b")]
-        )
-        assert gaps["a"] == [2.0, 3.0]
-        assert "b" not in gaps  # single I/O has no gap
-
-    def test_interleaved_items(self):
-        gaps = interarrival_gaps(
-            [rec(0.0, "a"), rec(1.0, "b"), rec(2.0, "a"), rec(4.0, "b")]
-        )
-        assert gaps["a"] == [2.0]
-        assert gaps["b"] == [3.0]
-
-    def test_empty(self):
-        assert interarrival_gaps([]) == {}
