@@ -81,6 +81,9 @@ class _ZoneVirtualization:
     def enclosure_of(self, item_id: str) -> DiskEnclosure:
         return self._inner.enclosure_of(item_id)
 
+    def route(self, item_id: str) -> tuple[DiskEnclosure, str, int, int]:
+        return self._inner.route(item_id)
+
     def used_bytes(self, enclosure: str) -> int:
         return self._inner.used_bytes(self.enclosure(enclosure).name)
 

@@ -193,10 +193,14 @@ class EnergyEfficientPolicy(PowerPolicy):
             return None
 
         virt = context.virtualization
-        item_sizes = {item: virt.item_size(item) for item in virt.item_ids()}
-        item_enclosures = {
-            item: virt.enclosure_of(item).name for item in virt.item_ids()
-        }
+        # One pass over the placed items: the cached route carries both
+        # the enclosure name and the size.
+        item_sizes: dict[str, int] = {}
+        item_enclosures: dict[str, str] = {}
+        for item in virt.item_ids():
+            _, enclosure, _, size = virt.route(item)
+            item_sizes[item] = size
+            item_enclosures[item] = enclosure
 
         # Step 1: logical I/O patterns (fed columns, not record objects).
         profiles = build_profiles(
@@ -243,9 +247,7 @@ class EnergyEfficientPolicy(PowerPolicy):
             moves_executed = report.moves_executed
             moves_aborted = report.moves_aborted
 
-        locations = {
-            item: virt.enclosure_of(item).name for item in virt.item_ids()
-        }
+        locations = {item: virt.route(item)[1] for item in virt.item_ids()}
 
         # Step 5: write delay for applicable data items.
         write_delay_items: set[str] = set()

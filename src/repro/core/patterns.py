@@ -21,13 +21,24 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import (
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    TypeVar,
+    runtime_checkable,
+)
+
+import numpy as np
 
 from repro.errors import ValidationError
-from repro.core.intervals import ItemActivity, extract_activity
+from repro.core.intervals import Interval, IOSequence, ItemActivity
 from repro.trace.records import LogicalIORecord
+
+_T = TypeVar("_T")
 
 
 @runtime_checkable
@@ -35,9 +46,9 @@ class SupportsProfileArrays(Protocol):
     """A window buffer that exposes its I/Os as parallel columns.
 
     Both :class:`repro.monitoring.application.WindowColumns` and
-    :class:`repro.trace.columnar.ColumnarTrace` satisfy this; feeding
-    columns lets :func:`build_profiles` skip per-record attribute access
-    on the classification hot path.
+    :class:`repro.trace.columnar.ColumnarTrace` satisfy this; their
+    columns go straight into :func:`build_profiles`'s array pass,
+    without packing record objects first.
     """
 
     def profile_arrays(
@@ -115,6 +126,162 @@ class ItemProfile:
 DEFAULT_IOPS_BUCKET_SECONDS = 60.0
 
 
+class _ItemWindow(NamedTuple):
+    """One item's window totals, as Python scalars."""
+
+    long_intervals: tuple[Interval, ...]
+    sequences: tuple[IOSequence, ...]
+    io_count: int
+    read_count: int
+    read_bytes: int
+    write_bytes: int
+    bucket_counts: tuple[int, ...]
+    peak_iops: float
+
+
+def _profile_columns(
+    records: Iterable[LogicalIORecord] | SupportsProfileArrays,
+) -> tuple[Sequence[float], Sequence[str], Sequence[int], Sequence[bool]]:
+    """The window's ``(timestamps, item ids, sizes, reads)`` columns.
+
+    Columnar buffers hand theirs over as they are; an iterable of
+    records is packed into the same four columns first.
+    """
+    if isinstance(records, SupportsProfileArrays):
+        return records.profile_arrays()
+    rows = list(records)
+    return (
+        [rec.timestamp for rec in rows],
+        [rec.item_id for rec in rows],
+        [rec.size for rec in rows],
+        [rec.is_read for rec in rows],
+    )
+
+
+def _slices(values: list[_T], bounds: list[int]) -> list[tuple[_T, ...]]:
+    """``values`` cut at consecutive ``bounds``, one tuple per cut."""
+    return [tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _item_windows(
+    records: Iterable[LogicalIORecord] | SupportsProfileArrays,
+    item_sizes: Mapping[str, int],
+    window_start: float,
+    window_end: float,
+    break_even_time: float,
+    bucket_seconds: float,
+    bucket_lengths: list[float],
+) -> dict[int, _ItemWindow]:
+    """Totals of every item with window I/O, keyed by its ``item_sizes`` index.
+
+    One array pass over the window's columns; no Python code runs per
+    I/O.  Items missing from ``item_sizes`` are dropped.
+    """
+    timestamps, item_ids, io_sizes, io_reads = _profile_columns(records)
+    # Item codes follow ``item_sizes`` order.  Unknown items share the
+    # largest code, so they sort last and are cut off; the stable sort
+    # keeps each item's I/Os in their order.
+    known = len(item_sizes)
+    code_of = dict.fromkeys(item_ids, known)
+    code_of.update(zip(item_sizes, range(known)))
+    codes = np.fromiter(
+        map(code_of.__getitem__, item_ids), dtype=np.intp, count=len(item_ids)
+    )
+    order = np.argsort(codes, kind="stable")[: np.count_nonzero(codes < known)]
+    n = len(order)
+    if not n:
+        return {}
+    codes = codes[order]
+    ts = np.asarray(timestamps, dtype=np.float64)[order]
+    sizes = np.asarray(io_sizes, dtype=np.int64)[order]
+    reads = np.asarray(io_reads, dtype=bool)[order]
+
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    previous = np.empty(n)
+    previous[1:] = ts[:-1]
+    previous[first] = window_start
+    # Ordering is checked before bucket indexing: an I/O before the
+    # window start would give a negative bucket index.
+    disordered = ts < previous
+    if disordered.any():
+        bad = int(disordered.argmax())
+        item_id = list(item_sizes)[int(codes[bad])]
+        last_time = window_start if first[bad] else float(ts[bad - 1])
+        raise ValidationError(
+            f"events of item {item_id!r} are not time-ordered: "
+            f"{float(ts[bad])} after {last_time}"
+        )
+
+    item_at = np.flatnonzero(first)
+    item_ios = np.diff(item_at, append=n)
+    item_last = item_at + item_ios - 1
+    read_ones = reads.astype(np.int64)
+
+    # I/O Sequences start at an item's first I/O and after each gap
+    # longer than the break-even time.
+    is_long = ts - previous > break_even_time
+    seq_at = np.flatnonzero(first | is_long)
+    seq_ios = np.diff(seq_at, append=n)
+    seq_reads = np.add.reduceat(read_ones, seq_at)
+    sequences = list(
+        map(
+            IOSequence,
+            ts[seq_at].tolist(),
+            ts[seq_at + seq_ios - 1].tolist(),
+            seq_reads.tolist(),
+            (seq_ios - seq_reads).tolist(),
+        )
+    )
+    seq_bounds = np.searchsorted(seq_at, item_at).tolist()
+    seq_bounds.append(len(seq_at))
+
+    # Long Intervals: the long gap before an I/O (key 2i), then the long
+    # gap after an item's last I/O (key 2i + 1), merged in time order.
+    gap_at = np.flatnonzero(is_long)
+    tail_at = item_last[window_end - ts[item_last] > break_even_time]
+    keys = np.concatenate((2 * gap_at, 2 * tail_at + 1))
+    by_key = np.argsort(keys, kind="stable")
+    starts = np.concatenate((previous[gap_at], ts[tail_at]))[by_key]
+    ends = np.concatenate((ts[gap_at], np.full(len(tail_at), window_end)))[by_key]
+    intervals = list(map(Interval, starts.tolist(), ends.tolist()))
+    interval_bounds = np.searchsorted(keys[by_key], 2 * item_at).tolist()
+    interval_bounds.append(len(keys))
+
+    lengths = np.array(bucket_lengths)
+    bucket_count = len(lengths)
+    bucket_index = np.minimum(
+        (ts - window_start) / bucket_seconds, bucket_count - 1
+    ).astype(np.intp)
+    item_row = np.cumsum(first) - 1
+    counts = np.bincount(
+        item_row * bucket_count + bucket_index,
+        minlength=len(item_at) * bucket_count,
+    ).reshape(len(item_at), bucket_count)
+    # A last bucket of length <= 0 (ceil rounding) holds no rate.
+    usable = lengths > 0
+    peaks = (counts[:, usable] / lengths[usable]).max(axis=1)
+
+    # Byte sums are exact in int64 up to 2**63 bytes per item and window.
+    return dict(
+        zip(
+            codes[item_at].tolist(),
+            map(
+                _ItemWindow,
+                _slices(intervals, interval_bounds),
+                _slices(sequences, seq_bounds),
+                item_ios.tolist(),
+                np.add.reduceat(read_ones, item_at).tolist(),
+                np.add.reduceat(np.where(reads, sizes, 0), item_at).tolist(),
+                np.add.reduceat(np.where(reads, 0, sizes), item_at).tolist(),
+                map(tuple, counts.tolist()),
+                peaks.tolist(),
+            ),
+        )
+    )
+
+
 def build_profiles(
     records: Iterable[LogicalIORecord] | SupportsProfileArrays,
     window_start: float,
@@ -128,88 +295,75 @@ def build_profiles(
 
     ``item_sizes`` / ``item_enclosures`` enumerate all *placed* items —
     items with no I/O in the window still get a profile (pattern P0), as
-    the paper's Step 1 explicitly marks them.
+    the paper's Step 1 explicitly marks them.  Window I/Os of items not
+    in ``item_sizes`` are ignored.
 
     The window may arrive either as an iterable of records or as any
-    :class:`SupportsProfileArrays` columnar buffer; the per-I/O
-    accumulation is field-for-field identical, so both inputs produce
-    the same profiles.
+    :class:`SupportsProfileArrays` columnar buffer; records are packed
+    into the same columns, so both inputs produce the same profiles.
+
+    The per-I/O work is one array pass: a stable sort by item keeps each
+    item's time order, and gaps, Long Intervals, sequence boundaries,
+    counts, byte sums and bucket counts are vector operations.  Each
+    profile equals, field for field and as Python scalars, the one
+    :func:`~repro.core.intervals.extract_activity` and :func:`classify`
+    give for that item's events; profiles come in ``item_sizes`` order.
     """
     if window_end <= window_start:
         raise ValidationError("window must have positive length")
     if iops_bucket_seconds <= 0:
         raise ValidationError("iops_bucket_seconds must be positive")
+    if item_sizes and break_even_time <= 0:
+        raise ValidationError("break_even_time must be positive")
 
     window = window_end - window_start
     bucket_count = max(1, math.ceil(window / iops_bucket_seconds))
-
-    events: dict[str, list[tuple[float, bool]]] = defaultdict(list)
-    buckets: dict[str, list[int]] = {}
-    write_bytes: defaultdict[str, int] = defaultdict(int)
-    read_bytes: defaultdict[str, int] = defaultdict(int)
-
-    if isinstance(records, SupportsProfileArrays):
-        timestamps, item_ids, io_sizes, io_reads = records.profile_arrays()
-        for ts, item, size, is_read in zip(
-            timestamps, item_ids, io_sizes, io_reads
-        ):
-            events[item].append((ts, is_read))
-            if item not in buckets:
-                buckets[item] = [0] * bucket_count
-            index = min(
-                bucket_count - 1,
-                int((ts - window_start) / iops_bucket_seconds),
-            )
-            buckets[item][index] += 1
-            if is_read:
-                read_bytes[item] += size
-            else:
-                write_bytes[item] += size
-    else:
-        for rec in records:
-            item = rec.item_id
-            events[item].append((rec.timestamp, rec.is_read))
-            if item not in buckets:
-                buckets[item] = [0] * bucket_count
-            index = min(
-                bucket_count - 1,
-                int((rec.timestamp - window_start) / iops_bucket_seconds),
-            )
-            buckets[item][index] += 1
-            if rec.is_read:
-                read_bytes[item] += rec.size
-            else:
-                write_bytes[item] += rec.size
+    bucket_lengths = [iops_bucket_seconds] * (bucket_count - 1)
+    bucket_lengths.append(window - (bucket_count - 1) * iops_bucket_seconds)
+    windows = _item_windows(
+        records,
+        item_sizes,
+        window_start,
+        window_end,
+        break_even_time,
+        iops_bucket_seconds,
+        bucket_lengths,
+    )
+    # An item with no I/O has one Long Interval over the whole window.
+    idle = _ItemWindow(
+        long_intervals=(Interval(window_start, window_end),),
+        sequences=(),
+        io_count=0,
+        read_count=0,
+        read_bytes=0,
+        write_bytes=0,
+        bucket_counts=(0,) * bucket_count,
+        peak_iops=0.0,
+    )
 
     profiles: dict[str, ItemProfile] = {}
-    for item_id, size in item_sizes.items():
-        item_events = events.get(item_id, [])
-        activity = extract_activity(
-            item_id, item_events, window_start, window_end, break_even_time
+    for code, (item_id, size) in enumerate(item_sizes.items()):
+        totals = windows.get(code, idle)
+        activity = ItemActivity(
+            item_id,
+            window_start,
+            window_end,
+            totals.long_intervals,
+            totals.sequences,
         )
-        pattern = classify(activity)
-        bucket_counts = tuple(buckets.get(item_id, [0] * bucket_count))
-        last_bucket_len = window - (bucket_count - 1) * iops_bucket_seconds
-        peak = 0.0
-        for i, count in enumerate(bucket_counts):
-            length = (
-                iops_bucket_seconds if i < bucket_count - 1 else last_bucket_len
-            )
-            if length > 0:
-                peak = max(peak, count / length)
         profiles[item_id] = ItemProfile(
             item_id=item_id,
-            pattern=pattern,
+            pattern=classify(activity),
             activity=activity,
             size_bytes=size,
             enclosure=item_enclosures[item_id],
-            mean_iops=activity.io_count / window,
-            peak_iops=peak,
-            bucket_counts=bucket_counts,
-            read_count=activity.read_count,
-            write_count=activity.write_count,
-            write_bytes=write_bytes.get(item_id, 0),
-            read_bytes=read_bytes.get(item_id, 0),
+            mean_iops=totals.io_count / window,
+            peak_iops=totals.peak_iops,
+            bucket_counts=totals.bucket_counts,
+            read_count=totals.read_count,
+            write_count=totals.io_count - totals.read_count,
+            write_bytes=totals.write_bytes,
+            read_bytes=totals.read_bytes,
         )
     return profiles
 
