@@ -566,9 +566,9 @@ class AdHocTimeChecker(Checker):
                     module,
                     node,
                     "",
-                    "direct call to on_time() — fault bookkeeping fires as "
-                    "a kernel FaultBookkeepingEvent; schedule it via "
-                    "repro.engine instead",
+                    "direct call to on_time() — fault bookkeeping fires "
+                    "from the kernel's checkpoint slot; let repro.engine "
+                    "drive it instead",
                 )
             elif (
                 func.attr in _TIMELINE_METHODS

@@ -13,9 +13,7 @@ from repro.engine.events import (
     TIMELINE_SAMPLE,
     TRACE_RECORD,
     Event,
-    FaultBookkeepingEvent,
     FlushDeadlineEvent,
-    PolicyCheckpointEvent,
     TimelineSampleEvent,
     TraceRecordEvent,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "FLUSH_DEADLINE",
     "Event",
     "TimelineSampleEvent",
-    "FaultBookkeepingEvent",
-    "PolicyCheckpointEvent",
     "TraceRecordEvent",
     "FlushDeadlineEvent",
     "EventQueue",

@@ -1,17 +1,17 @@
 """Typed simulation events and their deterministic priority classes.
 
-Every "thing that happens at a virtual time" in the simulator is one of
-the event classes below.  When several events share a timestamp the
+Every "thing that happens at a virtual time" in the simulator fires in
+one of the priority classes below.  When several share a timestamp the
 kernel fires them in ascending *priority class* — the table is the
 single place the boundary convention lives:
 
 ======================== ===== =====================================
-event                    class fires at equal timestamps…
+occurrence               class fires at equal timestamps…
 ======================== ===== =====================================
 timeline sample          0     first: a sample at a boundary reads
                                the books *before* any mutation there
-fault bookkeeping        1     before the checkpoint it is paired
-                               with (battery/outage accounting must
+fault bookkeeping        1     just before the checkpoint
+                               (battery/outage accounting must
                                precede the policy's decision)
 policy checkpoint        2     before any I/O at the same instant
 trace record             3     after checkpoints, before flushes
@@ -20,6 +20,12 @@ flush deadline           4     deadlines settle what the
 action apply             5     last: deferred action plans run after
                                every observation at the instant
 ======================== ===== =====================================
+
+Classes 1 and 2 are the kernel's checkpoint slot, not heap events: the
+kernel keeps the one live policy checkpoint in a field and fires it
+(fault bookkeeping first, when a fault clock is attached) at key
+``(t, POLICY_CHECKPOINT)`` against the heap.  Every other class is an
+:class:`Event` subclass below.
 
 Ties *within* a class break by insertion order (FIFO), enforced by the
 queue's sequence number — so replays are deterministic regardless of
@@ -47,8 +53,6 @@ __all__ = [
     "ACTION_APPLY",
     "Event",
     "TimelineSampleEvent",
-    "FaultBookkeepingEvent",
-    "PolicyCheckpointEvent",
     "TraceRecordEvent",
     "FlushDeadlineEvent",
     "ActionApplyEvent",
@@ -56,9 +60,11 @@ __all__ = [
 
 #: Priority class: recurring power-timeline boundary samples.
 TIMELINE_SAMPLE = 0
-#: Priority class: fault-clock bookkeeping (battery drain, outage exit).
+#: Priority class: fault-clock bookkeeping (battery drain, outage exit),
+#: fired by the kernel's checkpoint slot.
 FAULT_BOOKKEEPING = 1
-#: Priority class: policy monitoring-period checkpoints.
+#: Priority class: policy monitoring-period checkpoints, fired by the
+#: kernel's checkpoint slot.
 POLICY_CHECKPOINT = 2
 #: Priority class: trace records (I/O arrivals).
 TRACE_RECORD = 3
@@ -72,12 +78,11 @@ class Event:
     """One scheduled occurrence at a virtual time.
 
     Subclasses set :attr:`priority` (one of the module's priority-class
-    constants) and implement :meth:`fire`.  The ``cancelled`` flag
-    supports lazy cancellation: the queue skips cancelled entries on pop
-    instead of rebuilding the heap.
+    constants) and implement :meth:`fire`.  The ``queued`` flag lets the
+    queue refuse a second push of an instance it already holds.
     """
 
-    __slots__ = ("time", "cancelled", "queued")
+    __slots__ = ("time", "queued")
 
     priority: ClassVar[int] = TRACE_RECORD
 
@@ -87,7 +92,6 @@ class Event:
                 f"events cannot be scheduled before t=0, got {time!r}"
             )
         self.time = time
-        self.cancelled = False
         self.queued = False
 
     def fire(self, kernel: SimulationKernel) -> None:
@@ -95,8 +99,7 @@ class Event:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        flag = " cancelled" if self.cancelled else ""
-        return f"<{type(self).__name__} t={self.time}{flag}>"
+        return f"<{type(self).__name__} t={self.time}>"
 
 
 class TimelineSampleEvent(Event):
@@ -109,36 +112,6 @@ class TimelineSampleEvent(Event):
     def fire(self, kernel: SimulationKernel) -> None:
         """Record the boundary point and schedule the next one."""
         kernel.fire_timeline_sample(self.time)
-
-
-class FaultBookkeepingEvent(Event):
-    """Fault-clock bookkeeping paired with a policy checkpoint.
-
-    Runs :meth:`repro.storage.controller.StorageController.on_time` —
-    battery-death force-flush and outage accounting — strictly before
-    the checkpoint at the same instant, exactly as the pre-kernel
-    replayer ordered the two calls.
-    """
-
-    __slots__ = ()
-
-    priority = FAULT_BOOKKEEPING
-
-    def fire(self, kernel: SimulationKernel) -> None:
-        """Run controller fault bookkeeping at this instant."""
-        kernel.fire_fault_bookkeeping(self.time)
-
-
-class PolicyCheckpointEvent(Event):
-    """A policy monitoring-period checkpoint; reschedules via the policy."""
-
-    __slots__ = ()
-
-    priority = POLICY_CHECKPOINT
-
-    def fire(self, kernel: SimulationKernel) -> None:
-        """Run the policy checkpoint and sync the follow-up schedule."""
-        kernel.fire_policy_checkpoint(self.time)
 
 
 class TraceRecordEvent(Event):

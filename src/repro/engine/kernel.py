@@ -4,17 +4,20 @@
 time passes.  Every time consumer that the pre-kernel ``TraceReplayer``
 hand-threaded — power-timeline boundary samples, fault-clock
 bookkeeping, policy monitoring-period checkpoints, trace records,
-write-delay flush deadlines — is an :class:`~repro.engine.events.Event`
-popped off one deterministic :class:`~repro.engine.queue.EventQueue`
-and fired in ``(time, priority class, insertion order)`` order.
+write-delay flush deadlines — fires from here in ``(time, priority
+class, insertion order)`` order.  Timeline samples, records served
+online, flush deadlines and deferred action plans are
+:class:`~repro.engine.events.Event` objects on one deterministic
+:class:`~repro.engine.queue.EventQueue`; the policy checkpoint is a
+field (see below).
 
 Two entry points:
 
 * :meth:`SimulationKernel.replay` — batch mode.  Trace records arrive
   as a pre-sorted :class:`~repro.trace.columnar.ColumnarTrace` (any
   other record iterable is packed into one first), so the one record
-  loop *merges* the columns with the event heap instead of pushing
-  every record through it: the heap
+  loop *merges* the columns with the event heap and the checkpoint
+  field instead of pushing every record through the heap: the heap
   only ever holds the handful of live recurring events, which keeps the
   hot loop allocation-free and the throughput at parity with the old
   hand-threaded loop.
@@ -27,14 +30,15 @@ Two entry points:
 
 Checkpoint scheduling is *synchronized polling*: policies still expose
 ``next_checkpoint()`` (see :class:`repro.baselines.base.PowerPolicy`),
-and the kernel keeps exactly one live
-:class:`~repro.engine.events.PolicyCheckpointEvent` in the queue that
-mirrors it, re-synced at the only points the value can change — after
-each ``after_io`` and after each ``on_checkpoint``.  When a fault clock
-is installed, every checkpoint is paired with a
-:class:`~repro.engine.events.FaultBookkeepingEvent` at the same time
-(lower priority class ⇒ fires first), preserving the pre-kernel call
-order ``controller.on_time(t)`` then ``policy.on_checkpoint(t)``.
+and the kernel mirrors it in one float, re-read at the only points the
+value can change — after each ``after_io`` and after each
+``on_checkpoint``.  The checkpoint never enters the heap: the dispatch
+loop compares its slot, key ``(t, POLICY_CHECKPOINT)``, with the heap
+top, so a moved checkpoint simply overwrites the float and can never
+fire at its stale time.  When a fault clock is installed, the slot
+first runs fault bookkeeping (class ``FAULT_BOOKKEEPING``), preserving
+the pre-kernel call order ``controller.on_time(t)`` then
+``policy.on_checkpoint(t)``.
 
 The golden regression test (``tests/trace/test_replay_golden.py``)
 pins this kernel bit-identical to the pre-kernel replayer for every
@@ -51,12 +55,11 @@ from repro.actions.records import FlushWriteDelay
 from repro.engine.clock import SimClock
 from repro.engine.events import (
     ACTION_APPLY,
+    POLICY_CHECKPOINT,
     TRACE_RECORD,
     ActionApplyEvent,
     Event,
-    FaultBookkeepingEvent,
     FlushDeadlineEvent,
-    PolicyCheckpointEvent,
     TimelineSampleEvent,
     TraceRecordEvent,
 )
@@ -78,13 +81,11 @@ _PAST_LAST_CLASS = ACTION_APPLY + 1
 
 #: Event-kind tags used by the kernel snapshot (:mod:`repro.persistence`).
 #: Snapshots never pickle :class:`~repro.engine.events.Event` instances —
-#: their ``queued``/``cancelled`` flags and kernel back-references are
-#: runtime identity, not state — so live queue entries are serialized as
+#: their ``queued`` flags and kernel back-references are runtime
+#: identity, not state — so queue entries are serialized as
 #: ``(seq, kind, time, payload)`` tuples and rebuilt on restore.
 _EVENT_KINDS: dict[type[Event], str] = {
     TimelineSampleEvent: "timeline_sample",
-    FaultBookkeepingEvent: "fault_bookkeeping",
-    PolicyCheckpointEvent: "policy_checkpoint",
     TraceRecordEvent: "trace_record",
     FlushDeadlineEvent: "flush_deadline",
     ActionApplyEvent: "action_apply",
@@ -117,10 +118,6 @@ def _decode_event(kind: str, time: float, payload: object) -> Event:
     """Rebuild a fresh event instance from its snapshot tuple."""
     if kind == "timeline_sample":
         return TimelineSampleEvent(time)
-    if kind == "fault_bookkeeping":
-        return FaultBookkeepingEvent(time)
-    if kind == "policy_checkpoint":
-        return PolicyCheckpointEvent(time)
     if kind == "flush_deadline":
         return FlushDeadlineEvent(time)
     if kind == "trace_record":
@@ -163,8 +160,6 @@ class SimulationKernel:
         self.timeline = timeline
         self.clock = SimClock()
         self.queue = EventQueue()
-        self._checkpoint_event: PolicyCheckpointEvent | None = None
-        self._bookkeeping_event: FaultBookkeepingEvent | None = None
         self._scheduled_checkpoint: float | None = None
         self._checkpoint_hooks: list[Callable[[float], None]] = []
         self._finish_hooks: list[Callable[[float], None]] = []
@@ -212,14 +207,21 @@ class SimulationKernel:
         The online entry point: arrivals, deadlines, or custom event
         sources go in here and fire when :meth:`run_until` (or the
         batch pump) reaches their time.  Raises
-        :class:`~repro.errors.UsageError` once the run has finished —
-        a settled kernel's books are final and an event posted after
-        settlement could never fire.
+        :class:`~repro.errors.UsageError`, before touching the queue,
+        once the run has finished — a settled kernel's books are final
+        and an event posted after settlement could never fire — and for
+        an event behind the clock, which could only fire by moving
+        virtual time backwards.
         """
         if self._finished:
             raise UsageError(
                 "cannot post events to a finished kernel: the run has "
                 "settled; build a fresh kernel for a new window"
+            )
+        if event.time < self.clock.now:
+            raise UsageError(
+                f"cannot post {event!r}: it is in the past, the clock is "
+                f"at {self.clock.now}"
             )
         return self.queue.push(event)
 
@@ -331,7 +333,7 @@ class SimulationKernel:
 
         submit = context.controller.submit
         record = context.app_monitor.record
-        sync = self._sync_checkpoint
+        next_checkpoint = policy.next_checkpoint
         dispatch = self._dispatch_until
         peek = queue.peek_key
         advance = clock.advance
@@ -345,6 +347,9 @@ class SimulationKernel:
             after_io = None
 
         trace_record = TRACE_RECORD
+        # Local mirror of ``_scheduled_checkpoint``: only a dispatch or
+        # the after-I/O re-sync below can move it.
+        checkpoint = self._scheduled_checkpoint
         for ts, idx, offset, size, flag in zip(
             timestamps, item_index, offsets, sizes, flags
         ):
@@ -353,15 +358,21 @@ class SimulationKernel:
                     f"trace not time-ordered: {ts} after {last_ts}"
                 )
             last_ts = ts
-            # Re-peek per record: any after-I/O hook may have queued new
-            # events (e.g. a management cycle posting flush deadlines).
-            # The key is compared field-wise to avoid building a tuple
-            # per record.
-            key = peek()
-            if key is not None:
-                key_ts = key[0]
-                if key_ts < ts or (key_ts == ts and key[1] < trace_record):
-                    dispatch((ts, trace_record))
+            # The checkpoint slot precedes a record at its own timestamp.
+            # Otherwise re-peek the heap per record: any after-I/O hook
+            # may have queued new events (e.g. a management cycle posting
+            # flush deadlines).  The key is compared field-wise to avoid
+            # building a tuple per record.
+            if checkpoint is not None and checkpoint <= ts:
+                dispatch((ts, trace_record))
+                checkpoint = self._scheduled_checkpoint
+            else:
+                key = peek()
+                if key is not None:
+                    key_ts = key[0]
+                    if key_ts < ts or (key_ts == ts and key[1] < trace_record):
+                        dispatch((ts, trace_record))
+                        checkpoint = self._scheduled_checkpoint
             advance(ts)
             item = items[idx]
             is_read = read_lut[flag]
@@ -371,7 +382,8 @@ class SimulationKernel:
             count += 1
             if after_io is not None:
                 after_io(ts, item, offset, size, is_read, sequential, response)
-                sync()
+                # _sync_checkpoint inlined: one call less per record.
+                checkpoint = self._scheduled_checkpoint = next_checkpoint()
             if hook is not None:
                 hook(count, ts)
 
@@ -481,14 +493,10 @@ class SimulationKernel:
 
     def fire_fault_bookkeeping(self, now: float) -> None:
         """Run controller fault bookkeeping ahead of the checkpoint at ``now``."""
-        self._bookkeeping_event = None
         self.context.controller.on_time(now)
 
     def fire_policy_checkpoint(self, now: float) -> None:
         """Run a policy checkpoint, its hooks, and re-sync the schedule."""
-        self._checkpoint_event = None
-        self._bookkeeping_event = None
-        self._scheduled_checkpoint = None
         policy = self.policy
         policy.on_checkpoint(now)
         for hook in self._checkpoint_hooks:
@@ -499,7 +507,7 @@ class SimulationKernel:
                 f"policy {policy.name!r} did not advance its "
                 f"checkpoint past {now}"
             )
-        self._sync_checkpoint()
+        self._scheduled_checkpoint = follow_up
 
     def fire_flush_deadline(self, now: float) -> None:
         """Flush delayed writes whose deadline arrived at ``now``.
@@ -520,15 +528,31 @@ class SimulationKernel:
     # ------------------------------------------------------------------
 
     def _dispatch_until(self, bound: tuple[float, int]) -> None:
-        """Fire queued events whose ``(time, priority)`` key is < ``bound``."""
+        """Fire everything whose ``(time, priority)`` key is < ``bound``.
+
+        That is queued events and the policy checkpoint, whose slot has
+        key ``(t, POLICY_CHECKPOINT)``.  With a fault clock attached the
+        slot runs fault bookkeeping first, so ``controller.on_time(t)``
+        precedes ``policy.on_checkpoint(t)``.
+        """
         queue = self.queue
         clock = self.clock
+        bookkeeping = self.context.fault_clock is not None
         while True:
             key = queue.peek_key()
+            checkpoint = self._scheduled_checkpoint
+            if checkpoint is not None:
+                slot = (checkpoint, POLICY_CHECKPOINT)
+                if slot < bound and (key is None or slot < key):
+                    clock.advance(checkpoint)
+                    if bookkeeping:
+                        self.fire_fault_bookkeeping(checkpoint)
+                    self.fire_policy_checkpoint(checkpoint)
+                    continue
             if key is None or key >= bound:
                 return
             event = queue.pop()
-            if event is None:  # pragma: no cover - peek guarantees liveness
+            if event is None:  # pragma: no cover - peek saw an event
                 return
             clock.advance(event.time)
             event.fire(self)
@@ -548,45 +572,19 @@ class SimulationKernel:
             self._dispatch_until((self._scheduled_checkpoint, TRACE_RECORD))
 
     def _sync_checkpoint(self) -> None:
-        """Mirror ``policy.next_checkpoint()`` as the one live checkpoint event.
+        """Mirror ``policy.next_checkpoint()`` in the checkpoint field.
 
-        Called at every point the policy may have moved its checkpoint.
-        Unchanged targets are a fast no-op; a moved target lazily
-        cancels the stale event pair and schedules a fresh one.
+        Called at every point the policy may have moved its checkpoint;
+        a moved checkpoint replaces the old value outright.
         """
-        target = self.policy.next_checkpoint()
-        if target is not None and target is self._scheduled_checkpoint:
-            return
-        if target is None:
-            self._cancel_checkpoint()
-            return
-        if self._scheduled_checkpoint is not None:
-            if target == self._scheduled_checkpoint:
-                return
-            self._cancel_checkpoint()
-        if self.context.fault_clock is not None:
-            self._bookkeeping_event = FaultBookkeepingEvent(target)
-            self.queue.push(self._bookkeeping_event)
-        self._checkpoint_event = PolicyCheckpointEvent(target)
-        self.queue.push(self._checkpoint_event)
-        self._scheduled_checkpoint = target
-
-    def _cancel_checkpoint(self) -> None:
-        """Lazily cancel the scheduled checkpoint event pair, if any."""
-        if self._checkpoint_event is not None:
-            self.queue.cancel(self._checkpoint_event)
-            self._checkpoint_event = None
-        if self._bookkeeping_event is not None:
-            self.queue.cancel(self._bookkeeping_event)
-            self._bookkeeping_event = None
-        self._scheduled_checkpoint = None
+        self._scheduled_checkpoint = self.policy.next_checkpoint()
 
     # ------------------------------------------------------------------
     # Snapshot support (repro.persistence)
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Serializable kernel state: clock, live events, checkpoint link.
+        """Serializable kernel state: clock, queued events, checkpoint.
 
         Captured strictly read-only at a record boundary.  Events are
         stored as ``(seq, (kind, time, payload))`` tuples — see
@@ -606,26 +604,12 @@ class SimulationKernel:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild clock, queue, and checkpoint linkage from a snapshot.
-
-        The one live :class:`PolicyCheckpointEvent` (and its paired
-        :class:`FaultBookkeepingEvent`, when present) is re-linked to
-        the kernel's identity fields so lazy cancellation keeps working
-        across the resume seam.
-        """
+        """Rebuild clock, queue, and checkpoint from a snapshot."""
         self.clock.restore_state(state["clock"])
         entries: list[tuple[float, int, int, Event]] = []
-        checkpoint_event: PolicyCheckpointEvent | None = None
-        bookkeeping_event: FaultBookkeepingEvent | None = None
         for seq, (kind, time, payload) in state["queue_entries"]:
             event = _decode_event(kind, time, payload)
-            if isinstance(event, PolicyCheckpointEvent):
-                checkpoint_event = event
-            elif isinstance(event, FaultBookkeepingEvent):
-                bookkeeping_event = event
             entries.append((event.time, event.priority, seq, event))
         self.queue.restore_entries(entries, state["queue_next_seq"])
-        self._checkpoint_event = checkpoint_event
-        self._bookkeeping_event = bookkeeping_event
         self._scheduled_checkpoint = state["scheduled_checkpoint"]
         self._finished = state["finished"]

@@ -1,4 +1,4 @@
-"""Deterministic heap-based event queue with lazy cancellation.
+"""Deterministic heap-based event queue.
 
 Heap entries are ``(time, priority, seq, event)`` tuples, so ordering
 is total and explicit: ascending virtual time, then ascending priority
@@ -7,10 +7,8 @@ order.  No comparison ever reaches the event objects themselves, and
 two runs that push the same events in the same order pop them in the
 same order on any platform.
 
-Cancellation is lazy — :meth:`EventQueue.cancel` flags the event and
-pops skip it — because rescheduling a policy checkpoint is far more
-common than draining the heap, and lazy flags keep both cancel and
-push at O(log n) worst case without an entry-finder map.
+Every pushed event fires: nothing is ever withdrawn.  The one schedule
+that moves — the policy checkpoint — lives in a kernel field, not here.
 """
 
 from __future__ import annotations
@@ -26,83 +24,57 @@ __all__ = ["EventQueue"]
 class EventQueue:
     """Priority queue of :class:`~repro.engine.events.Event` objects."""
 
-    __slots__ = ("_heap", "_seq", "_live")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._live = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap)
 
     def push(self, event: Event) -> Event:
         """Schedule ``event`` and return it.
 
         An event instance lives in the queue at most once; re-pushing a
-        queued or cancelled instance raises
-        :class:`~repro.errors.UsageError` (create a fresh event
-        instead — identity is what makes lazy cancellation sound).
+        queued instance raises :class:`~repro.errors.UsageError` (create
+        a fresh event instead).
         """
-        if event.queued or event.cancelled:
-            state = "queued" if event.queued else "cancelled"
-            raise UsageError(f"cannot push {state} event {event!r}")
+        if event.queued:
+            raise UsageError(f"cannot push queued event {event!r}")
         event.queued = True
         heappush(self._heap, (event.time, event.priority, self._seq, event))
         self._seq += 1
-        self._live += 1
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Lazily cancel a queued event; no-op if it already left the queue."""
-        if event.queued and not event.cancelled:
-            event.cancelled = True
-            event.queued = False
-            self._live -= 1
-
     def peek_key(self) -> tuple[float, int, int] | None:
-        """Return ``(time, priority, seq)`` of the next live event, if any.
-
-        Cancelled entries reaching the heap top are discarded here so
-        the returned key always describes what :meth:`pop` would yield.
-        """
+        """Return ``(time, priority, seq)`` of the next event, if any."""
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3].cancelled:
-                heappop(heap)
-                continue
-            return entry[:3]
+        if heap:
+            return heap[0][:3]
         return None
 
     def pop(self) -> Event | None:
-        """Remove and return the next live event, or None when empty."""
+        """Remove and return the next event, or None when empty."""
         heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            if event.cancelled:
-                continue
-            event.queued = False
-            self._live -= 1
-            return event
-        return None
+        if not heap:
+            return None
+        event = heappop(heap)[3]
+        event.queued = False
+        return event
 
     # ------------------------------------------------------------------
     # Snapshot support (repro.persistence)
     # ------------------------------------------------------------------
 
     def live_entries(self) -> list[tuple[float, int, int, Event]]:
-        """Live ``(time, priority, seq, event)`` entries in pop order.
+        """Queued ``(time, priority, seq, event)`` entries in pop order.
 
-        Cancelled entries are omitted — they can never fire, so a
-        restored queue without them behaves identically.  The sequence
-        numbers are the originals: restoring them verbatim (together
-        with :attr:`next_seq`) keeps FIFO tie-breaks bit-identical
-        across a snapshot/resume seam.
+        The sequence numbers are the originals: restoring them verbatim
+        (together with :attr:`next_seq`) keeps FIFO tie-breaks
+        bit-identical across a snapshot/resume seam.
         """
-        return sorted(
-            entry for entry in self._heap if not entry[3].cancelled
-        )
+        return sorted(self._heap)
 
     @property
     def next_seq(self) -> int:
@@ -124,5 +96,4 @@ class EventQueue:
         for time, priority, seq, event in sorted(entries):
             event.queued = True
             heappush(self._heap, (time, priority, seq, event))
-        self._live = len(self._heap)
         self._seq = next_seq

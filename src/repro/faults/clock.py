@@ -12,9 +12,8 @@ questions the storage layer asks at its injection points:
   logic: is this enclosure inside an injected outage window right now?
 * :meth:`FaultClock.battery_failure_time` — from the controller's
   virtual-time hook (:meth:`~repro.storage.controller.StorageController.on_time`,
-  driven as kernel :class:`~repro.engine.events.FaultBookkeepingEvent`
-  occurrences paired with each policy checkpoint): has the cache
-  battery failed yet?
+  which the kernel's checkpoint slot runs just before each policy
+  checkpoint): has the cache battery failed yet?
 * :meth:`FaultClock.migration_abort` — from
   :meth:`~repro.storage.controller.StorageController.migrate_item`:
   should this move abort?

@@ -4,7 +4,7 @@ A snapshot file is one fixed header followed by one pickled payload::
 
     offset  size  field
     0       4     magic ``b"ECSN"``
-    4       4     format version (u32, little-endian) — currently 1
+    4       4     format version (u32, little-endian) — currently 2
     8       8     payload length in bytes (u64, little-endian)
     16      4     CRC-32 of the payload bytes (u32, little-endian)
     20      len   payload: ``pickle.dumps({"meta": ..., "states": ...})``
@@ -53,8 +53,10 @@ __all__ = [
 #: First four bytes of every snapshot file.
 MAGIC = b"ECSN"
 
-#: Envelope version written by :func:`write_snapshot`.
-FORMAT_VERSION = 1
+#: Envelope version written by :func:`write_snapshot`.  Version 2: the
+#: kernel state no longer carries policy-checkpoint or fault-bookkeeping
+#: queue entries (the checkpoint is the ``scheduled_checkpoint`` field).
+FORMAT_VERSION = 2
 
 #: File-name suffix of snapshot files.
 SNAPSHOT_SUFFIX = ".ecsn"

@@ -186,9 +186,8 @@ class StorageController:
         """Advance fault bookkeeping to ``now`` (no-op without faults).
 
         Driven from exactly two places: internally on every application
-        I/O, and by the simulation kernel's
-        :class:`~repro.engine.events.FaultBookkeepingEvent` fired just
-        before each policy checkpoint — so battery failures are noticed
+        I/O, and by the simulation kernel's checkpoint slot just before
+        each policy checkpoint — so battery failures are noticed
         and emergency buffers drained at deterministic points of virtual
         time.  Calling it ad hoc elsewhere is flagged by check R8.
         """

@@ -6,9 +6,9 @@ from repro import units
 from repro.baselines.base import PowerPolicy
 from repro.baselines.nopower import NoPowerSavingPolicy
 from repro.config import DEFAULT_CONFIG
-from repro.engine.events import TraceRecordEvent
+from repro.engine.events import FlushDeadlineEvent, TraceRecordEvent
 from repro.engine.kernel import SimulationKernel
-from repro.errors import ReplayError, UsageError
+from repro.errors import ReplayError, SnapshotError, UsageError
 from repro.faults.plan import CacheBatteryFailure, FaultPlan
 from repro.simulation import build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
@@ -81,8 +81,8 @@ class TestHooks:
 class TestFaultPairing:
     def test_bookkeeping_events_drive_battery_failure(self):
         # No records at all: the only on_time() calls come from the
-        # kernel's FaultBookkeepingEvents paired with each checkpoint,
-        # so the battery failure can only be noticed if they fire.
+        # fault bookkeeping the kernel runs ahead of each checkpoint,
+        # so the battery failure can only be noticed if it fires.
         faults = FaultPlan(events=(CacheBatteryFailure(time=100.0),))
         context = make_context(faults=faults)
         policy = PeriodicPolicy(period=60.0)
@@ -136,15 +136,26 @@ class TestOnlineMode:
         assert policy.checkpoints == [60.0, 120.0, 180.0]
         assert policy.io_seen == [5.0, 130.0]
 
-    def test_posting_into_the_past_raises_on_pump(self):
+    def test_posting_into_the_past_raises_usage_error(self):
         context = make_context()
-        policy = NoPowerSavingPolicy()
+        policy = PeriodicPolicy(period=60.0)
         policy.bind(context)
         kernel = SimulationKernel(context, policy)
+        policy.on_start(0.0)
+        context.app_monitor.begin_window(0.0)
+        context.storage_monitor.begin_window(0.0)
+        kernel.post(TraceRecordEvent(record(5.0)))
+        kernel.post(TraceRecordEvent(record(150.0)))
         kernel.run_until(100.0)
-        kernel.post(TraceRecordEvent(record(50.0)))
-        with pytest.raises(ReplayError):
-            kernel.run_until(200.0)
+        before = kernel.queue.live_entries()
+        with pytest.raises(UsageError, match="in the past"):
+            kernel.post(FlushDeadlineEvent(50.0))
+        # The queue is untouched and the kernel still pumps.
+        assert kernel.queue.live_entries() == before
+        kernel.run_until(200.0)
+        assert policy.io_seen == [5.0, 150.0]
+        assert policy.checkpoints == [60.0, 120.0, 180.0]
+        assert kernel.clock.now == 200.0
 
 
 class TestReplayValidation:
@@ -227,3 +238,27 @@ class TestFinishedKernelMisuse:
         kernel = SimulationKernel(context, policy)
         kernel.run_until(100.0)
         assert kernel.run_until(100.0) == 100.0
+
+
+class TestSnapshotState:
+    def _kernel(self):
+        context = make_context()
+        policy = PeriodicPolicy(period=60.0)
+        policy.bind(context)
+        return SimulationKernel(context, policy)
+
+    def test_checkpoint_is_a_field_not_a_queue_entry(self):
+        kernel = self._kernel()
+        kernel.replay([record(5.0)], duration=50.0)
+        state = kernel.snapshot_state()
+        assert state["scheduled_checkpoint"] == 60.0
+        assert state["queue_entries"] == []
+
+    @pytest.mark.parametrize(
+        "kind", ["policy_checkpoint", "fault_bookkeeping"]
+    )
+    def test_retired_checkpoint_kinds_are_refused(self, kind):
+        state = self._kernel().snapshot_state()
+        state["queue_entries"] = [(0, (kind, 60.0, None))]
+        with pytest.raises(SnapshotError, match="unknown event kind"):
+            self._kernel().restore_state(state)

@@ -1,23 +1,29 @@
-"""Tests for repro.engine.queue — deterministic ordering + cancellation."""
+"""Tests for repro.engine.queue — deterministic ordering."""
 
 import pytest
 
+from repro.actions.plan import ActionPlan
 from repro.engine.events import (
+    ActionApplyEvent,
     Event,
-    FaultBookkeepingEvent,
     FlushDeadlineEvent,
-    PolicyCheckpointEvent,
     TimelineSampleEvent,
 )
 from repro.engine.queue import EventQueue
 from repro.errors import UsageError, ValidationError
 
-#: One constructor per priority class, lowest class first.
+
+def action_apply(time):
+    return ActionApplyEvent(time, ActionPlan([]))
+
+
+#: One constructor per heap priority class, lowest class first; the base
+#: Event carries TRACE_RECORD.
 EVENT_KINDS = [
     TimelineSampleEvent,
-    FaultBookkeepingEvent,
-    PolicyCheckpointEvent,
+    Event,
     FlushDeadlineEvent,
+    action_apply,
 ]
 
 
@@ -48,13 +54,13 @@ class TestOrdering:
 
     def test_fifo_within_same_time_and_class(self):
         queue = EventQueue()
-        first = queue.push(PolicyCheckpointEvent(50.0))
-        second = queue.push(PolicyCheckpointEvent(50.0))
+        first = queue.push(FlushDeadlineEvent(50.0))
+        second = queue.push(FlushDeadlineEvent(50.0))
         assert drain(queue) == [first, second]
 
     def test_peek_key_matches_next_pop(self):
         queue = EventQueue()
-        queue.push(PolicyCheckpointEvent(50.0))
+        queue.push(FlushDeadlineEvent(50.0))
         queue.push(TimelineSampleEvent(50.0))
         key = queue.peek_key()
         event = queue.pop()
@@ -62,38 +68,23 @@ class TestOrdering:
         assert isinstance(event, TimelineSampleEvent)
 
 
-class TestCancellation:
-    def test_cancelled_event_is_skipped(self):
-        queue = EventQueue()
-        doomed = queue.push(PolicyCheckpointEvent(10.0))
-        kept = queue.push(PolicyCheckpointEvent(20.0))
-        queue.cancel(doomed)
-        assert len(queue) == 1
-        assert drain(queue) == [kept]
-
-    def test_peek_discards_cancelled_head(self):
-        queue = EventQueue()
-        doomed = queue.push(TimelineSampleEvent(10.0))
-        queue.cancel(doomed)
-        assert queue.peek_key() is None
-        assert queue.pop() is None
-
-    def test_cancel_after_pop_is_harmless(self):
-        queue = EventQueue()
-        event = queue.push(PolicyCheckpointEvent(10.0))
-        assert queue.pop() is event
-        queue.cancel(event)  # already out of the queue: no-op
-        assert len(queue) == 0
-        assert not event.cancelled
-
+class TestPush:
     def test_double_push_rejected(self):
         queue = EventQueue()
-        event = queue.push(PolicyCheckpointEvent(10.0))
+        event = queue.push(FlushDeadlineEvent(10.0))
         with pytest.raises(UsageError):
             queue.push(event)
-        queue.cancel(event)
-        with pytest.raises(UsageError):
-            queue.push(event)
+        assert len(queue) == 1
+
+    def test_popped_event_may_be_pushed_again(self):
+        queue = EventQueue()
+        event = queue.push(FlushDeadlineEvent(10.0))
+        assert queue.pop() is event
+        assert len(queue) == 0
+        assert queue.peek_key() is None
+        assert queue.pop() is None
+        queue.push(event)
+        assert drain(queue) == [event]
 
 
 class TestEventValidation:

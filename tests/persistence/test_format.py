@@ -86,6 +86,15 @@ class TestRefusal:
         with pytest.raises(SnapshotError, match="unsupported format version"):
             load_snapshot(path)
 
+    def test_version_one_refused(self, tmp_path):
+        # Version 1 kernel states carried checkpoint queue entries.
+        path = self._written(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="format version 1"):
+            load_snapshot(path)
+
     def test_truncated_payload(self, tmp_path):
         path = self._written(tmp_path)
         path.write_bytes(path.read_bytes()[:-5])
