@@ -25,7 +25,7 @@ def build_mixed_workload():
     """TPC-C on enclosures 0-9, File Server on 10-21."""
     oltp = build_oltp_workload(duration=DURATION)
     archive = build_fileserver_workload(duration=DURATION)
-    records = sorted(oltp.records + archive.records)
+    records = sorted([*oltp.records, *archive.records])
     return oltp, archive, records
 
 

@@ -55,8 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: tracks serializer format 3 (the :mod:`repro.actions` log rides in
 #: every cached result).  Format 4 added the fleet shard (router seed +
 #: array count + array index + pins) to the key, so per-array cells of
-#: a fleet run can never collide with whole-workload cells.
-CACHE_FORMAT = 4
+#: a fleet run can never collide with whole-workload cells.  Format 5
+#: hashes the trace as its ``.ecot`` image instead of a ``repr`` feed
+#: per record.
+CACHE_FORMAT = 5
 
 #: Option value types allowed in specs: JSON-representable scalars.
 SpecValue = bool | int | float | str
@@ -126,7 +128,10 @@ def workload_fingerprint(spec: WorkloadSpec) -> str:
     Covers everything replay consumes — every trace record, the item
     catalog, extra volumes, phases, duration, and enclosure count — so
     any change to workload generation changes every affected cache key.
-    Memoized per process: one fingerprint serves all policies of a grid.
+    The trace is fed as the exact bytes of its ``.ecot`` image
+    (:meth:`~repro.trace.columnar.ColumnarTrace.write_to`); the rest as
+    ``repr`` lines.  Memoized per process: one fingerprint serves all
+    policies of a grid.
     """
     workload = spec.build()
     digest = hashlib.sha256()
@@ -143,11 +148,7 @@ def workload_fingerprint(spec: WorkloadSpec) -> str:
         feed(volume, index)
     for phase in workload.phases:
         feed(*phase)
-    # Fed via the columnar representation: identical field tuples (and
-    # therefore identical digests — CACHE_FORMAT is unchanged) without
-    # per-record attribute access over the whole trace.
-    for fields in workload.columnar().iter_field_tuples():
-        feed(*fields)
+    workload.columnar().write_to(digest.update)
     return digest.hexdigest()
 
 

@@ -30,7 +30,6 @@ from dataclasses import replace
 from repro.errors import ValidationError
 from repro.fleet.routing import ARRAY_SEPARATOR, HashRouter
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import LogicalIORecord
 from repro.workloads.items import Workload
 
 __all__ = ["shard_columnar", "shard_workload", "split_workload"]
@@ -126,24 +125,12 @@ def shard_workload(
         (_namespace(array_id, name), index)
         for name, index in workload.volumes
     ]
-    records: "list[LogicalIORecord] | ColumnarTrace"
-    columnar: ColumnarTrace | None = None
-    if isinstance(workload.records, ColumnarTrace):
-        columnar = shard_columnar(workload.records, router, array_index)
-        records = columnar
-    else:
-        owned_ids = {item.item_id for item in owned}
-        records = [
-            record
-            for record in workload.records
-            if record.item_id in owned_ids
-        ]
-    sub = Workload(
+    return Workload(
         name=workload.name,
         duration=workload.duration,
         enclosure_count=workload.enclosure_count,
         items=items,
-        records=records,  # type: ignore[arg-type]
+        records=shard_columnar(workload.records, router, array_index),
         volumes=volumes,
         description=(
             f"{workload.description} [{array_id} of {router.n_arrays}]"
@@ -153,11 +140,6 @@ def shard_workload(
         app_metrics=dict(workload.app_metrics),
         phases=list(workload.phases),
     )
-    if columnar is not None:
-        # The shard *is* its columnar form already; seed the cache so
-        # Workload.columnar() need not re-intern the whole slice.
-        sub.__dict__["_columnar_cache"] = columnar
-    return sub
 
 
 def split_workload(

@@ -11,7 +11,9 @@ parallel primitive columns —
 * ``offsets`` / ``sizes`` — int64 (``array('q')``),
 * ``flags`` — one byte per record (:data:`FLAG_READ` | :data:`FLAG_SEQUENTIAL`)
 
-— built once from any record iterable.  The simulation kernel's batch
+— built once: from any record iterable, by the workload generators
+straight from numpy (:func:`repro.workloads.base.merge_streams`), or
+loaded from a file.  The simulation kernel's batch
 pump (:meth:`repro.engine.kernel.SimulationKernel.replay`) consumes the
 columns directly, and everything that still wants record objects can
 iterate the trace (iteration materializes records lazily), so a
@@ -31,7 +33,9 @@ import mmap as mmap_mod
 import struct
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence, overload
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, overload
+
+import numpy as np
 
 from repro.errors import TraceError, ValidationError
 from repro.trace.records import IOType, LogicalIORecord
@@ -82,7 +86,8 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
     """A logical I/O trace as parallel primitive columns.
 
     Immutable by convention: the columns are built once (by
-    :meth:`from_records` or :meth:`load`) and only read afterwards.
+    :meth:`from_records`, :meth:`load` or the workload generators) and
+    only read afterwards.
     Indexing and iteration materialize :class:`LogicalIORecord` objects
     on demand, so the trace is usable anywhere a record sequence is —
     but the batch replay pump reads the columns directly and never
@@ -209,6 +214,9 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
             yield self._materialize(i)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple)):
+            # Compared as the record sequence the trace stands in for.
+            return list(self) == list(other)
         if not isinstance(other, ColumnarTrace):
             return NotImplemented
         return (
@@ -245,29 +253,6 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
         reads = [bool(flag & FLAG_READ) for flag in self.flags]
         return self.timestamps, item_ids, self.sizes, reads
 
-    def iter_field_tuples(
-        self,
-    ) -> Iterator[tuple[float, str, int, int, str, bool]]:
-        """Yield ``(ts, item_id, offset, size, io_value, sequential)``.
-
-        Exactly the field values :func:`repro.experiments.parallel.workload_fingerprint`
-        feeds per record, so fingerprints computed from the columns are
-        byte-identical to fingerprints computed from record objects.
-        """
-        items = self.items
-        read_value = IOType.READ.value
-        write_value = IOType.WRITE.value
-        for i in range(len(self.timestamps)):
-            flag = self.flags[i]
-            yield (
-                self.timestamps[i],
-                items[self.item_index[i]],
-                self.offsets[i],
-                self.sizes[i],
-                read_value if flag & FLAG_READ else write_value,
-                bool(flag & FLAG_SEQUENTIAL),
-            )
-
     # ------------------------------------------------------------------
     # .ecot file format
     # ------------------------------------------------------------------
@@ -277,6 +262,18 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
         Returns the number of records written.  The write is atomic at
         the filesystem level only insofar as it truncates-then-writes;
         callers wanting atomicity should write to a temp file and rename.
+        """
+        with open(path, "wb") as handle:
+            self.write_to(handle.write)
+        return len(self)
+
+    def write_to(self, write: Callable[[bytes], object]) -> None:
+        """Feed the trace's ``.ecot`` image, in order, to ``write``.
+
+        The one serializer behind :meth:`save` and the experiment
+        cache's trace fingerprint
+        (:func:`repro.experiments.parallel.workload_fingerprint`), so a
+        cache key is the hash of exactly the bytes a saved trace holds.
         """
         item_table = bytearray()
         for item_id in self.items:
@@ -288,24 +285,26 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
                 )
             item_table += _ITEM_LEN.pack(len(encoded))
             item_table += encoded
-        span = _HEADER.size + len(item_table)
-        span += _pad(span)
-        header = _HEADER.pack(
-            ECOT_MAGIC, ECOT_VERSION, len(self), len(self.items), span
+        table_end = _HEADER.size + len(item_table)
+        write(
+            _HEADER.pack(
+                ECOT_MAGIC,
+                ECOT_VERSION,
+                len(self),
+                len(self.items),
+                table_end + _pad(table_end),
+            )
         )
-        with open(path, "wb") as handle:
-            handle.write(header)
-            handle.write(item_table)
-            handle.write(b"\x00" * _pad(_HEADER.size + len(item_table)))
-            for column in (self.timestamps, self.item_index, self.offsets, self.sizes):
-                data = (
-                    column.tobytes()
-                    if isinstance(column, (array, memoryview))
-                    else bytes(column)
-                )
-                handle.write(data)
-            handle.write(bytes(self.flags))
-        return len(self)
+        write(bytes(item_table))
+        write(b"\x00" * _pad(table_end))
+        for column in (
+            self.timestamps,
+            self.item_index,
+            self.offsets,
+            self.sizes,
+            self.flags,
+        ):
+            write(bytes(column))
 
     @classmethod
     def load(cls, path: "str | Path", use_mmap: bool = True) -> "ColumnarTrace":
@@ -315,6 +314,12 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
         zero-copy memoryview casts over a private memory map of the
         file; pass ``use_mmap=False`` to copy them into ``array``
         objects instead (e.g. when the file will be replaced in place).
+
+        Every malformed file raises :class:`~repro.errors.TraceError`:
+        a bad magic or version, a truncated header, item table or
+        column, an item id that is not UTF-8, a header span other than
+        the aligned end of the item table, and any column value outside
+        the bounds a :class:`LogicalIORecord` enforces.
         """
         with open(path, "rb") as handle:
             head = handle.read(_HEADER.size)
@@ -331,6 +336,12 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
                     f"(this build reads version {ECOT_VERSION})"
                 )
             items = cls._read_item_table(handle, item_count, path)
+            table_end = handle.tell()
+            if span != table_end + _pad(table_end):
+                raise TraceError(
+                    f"{path}: header span {span} is not the aligned end "
+                    f"of the item table ({table_end + _pad(table_end)})"
+                )
             if use_mmap:
                 buffer: "mmap_mod.mmap | bytes" = mmap_mod.mmap(
                     handle.fileno(), 0, access=mmap_mod.ACCESS_READ
@@ -354,7 +365,13 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
             encoded = read(length)
             if len(encoded) < length:
                 raise TraceError(f"{path}: truncated .ecot item table")
-            items.append(encoded.decode("utf-8"))
+            try:
+                items.append(encoded.decode("utf-8"))
+            except UnicodeDecodeError as error:
+                raise TraceError(
+                    f"{path}: item id {len(items)} is not valid UTF-8 "
+                    f"({error.reason})"
+                ) from None
         return tuple(items)
 
     @classmethod
@@ -386,24 +403,7 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
             chunk = view[offset : offset + record_count * width]
             columns[name] = chunk.cast(code)
             offset += record_count * width
-        if record_count:
-            # The same bounds LogicalIORecord enforces: the replay reads
-            # these columns directly, so this is the only place to check.
-            if max(columns["item_index"]) >= len(items):
-                raise TraceError(
-                    f"{path}: item index {max(columns['item_index'])} "
-                    f"outside the {len(items)}-entry item table"
-                )
-            for name, lowest in (
-                ("timestamps", 0),
-                ("offsets", 0),
-                ("sizes", 1),
-            ):
-                if min(columns[name]) < lowest:
-                    raise TraceError(
-                        f"{path}: {name} column holds {min(columns[name])}, "
-                        f"below the minimum of {lowest}"
-                    )
+        _check_bounds(columns, len(items), path)
         return cls(
             items=items,
             timestamps=columns["timestamps"],
@@ -412,3 +412,35 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
             sizes=columns["sizes"],
             flags=columns["flags"],
         )
+
+
+def _check_bounds(
+    columns: dict[str, memoryview], item_count: int, path: "str | Path"
+) -> None:
+    """Refuse column values a :class:`LogicalIORecord` would refuse.
+
+    The replay reads the columns directly, so this is the only place to
+    check them: every item index names an entry of the item table,
+    every timestamp is finite and non-negative, offsets are
+    non-negative, sizes positive, and flags use only the defined bits.
+    """
+    if not len(columns["timestamps"]):
+        return
+    item_index = np.asarray(columns["item_index"])
+    if item_index.max() >= item_count:
+        raise TraceError(
+            f"{path}: item index {item_index.max()} "
+            f"outside the {item_count}-entry item table"
+        )
+    timestamps = np.asarray(columns["timestamps"])
+    if not np.isfinite(timestamps).all():
+        raise TraceError(f"{path}: timestamps column holds a non-finite value")
+    for name, lowest in (("timestamps", 0), ("offsets", 0), ("sizes", 1)):
+        low = np.asarray(columns[name]).min()
+        if low < lowest:
+            raise TraceError(
+                f"{path}: {name} column holds {low}, "
+                f"below the minimum of {lowest}"
+            )
+    if np.asarray(columns["flags"]).max() > FLAG_READ | FLAG_SEQUENTIAL:
+        raise TraceError(f"{path}: flags column holds undefined bits")

@@ -13,12 +13,15 @@ processes the three workloads are built from:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro import units
+from repro.trace.columnar import FLAG_READ, FLAG_SEQUENTIAL, ColumnarTrace
 from repro.trace.records import IOType, LogicalIORecord
 
 
@@ -222,36 +225,72 @@ def scan_events(
     )
 
 
-def merge_streams(streams: list[EventStream]) -> list[LogicalIORecord]:
-    """Merge per-item streams into one time-ordered logical trace."""
+def merge_streams(streams: list[EventStream]) -> ColumnarTrace:
+    """Merge per-item streams into one time-ordered columnar trace.
+
+    A stable sort on the timestamps orders the records (ties keep
+    stream order), and every column is gathered in that order in one
+    numpy pass — no record object is built.  Item ids are interned in
+    first-appearance order of the merged trace (several streams may
+    share one id), so the result equals
+    :meth:`ColumnarTrace.from_records` over the same records merged one
+    by one.  A record a :class:`LogicalIORecord` would refuse raises the
+    same :class:`~repro.errors.ValidationError`.
+    """
     streams = [s for s in streams if len(s.times)]
     if not streams:
-        return []
-    times = np.concatenate([s.times for s in streams])
+        return ColumnarTrace.from_records(())
+    lengths = [len(s.times) for s in streams]
+    times = np.concatenate([s.times for s in streams]).astype(np.float64)
     order = np.argsort(times, kind="stable")
-    item_ids = np.concatenate(
-        [np.full(len(s.times), i) for i, s in enumerate(streams)]
-    )
-    is_read = np.concatenate([s.is_read for s in streams])
-    offsets = np.concatenate([s.offsets for s in streams])
-    sizes = np.concatenate([s.sizes for s in streams])
-    sequential = np.array([s.sequential for s in streams])
-    names = [s.item_id for s in streams]
+    times = times[order]
+    offsets = np.concatenate([s.offsets for s in streams]).astype(np.int64)[order]
+    sizes = np.concatenate([s.sizes for s in streams]).astype(np.int64)[order]
+    is_read = np.concatenate([s.is_read for s in streams]).astype(bool)[order]
+    sequential = np.repeat([s.sequential for s in streams], lengths)[order]
 
-    records: list[LogicalIORecord] = []
-    for index in order:
-        stream_index = int(item_ids[index])
-        records.append(
-            LogicalIORecord(
-                timestamp=float(times[index]),
-                item_id=names[stream_index],
-                offset=int(offsets[index]),
-                size=int(sizes[index]),
-                io_type=IOType.READ if is_read[index] else IOType.WRITE,
-                sequential=bool(sequential[stream_index]),
-            )
+    names = list(dict.fromkeys(s.item_id for s in streams))
+    slot = {name: i for i, name in enumerate(names)}
+    raw_items = np.repeat(
+        np.array([slot[s.item_id] for s in streams], dtype=np.int64), lengths
+    )[order]
+    # Every slot occurs (empty streams are gone), so ``first`` holds
+    # each slot's first position in trace order.
+    _, first = np.unique(raw_items, return_index=True)
+    by_appearance = np.argsort(first, kind="stable")
+    renumber = np.empty(len(names), dtype=np.uint32)
+    renumber[by_appearance] = np.arange(len(names), dtype=np.uint32)
+
+    bad = np.flatnonzero((times < 0) | (offsets < 0) | (sizes <= 0))
+    if len(bad):
+        i = bad[0]
+        # The first refused record in trace order raises exactly the
+        # error the record-by-record merge raised.
+        LogicalIORecord(
+            timestamp=float(times[i]),
+            item_id=names[raw_items[i]],
+            offset=int(offsets[i]),
+            size=int(sizes[i]),
+            io_type=IOType.READ,
         )
-    return records
+    flags = np.where(is_read, FLAG_READ, 0) | np.where(
+        sequential, FLAG_SEQUENTIAL, 0
+    )
+    return ColumnarTrace(
+        items=tuple(names[i] for i in by_appearance),
+        timestamps=_column("d", times),
+        item_index=_column("I", renumber[raw_items]),
+        offsets=_column("q", offsets),
+        sizes=_column("q", sizes),
+        flags=flags.astype(np.uint8).tobytes(),
+    )
+
+
+def _column(code: str, values: np.ndarray) -> "array[Any]":
+    """Copy a numpy column into the ``array`` type the replay pump reads."""
+    column = array(code)
+    column.frombytes(values.tobytes())
+    return column
 
 
 def _random_offsets(

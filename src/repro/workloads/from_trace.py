@@ -80,7 +80,7 @@ def workload_from_records(
         duration=duration if duration is not None else end,
         enclosure_count=enclosure_count,
         items=items,
-        records=list(ordered),
+        records=ColumnarTrace.from_records(ordered),
         description=(
             f"replay of {len(ordered)} recorded I/Os over "
             f"{len(items)} inferred data items"
@@ -121,10 +121,12 @@ def workload_from_ecot(
 ) -> Workload:
     """Load a packed ``.ecot`` columnar trace as a workload.
 
-    The columns are materialized into record objects once so the
-    standard catalog inference and validation run; the replay itself
-    goes back through :meth:`Workload.columnar` (cached), so it still
-    drives primitive columns.
+    The loader refuses a malformed file with a
+    :class:`~repro.errors.TraceError`.  The columns are then
+    materialized into record objects once, so the same time sort and
+    catalog inference as every other trace source run, and the sorted
+    records are packed back into the workload's columns: the replay
+    and the cache fingerprint read those.
     """
     trace = ColumnarTrace.load(source)
     return workload_from_records(

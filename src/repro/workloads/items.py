@@ -10,11 +10,11 @@ knows how to install itself into a :class:`~repro.simulation.SimulationContext`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import numpy as np
 
 from repro.errors import WorkloadError
 from repro.simulation import SimulationContext, default_volume
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import LogicalIORecord
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,9 @@ class Workload:
     duration: float
     enclosure_count: int
     items: list[DataItemSpec]
-    records: list[LogicalIORecord]
+    #: The trace, always columnar: a record sequence passed in is
+    #: packed once on construction.
+    records: ColumnarTrace
     #: Extra volumes to create: (volume name, enclosure index).
     volumes: list[tuple[str, int]] = field(default_factory=list)
     description: str = ""
@@ -72,11 +74,11 @@ class Workload:
                     f"{item.enclosure_index} but workload has only "
                     f"{self.enclosure_count}"
                 )
-        last = -1.0
-        for record in self.records:
-            if record.timestamp < last:
-                raise WorkloadError("trace records are not time-ordered")
-            last = record.timestamp
+        if not isinstance(self.records, ColumnarTrace):
+            self.records = ColumnarTrace.from_records(self.records)
+        timestamps = np.asarray(self.records.timestamps)
+        if (timestamps[1:] < timestamps[:-1]).any():
+            raise WorkloadError("trace records are not time-ordered")
 
     @property
     def io_count(self) -> int:
@@ -86,20 +88,14 @@ class Workload:
     def columnar(self) -> ColumnarTrace:
         """The trace as a :class:`~repro.trace.columnar.ColumnarTrace`.
 
-        Built once and cached on the instance; rebuilt if the record
-        list was replaced or resized in the meantime.  Every replay reads
-        these columns (:meth:`repro.trace.replay.TraceReplayer.run` packs
-        any other input first), and
+        That is :attr:`records` itself: the generators build the columns
+        directly (:func:`repro.workloads.base.merge_streams`) and any
+        record sequence is packed on construction, so nothing is packed
+        here.  Every replay reads these columns, and
         :func:`repro.experiments.parallel.workload_fingerprint` hashes
-        them, so one pack serves both.
+        their ``.ecot`` image.
         """
-        cached = self.__dict__.get("_columnar_cache")
-        if not isinstance(cached, ColumnarTrace) or len(cached) != len(
-            self.records
-        ):
-            cached = ColumnarTrace.from_records(self.records)
-            self.__dict__["_columnar_cache"] = cached
-        return cached
+        return self.records
 
     def item_ids(self) -> list[str]:
         """Ids of all data items in the set."""

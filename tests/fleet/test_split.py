@@ -148,7 +148,7 @@ def test_columnar_workload_shards_keep_columnar_records():
     shards = split_workload(columnar, router)
     assert all(isinstance(s.records, ColumnarTrace) for s in shards)
     assert sum(len(s.records) for s in shards) == len(workload.records)
-    # The seeded cache means columnar() is the shard itself, no re-pack.
+    # columnar() is the shard's own trace, no re-pack.
     assert shards[0].columnar() is shards[0].records
 
 

@@ -36,6 +36,9 @@ from repro.trace.columnar import (
 from repro.trace.records import IOType, LogicalIORecord
 from repro.trace.replay import TraceReplayer
 
+#: Bytes of the fixed ``.ecot`` header; the item table follows it.
+_HEADER_SIZE = 28
+
 
 def _records() -> list[LogicalIORecord]:
     return [
@@ -177,6 +180,55 @@ class TestEcotFormat:
         with pytest.raises(TraceError, match=column):
             ColumnarTrace.load(path)
 
+    def test_invalid_utf8_item_id_refused(self, tmp_path):
+        path = tmp_path / "latin.ecot"
+        ColumnarTrace.from_records(_records()).save(path)
+        raw = bytearray(path.read_bytes())
+        # Header, then the first item id's 2-byte length, then its bytes.
+        raw[_HEADER_SIZE + 2] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TraceError, match="not valid UTF-8"):
+            ColumnarTrace.load(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_timestamp_refused(self, tmp_path, bad):
+        trace = ColumnarTrace.from_records(_records())
+        trace.timestamps[1] = bad
+        path = tmp_path / "nan.ecot"
+        trace.save(path)
+        with pytest.raises(TraceError, match="non-finite"):
+            ColumnarTrace.load(path)
+
+    @pytest.mark.parametrize(
+        "span", [8, 32, 33], ids=["into-header", "into-items", "unaligned"]
+    )
+    def test_misplaced_header_span_refused(self, tmp_path, span):
+        path = tmp_path / "span.ecot"
+        ColumnarTrace.from_records(_records()).save(path)
+        raw = bytearray(path.read_bytes())
+        assert int.from_bytes(raw[20:28], "little") == 48
+        raw[20:28] = span.to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TraceError, match="header span"):
+            ColumnarTrace.load(path)
+
+    def test_undefined_flag_bits_refused(self, tmp_path):
+        path = tmp_path / "flags.ecot"
+        ColumnarTrace.from_records(_records()).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] |= 0x80
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TraceError, match="flags"):
+            ColumnarTrace.load(path)
+
+    def test_write_to_feeds_the_saved_image(self, tmp_path):
+        trace = ColumnarTrace.from_records(_records())
+        path = tmp_path / "image.ecot"
+        trace.save(path)
+        chunks: list[bytes] = []
+        trace.write_to(lambda chunk: chunks.append(bytes(chunk)))
+        assert b"".join(chunks) == path.read_bytes()
+
     def test_magic_constant_is_first_four_bytes(self, tmp_path):
         path = tmp_path / "magic.ecot"
         ColumnarTrace.from_records([]).save(path)
@@ -198,7 +250,7 @@ class TestPumpEquivalence:
             workload.install(context)
             policy = STANDARD_POLICIES[policy_name]()
             records = (
-                workload.columnar() if columnar else workload.records
+                workload.columnar() if columnar else list(workload.records)
             )
             result = TraceReplayer(context, policy).run(
                 records, duration=workload.duration
