@@ -432,9 +432,3 @@ class EnergyEfficientPolicy(PowerPolicy):
     def trigger_count(self) -> int:
         """How many management runs the §V-D triggers forced."""
         return self._trigger_count
-
-    def latest_profiles_summary(self) -> dict[IOPattern, int] | None:
-        """Pattern counts from the most recent management run."""
-        if not self.snapshots:
-            return None
-        return dict(self.snapshots[-1].pattern_counts)

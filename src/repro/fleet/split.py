@@ -24,8 +24,9 @@ and the global action/fault books stay unambiguous.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import replace
+
+import numpy as np
 
 from repro.errors import ValidationError
 from repro.fleet.routing import ARRAY_SEPARATOR, HashRouter
@@ -40,46 +41,21 @@ def shard_columnar(
 ) -> ColumnarTrace:
     """The columnar slice of ``trace`` owned by array ``array_index``.
 
-    One pass over the columns; the kept records preserve their original
-    order and item ids are re-interned in first-appearance order, so
-    the result is bit-identical to
+    A keep-mask from the item-owner table and one gather per column
+    (:meth:`ColumnarTrace.take`); the kept records preserve their
+    original order and item ids are re-interned in first-appearance
+    order, so the result is bit-identical to
     ``ColumnarTrace.from_records(filtered record objects)``.
     """
     if not 0 <= array_index < router.n_arrays:
         raise ValidationError(
             f"array index {array_index} outside fleet of {router.n_arrays}"
         )
-    owners = [router.shard_for(item_id) for item_id in trace.items]
-    timestamps = array("d")
-    item_index = array("I")
-    offsets = array("q")
-    sizes = array("q")
-    flags = bytearray()
-    intern: dict[int, int] = {}
-    items: list[str] = []
-    source_index = trace.item_index
-    for i in range(len(trace)):
-        old = source_index[i]
-        if owners[old] != array_index:
-            continue
-        new = intern.get(old)
-        if new is None:
-            new = len(items)
-            intern[old] = new
-            items.append(trace.items[old])
-        timestamps.append(trace.timestamps[i])
-        item_index.append(new)
-        offsets.append(trace.offsets[i])
-        sizes.append(trace.sizes[i])
-        flags.append(trace.flags[i])
-    return ColumnarTrace(
-        items=tuple(items),
-        timestamps=timestamps,
-        item_index=item_index,
-        offsets=offsets,
-        sizes=sizes,
-        flags=bytes(flags),
+    owners = np.array(
+        [router.shard_for(item_id) for item_id in trace.items], dtype=np.int64
     )
+    item_index = np.frombuffer(trace.item_index, dtype=np.uint32)
+    return trace.take(np.flatnonzero(owners[item_index] == array_index))
 
 
 def _namespace(array_id: str, name: str) -> str:

@@ -1,7 +1,6 @@
 """Monitoring subsystem: application and storage monitors (paper §III)."""
 
 from repro.monitoring.application import ApplicationMonitor, ResponseStats
-from repro.monitoring.repository import TraceRepository
 from repro.monitoring.storage import StorageMonitor
 from repro.monitoring.tiers import TierBooks, TierReport
 from repro.monitoring.timeline import PowerTimeline, TimelinePoint
@@ -14,5 +13,4 @@ __all__ = [
     "TierBooks",
     "TierReport",
     "TimelinePoint",
-    "TraceRepository",
 ]

@@ -6,6 +6,12 @@ which volume — and (ii) the **logical I/O trace**.  The power-management
 function reads the current monitoring window's records from here to
 classify data items into logical I/O patterns.
 
+The monitor buffers only the current window.  The paper's monitor also
+keeps the whole trace, spilling it to a repository when memory fills;
+nothing in the simulator reads past the window, and the workload's own
+trace (its ``.ecot`` image) already holds every I/O, so that store is
+not modelled.
+
 The monitor also accumulates the response-time statistics that the
 paper's evaluation reports ("The I/O response time and I/O throughput
 were measured using the application monitor in the trace replay tool",
@@ -16,10 +22,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-
-from repro.errors import UsageError
-from repro.monitoring.repository import TraceRepository
-from repro.trace.records import IOType, LogicalIORecord
 
 
 class WindowColumns:
@@ -32,22 +34,13 @@ class WindowColumns:
     :class:`~repro.trace.records.LogicalIORecord` objects per window.
     """
 
-    __slots__ = (
-        "timestamps",
-        "item_ids",
-        "offsets",
-        "sizes",
-        "reads",
-        "sequentials",
-    )
+    __slots__ = ("timestamps", "item_ids", "sizes", "reads")
 
     def __init__(self) -> None:
         self.timestamps: list[float] = []
         self.item_ids: list[str] = []
-        self.offsets: list[int] = []
         self.sizes: list[int] = []
         self.reads: list[bool] = []
-        self.sequentials: list[bool] = []
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -56,30 +49,14 @@ class WindowColumns:
         """Drop all buffered I/Os."""
         self.timestamps.clear()
         self.item_ids.clear()
-        self.offsets.clear()
         self.sizes.clear()
         self.reads.clear()
-        self.sequentials.clear()
 
     def profile_arrays(self) -> tuple[list[float], list[str], list[int], list[bool]]:
         """The ``(timestamps, item ids, sizes, reads)`` columns that the
         access-pattern classifier consumes (same shape as
         :meth:`repro.trace.columnar.ColumnarTrace.profile_arrays`)."""
         return self.timestamps, self.item_ids, self.sizes, self.reads
-
-    def to_records(self) -> list[LogicalIORecord]:
-        """Materialize the buffered window as record objects."""
-        return [
-            LogicalIORecord(
-                timestamp=self.timestamps[i],
-                item_id=self.item_ids[i],
-                offset=self.offsets[i],
-                size=self.sizes[i],
-                io_type=IOType.READ if self.reads[i] else IOType.WRITE,
-                sequential=self.sequentials[i],
-            )
-            for i in range(len(self.timestamps))
-        ]
 
 
 @dataclass(frozen=True)
@@ -104,29 +81,15 @@ class ResponseStats:
 
 
 class ApplicationMonitor:
-    """Collects the logical I/O trace and per-window item activity.
+    """Collects the current window's logical I/Os and run-wide response books."""
 
-    ``repository`` (optional) receives every captured record — the
-    paper's §III-A store: "stored into memory in the application
-    monitor.  If the memory becomes full, the I/O trace is stored in
-    the repository" (:class:`~repro.monitoring.repository.TraceRepository`
-    implements exactly that bounded-memory/spill contract).
-    """
-
-    def __init__(
-        self,
-        keep_full_trace: bool = False,
-        repository: TraceRepository[LogicalIORecord] | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         #: I/Os of the *current* monitoring window, in arrival order,
         #: buffered as parallel columns (no record objects).
         self._window = WindowColumns()
         self._window_start = 0.0
         #: Logical mapping information: item → volume name.
         self._item_volume: dict[str, str] = {}
-        self._keep_full_trace = keep_full_trace
-        self._full_trace: list[LogicalIORecord] = []
-        self.repository = repository
 
         self.io_count = 0
         self.read_count = 0
@@ -173,29 +136,15 @@ class ApplicationMonitor:
     ) -> None:
         """Capture one application I/O and its measured response.
 
-        A :class:`~repro.trace.records.LogicalIORecord` is built only
-        when full tracing or a repository needs one.
+        ``offset`` and ``sequential`` are accepted so callers pass a
+        logical I/O's fields positionally; the window classification
+        reads neither, so neither is kept.
         """
-        if self._keep_full_trace or self.repository is not None:
-            record = LogicalIORecord(
-                timestamp=timestamp,
-                item_id=item_id,
-                offset=offset,
-                size=size,
-                io_type=IOType.READ if is_read else IOType.WRITE,
-                sequential=sequential,
-            )
-            if self._keep_full_trace:
-                self._full_trace.append(record)
-            if self.repository is not None:
-                self.repository.append(record)
         window = self._window
         window.timestamps.append(timestamp)
         window.item_ids.append(item_id)
-        window.offsets.append(offset)
         window.sizes.append(size)
         window.reads.append(is_read)
-        window.sequentials.append(sequential)
         self.io_count += 1
         self.response_sum += response_time
         self.response_samples.append((timestamp, response_time, is_read))
@@ -211,14 +160,6 @@ class ApplicationMonitor:
         """Start time of the current monitoring window."""
         return self._window_start
 
-    def window_records(self) -> list[LogicalIORecord]:
-        """Records captured since the window began (arrival order).
-
-        Materializes record objects from the columnar buffer; the
-        classification hot path uses :meth:`window_columns` instead.
-        """
-        return self._window.to_records()
-
     def window_columns(self) -> WindowColumns:
         """The current window's I/Os as parallel columns (no copy)."""
         return self._window
@@ -228,15 +169,6 @@ class ApplicationMonitor:
         self._window.clear()
         self._window_start = now
 
-    def full_trace(self) -> list[LogicalIORecord]:
-        """All retained logical records (requires retention enabled)."""
-        if not self._keep_full_trace:
-            raise UsageError(
-                "full trace retention is disabled; construct with "
-                "keep_full_trace=True"
-            )
-        return list(self._full_trace)
-
     # ------------------------------------------------------------------
     # Snapshot support (repro.persistence)
     # ------------------------------------------------------------------
@@ -244,23 +176,18 @@ class ApplicationMonitor:
         """Serializable monitor state (:mod:`repro.persistence`).
 
         Captures the current window's columns, the mapping information,
-        and every response accumulator.  The full trace (when retention
-        is on) rides along; an attached spill repository is *not*
-        captured — snapshot sessions run without one.
+        and every response accumulator.
         """
         window = self._window
         return {
             "window": {
                 "timestamps": list(window.timestamps),
                 "item_ids": list(window.item_ids),
-                "offsets": list(window.offsets),
                 "sizes": list(window.sizes),
                 "reads": list(window.reads),
-                "sequentials": list(window.sequentials),
             },
             "window_start": self._window_start,
             "item_volume": list(self._item_volume.items()),
-            "full_trace": list(self._full_trace),
             "io_count": self.io_count,
             "read_count": self.read_count,
             "response_sum": self.response_sum,
@@ -271,17 +198,19 @@ class ApplicationMonitor:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore the monitor exactly as :meth:`snapshot_state` captured it."""
+        """Restore the monitor exactly as :meth:`snapshot_state` captured it.
+
+        States written by older versions also carry the retained full
+        trace and the window's ``offsets`` and ``sequentials``; nothing
+        reads those, so they are ignored.
+        """
         window = state["window"]
         self._window.timestamps = list(window["timestamps"])
         self._window.item_ids = list(window["item_ids"])
-        self._window.offsets = list(window["offsets"])
         self._window.sizes = list(window["sizes"])
         self._window.reads = list(window["reads"])
-        self._window.sequentials = list(window["sequentials"])
         self._window_start = state["window_start"]
         self._item_volume = dict(state["item_volume"])
-        self._full_trace = list(state["full_trace"])
         self.io_count = state["io_count"]
         self.read_count = state["read_count"]
         self.response_sum = state["response_sum"]

@@ -1,10 +1,12 @@
-"""Storage Monitor: physical I/O trace, power status, power consumption.
+"""Storage Monitor: physical I/O counts, intervals and spin-ups.
 
 Paper §III-B.  The Storage Monitor sits at the block-virtualization layer
-and records the physical I/O trace issued to the disk enclosures, plus
-the enclosures' power status transitions and power consumption.  In the
+and watches the physical I/O issued to the disk enclosures.  In the
 simulator it subscribes to the storage controller's physical tap and
-reads power data straight off the enclosures' exact energy timelines.
+keeps only the books the policies and reports read: per-window I/O
+counts, per-enclosure I/O gaps and spin-up counts.  Power status and
+consumption are read off the enclosures' energy timelines by the
+power timeline (:mod:`repro.monitoring.timeline`) and the meters.
 
 It is also the data source for the I/O-interval analysis behind the
 paper's Figs 17–19: per-enclosure inter-arrival gaps of physical I/O.
@@ -14,32 +16,19 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.monitoring.repository import TraceRepository
 from repro.storage.enclosure import DiskEnclosure
-from repro.trace.records import (
-    IOType,
-    PhysicalIORecord,
-    PowerSample,
-    PowerStatusRecord,
-)
+from repro.trace.records import IOType, PhysicalIORecord
 
 
 class StorageMonitor:
-    """Collects physical traces and per-enclosure interval statistics."""
+    """Counts physical I/O and keeps per-enclosure interval statistics."""
 
     #: Gaps shorter than this are not retained individually (they can
     #: never be Long Intervals and would bloat memory on busy runs).
     MIN_RETAINED_GAP = 0.1
 
-    def __init__(
-        self,
-        enclosures: list[DiskEnclosure],
-        repository: TraceRepository[PhysicalIORecord] | None = None,
-    ) -> None:
+    def __init__(self, enclosures: list[DiskEnclosure]) -> None:
         self.enclosures = {enc.name: enc for enc in enclosures}
-        #: Optional §III-B store for the physical trace (a
-        #: :class:`~repro.monitoring.repository.TraceRepository`).
-        self.repository = repository
         self._window_counts: defaultdict[str, int] = defaultdict(int)
         self._window_start = 0.0
         self._last_io: dict[str, float] = {}
@@ -73,20 +62,9 @@ class StorageMonitor:
     ) -> None:
         """Physical-tap callback from the storage controller.
 
-        A :class:`~repro.trace.records.PhysicalIORecord` is materialized
-        only when a repository actually stores the trace.
+        ``block``, ``io_type`` and ``item_id`` complete the tap's
+        signature; the books here count I/Os and time gaps only.
         """
-        if self.repository is not None:
-            self.repository.append(
-                PhysicalIORecord(
-                    timestamp=timestamp,
-                    enclosure=enclosure,
-                    block_address=block,
-                    count=count,
-                    io_type=io_type,
-                    item_id=item_id,
-                )
-            )
         self.physical_io_count += count
         self._window_counts[enclosure] += count
         prev = self._last_io.get(enclosure)
@@ -148,8 +126,7 @@ class StorageMonitor:
         """Serializable monitor state (:mod:`repro.persistence`).
 
         Window counters, gap books, and the finish marker; the enclosure
-        objects themselves snapshot separately, and a spill repository
-        is not captured (snapshot sessions run without one).
+        objects themselves snapshot separately.
         """
         return {
             "window_counts": dict(self._window_counts),
@@ -176,30 +153,8 @@ class StorageMonitor:
         self._finished_at = state["finished_at"]
 
     # ------------------------------------------------------------------
-    # power status and consumption (read from the enclosures)
+    # spin-ups (read from the enclosures)
     # ------------------------------------------------------------------
-    def power_status(self, now: float) -> list[PowerStatusRecord]:
-        """Current on/off status of every enclosure."""
-        records = []
-        for name, enc in self.enclosures.items():
-            enc.settle(now)
-            records.append(
-                PowerStatusRecord(
-                    timestamp=now, enclosure=name, powered_on=enc.state.is_on
-                )
-            )
-        return records
-
-    def power_consumption(self, now: float) -> list[PowerSample]:
-        """Average power per enclosure from time 0 to ``now``."""
-        samples = []
-        for name, enc in self.enclosures.items():
-            enc.settle(now)
-            samples.append(
-                PowerSample(timestamp=now, enclosure=name, watts=enc.average_watts())
-            )
-        return samples
-
     def spin_up_count(self, enclosure: str) -> int:
         """Number of spin-ups recorded for the enclosure."""
         return self.enclosures[enclosure].spin_up_count

@@ -163,6 +163,37 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
             flags=bytes(flags),
         )
 
+    def take(self, rows: np.ndarray) -> "ColumnarTrace":
+        """The records at positions ``rows``, in that order.
+
+        One numpy gather per column.  Item ids are re-interned in
+        first-appearance order of the result, so it equals
+        :meth:`from_records` over the same records, column types
+        included.
+        """
+        slot: dict[str, int] = {}
+        canonical = np.array(
+            [slot.setdefault(item, len(slot)) for item in self.items],
+            dtype=np.int64,
+        )
+        names = tuple(slot)
+        raw = canonical[np.frombuffer(self.item_index, dtype=np.uint32)[rows]]
+        present, first = np.unique(raw, return_index=True)
+        appearance = present[np.argsort(first, kind="stable")]
+        renumber = np.zeros(len(names), dtype=np.uint32)
+        renumber[appearance] = np.arange(len(appearance), dtype=np.uint32)
+        timestamps = np.frombuffer(self.timestamps, dtype=np.float64)[rows]
+        offsets = np.frombuffer(self.offsets, dtype=np.int64)[rows]
+        sizes = np.frombuffer(self.sizes, dtype=np.int64)[rows]
+        return ColumnarTrace(
+            items=tuple(names[i] for i in appearance),
+            timestamps=array(_TS_CODE, timestamps.tobytes()),
+            item_index=array(_INDEX_CODE, renumber[raw].tobytes()),
+            offsets=array(_BYTES_CODE, offsets.tobytes()),
+            sizes=array(_BYTES_CODE, sizes.tobytes()),
+            flags=np.frombuffer(self.flags, dtype=np.uint8)[rows].tobytes(),
+        )
+
     def to_records(self) -> list[LogicalIORecord]:
         """Materialize the whole trace as record objects (same order)."""
         return list(self)

@@ -1,7 +1,7 @@
 """Trace readers: parse CSV traces and the MSR-Cambridge trace format.
 
-:func:`read_logical_trace` / :func:`read_physical_trace` parse the CSV
-format produced by :mod:`repro.trace.writer`.  :func:`read_msr_trace`
+:func:`read_logical_trace` parses the CSV format produced by
+:mod:`repro.trace.writer`.  :func:`read_msr_trace`
 parses the SNIA MSR-Cambridge block-trace format the paper's File Server
 workload comes from [13]: ``timestamp,hostname,disknum,type,offset,size,
 responsetime`` with timestamps in Windows 100-ns ticks; each
@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable, Iterator, TextIO, TypeVar
+from typing import Iterator, TextIO
 
 from repro.errors import TraceError
-from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
-from repro.trace.writer import LOGICAL_HEADER, PHYSICAL_HEADER
+from repro.trace.records import IOType, LogicalIORecord
+from repro.trace.writer import LOGICAL_HEADER
 
 #: Windows FILETIME ticks per second (100 ns resolution).
 _MSR_TICKS_PER_SECOND = 10_000_000
-
-_RecordT = TypeVar("_RecordT", LogicalIORecord, PhysicalIORecord)
 
 
 def read_logical_trace(source: str | Path | TextIO) -> list[LogicalIORecord]:
@@ -32,17 +30,20 @@ def read_logical_trace(source: str | Path | TextIO) -> list[LogicalIORecord]:
 
 def iter_logical_trace(source: str | Path | TextIO) -> Iterator[LogicalIORecord]:
     """Stream logical records from a CSV trace."""
-    yield from _iter(source, LOGICAL_HEADER, _parse_logical_row)
-
-
-def read_physical_trace(source: str | Path | TextIO) -> list[PhysicalIORecord]:
-    """Read a physical CSV trace into a list (validates the header)."""
-    return list(iter_physical_trace(source))
-
-
-def iter_physical_trace(source: str | Path | TextIO) -> Iterator[PhysicalIORecord]:
-    """Stream physical records from a CSV trace."""
-    yield from _iter(source, PHYSICAL_HEADER, _parse_physical_row)
+    rows = _rows(source)
+    try:
+        _, first = next(rows)
+    except StopIteration:
+        raise TraceError("empty trace file") from None
+    if first != LOGICAL_HEADER:
+        raise TraceError(f"bad trace header: expected {LOGICAL_HEADER}, got {first}")
+    for line_no, row in rows:
+        if not row:
+            continue
+        try:
+            yield _parse_logical_row(row)
+        except (ValueError, IndexError) as exc:
+            raise TraceError(f"trace line {line_no}: {exc}") from exc
 
 
 def read_msr_trace(
@@ -106,27 +107,6 @@ def _rows(source: str | Path | TextIO) -> Iterator[tuple[int, list[str]]]:
         yield from enumerate(csv.reader(source), start=1)
 
 
-def _iter(
-    source: str | Path | TextIO,
-    header: list[str],
-    parse: Callable[[list[str]], _RecordT],
-) -> Iterator[_RecordT]:
-    rows = _rows(source)
-    try:
-        _, first = next(rows)
-    except StopIteration:
-        raise TraceError("empty trace file") from None
-    if first != header:
-        raise TraceError(f"bad trace header: expected {header}, got {first}")
-    for line_no, row in rows:
-        if not row:
-            continue
-        try:
-            yield parse(row)
-        except (ValueError, IndexError) as exc:
-            raise TraceError(f"trace line {line_no}: {exc}") from exc
-
-
 def _parse_logical_row(row: list[str]) -> LogicalIORecord:
     return LogicalIORecord(
         timestamp=float(row[0]),
@@ -135,15 +115,4 @@ def _parse_logical_row(row: list[str]) -> LogicalIORecord:
         size=int(row[3]),
         io_type=IOType.parse(row[4]),
         sequential=row[5] == "1",
-    )
-
-
-def _parse_physical_row(row: list[str]) -> PhysicalIORecord:
-    return PhysicalIORecord(
-        timestamp=float(row[0]),
-        enclosure=row[1],
-        block_address=int(row[2]),
-        count=int(row[3]),
-        io_type=IOType.parse(row[4]),
-        item_id=row[5] or None,
     )

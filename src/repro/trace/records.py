@@ -120,15 +120,6 @@ class PhysicalIORecord:
 
 
 @dataclass(frozen=True, order=True)
-class PowerStatusRecord:
-    """A power-state transition of one enclosure (paper §III-B)."""
-
-    timestamp: float
-    enclosure: str = field(compare=False)
-    powered_on: bool = field(compare=False)
-
-
-@dataclass(frozen=True, order=True)
 class PowerSample:
     """A power-consumption sample of one enclosure (paper §III-B)."""
 

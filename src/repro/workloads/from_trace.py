@@ -15,9 +15,10 @@ dealt round-robin across the enclosures.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from pathlib import Path
 from typing import Sequence, TextIO
+
+import numpy as np
 
 from repro import units
 from repro.errors import WorkloadError
@@ -34,36 +35,54 @@ SIZE_QUANTUM = 16 * units.MB
 def infer_item_sizes(
     records: Sequence[LogicalIORecord],
 ) -> dict[str, int]:
-    """Size every data item from the highest byte its trace touches."""
-    highest: defaultdict[str, int] = defaultdict(int)
-    for record in records:
-        end = record.offset + record.size
-        if end > highest[record.item_id]:
-            highest[record.item_id] = end
+    """Size every data item from the highest byte its trace touches.
+
+    A :class:`ColumnarTrace` is read column-wise; its item table must
+    name each item once, as :meth:`ColumnarTrace.from_records` and
+    :meth:`ColumnarTrace.take` build it.
+    """
+    trace = (
+        records
+        if isinstance(records, ColumnarTrace)
+        else ColumnarTrace.from_records(records)
+    )
+    # offset + size stays below 2**64 for non-negative int64 columns.
+    ends = np.frombuffer(trace.offsets, dtype=np.int64).astype(
+        np.uint64
+    ) + np.frombuffer(trace.sizes, dtype=np.int64).astype(np.uint64)
+    highest = np.zeros(len(trace.items), dtype=np.uint64)
+    np.maximum.at(highest, np.frombuffer(trace.item_index, dtype=np.uint32), ends)
     return {
         item: ((top // SIZE_QUANTUM) + 1) * SIZE_QUANTUM
-        for item, top in highest.items()
+        for item, top in zip(trace.items, highest.tolist())
     }
 
 
-def workload_from_records(
-    records: Sequence[LogicalIORecord],
+def workload_from_trace(
+    trace: ColumnarTrace,
     enclosure_count: int,
     name: str = "trace-replay",
     duration: float | None = None,
 ) -> Workload:
     """Wrap a recorded logical trace as a replayable workload.
 
+    The records are put in time order by a stable sort of the
+    timestamps column (records compare by timestamp only, so this is
+    the order ``sorted(records)`` gives), and the catalog is inferred
+    from the sorted columns.
+
     ``duration`` defaults to the last record's timestamp plus a small
     tail.  The tail must stay *below* the break-even time: a longer one
     would append an artificial Long Interval to every item that was
     active at the end of the recording and skew the P3/P1 split.
     """
-    if not records:
+    if not len(trace):
         raise WorkloadError("trace contains no records")
     if enclosure_count <= 0:
         raise WorkloadError("enclosure_count must be positive")
-    ordered = sorted(records)
+    ordered = trace.take(
+        np.argsort(np.frombuffer(trace.timestamps, dtype=np.float64), kind="stable")
+    )
     sizes = infer_item_sizes(ordered)
     items = [
         DataItemSpec(
@@ -74,17 +93,33 @@ def workload_from_records(
         )
         for index, item in enumerate(sorted(sizes))
     ]
-    end = ordered[-1].timestamp + 1.0
+    end = ordered.timestamps[-1] + 1.0
     return Workload(
         name=name,
         duration=duration if duration is not None else end,
         enclosure_count=enclosure_count,
         items=items,
-        records=ColumnarTrace.from_records(ordered),
+        records=ordered,
         description=(
             f"replay of {len(ordered)} recorded I/Os over "
             f"{len(items)} inferred data items"
         ),
+    )
+
+
+def workload_from_records(
+    records: Sequence[LogicalIORecord],
+    enclosure_count: int,
+    name: str = "trace-replay",
+    duration: float | None = None,
+) -> Workload:
+    """Pack a recorded logical trace once and wrap it as a workload
+    (see :func:`workload_from_trace`)."""
+    return workload_from_trace(
+        ColumnarTrace.from_records(records),
+        enclosure_count,
+        name=name,
+        duration=duration,
     )
 
 
@@ -122,13 +157,10 @@ def workload_from_ecot(
     """Load a packed ``.ecot`` columnar trace as a workload.
 
     The loader refuses a malformed file with a
-    :class:`~repro.errors.TraceError`.  The columns are then
-    materialized into record objects once, so the same time sort and
-    catalog inference as every other trace source run, and the sorted
-    records are packed back into the workload's columns: the replay
-    and the cache fingerprint read those.
+    :class:`~repro.errors.TraceError`; the columns then go through the
+    same time sort and catalog inference as every other trace source,
+    without a record object per I/O.
     """
-    trace = ColumnarTrace.load(source)
-    return workload_from_records(
-        trace.to_records(), enclosure_count, name=name
+    return workload_from_trace(
+        ColumnarTrace.load(source), enclosure_count, name=name
     )

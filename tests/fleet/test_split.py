@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from repro.experiments.testbed import build_workload
 from repro.fleet.routing import HashRouter
 from repro.fleet.split import shard_columnar, shard_workload, split_workload
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import LogicalIORecord
+from repro.trace.records import IOType, LogicalIORecord
 from repro.workloads.items import DataItemSpec, Workload
 
 
@@ -111,27 +113,50 @@ def test_multi_array_split_namespaces_volumes():
         assert f"array-{index:02d} of 3" in shard.description
 
 
-@given(n=st.integers(2, 5), seed=st.integers(0, 100))
-@settings(max_examples=15, deadline=None)
-def test_shard_columnar_bit_identical_to_filtered_from_records(n, seed):
-    workload = _toy_workload(10, 3)
-    trace = ColumnarTrace.from_records(workload.records)
+@st.composite
+def random_traces(draw):
+    """Unsorted records over a few item ids, with repeats."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8))
+    return [
+        LogicalIORecord(
+            timestamp=draw(st.floats(0.0, 1e6)),
+            item_id=draw(st.sampled_from(ids)),
+            offset=draw(st.integers(0, 2**40)),
+            size=draw(st.integers(1, 2**20)),
+            io_type=draw(st.sampled_from(IOType)),
+            sequential=draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+
+
+@given(records=random_traces(), n=st.integers(1, 5), seed=st.integers(0, 100))
+@settings(max_examples=60, deadline=None)
+def test_shard_columnar_bit_identical_to_filtered_from_records(records, n, seed):
+    trace = ColumnarTrace.from_records(records)
     router = HashRouter(n, seed)
-    for index in range(n):
-        sharded = shard_columnar(trace, router, index)
+    shards = [shard_columnar(trace, router, index) for index in range(n)]
+    for index, sharded in enumerate(shards):
         filtered = ColumnarTrace.from_records(
-            [
-                r
-                for r in workload.records
-                if router.shard_for(r.item_id) == index
-            ]
+            [r for r in records if router.shard_for(r.item_id) == index]
         )
         assert sharded.items == filtered.items
-        assert sharded.timestamps == filtered.timestamps
-        assert sharded.item_index == filtered.item_index
-        assert sharded.offsets == filtered.offsets
-        assert sharded.sizes == filtered.sizes
+        for name, code in (
+            ("timestamps", "d"),
+            ("item_index", "I"),
+            ("offsets", "q"),
+            ("sizes", "q"),
+        ):
+            column = getattr(sharded, name)
+            assert type(column) is array and column.typecode == code
+            assert column == getattr(filtered, name)
+        assert type(sharded.flags) is bytes
         assert sharded.flags == filtered.flags
+    # The shards partition the trace: every record lands in one shard.
+    assert sum(len(shard) for shard in shards) == len(trace)
+    owned = [set(shard.items) for shard in shards]
+    assert set().union(*owned) == set(trace.items)
+    assert sum(len(items) for items in owned) == len(trace.items)
 
 
 def test_columnar_workload_shards_keep_columnar_records():

@@ -33,22 +33,21 @@ class TestWindowBuffer:
     def test_records_accumulate_in_window(self):
         monitor = ApplicationMonitor()
         monitor.record(*io_fields(rec(1.0)), 0.1)
-        monitor.record(*io_fields(rec(2.0)), 0.1)
-        assert len(monitor.window_records()) == 2
+        monitor.record(*io_fields(rec(2.0, "b", IOType.WRITE)), 0.1)
+        assert len(monitor.window_columns()) == 2
+        assert monitor.window_columns().profile_arrays() == (
+            [1.0, 2.0],
+            ["a", "b"],
+            [4096, 4096],
+            [True, False],
+        )
 
     def test_begin_window_clears_buffer(self):
         monitor = ApplicationMonitor()
         monitor.record(*io_fields(rec(1.0)), 0.1)
         monitor.begin_window(5.0)
-        assert monitor.window_records() == []
+        assert len(monitor.window_columns()) == 0
         assert monitor.window_start == 5.0
-
-    def test_window_records_returns_copy(self):
-        monitor = ApplicationMonitor()
-        monitor.record(*io_fields(rec(1.0)), 0.1)
-        snapshot = monitor.window_records()
-        snapshot.clear()
-        assert len(monitor.window_records()) == 1
 
 
 class TestResponseStats:
@@ -92,17 +91,3 @@ class TestResponseStats:
         assert monitor.ios_per_item["a"] == 2
         assert monitor.ios_per_item["b"] == 1
 
-
-class TestFullTrace:
-    def test_disabled_by_default(self):
-        monitor = ApplicationMonitor()
-        monitor.record(*io_fields(rec(1.0)), 0.1)
-        with pytest.raises(RuntimeError):
-            monitor.full_trace()
-
-    def test_enabled_retention(self):
-        monitor = ApplicationMonitor(keep_full_trace=True)
-        monitor.record(*io_fields(rec(1.0)), 0.1)
-        monitor.begin_window(10.0)
-        monitor.record(*io_fields(rec(11.0)), 0.1)
-        assert len(monitor.full_trace()) == 2

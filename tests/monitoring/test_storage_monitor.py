@@ -123,20 +123,6 @@ class TestIntervals:
 
 
 class TestPowerViews:
-    def test_power_status(self):
-        mon, encs = monitor()
-        encs[0].enable_power_off(0.0)
-        encs[0].settle(500.0)
-        status = {r.enclosure: r.powered_on for r in mon.power_status(500.0)}
-        assert status["e0"] is False
-        assert status["e1"] is True
-
-    def test_power_consumption_samples(self):
-        mon, encs = monitor()
-        samples = mon.power_consumption(100.0)
-        assert len(samples) == 2
-        assert all(s.watts > 0 for s in samples)
-
     def test_spin_up_counters(self):
         mon, encs = monitor()
         encs[0].enable_power_off(0.0)

@@ -114,6 +114,41 @@ class TestResumeBitIdentity:
         )
         assert _surface(resumed, fresh) == _surface(golden, golden_session)
 
+    def test_monitor_state_with_retired_keys_resumes_bit_identically(self):
+        """States written while the application monitor still kept the
+        full trace and the window's offset and sequential columns
+        restore, and the resumed replay matches the uninterrupted one."""
+        spec = RunSpec(workload="tpcc", policy="proposed")
+        golden_session = SnapshotSession(spec)
+        golden = golden_session.run()
+        boundary = golden.io_count // 2
+        session = SnapshotSession(spec)
+        captured = {}
+
+        def hook(count, ts):
+            if count == boundary:
+                captured["payload"] = session.capture(count, ts)
+
+        session.run(record_hook=hook)
+        payload = captured["payload"]
+        state = payload["states"]["app_monitor"]
+        window = state["window"]
+        assert window["timestamps"]  # the seam falls inside a window
+        window["offsets"] = [0] * len(window["timestamps"])
+        window["sequentials"] = [False] * len(window["timestamps"])
+        state["full_trace"] = list(session.workload.records[:boundary])
+        fresh = SnapshotSession(spec)
+        resumed = fresh.resume(payload)
+        assert _surface(resumed, fresh) == _surface(golden, golden_session)
+        rewritten = fresh.context.app_monitor.snapshot_state()
+        assert "full_trace" not in rewritten
+        assert set(rewritten["window"]) == {
+            "timestamps",
+            "item_ids",
+            "sizes",
+            "reads",
+        }
+
     def test_crash_before_first_snapshot_leaves_no_file(self, tmp_path):
         spec = RunSpec(workload="tpcc", policy="no-power-saving")
         session = SnapshotSession(spec)

@@ -167,10 +167,8 @@ def as_window_columns(records):
     for rec in records:
         columns.timestamps.append(rec.timestamp)
         columns.item_ids.append(rec.item_id)
-        columns.offsets.append(rec.offset)
         columns.sizes.append(rec.size)
         columns.reads.append(rec.is_read)
-        columns.sequentials.append(rec.sequential)
     return columns
 
 

@@ -5,9 +5,9 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace.reader import read_logical_trace, read_physical_trace
-from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
-from repro.trace.writer import write_logical_trace, write_physical_trace
+from repro.trace.reader import read_logical_trace
+from repro.trace.records import IOType, LogicalIORecord
+from repro.trace.writer import write_logical_trace
 
 item_ids = st.text(
     alphabet=st.characters(
@@ -32,19 +32,6 @@ def logical_records(draw):
     )
 
 
-@st.composite
-def physical_records(draw):
-    micros = draw(st.integers(min_value=0, max_value=10**12))
-    return PhysicalIORecord(
-        timestamp=micros / 1e6,
-        enclosure=draw(item_ids),
-        block_address=draw(st.integers(min_value=0, max_value=2**32)),
-        count=draw(st.integers(min_value=1, max_value=10**6)),
-        io_type=draw(st.sampled_from(IOType)),
-        item_id=draw(st.none() | item_ids),
-    )
-
-
 @given(st.lists(logical_records(), max_size=50))
 @settings(max_examples=100)
 def test_logical_roundtrip(records):
@@ -53,11 +40,3 @@ def test_logical_roundtrip(records):
     buffer.seek(0)
     assert read_logical_trace(buffer) == records
 
-
-@given(st.lists(physical_records(), max_size=50))
-@settings(max_examples=100)
-def test_physical_roundtrip(records):
-    buffer = io.StringIO()
-    write_physical_trace(records, buffer)
-    buffer.seek(0)
-    assert read_physical_trace(buffer) == records

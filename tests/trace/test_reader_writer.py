@@ -5,13 +5,9 @@ import io
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.reader import (
-    read_logical_trace,
-    read_msr_trace,
-    read_physical_trace,
-)
-from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
-from repro.trace.writer import write_logical_trace, write_physical_trace
+from repro.trace.reader import read_logical_trace, read_msr_trace
+from repro.trace.records import IOType, LogicalIORecord
+from repro.trace.writer import write_logical_trace
 
 
 def logical_records():
@@ -19,13 +15,6 @@ def logical_records():
         LogicalIORecord(0.0, "a", 0, 4096, IOType.READ),
         LogicalIORecord(1.5, "b", 8192, 65536, IOType.WRITE, sequential=True),
         LogicalIORecord(2.25, "a", 4096, 4096, IOType.READ),
-    ]
-
-
-def physical_records():
-    return [
-        PhysicalIORecord(0.0, "e0", 0, 1, IOType.READ, "a"),
-        PhysicalIORecord(1.0, "e1", 77, 3, IOType.WRITE, None),
     ]
 
 
@@ -49,20 +38,6 @@ class TestLogicalRoundTrip:
         assert [r.sequential for r in loaded] == [False, True, False]
 
 
-class TestPhysicalRoundTrip:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "phys.csv"
-        count = write_physical_trace(physical_records(), path)
-        assert count == 2
-        assert read_physical_trace(path) == physical_records()
-
-    def test_none_item_id_roundtrips(self, tmp_path):
-        path = tmp_path / "phys.csv"
-        write_physical_trace(physical_records(), path)
-        loaded = read_physical_trace(path)
-        assert loaded[1].item_id is None
-
-
 class TestErrors:
     def test_empty_file_rejected(self):
         with pytest.raises(TraceError):
@@ -79,13 +54,6 @@ class TestErrors:
         )
         with pytest.raises(TraceError):
             read_logical_trace(buffer)
-
-    def test_physical_header_checked(self):
-        buffer = io.StringIO(
-            "timestamp,item_id,offset,size,io_type,sequential\n"
-        )
-        with pytest.raises(TraceError):
-            read_physical_trace(buffer)
 
 
 class TestMSRFormat:

@@ -8,7 +8,6 @@ from repro.trace.records import (
     LogicalIORecord,
     PhysicalIORecord,
     PowerSample,
-    PowerStatusRecord,
 )
 
 
@@ -106,10 +105,6 @@ class TestPhysicalIORecord:
 
 
 class TestPowerRecords:
-    def test_status_record(self):
-        rec = PowerStatusRecord(1.0, "e0", powered_on=True)
-        assert rec.powered_on
-
     def test_sample_ordering(self):
         a = PowerSample(1.0, "e0", 100.0)
         b = PowerSample(2.0, "e0", 110.0)

@@ -1,23 +1,29 @@
 """Tests for repro.workloads.from_trace — trace ingestion."""
 
 import io
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.baselines.nopower import NoPowerSavingPolicy
 from repro.config import DEFAULT_CONFIG
 from repro.errors import WorkloadError
 from repro.experiments.runner import run_cell
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import IOType, LogicalIORecord
 from repro.trace.writer import write_logical_trace
 from repro.workloads.from_trace import (
     SIZE_QUANTUM,
     infer_item_sizes,
     workload_from_csv,
+    workload_from_ecot,
     workload_from_msr,
     workload_from_records,
 )
+from repro.workloads.items import DataItemSpec
 
 
 def rec(t, item="a", offset=0, size=4096):
@@ -114,3 +120,83 @@ class TestMsrIngestion:
         workload = workload_from_msr(io.StringIO(self.MSR), enclosure_count=2)
         usr = next(i for i in workload.items if i.item_id == "usr.0")
         assert usr.size_bytes > 7014609920
+
+
+def reference_catalog(records, enclosure_count):
+    """The record path: sort the record objects, size items one record
+    at a time, pack the sorted records."""
+    ordered = sorted(records)
+    highest = defaultdict(int)
+    for record in ordered:
+        highest[record.item_id] = max(
+            highest[record.item_id], record.offset + record.size
+        )
+    items = [
+        DataItemSpec(
+            item_id=item,
+            size_bytes=((highest[item] // SIZE_QUANTUM) + 1) * SIZE_QUANTUM,
+            enclosure_index=index % enclosure_count,
+            kind="traced",
+        )
+        for index, item in enumerate(sorted(highest))
+    ]
+    return items, ordered[-1].timestamp + 1.0, ColumnarTrace.from_records(ordered)
+
+
+def ecot_image(trace):
+    image = bytearray()
+    trace.write_to(image.extend)
+    return bytes(image)
+
+
+@st.composite
+def msr_shaped_records(draw):
+    """Unsorted records every trace form can hold: microsecond times
+    starting at 0, ``host.disk`` item ids, no sequential hint."""
+    count = draw(st.integers(1, 40))
+    micros = draw(st.lists(st.integers(0, 10**9), min_size=count, max_size=count))
+    micros[draw(st.integers(0, count - 1))] = 0
+    # A few distinct times so the sort must keep ties in input order.
+    spread = draw(st.sampled_from([3, 1000, 10**9 + 1]))
+    micros = [m % spread for m in micros]
+    return [
+        LogicalIORecord(
+            timestamp=m / 1e6,
+            item_id=draw(st.sampled_from(["usr.0", "proj.1", "src.2", "web.3"])),
+            offset=draw(st.integers(0, 2**40)),
+            size=draw(st.integers(1, 2**20)),
+            io_type=draw(st.sampled_from(IOType)),
+        )
+        for m in micros
+    ]
+
+
+class TestTraceForms:
+    @given(records=msr_shaped_records(), enclosure_count=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_csv_msr_and_ecot_forms_build_the_record_path_workload(
+        self, tmp_path_factory, records, enclosure_count
+    ):
+        directory = tmp_path_factory.mktemp("forms")
+        csv_path = directory / "trace.csv"
+        write_logical_trace(records, csv_path)
+        msr = io.StringIO(
+            "".join(
+                f"{round(r.timestamp * 1e7)},{r.item_id.replace('.', ',')},"
+                f"{r.io_type.value},{r.offset},{r.size},0\n"
+                for r in records
+            )
+        )
+        ecot_path = directory / "trace.ecot"
+        ColumnarTrace.from_records(records).save(ecot_path)
+
+        items, duration, trace = reference_catalog(records, enclosure_count)
+        for workload in (
+            workload_from_records(records, enclosure_count),
+            workload_from_csv(csv_path, enclosure_count),
+            workload_from_msr(msr, enclosure_count),
+            workload_from_ecot(ecot_path, enclosure_count),
+        ):
+            assert workload.items == items
+            assert workload.duration == duration
+            assert ecot_image(workload.records) == ecot_image(trace)
