@@ -152,13 +152,12 @@ class DDRPolicy(PowerPolicy):
         The copy is charged to the source (read) and the least-loaded
         hot enclosure (write) and counted as migrated data.
         """
-        self._on_access(timestamp, item_id, size)
+        # Nothing to migrate while no enclosure is cold: skip the call.
+        if self._cold:
+            self._on_access(timestamp, item_id, size)
 
     def _on_access(self, now: float, item_id: str, size: int) -> None:
-        context = self._require_context()
-        if not self._cold:
-            return
-        virt = context.virtualization
+        virt = self._require_context().virtualization
         source = virt.enclosure_of(item_id)
         if source.name not in self._cold:
             return

@@ -166,7 +166,8 @@ class EnergyEfficientPolicy(PowerPolicy):
         if not self.enable_triggers or self._split is None:
             return
         throttle = self._trigger_throttle
-        if throttle is None or not throttle.ready(timestamp):
+        # throttle.ready(timestamp), read from its slot: this runs per I/O.
+        if throttle is None or timestamp < throttle.next_allowed:
             return
         context = self._require_context()
         throttle.arm(timestamp)

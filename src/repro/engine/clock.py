@@ -75,7 +75,7 @@ class Throttle:
     and :meth:`reset` re-opens the gate at ``now``.
     """
 
-    __slots__ = ("interval_seconds", "_next_allowed")
+    __slots__ = ("interval_seconds", "next_allowed")
 
     def __init__(self, interval_seconds: Seconds) -> None:
         if interval_seconds <= 0.0:
@@ -83,37 +83,35 @@ class Throttle:
                 f"throttle interval must be positive, got {interval_seconds!r}"
             )
         self.interval_seconds = interval_seconds
-        self._next_allowed = 0.0
-
-    @property
-    def next_allowed(self) -> Seconds:
-        """Earliest virtual time at which :meth:`ready` returns True."""
-        return self._next_allowed
+        #: Earliest virtual time at which :meth:`ready` returns True.  A
+        #: plain slot, so a per-I/O caller can compare against it without
+        #: a call.
+        self.next_allowed: Seconds = 0.0
 
     def ready(self, now: Seconds) -> bool:
         """Whether an action is allowed at virtual time ``now``."""
-        return now >= self._next_allowed
+        return now >= self.next_allowed
 
     def arm(self, now: Seconds) -> None:
         """Record an action at ``now``; the gate re-opens one interval later."""
-        self._next_allowed = now + self.interval_seconds
+        self.next_allowed = now + self.interval_seconds
 
     def defer_until(self, time: Seconds) -> None:
         """Hold the gate closed until an explicit virtual ``time``."""
-        self._next_allowed = time
+        self.next_allowed = time
 
     def reset(self, now: Seconds) -> None:
         """Re-open the gate at ``now`` (used at window starts)."""
-        self._next_allowed = now
+        self.next_allowed = now
 
     def snapshot_state(self) -> dict:
         """Serializable throttle state (:mod:`repro.persistence`)."""
         return {
             "interval_seconds": self.interval_seconds,
-            "next_allowed": self._next_allowed,
+            "next_allowed": self.next_allowed,
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore the throttle exactly as captured."""
         self.interval_seconds = state["interval_seconds"]
-        self._next_allowed = state["next_allowed"]
+        self.next_allowed = state["next_allowed"]

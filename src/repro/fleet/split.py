@@ -24,6 +24,7 @@ and the global action/fault books stay unambiguous.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -36,8 +37,20 @@ from repro.workloads.items import Workload
 __all__ = ["shard_columnar", "shard_workload", "split_workload"]
 
 
+def _owner_table(router: HashRouter, item_ids: Iterable[str]) -> dict[str, int]:
+    """Owning array index of each distinct item id, hashed once each."""
+    owners: dict[str, int] = {}
+    for item_id in item_ids:
+        if item_id not in owners:
+            owners[item_id] = router.shard_for(item_id)
+    return owners
+
+
 def shard_columnar(
-    trace: ColumnarTrace, router: HashRouter, array_index: int
+    trace: ColumnarTrace,
+    router: HashRouter,
+    array_index: int,
+    owners: Mapping[str, int] | None = None,
 ) -> ColumnarTrace:
     """The columnar slice of ``trace`` owned by array ``array_index``.
 
@@ -46,16 +59,18 @@ def shard_columnar(
     original order and item ids are re-interned in first-appearance
     order, so the result is bit-identical to
     ``ColumnarTrace.from_records(filtered record objects)``.
+    ``owners`` maps every item id of the trace to its array; without
+    it the router is asked once per item.
     """
     if not 0 <= array_index < router.n_arrays:
         raise ValidationError(
             f"array index {array_index} outside fleet of {router.n_arrays}"
         )
-    owners = np.array(
-        [router.shard_for(item_id) for item_id in trace.items], dtype=np.int64
-    )
+    if owners is None:
+        owners = _owner_table(router, trace.items)
+    table = np.array([owners[item_id] for item_id in trace.items], dtype=np.int64)
     item_index = np.frombuffer(trace.item_index, dtype=np.uint32)
-    return trace.take(np.flatnonzero(owners[item_index] == array_index))
+    return trace.take(np.flatnonzero(table[item_index] == array_index))
 
 
 def _namespace(array_id: str, name: str) -> str:
@@ -64,7 +79,10 @@ def _namespace(array_id: str, name: str) -> str:
 
 
 def shard_workload(
-    workload: Workload, router: HashRouter, array_index: int
+    workload: Workload,
+    router: HashRouter,
+    array_index: int,
+    owners: Mapping[str, int] | None = None,
 ) -> Workload:
     """The sub-workload array ``array_index`` owns.
 
@@ -76,7 +94,8 @@ def shard_workload(
     preserved) plus their trace records (trace order preserved); and
     namespaces every explicit volume name with the array id.  Items and
     records the array does not own appear in exactly one *other*
-    array's sub-workload.
+    array's sub-workload.  ``owners`` maps every catalog and trace item
+    id to its array; without it the router is asked once per item.
     """
     if not 0 <= array_index < router.n_arrays:
         raise ValidationError(
@@ -86,10 +105,10 @@ def shard_workload(
         return workload
     array_id = router.array_id(array_index)
     assert array_id is not None  # n_arrays > 1
+    if owners is None:
+        owners = _workload_owners(workload, router)
     owned = [
-        item
-        for item in workload.items
-        if router.shard_for(item.item_id) == array_index
+        item for item in workload.items if owners[item.item_id] == array_index
     ]
     items = [
         item
@@ -106,7 +125,7 @@ def shard_workload(
         duration=workload.duration,
         enclosure_count=workload.enclosure_count,
         items=items,
-        records=shard_columnar(workload.records, router, array_index),
+        records=shard_columnar(workload.records, router, array_index, owners),
         volumes=volumes,
         description=(
             f"{workload.description} [{array_id} of {router.n_arrays}]"
@@ -124,9 +143,19 @@ def split_workload(
     """Every array's sub-workload, in array order.
 
     The partition is exact: each item (and each of its trace records)
-    appears in exactly one element of the returned list.
+    appears in exactly one element of the returned list.  Each item id
+    is hashed once per split, not once per array.
     """
+    owners = _workload_owners(workload, router)
     return [
-        shard_workload(workload, router, index)
+        shard_workload(workload, router, index, owners)
         for index in range(router.n_arrays)
     ]
+
+
+def _workload_owners(workload: Workload, router: HashRouter) -> dict[str, int]:
+    """The owner table of every catalog and trace item of ``workload``."""
+    return _owner_table(
+        router,
+        [item.item_id for item in workload.items] + list(workload.records.items),
+    )

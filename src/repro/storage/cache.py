@@ -32,7 +32,13 @@ PAGE_BYTES = PAGE_BLOCKS * units.BLOCK_SIZE
 
 
 class LRUBlockCache:
-    """Page-grained LRU over ``(item_id, page_index)`` keys."""
+    """Page-grained LRU over ``(item_id, page_index)`` keys.
+
+    :meth:`StorageCache.read_hit` walks it: a hit moves the page to the
+    most-recent end, a miss inserts it and evicts from the oldest end.
+    Eviction is silent (clean read cache — dirty data lives in the
+    write-delay partition, never here).
+    """
 
     def __init__(self, capacity_bytes: Bytes) -> None:
         if capacity_bytes < 0:
@@ -47,25 +53,6 @@ class LRUBlockCache:
 
     def __contains__(self, key: tuple[str, int]) -> bool:
         return key in self._blocks
-
-    def access(self, item_id: str, page: int) -> bool:
-        """Touch one page; returns True on hit, inserting on miss.
-
-        Eviction is silent (clean read cache — dirty data lives in the
-        write-delay partition, never here).
-        """
-        key = (item_id, page)
-        if key in self._blocks:
-            self._blocks.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if self.capacity_pages <= 0:
-            return False
-        self._blocks[key] = None
-        while len(self._blocks) > self.capacity_pages:
-            self._blocks.popitem(last=False)
-        return False
 
     def invalidate_item(self, item_id: str) -> int:
         """Drop every cached block of one data item; returns count dropped."""
@@ -193,10 +180,11 @@ class WriteDelayPartition:
         self.dirty_block_rate = dirty_block_rate
         self._selected: set[str] = set()
         self._dirty: dict[str, set[int]] = {}
-        #: Pages across every set of ``_dirty``, kept by each mutator so
-        #: the per-I/O dirty-rate test is O(1); the invariant auditor
-        #: recounts the sets and checks this against them.
-        self._dirty_count = 0
+        #: Number of dirty pages currently buffered: the pages across
+        #: every set of ``_dirty``, kept by each mutator so the per-I/O
+        #: dirty-rate test is O(1).  The invariant auditor recounts the
+        #: sets and checks this against them.
+        self.dirty_pages = 0
         self.flush_count = 0
         #: Acknowledged-write conservation books: every page ever absorbed
         #: (acknowledged to the application) is either still dirty here or
@@ -216,11 +204,6 @@ class WriteDelayPartition:
     def dirty_threshold_pages(self) -> int:
         """Dirty-page count that triggers a bulk flush."""
         return int(self.capacity_pages * self.dirty_block_rate)
-
-    @property
-    def dirty_pages(self) -> int:
-        """Number of dirty pages currently buffered."""
-        return self._dirty_count
 
     def recount_dirty_pages(self) -> int:
         """Dirty pages counted from the page sets (the audit's oracle)."""
@@ -253,23 +236,30 @@ class WriteDelayPartition:
         if not pages:
             return FlushPlan({})
         self.flushed_pages += len(pages)
-        self._dirty_count -= len(pages)
+        self.dirty_pages -= len(pages)
         return FlushPlan({item_id: len(pages) * PAGE_BYTES})
 
-    def absorb_write(self, item_id: str, page: int) -> bool:
-        """Buffer one dirty page; True if the caller must now bulk-flush.
+    def absorb_write(self, item_id: str, first_page: int, last_page: int) -> bool:
+        """Buffer the dirty pages ``first_page..last_page`` (inclusive).
 
-        Raises for unselected items — the caller routes those writes to
-        the enclosure instead.
+        Returns True if the caller must now bulk-flush.  Raises for
+        unselected items — the caller routes those writes to the
+        enclosure instead.  An empty range buffers nothing and asks for
+        no flush.
         """
+        if last_page < first_page:
+            return False
         if item_id not in self._selected:
             raise KeyError(f"item {item_id!r} is not write-delay selected")
-        pages = self._dirty.setdefault(item_id, set())
-        if page not in pages:
-            pages.add(page)
-            self.absorbed_pages += 1
-            self._dirty_count += 1
-        return self._dirty_count >= self.dirty_threshold_pages
+        pages = self._dirty.get(item_id)
+        if pages is None:
+            pages = self._dirty[item_id] = set()
+        before = len(pages)
+        pages.update(range(first_page, last_page + 1))
+        added = len(pages) - before
+        self.absorbed_pages += added
+        self.dirty_pages += added
+        return self.dirty_pages >= self.dirty_threshold_pages
 
     def is_dirty(self, item_id: str, page: int) -> bool:
         """Whether the given page of the item is dirty."""
@@ -289,7 +279,7 @@ class WriteDelayPartition:
         if not pages:
             return FlushPlan({})
         self.flushed_pages += len(pages)
-        self._dirty_count -= len(pages)
+        self.dirty_pages -= len(pages)
         return FlushPlan({item_id: len(pages) * PAGE_BYTES})
 
     def flush_all(self) -> FlushPlan:
@@ -301,9 +291,9 @@ class WriteDelayPartition:
                 if pages
             }
         )
-        self.flushed_pages += self._dirty_count
+        self.flushed_pages += self.dirty_pages
         self._dirty.clear()
-        self._dirty_count = 0
+        self.dirty_pages = 0
         self.flush_count += 1
         return plan
 
@@ -329,7 +319,7 @@ class WriteDelayPartition:
         """Restore the partition exactly as captured."""
         self._selected = set(state["selected"])
         self._dirty = {item: set(pages) for item, pages in state["dirty"]}
-        self._dirty_count = self.recount_dirty_pages()
+        self.dirty_pages = self.recount_dirty_pages()
         self.flush_count = state["flush_count"]
         self.absorbed_pages = state["absorbed_pages"]
         self.flushed_pages = state["flushed_pages"]
@@ -359,20 +349,42 @@ class StorageCache:
         self.preload = PreloadPartition(preload_bytes)
         self.write_delay = WriteDelayPartition(write_delay_bytes, dirty_block_rate)
 
-    def read_hit(self, item_id: str, page: int) -> bool:
-        """Whether a read of (item, page) is served from cache.
+    def read_hit(self, item_id: str, first_page: int, last_page: int) -> bool:
+        """Whether a read of pages ``first_page..last_page`` is a cache hit.
 
-        Preloaded items always hit; write-delayed dirty pages hit (the
-        newest data lives in cache); otherwise the LRU decides (and
-        absorbs the page on a miss).
+        Every page is evaluated (no short-circuit), so each one the read
+        touches enters the LRU; the read hits only if all of them already
+        were cached.  Preloaded items always hit; write-delayed dirty
+        pages hit (the newest data lives in cache) without touching the
+        LRU; every other page is an LRU hit (moved to the most-recent
+        end) or a miss (inserted, evicting from the oldest end).
         """
-        # The partition checks are inlined (same module): this façade is
-        # called once per page of every read the replay pump serves.
+        # The partition checks and the LRU walk are inlined (same
+        # module): this façade is called once per read the replay pump
+        # serves.
         if item_id in self.preload._items:
             return True
-        if page in self.write_delay._dirty.get(item_id, ()):
-            return True
-        return self.lru.access(item_id, page)
+        dirty = self.write_delay._dirty.get(item_id, ())
+        lru = self.lru
+        blocks = lru._blocks
+        capacity = lru.capacity_pages
+        hits = misses = 0
+        for page in range(first_page, last_page + 1):
+            if page in dirty:
+                continue
+            key = (item_id, page)
+            if key in blocks:
+                blocks.move_to_end(key)
+                hits += 1
+                continue
+            misses += 1
+            if capacity > 0:
+                blocks[key] = None
+                while len(blocks) > capacity:
+                    blocks.popitem(last=False)
+        lru.hits += hits
+        lru.misses += misses
+        return misses == 0
 
     def snapshot_state(self) -> dict:
         """Serializable state of all three partitions (:mod:`repro.persistence`)."""

@@ -193,9 +193,16 @@ class StorageController:
         """
         if self._fault_clock is None:
             return
-        self._check_battery(now)
-        self._drain_emergency(now)
-        self._note_at_risk(now)
+        # Each step is called only while it has work: the battery check
+        # until the battery has failed, the drain while emergency items
+        # exist, the at-risk integral once the battery is gone.  This
+        # runs before every faulted application I/O.
+        if not self._battery_failed:
+            self._check_battery(now)
+        if self._emergency_items:
+            self._drain_emergency(now)
+        if self._battery_failed:
+            self._note_at_risk(now)
 
     def _check_battery(self, now: Seconds) -> None:
         """React to a scheduled cache-battery failure.
@@ -203,10 +210,9 @@ class StorageController:
         The instant the failure is noticed, every acknowledged write in
         the write-delay buffer is force-flushed — spinning enclosures up
         even at energy cost — and write delay stays disabled for the
-        rest of the run, so no acknowledged write is ever lost.
+        rest of the run, so no acknowledged write is ever lost.  Called
+        only until the battery has failed.
         """
-        if self._battery_failed:
-            return
         failure_time = self._fault_clock.battery_failure_time
         if failure_time is None or now < failure_time:
             return
@@ -224,9 +230,10 @@ class StorageController:
         self._note_at_risk(max(now, completion))
 
     def _drain_emergency(self, now: Seconds) -> None:
-        """Flush emergency-buffered items whose outage has ended."""
-        if not self._emergency_items:
-            return
+        """Flush emergency-buffered items whose outage has ended.
+
+        Called only while emergency items exist.
+        """
         for item_id in sorted(self._emergency_items):
             enclosure = self.virtualization.enclosure_of(item_id)
             if self._fault_clock.outage_at(enclosure.name, now) is not None:
@@ -261,9 +268,10 @@ class StorageController:
     def _with_fault_retry(
         self,
         now: float,
-        attempt: Callable[[float], _T],
+        attempt: Callable[..., _T],
+        *args: object,
     ) -> tuple[_T, float]:
-        """Run one physical operation, retrying across injected faults.
+        """Run ``attempt(at, *args)``, retrying across injected faults.
 
         Outage refusals are waited out (retry at the window's end);
         failed spin-ups retry under capped exponential backoff — all in
@@ -277,7 +285,7 @@ class StorageController:
         denied = False
         while True:
             try:
-                result = attempt(at)
+                result = attempt(at, *args)
             except EnclosureUnavailableError as err:
                 denied = True
                 at = max(at, err.until)
@@ -325,10 +333,7 @@ class StorageController:
         seconds = size_bytes / bandwidth_bps
         count = max(1, size_bytes // BULK_IO_UNIT)
         result, delay = self._with_fault_retry(
-            now,
-            lambda at: enclosure.occupy(
-                at, seconds, count=count, read=io_type.is_read
-            ),
+            now, enclosure.occupy, seconds, count, io_type.is_read
         )
         base_block = 0
         if item_id is not None and self.virtualization.has_item(item_id):
@@ -368,46 +373,38 @@ class StorageController:
         faulted = self._fault_clock is not None
         if faulted:
             self.on_time(timestamp)
-        virtualization = self.virtualization
-        if not virtualization.has_item(item_id):
-            raise MappingError(f"I/O to unplaced data item {item_id!r}")
+        # One route lookup per I/O, via the cached route; it raises
+        # MappingError for an unplaced item before any book moves.
+        enclosure, name, base_block, item_size = self.virtualization.route(
+            item_id
+        )
         cache = self.cache
         first_page = offset // cache_mod.PAGE_BYTES
         last_page = (offset + size - 1) // cache_mod.PAGE_BYTES
 
         if is_read:
-            # Evaluate every page (no short-circuit) so each one enters
-            # the LRU; the I/O is a hit only if all of them already were.
-            all_hit = True
-            for page in range(first_page, last_page + 1):
-                if not cache.read_hit(item_id, page):
-                    all_hit = False
-            if all_hit:
+            if cache.read_hit(item_id, first_page, last_page):
                 self.cache_hit_count += 1
                 return CACHE_HIT_LATENCY
             io_type = IOType.READ
         else:
-            if cache.write_delay.is_selected(item_id):
+            write_delay = cache.write_delay
+            if write_delay.is_selected(item_id):
                 self.cache_hit_count += 1
-                needs_flush = False
-                for page in range(first_page, last_page + 1):
-                    if cache.write_delay.absorb_write(item_id, page):
-                        needs_flush = True
-                if needs_flush:
+                if write_delay.absorb_write(item_id, first_page, last_page):
                     self.flush_write_delay(timestamp)
                 return CACHE_HIT_LATENCY
             if faulted:
                 buffered = self._emergency_buffer_write(
-                    timestamp, item_id, first_page, last_page
+                    timestamp, item_id, name, first_page, last_page
                 )
                 if buffered is not None:
                     return buffered
             io_type = IOType.WRITE
 
-        # One physical I/O via the cached route, with the tap dispatch of
-        # :meth:`_emit_physical` unrolled — this is the hottest call chain
-        # of the whole replay, so every frame counts.
-        enclosure, name, base_block, item_size = virtualization.route(item_id)
+        # One physical I/O, with the tap dispatch of :meth:`_emit_physical`
+        # unrolled — this is the hottest call chain of the whole replay,
+        # so every frame counts.
         if offset < 0 or offset >= item_size:
             raise MappingError(
                 f"offset {offset} outside item {item_id!r} of size {item_size}"
@@ -415,8 +412,7 @@ class StorageController:
         issued = timestamp
         if faulted:
             served, delay = self._with_fault_retry(
-                timestamp,
-                lambda at: enclosure.submit_one(at, is_read, sequential),
+                timestamp, enclosure.submit_one, is_read, sequential
             )
             issued = timestamp + delay
             response = served + delay
@@ -433,7 +429,12 @@ class StorageController:
         return response
 
     def _emergency_buffer_write(
-        self, timestamp: float, item_id: str, first_page: int, last_page: int
+        self,
+        timestamp: float,
+        item_id: str,
+        enclosure: str,
+        first_page: int,
+        last_page: int,
     ) -> Seconds | None:
         """Absorb a write whose home enclosure is out into the cache.
 
@@ -442,20 +443,19 @@ class StorageController:
         buffer: the write is acknowledged at cache latency and its dirty
         pages drain once the outage ends.  Returns ``None`` when the
         buffer cannot be used (battery gone, no outage, partition full)
-        and the write must take the physical path instead.
+        and the write must take the physical path instead.  ``enclosure``
+        is the name of the item's home enclosure.
         """
         if self._battery_failed:
             return None
-        enclosure = self.virtualization.enclosure_of(item_id)
-        if self._fault_clock.outage_at(enclosure.name, timestamp) is None:
+        if self._fault_clock.outage_at(enclosure, timestamp) is None:
             return None
         wd = self.cache.write_delay
         if wd.dirty_pages + (last_page - first_page + 1) > wd.capacity_pages:
             return None
         wd.select(item_id)
         self._emergency_items.add(item_id)
-        for page in range(first_page, last_page + 1):
-            wd.absorb_write(item_id, page)
+        wd.absorb_write(item_id, first_page, last_page)
         self.cache_hit_count += 1
         self.emergency_buffered_ios += 1
         return CACHE_HIT_LATENCY
@@ -743,12 +743,8 @@ class StorageController:
         src = self.virtualization.enclosure(source_enclosure)
         dst = self.virtualization.enclosure(target_enclosure)
         seconds = size_bytes / self.bulk_bandwidth_bps
-        read, _ = self._with_fault_retry(
-            now, lambda at: src.occupy(at, seconds, count=1, read=True)
-        )
-        write, _ = self._with_fault_retry(
-            now, lambda at: dst.occupy(at, seconds, count=1, read=False)
-        )
+        read, _ = self._with_fault_retry(now, src.occupy, seconds, 1, True)
+        write, _ = self._with_fault_retry(now, dst.occupy, seconds, 1, False)
         self._emit_physical(now, source_enclosure, 0, 1, IOType.READ, item_id)
         self._emit_physical(now, target_enclosure, 0, 1, IOType.WRITE, item_id)
         self.migrated_bytes += size_bytes

@@ -234,16 +234,22 @@ class DiskEnclosure:
         machine across an edge that :data:`~repro.storage.power.LEGAL_TRANSITIONS`
         does not contain — that would be a simulator bug and raises
         :class:`~repro.errors.AuditError` instead of silently clamping.
+        The two edges every served I/O takes (IDLE→ACTIVE when service
+        starts, ACTIVE→IDLE when the queue drains) are taken in place by
+        :meth:`settle`, :meth:`submit_one` and :meth:`_serve`, with the
+        same membership test and error, so the audit stays on in the hot
+        path without this call frame.
         """
-        # can_transition(), inlined: transitions fire about twice per
-        # served I/O and the audit must stay on even in the hot path.
         if (self._state, target) not in LEGAL_TRANSITIONS:
-            raise AuditError(
-                f"{self.name}: illegal power-state transition "
-                f"{self._state.value} -> {target.value} at t={at:.3f}s"
-            )
+            raise self._illegal_transition(target, at)
         self._state = target
         self._state_entered = at
+
+    def _illegal_transition(self, target: PowerState, at: Seconds) -> AuditError:
+        return AuditError(
+            f"{self.name}: illegal power-state transition "
+            f"{self._state.value} -> {target.value} at t={at:.3f}s"
+        )
 
     def _accrue(self, state: PowerState, duration: Seconds) -> None:
         if duration < 0:
@@ -286,7 +292,11 @@ class DiskEnclosure:
                 time_in[active] += duration
                 self._clock = end
                 if end >= busy_until:
-                    self._transition(idle, end)
+                    # _transition(idle, end), in place.
+                    if (self._state, idle) not in LEGAL_TRANSITIONS:
+                        raise self._illegal_transition(idle, end)
+                    self._state = idle
+                    self._state_entered = end
                     self._idle_since = end
             elif self._state is idle:
                 end = now
@@ -443,7 +453,8 @@ class DiskEnclosure:
                 read,
             )
             return (start - now) + (completion - start)
-        self.settle(now)
+        if now > self._clock:
+            self.settle(now)
         state = self._state
         if state is not PowerState.ACTIVE and state is not PowerState.IDLE:
             self._ensure_on()
@@ -461,7 +472,11 @@ class DiskEnclosure:
         service = 1.0 / (self.iops_sequential if sequential else self.iops_random)
         completion = start + service
         if self._state is not PowerState.ACTIVE:
-            self._transition(PowerState.ACTIVE, start)
+            # _transition(ACTIVE, start), in place.
+            if (self._state, PowerState.ACTIVE) not in LEGAL_TRANSITIONS:
+                raise self._illegal_transition(PowerState.ACTIVE, start)
+            self._state = PowerState.ACTIVE
+            self._state_entered = start
         if completion > self._busy_until:
             self._busy_until = completion
         self.io_count += 1
@@ -546,9 +561,12 @@ class DiskEnclosure:
         """
         faults = self._fault_clock
         # at = max(now, clock) and start = max(now, clock, busy_until),
-        # written out: this runs for every faulted I/O.
-        at = self._clock if self._clock > now else now
-        self.settle(at)
+        # written out: this runs for every faulted I/O.  settle(at) is a
+        # no-op unless ``now`` is past the settled clock.
+        at = self._clock
+        if now > at:
+            at = now
+            self.settle(now)
         if faults is not None:
             outage = faults.outage_at(self.name, at)
             if outage is not None:
@@ -577,7 +595,11 @@ class DiskEnclosure:
         if faults is not None:
             faults.note_service(self.name, start)
         if self._state is not PowerState.ACTIVE:
-            self._transition(PowerState.ACTIVE, start)
+            # _transition(ACTIVE, start), in place.
+            if (self._state, PowerState.ACTIVE) not in LEGAL_TRANSITIONS:
+                raise self._illegal_transition(PowerState.ACTIVE, start)
+            self._state = PowerState.ACTIVE
+            self._state_entered = start
         if completion > self._busy_until:
             self._busy_until = completion
         self.io_count += count

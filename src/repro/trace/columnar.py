@@ -194,10 +194,6 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
             flags=np.frombuffer(self.flags, dtype=np.uint8)[rows].tobytes(),
         )
 
-    def to_records(self) -> list[LogicalIORecord]:
-        """Materialize the whole trace as record objects (same order)."""
-        return list(self)
-
     # ------------------------------------------------------------------
     # sequence protocol
     # ------------------------------------------------------------------

@@ -102,9 +102,9 @@ class PhysicalIORecord:
     count: int = field(compare=False, default=1)
     io_type: IOType = field(compare=False, default=IOType.READ)
     #: The data item this physical I/O serves, when known.  The paper's
-    #: power-management component joins logical and physical traces; the
-    #: simulator can tag the physical record directly, which the join in
-    #: :mod:`repro.monitoring` also verifies.
+    #: power-management component joins logical and physical traces to
+    #: find it; here the controller's physical tap passes the item id
+    #: with each physical I/O, and no code joins the two traces.
     item_id: str | None = field(compare=False, default=None)
 
     def __post_init__(self) -> None:

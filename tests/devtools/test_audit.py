@@ -90,7 +90,7 @@ def _context_with_one_dirty_page() -> SimulationContext:
     context = _fresh_context()
     wd = context.cache.write_delay
     wd.select("item-x")
-    wd.absorb_write("item-x", 0)
+    wd.absorb_write("item-x", 0, 0)
     return context
 
 
@@ -99,7 +99,7 @@ def test_drifted_dirty_counter_raises_audit_error() -> None:
     auditor = InvariantAuditor(context)
     auditor.check(1.0)
     # Corrupt the O(1) dirty-page counter behind the API's back.
-    context.cache.write_delay._dirty_count += 1
+    context.cache.write_delay.dirty_pages += 1
     with pytest.raises(AuditError, match="dirty-page counter drift"):
         auditor.check(2.0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -186,3 +187,52 @@ def test_split_validates_array_index():
         shard_columnar(
             ColumnarTrace.from_records(workload.records), router, -1
         )
+
+
+def _ecot_image(trace: ColumnarTrace) -> bytes:
+    chunks: list[bytes] = []
+    trace.write_to(chunks.append)
+    return b"".join(chunks)
+
+
+def test_split_hashes_each_item_once(monkeypatch: pytest.MonkeyPatch):
+    workload = build_workload("fileserver", full=False)
+    router = HashRouter(4, seed=7)
+    # The shards as the per-array filter builds them: catalog items and
+    # trace records whose item the router assigns to the array.
+    expected = []
+    for index in range(4):
+        owned = [
+            item
+            for item in workload.items
+            if router.shard_for(item.item_id) == index
+        ]
+        trace = ColumnarTrace.from_records(
+            [
+                record
+                for record in workload.records
+                if router.shard_for(record.item_id) == index
+            ]
+        )
+        expected.append((owned, _ecot_image(trace)))
+
+    calls: list[str] = []
+    shard_for = HashRouter.shard_for
+
+    def counted(self: HashRouter, item_id: str) -> int:
+        calls.append(item_id)
+        return shard_for(self, item_id)
+
+    monkeypatch.setattr(HashRouter, "shard_for", counted)
+    shards = split_workload(workload, router)
+
+    catalog = {item.item_id for item in workload.items}
+    assert sorted(calls) == sorted(catalog | set(workload.records.items))
+    for index, (shard, (owned, image)) in enumerate(zip(shards, expected)):
+        assert shard.items == [
+            item
+            if item.volume is None
+            else replace(item, volume=f"array-{index:02d}:{item.volume}")
+            for item in owned
+        ]
+        assert _ecot_image(shard.records) == image

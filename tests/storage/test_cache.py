@@ -39,47 +39,59 @@ class TestBlockToPage:
         assert block_read_hits(0, 64) == 0
 
 
+def lru_only(pages: int) -> StorageCache:
+    """A cache whose whole capacity is an LRU of ``pages`` pages."""
+    return StorageCache(
+        total_bytes=pages * PAGE_BYTES, preload_bytes=0, write_delay_bytes=0
+    )
+
+
+def read(cache: StorageCache, item: str, page: int) -> bool:
+    """One single-page read through the cache."""
+    return cache.read_hit(item, page, page)
+
+
 class TestLRU:
     def test_miss_then_hit(self):
-        lru = LRUBlockCache(10 * PAGE_BYTES)
-        assert not lru.access("a", 0)
-        assert lru.access("a", 0)
+        cache = lru_only(10)
+        assert not read(cache, "a", 0)
+        assert read(cache, "a", 0)
 
     def test_eviction_order_is_lru(self):
-        lru = LRUBlockCache(2 * PAGE_BYTES)
-        lru.access("a", 0)
-        lru.access("a", 1)
-        lru.access("a", 0)  # touch 0 so 1 is the LRU victim
-        lru.access("a", 2)  # evicts 1
-        assert lru.access("a", 0)
-        assert not lru.access("a", 1)
+        cache = lru_only(2)
+        read(cache, "a", 0)
+        read(cache, "a", 1)
+        read(cache, "a", 0)  # touch 0 so 1 is the LRU victim
+        read(cache, "a", 2)  # evicts 1
+        assert read(cache, "a", 0)
+        assert not read(cache, "a", 1)
 
     def test_capacity_respected(self):
-        lru = LRUBlockCache(3 * PAGE_BYTES)
+        cache = lru_only(3)
         for page in range(100):
-            lru.access("a", page)
-        assert len(lru) <= 3
+            read(cache, "a", page)
+        assert len(cache.lru) <= 3
 
     def test_zero_capacity_never_hits(self):
-        lru = LRUBlockCache(0)
-        assert not lru.access("a", 0)
-        assert not lru.access("a", 0)
-        assert len(lru) == 0
+        cache = lru_only(0)
+        assert not read(cache, "a", 0)
+        assert not read(cache, "a", 0)
+        assert len(cache.lru) == 0
 
     def test_invalidate_item(self):
-        lru = LRUBlockCache(10 * PAGE_BYTES)
-        lru.access("a", 0)
-        lru.access("a", 1)
-        lru.access("b", 0)
-        assert lru.invalidate_item("a") == 2
-        assert not lru.access("a", 0)
-        assert lru.access("b", 0)
+        cache = lru_only(10)
+        read(cache, "a", 0)
+        read(cache, "a", 1)
+        read(cache, "b", 0)
+        assert cache.lru.invalidate_item("a") == 2
+        assert not read(cache, "a", 0)
+        assert read(cache, "b", 0)
 
     def test_hit_ratio(self):
-        lru = LRUBlockCache(10 * PAGE_BYTES)
-        lru.access("a", 0)
-        lru.access("a", 0)
-        assert lru.hit_ratio == pytest.approx(0.5)
+        cache = lru_only(10)
+        read(cache, "a", 0)
+        read(cache, "a", 0)
+        assert cache.lru.hit_ratio == pytest.approx(0.5)
 
     def test_hit_ratio_empty(self):
         assert LRUBlockCache(PAGE_BYTES).hit_ratio == 0.0
@@ -87,6 +99,18 @@ class TestLRU:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             LRUBlockCache(-1)
+
+    def test_range_read_touches_every_page(self):
+        cache = lru_only(10)
+        read(cache, "a", 1)
+        # Page 1 hits, pages 0 and 2 miss: the read misses, all three
+        # enter the LRU, and no page is skipped after the first miss.
+        assert not cache.read_hit("a", 0, 2)
+        assert (cache.lru.hits, cache.lru.misses) == (1, 3)
+        assert cache.read_hit("a", 0, 2)
+        assert cache.lru.snapshot_state()["blocks"] == [
+            ("a", 0), ("a", 1), ("a", 2)
+        ]
 
 
 class TestPreloadPartition:
@@ -138,34 +162,46 @@ class TestWriteDelayPartition:
     def test_unselected_write_raises(self):
         part = self.make()
         with pytest.raises(KeyError):
-            part.absorb_write("a", 0)
+            part.absorb_write("a", 0, 0)
+
+    def test_range_absorb_counts_new_pages_once(self):
+        part = self.make(capacity_mb=100)
+        part.select("a")
+        part.absorb_write("a", 1, 1)
+        assert part.absorb_write("a", 0, 3) is False
+        assert part.dirty_pages == part.absorbed_pages == 4
+
+    def test_range_absorb_reaching_threshold_flushes(self):
+        part = self.make(capacity_mb=1, rate=0.5)  # 4 pages, threshold 2
+        part.select("a")
+        assert part.absorb_write("a", 0, 2) is True
 
     def test_absorb_below_threshold(self):
         part = self.make(capacity_mb=100)
         part.select("a")
-        assert part.absorb_write("a", 0) is False
+        assert part.absorb_write("a", 0, 0) is False
         assert part.dirty_pages == 1
 
     def test_threshold_triggers_flush(self):
         part = self.make(capacity_mb=1, rate=0.5)  # 4 pages, threshold 2
         part.select("a")
-        assert part.absorb_write("a", 0) is False
-        assert part.absorb_write("a", 1) is True
+        assert part.absorb_write("a", 0, 0) is False
+        assert part.absorb_write("a", 1, 1) is True
 
     def test_duplicate_page_not_double_counted(self):
         part = self.make(capacity_mb=100)
         part.select("a")
-        part.absorb_write("a", 0)
-        part.absorb_write("a", 0)
+        part.absorb_write("a", 0, 0)
+        part.absorb_write("a", 0, 0)
         assert part.dirty_pages == 1
 
     def test_flush_all_returns_dirty_bytes_and_clears(self):
         part = self.make(capacity_mb=100)
         part.select("a")
         part.select("b")
-        part.absorb_write("a", 0)
-        part.absorb_write("a", 1)
-        part.absorb_write("b", 7)
+        part.absorb_write("a", 0, 0)
+        part.absorb_write("a", 1, 1)
+        part.absorb_write("b", 7, 7)
         plan = part.flush_all()
         assert plan.dirty_bytes_by_item == {
             "a": 2 * PAGE_BYTES,
@@ -178,7 +214,7 @@ class TestWriteDelayPartition:
     def test_flush_item_keeps_selection(self):
         part = self.make(capacity_mb=100)
         part.select("a")
-        part.absorb_write("a", 0)
+        part.absorb_write("a", 0, 0)
         plan = part.flush_item("a")
         assert plan.total_bytes == PAGE_BYTES
         assert part.is_selected("a")
@@ -187,7 +223,7 @@ class TestWriteDelayPartition:
     def test_deselect_returns_dirty_data(self):
         part = self.make(capacity_mb=100)
         part.select("a")
-        part.absorb_write("a", 0)
+        part.absorb_write("a", 0, 0)
         plan = part.deselect("a")
         assert plan.total_bytes == PAGE_BYTES
         assert not part.is_selected("a")
@@ -200,7 +236,7 @@ class TestWriteDelayPartition:
     def test_is_dirty(self):
         part = self.make(capacity_mb=100)
         part.select("a")
-        part.absorb_write("a", 3)
+        part.absorb_write("a", 3, 3)
         assert part.is_dirty("a", 3)
         assert not part.is_dirty("a", 4)
         assert not part.is_dirty("b", 3)
@@ -233,17 +269,17 @@ class TestStorageCache:
     def test_preloaded_items_always_hit(self):
         cache = StorageCache()
         cache.preload.pin("a", units.MB)
-        assert cache.read_hit("a", 12345)
+        assert cache.read_hit("a", 12345, 12345)
 
     def test_dirty_pages_hit(self):
         cache = StorageCache()
         cache.write_delay.select("a")
-        cache.write_delay.absorb_write("a", 5)
-        assert cache.read_hit("a", 5)
-        assert not cache.read_hit("a", 6)  # miss inserts into LRU
-        assert cache.read_hit("a", 6)  # now LRU hit
+        cache.write_delay.absorb_write("a", 5, 5)
+        assert cache.read_hit("a", 5, 5)
+        assert not cache.read_hit("a", 6, 6)  # miss inserts into LRU
+        assert cache.read_hit("a", 6, 6)  # now LRU hit
 
     def test_lru_fallback(self):
         cache = StorageCache()
-        assert not cache.read_hit("b", 0)
-        assert cache.read_hit("b", 0)
+        assert not cache.read_hit("b", 0, 0)
+        assert cache.read_hit("b", 0, 0)

@@ -18,6 +18,7 @@ Three layers of guarantee, mirroring the tentpole's claims:
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict
 
 import pytest
@@ -38,6 +39,18 @@ from repro.trace.replay import TraceReplayer
 
 #: Bytes of the fixed ``.ecot`` header; the item table follows it.
 _HEADER_SIZE = 28
+
+
+def fields(records: Iterable[LogicalIORecord]) -> list[tuple]:
+    """Every field of each record, in order.
+
+    Records compare by timestamp only, so a list comparison of the
+    records themselves would not see a wrong item, offset or flag.
+    """
+    return [
+        (r.timestamp, r.item_id, r.offset, r.size, r.io_type, r.sequential)
+        for r in records
+    ]
 
 
 def _records() -> list[LogicalIORecord]:
@@ -71,7 +84,7 @@ class TestBuildRoundTrip:
     def test_records_round_trip_exactly(self):
         records = _records()
         trace = ColumnarTrace.from_records(records)
-        assert trace.to_records() == records
+        assert fields(trace) == fields(records)
 
     def test_interns_items_in_first_appearance_order(self):
         trace = ColumnarTrace.from_records(_records())
@@ -97,7 +110,7 @@ class TestBuildRoundTrip:
     def test_empty_trace(self):
         trace = ColumnarTrace.from_records([])
         assert len(trace) == 0
-        assert trace.to_records() == []
+        assert fields(trace) == []
 
 
 class TestEcotFormat:
@@ -109,18 +122,18 @@ class TestEcotFormat:
         assert built.save(path) == len(records)
         loaded = ColumnarTrace.load(path, use_mmap=use_mmap)
         assert loaded == built
-        assert loaded.to_records() == records
+        assert fields(loaded) == fields(records)
 
     def test_empty_trace_round_trips(self, tmp_path):
         path = tmp_path / "empty.ecot"
         ColumnarTrace.from_records([]).save(path)
-        assert ColumnarTrace.load(path).to_records() == []
+        assert fields(ColumnarTrace.load(path)) == []
 
     def test_single_record_round_trips(self, tmp_path):
         records = _records()[:1]
         path = tmp_path / "one.ecot"
         ColumnarTrace.from_records(records).save(path)
-        assert ColumnarTrace.load(path).to_records() == records
+        assert fields(ColumnarTrace.load(path)) == fields(records)
 
     def test_non_ascii_item_ids_round_trip(self, tmp_path):
         records = [
@@ -137,7 +150,7 @@ class TestEcotFormat:
         ColumnarTrace.from_records(records).save(path)
         loaded = ColumnarTrace.load(path)
         assert loaded.items == ("データ/項目", "naïve id", "π")
-        assert loaded.to_records() == records
+        assert fields(loaded) == fields(records)
 
     def test_bad_magic_refused(self, tmp_path):
         path = tmp_path / "bogus.ecot"
