@@ -13,7 +13,7 @@ is re-read at the only points its value may change — once at start
 (after :meth:`PowerPolicy.on_start`), after every
 :meth:`PowerPolicy.after_io`, and after every
 :meth:`PowerPolicy.on_checkpoint` — and mirrored in the kernel's one
-checkpoint field, which it fires off the event heap.  A policy must
+checkpoint slot.  A policy must
 advance its checkpoint strictly past ``now`` inside ``on_checkpoint``
 (the kernel raises :class:`~repro.errors.ReplayError` otherwise) and
 should only ever schedule into the future; checkpoints in the past

@@ -185,7 +185,8 @@ class PDCPolicy(PowerPolicy):
                 if virt.enclosure_of(item).name != target:
                     plan.add(item, target)
 
-        context.migration_engine.execute(now, plan)
+        applied = plan.as_actions()
+        self.executor().apply(now, applied)
 
         # Re-evaluate the degraded-mode gate every period: an enclosure
         # whose spin-ups keep failing must stop spinning down for its
@@ -196,7 +197,6 @@ class PDCPolicy(PowerPolicy):
         self._popularity.clear()
         self._window_start = now
         self._schedule_next(now)
-        applied = plan.as_actions()
         applied.extend(gate_plan)
         return applied
 

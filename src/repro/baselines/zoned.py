@@ -24,7 +24,6 @@ from repro.monitoring.storage import StorageMonitor
 from repro.simulation import SimulationContext
 from repro.storage.enclosure import DiskEnclosure
 from repro.storage.meter import PowerMeter
-from repro.storage.migration import MigrationEngine
 from repro.storage.virtualization import BlockVirtualization
 from repro.trace.records import IOType
 
@@ -158,7 +157,6 @@ class ZonedPolicy(PowerPolicy):
             controller=context.controller,
             app_monitor=ApplicationMonitor(),
             storage_monitor=StorageMonitor(enclosures),
-            migration_engine=MigrationEngine(context.controller),
             meter=PowerMeter(enclosures, context.config.controller_power),
             fault_clock=context.fault_clock,
             # All zones share the parent executor: one action log, one
@@ -270,8 +268,8 @@ class ZonedPolicy(PowerPolicy):
     def snapshot_state(self) -> dict:
         """Capture the router cache plus every zone's sub-simulation.
 
-        Each zone owns a private app monitor, storage monitor and
-        migration engine (built in :meth:`_zone_context`); they are
+        Each zone owns a private app monitor and storage monitor (built
+        in :meth:`_zone_context`); they are
         invisible to the session-level capture, so the zoned planner
         snapshots them alongside the inner policies' own state.
         """
@@ -288,10 +286,6 @@ class ZonedPolicy(PowerPolicy):
                 "storage_monitor": (
                     zone.policy._require_context()
                     .storage_monitor.snapshot_state()
-                ),
-                "migration_engine": (
-                    zone.policy._require_context()
-                    .migration_engine.snapshot_state()
                 ),
             }
             for zone in self.zones
@@ -320,9 +314,6 @@ class ZonedPolicy(PowerPolicy):
             zone_context.app_monitor.restore_state(zone_state["app_monitor"])
             zone_context.storage_monitor.restore_state(
                 zone_state["storage_monitor"]
-            )
-            zone_context.migration_engine.restore_state(
-                zone_state["migration_engine"]
             )
         self._item_zone = {
             item: by_name[name] for item, name in state["item_zone"].items()

@@ -371,11 +371,14 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
     status = 0
     reports = []
     for policy in args.policies or sorted(STANDARD_POLICIES):
+        # A timeline, so kill/resume identity covers the sample slot
+        # and the timeline points too.
         spec = RunSpec(
             workload=args.workload,
             policy=policy,
             full=args.full,
             audit=True,
+            timeline_interval=300.0,
         )
         report = run_crash_sweep(
             spec,

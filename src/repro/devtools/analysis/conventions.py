@@ -580,8 +580,8 @@ class AdHocTimeChecker(Checker):
                     node,
                     "",
                     f"direct call to {func.attr}() on a power timeline — "
-                    "samples fire as kernel TimelineSampleEvents; schedule "
-                    "them via repro.engine instead",
+                    "samples fire from the kernel's sample slot; let "
+                    "repro.engine drive them instead",
                 )
 
 

@@ -1,44 +1,47 @@
-"""The discrete-event simulation kernel.
+"""The simulation kernel: one loop over two slots.
 
 :class:`SimulationKernel` is the one dispatch site through which virtual
-time passes.  Every time consumer that the pre-kernel ``TraceReplayer``
-hand-threaded — power-timeline boundary samples, fault-clock
-bookkeeping, policy monitoring-period checkpoints, trace records,
-write-delay flush deadlines — fires from here in ``(time, priority
-class, insertion order)`` order.  Timeline samples, records served
-online, flush deadlines and deferred action plans are
-:class:`~repro.engine.events.Event` objects on one deterministic
-:class:`~repro.engine.queue.EventQueue`; the policy checkpoint is a
-field (see below).
+time passes.  The paper's manager wakes at two kinds of instants — the
+end of each adaptive monitoring period (Algorithm 1) and the §III-B
+power-sampling cadence — so the kernel keeps one slot for each, and
+merges both with the time-ordered trace records:
 
-Two entry points:
+* **the sample slot** — the power timeline's next boundary,
+  ``timeline.next_sample_time`` (``math.inf`` without a timeline).  It
+  needs no kernel state: only the kernel calls
+  :meth:`~repro.monitoring.timeline.PowerTimeline.sample` during a run
+  (check R8 flags any other caller), so the timeline's own cursor is
+  the schedule;
+* **the checkpoint slot** — the policy's next monitoring-period
+  checkpoint, mirrored in one field by *synchronized polling*: policies
+  expose ``next_checkpoint()`` (see
+  :class:`repro.baselines.base.PowerPolicy`), and the kernel re-reads
+  it at the only points the value can change, after each ``after_io``
+  and after each ``on_checkpoint``.  A moved checkpoint overwrites the
+  field, so it can never fire at its stale time.  With a fault clock
+  attached the slot runs fault bookkeeping first.
 
-* :meth:`SimulationKernel.replay` — batch mode.  Trace records arrive
-  as a pre-sorted :class:`~repro.trace.columnar.ColumnarTrace` (any
-  other record iterable is packed into one first), so the one record
-  loop *merges* the columns with the event heap and the checkpoint
-  field instead of pushing every record through the heap: the heap
-  only ever holds the handful of live recurring events, which keeps the
-  hot loop allocation-free and the throughput at parity with the old
-  hand-threaded loop.
-* :meth:`SimulationKernel.post` + :meth:`SimulationKernel.run_until` —
-  online mode.  Events (including
-  :class:`~repro.engine.events.TraceRecordEvent` I/O arrivals) are
-  scheduled as they become known and the clock is pumped forward
-  incrementally, the formulation the online/streaming roadmap items
-  need.
+When several occurrences share a timestamp they fire in ascending
+*class* — this table is the one place the boundary convention lives:
 
-Checkpoint scheduling is *synchronized polling*: policies still expose
-``next_checkpoint()`` (see :class:`repro.baselines.base.PowerPolicy`),
-and the kernel mirrors it in one float, re-read at the only points the
-value can change — after each ``after_io`` and after each
-``on_checkpoint``.  The checkpoint never enters the heap: the dispatch
-loop compares its slot, key ``(t, POLICY_CHECKPOINT)``, with the heap
-top, so a moved checkpoint simply overwrites the float and can never
-fire at its stale time.  When a fault clock is installed, the slot
-first runs fault bookkeeping (class ``FAULT_BOOKKEEPING``), preserving
-the pre-kernel call order ``controller.on_time(t)`` then
-``policy.on_checkpoint(t)``.
+===================== ===== ==========================================
+occurrence            class fires at equal timestamps…
+===================== ===== ==========================================
+timeline sample       0     first: a sample at a boundary reads the
+                            energy books *before* any mutation there
+fault bookkeeping     1     just before the checkpoint (battery and
+                            outage accounting precede the decision)
+policy checkpoint     2     before any I/O at the same instant: it
+                            closes the window the record would open
+trace record          3     last: application I/O lands after the
+                            instant's control decisions
+===================== ===== ==========================================
+
+Trace records arrive as a pre-sorted
+:class:`~repro.trace.columnar.ColumnarTrace` (any other record iterable
+is packed into one first); before serving a record at ``ts`` the pump
+fires every slot due at or before ``ts``, which costs two float
+comparisons per record.
 
 The golden regression test (``tests/trace/test_replay_golden.py``)
 pins this kernel bit-identical to the pre-kernel replayer for every
@@ -47,23 +50,13 @@ policy, with and without faults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.actions.plan import ActionPlan
 from repro.actions.records import FlushWriteDelay
 from repro.engine.clock import SimClock
-from repro.engine.events import (
-    ACTION_APPLY,
-    POLICY_CHECKPOINT,
-    TRACE_RECORD,
-    ActionApplyEvent,
-    Event,
-    FlushDeadlineEvent,
-    TimelineSampleEvent,
-    TraceRecordEvent,
-)
-from repro.engine.queue import EventQueue
 from repro.errors import ReplayError, SnapshotError, UsageError
 from repro.trace.columnar import FLAG_READ, FLAG_SEQUENTIAL, ColumnarTrace
 
@@ -75,56 +68,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ReplayOutcome", "SimulationKernel"]
 
-#: Priority bound one past the last class; ``run_until`` uses it so a
-#: pump to time ``t`` includes every event class scheduled at ``t``.
-_PAST_LAST_CLASS = ACTION_APPLY + 1
-
-#: Event-kind tags used by the kernel snapshot (:mod:`repro.persistence`).
-#: Snapshots never pickle :class:`~repro.engine.events.Event` instances —
-#: their ``queued`` flags and kernel back-references are runtime
-#: identity, not state — so queue entries are serialized as
-#: ``(seq, kind, time, payload)`` tuples and rebuilt on restore.
-_EVENT_KINDS: dict[type[Event], str] = {
-    TimelineSampleEvent: "timeline_sample",
-    TraceRecordEvent: "trace_record",
-    FlushDeadlineEvent: "flush_deadline",
-    ActionApplyEvent: "action_apply",
-}
-
 
 def _as_columnar(records: Iterable[LogicalIORecord]) -> ColumnarTrace:
     """``records`` as a :class:`ColumnarTrace`, packing it if needed."""
     if isinstance(records, ColumnarTrace):
         return records
     return ColumnarTrace.from_records(records)
-
-
-def _encode_event(event: Event) -> tuple[str, float, object]:
-    """Serialize one live event as a ``(kind, time, payload)`` tuple."""
-    kind = _EVENT_KINDS.get(type(event))
-    if kind is None:
-        raise UsageError(
-            f"cannot snapshot unknown event type {type(event).__name__!r}"
-        )
-    payload: object = None
-    if isinstance(event, TraceRecordEvent):
-        payload = event.record
-    elif isinstance(event, ActionApplyEvent):
-        payload = event.plan
-    return (kind, event.time, payload)
-
-
-def _decode_event(kind: str, time: float, payload: object) -> Event:
-    """Rebuild a fresh event instance from its snapshot tuple."""
-    if kind == "timeline_sample":
-        return TimelineSampleEvent(time)
-    if kind == "flush_deadline":
-        return FlushDeadlineEvent(time)
-    if kind == "trace_record":
-        return TraceRecordEvent(payload)  # type: ignore[arg-type]
-    if kind == "action_apply":
-        return ActionApplyEvent(time, payload)  # type: ignore[arg-type]
-    raise SnapshotError(f"unknown event kind {kind!r} in snapshot")
 
 
 @dataclass(frozen=True)
@@ -140,7 +89,7 @@ class ReplayOutcome:
 
 
 class SimulationKernel:
-    """Deterministic event pump over one simulation context.
+    """Deterministic two-slot pump over one simulation context.
 
     A kernel drives one measurement window and is single-use for
     :meth:`replay` (exactly like the pre-kernel replayer, whose loop
@@ -159,7 +108,6 @@ class SimulationKernel:
         self.policy = policy
         self.timeline = timeline
         self.clock = SimClock()
-        self.queue = EventQueue()
         self._scheduled_checkpoint: float | None = None
         self._checkpoint_hooks: list[Callable[[float], None]] = []
         self._finish_hooks: list[Callable[[float], None]] = []
@@ -167,7 +115,7 @@ class SimulationKernel:
         self._finished = False
 
     # ------------------------------------------------------------------
-    # Hook + scheduling surface
+    # Hook surface
     # ------------------------------------------------------------------
 
     def add_checkpoint_hook(self, hook: Callable[[float], None]) -> None:
@@ -200,30 +148,6 @@ class SimulationKernel:
     def finished(self) -> bool:
         """Whether this kernel's run has settled (kernels are single-use)."""
         return self._finished
-
-    def post(self, event: Event) -> Event:
-        """Schedule ``event`` on the kernel's queue and return it.
-
-        The online entry point: arrivals, deadlines, or custom event
-        sources go in here and fire when :meth:`run_until` (or the
-        batch pump) reaches their time.  Raises
-        :class:`~repro.errors.UsageError`, before touching the queue,
-        once the run has finished — a settled kernel's books are final
-        and an event posted after settlement could never fire — and for
-        an event behind the clock, which could only fire by moving
-        virtual time backwards.
-        """
-        if self._finished:
-            raise UsageError(
-                "cannot post events to a finished kernel: the run has "
-                "settled; build a fresh kernel for a new window"
-            )
-        if event.time < self.clock.now:
-            raise UsageError(
-                f"cannot post {event!r}: it is in the past, the clock is "
-                f"at {self.clock.now}"
-            )
-        return self.queue.push(event)
 
     # ------------------------------------------------------------------
     # Batch replay
@@ -276,8 +200,8 @@ class SimulationKernel:
         Those first ``start_count`` records of ``records`` are skipped —
         their effects live in the restored state — and the pump resumes
         with the cursor seeded at the boundary.  The replay prologue
-        (``policy.on_start``, window begins, the first timeline sample)
-        is deliberately **not** re-run: the restored queue and monitors
+        (``policy.on_start``, window begins) is deliberately **not**
+        re-run: the restored checkpoint field, timeline and monitors
         already reflect it.  Epilogue semantics match :meth:`replay`,
         so the outcome is bit-identical to an uninterrupted run.
         """
@@ -316,8 +240,8 @@ class SimulationKernel:
 
         context = self.context
         policy = self.policy
+        timeline = self.timeline
         clock = self.clock
-        queue = self.queue
         hook = self._record_hook
 
         timestamps = trace.timestamps
@@ -335,7 +259,6 @@ class SimulationKernel:
         record = context.app_monitor.record
         next_checkpoint = policy.next_checkpoint
         dispatch = self._dispatch_until
-        peek = queue.peek_key
         advance = clock.advance
 
         # Policies that do not override the after-I/O hook
@@ -346,9 +269,10 @@ class SimulationKernel:
         if type(policy).after_io is PowerPolicy.after_io:
             after_io = None
 
-        trace_record = TRACE_RECORD
-        # Local mirror of ``_scheduled_checkpoint``: only a dispatch or
-        # the after-I/O re-sync below can move it.
+        # Local mirrors of the two slots: only a dispatch moves the
+        # sample slot, and only a dispatch or the after-I/O re-sync
+        # below moves the checkpoint.
+        sample = math.inf if timeline is None else timeline.next_sample_time
         checkpoint = self._scheduled_checkpoint
         for ts, idx, offset, size, flag in zip(
             timestamps, item_index, offsets, sizes, flags
@@ -358,21 +282,12 @@ class SimulationKernel:
                     f"trace not time-ordered: {ts} after {last_ts}"
                 )
             last_ts = ts
-            # The checkpoint slot precedes a record at its own timestamp.
-            # Otherwise re-peek the heap per record: any after-I/O hook
-            # may have queued new events (e.g. a management cycle posting
-            # flush deadlines).  The key is compared field-wise to avoid
-            # building a tuple per record.
-            if checkpoint is not None and checkpoint <= ts:
-                dispatch((ts, trace_record))
+            # Both slots precede a record at their own timestamp.
+            if sample <= ts or (checkpoint is not None and checkpoint <= ts):
+                dispatch(ts)
                 checkpoint = self._scheduled_checkpoint
-            else:
-                key = peek()
-                if key is not None:
-                    key_ts = key[0]
-                    if key_ts < ts or (key_ts == ts and key[1] < trace_record):
-                        dispatch((ts, trace_record))
-                        checkpoint = self._scheduled_checkpoint
+                if timeline is not None:
+                    sample = timeline.next_sample_time
             advance(ts)
             item = items[idx]
             is_read = read_lut[flag]
@@ -382,7 +297,6 @@ class SimulationKernel:
             count += 1
             if after_io is not None:
                 after_io(ts, item, offset, size, is_read, sequential, response)
-                # _sync_checkpoint inlined: one call less per record.
                 checkpoint = self._scheduled_checkpoint = next_checkpoint()
             if hook is not None:
                 hook(count, ts)
@@ -390,16 +304,11 @@ class SimulationKernel:
         return self._finish_replay(count, last_ts, duration)
 
     def _begin_replay(self) -> None:
-        """Shared replay prologue: window starts, first timeline sample,
-        initial checkpoint sync."""
+        """Shared replay prologue: window starts, initial checkpoint sync."""
         self.policy.on_start(0.0)
         self.context.app_monitor.begin_window(0.0)
         self.context.storage_monitor.begin_window(0.0)
-        if self.timeline is not None:
-            self.queue.push(
-                TimelineSampleEvent(self.timeline.next_sample_time)
-            )
-        self._sync_checkpoint()
+        self._scheduled_checkpoint = self.policy.next_checkpoint()
 
     def _finish_replay(
         self, count: int, last_ts: float, duration: float | None
@@ -434,62 +343,14 @@ class SimulationKernel:
         return ReplayOutcome(io_count=count, end=end, final=final)
 
     # ------------------------------------------------------------------
-    # Online pump
+    # Slot dispatch
     # ------------------------------------------------------------------
-
-    def run_until(self, time: float) -> float:
-        """Fire every queued event scheduled at or before ``time``.
-
-        Advances the clock to ``time`` even if nothing fires, and
-        returns it.  This is the incremental pump for online operation;
-        it performs no end-of-run settlement.
-
-        Raises :class:`~repro.errors.UsageError` for a ``time`` behind
-        the current clock (virtual time never rewinds — clamping would
-        silently skip the events between ``time`` and now) and for any
-        pump attempt after the run has finished.
-        """
-        if self._finished:
-            raise UsageError(
-                "cannot pump a finished kernel: the run has settled; "
-                "build a fresh kernel for a new window"
-            )
-        if time < self.clock.now:
-            raise UsageError(
-                f"run_until({time}) is in the past: the clock is at "
-                f"{self.clock.now}"
-            )
-        self._dispatch_until((time, _PAST_LAST_CLASS))
-        if self.clock.now < time:
-            self.clock.advance(time)
-        return time
-
-    # ------------------------------------------------------------------
-    # Event dispatch (called by Event.fire)
-    # ------------------------------------------------------------------
-
-    def serve_record(self, record: LogicalIORecord) -> None:
-        """Serve one I/O record: submit, observe, let the policy react."""
-        fields = (
-            record.timestamp,
-            record.item_id,
-            record.offset,
-            record.size,
-            record.is_read,
-            record.sequential,
-        )
-        response = self.context.controller.submit(*fields)
-        self.context.app_monitor.record(*fields, response)
-        self.policy.after_io(*fields, response)
-        self._sync_checkpoint()
 
     def fire_timeline_sample(self, now: float) -> None:
-        """Record the due timeline boundary and schedule the next one."""
+        """Record the timeline boundary due at ``now``."""
         timeline = self.timeline
-        if timeline is None:
-            return
-        timeline.sample(now)
-        self.queue.push(TimelineSampleEvent(timeline.next_sample_time))
+        if timeline is not None:
+            timeline.sample(now)
 
     def fire_fault_bookkeeping(self, now: float) -> None:
         """Run controller fault bookkeeping ahead of the checkpoint at ``now``."""
@@ -509,6 +370,7 @@ class SimulationKernel:
             )
         self._scheduled_checkpoint = follow_up
 
+    # No slot fires the next two; perfbench's probe list resolves them.
     def fire_flush_deadline(self, now: float) -> None:
         """Flush delayed writes whose deadline arrived at ``now``.
 
@@ -527,41 +389,37 @@ class SimulationKernel:
     # Internals
     # ------------------------------------------------------------------
 
-    def _dispatch_until(self, bound: tuple[float, int]) -> None:
-        """Fire everything whose ``(time, priority)`` key is < ``bound``.
+    def _dispatch_until(self, bound: float) -> None:
+        """Fire every slot due at or before ``bound``, in class order.
 
-        That is queued events and the policy checkpoint, whose slot has
-        key ``(t, POLICY_CHECKPOINT)``.  With a fault clock attached the
-        slot runs fault bookkeeping first, so ``controller.on_time(t)``
-        precedes ``policy.on_checkpoint(t)``.
+        A sample fires first when it is due no later than the
+        checkpoint; otherwise the checkpoint fires, with fault
+        bookkeeping ahead of it when a fault clock is attached.
         """
-        queue = self.queue
+        timeline = self.timeline
         clock = self.clock
         bookkeeping = self.context.fault_clock is not None
         while True:
-            key = queue.peek_key()
+            sample = math.inf if timeline is None else timeline.next_sample_time
             checkpoint = self._scheduled_checkpoint
-            if checkpoint is not None:
-                slot = (checkpoint, POLICY_CHECKPOINT)
-                if slot < bound and (key is None or slot < key):
-                    clock.advance(checkpoint)
-                    if bookkeeping:
-                        self.fire_fault_bookkeeping(checkpoint)
-                    self.fire_policy_checkpoint(checkpoint)
-                    continue
-            if key is None or key >= bound:
+            if checkpoint is None:
+                checkpoint = math.inf
+            if sample <= bound and sample <= checkpoint:
+                clock.advance(sample)
+                self.fire_timeline_sample(sample)
+            elif checkpoint <= bound:
+                clock.advance(checkpoint)
+                if bookkeeping:
+                    self.fire_fault_bookkeeping(checkpoint)
+                self.fire_policy_checkpoint(checkpoint)
+            else:
                 return
-            event = queue.pop()
-            if event is None:  # pragma: no cover - peek saw an event
-                return
-            clock.advance(event.time)
-            event.fire(self)
 
     def _drain_tail(self, end: float) -> None:
         """Fire every remaining checkpoint scheduled at or before ``end``.
 
-        Timeline boundaries *beyond* the last fired checkpoint stay
-        queued on purpose: the pre-kernel engine recorded them inside
+        Timeline boundaries *beyond* the last fired checkpoint do not
+        fire here on purpose: the pre-kernel engine recorded them inside
         ``timeline.finish`` after the tail flush, and so does
         :meth:`replay`.
         """
@@ -569,47 +427,36 @@ class SimulationKernel:
             self._scheduled_checkpoint is not None
             and self._scheduled_checkpoint <= end
         ):
-            self._dispatch_until((self._scheduled_checkpoint, TRACE_RECORD))
-
-    def _sync_checkpoint(self) -> None:
-        """Mirror ``policy.next_checkpoint()`` in the checkpoint field.
-
-        Called at every point the policy may have moved its checkpoint;
-        a moved checkpoint replaces the old value outright.
-        """
-        self._scheduled_checkpoint = self.policy.next_checkpoint()
+            self._dispatch_until(self._scheduled_checkpoint)
 
     # ------------------------------------------------------------------
     # Snapshot support (repro.persistence)
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Serializable kernel state: clock, queued events, checkpoint.
+        """Serializable kernel state: clock, checkpoint field, finished.
 
-        Captured strictly read-only at a record boundary.  Events are
-        stored as ``(seq, (kind, time, payload))`` tuples — see
-        :func:`_encode_event` — with the queue's sequence counter, so a
-        restore reproduces same-timestamp FIFO tie-breaks exactly.
+        Captured strictly read-only at a record boundary.  The sample
+        slot is the timeline's own cursor, which the timeline snapshots.
         """
-        entries = [
-            (seq, _encode_event(event))
-            for _, _, seq, event in self.queue.live_entries()
-        ]
         return {
             "clock": self.clock.snapshot_state(),
-            "queue_entries": entries,
-            "queue_next_seq": self.queue.next_seq,
             "scheduled_checkpoint": self._scheduled_checkpoint,
             "finished": self._finished,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild clock, queue, and checkpoint from a snapshot."""
+        """Rebuild clock and checkpoint field from a snapshot.
+
+        Kernel states written while the kernel kept an event heap carry
+        ``queue_entries`` / ``queue_next_seq``.  A heap that held only
+        the next timeline sample is redundant with the restored
+        timeline's cursor and is ignored; any other retired kind names
+        an event this kernel cannot fire and is refused.
+        """
+        for _, (kind, _, _) in state.get("queue_entries", ()):
+            if kind != "timeline_sample":
+                raise SnapshotError(f"unknown event kind {kind!r} in snapshot")
         self.clock.restore_state(state["clock"])
-        entries: list[tuple[float, int, int, Event]] = []
-        for seq, (kind, time, payload) in state["queue_entries"]:
-            event = _decode_event(kind, time, payload)
-            entries.append((event.time, event.priority, seq, event))
-        self.queue.restore_entries(entries, state["queue_next_seq"])
         self._scheduled_checkpoint = state["scheduled_checkpoint"]
         self._finished = state["finished"]

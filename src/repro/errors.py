@@ -97,7 +97,7 @@ class MigrationAbortedError(FaultError):
 
     Raised *before* any placement book is mutated: the item stays on its
     source enclosure and per-enclosure used-bytes are untouched, so the
-    migration engine only has to count the abort and move on.
+    action executor only has to record the abort and move on.
     """
 
     def __init__(self, item_id: str, at: float) -> None:

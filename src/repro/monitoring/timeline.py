@@ -8,13 +8,14 @@ it yields per-enclosure *interval* power (energy difference over the
 sampling interval — what a physical power meter logs), enabling
 power-over-time analysis rather than only run-level averages.
 
-Under the :mod:`repro.engine` kernel each interval boundary is a
-first-class recurring :class:`~repro.engine.events.TimelineSampleEvent`
-that fires at the boundary's exact time, *before* any same-instant
-mutation (lowest priority class) — nothing outside the kernel should
-call :meth:`PowerTimeline.sample` during a run (check R8 flags such
-calls).  Boundaries after the last policy checkpoint are settled by
-:meth:`PowerTimeline.finish` once the end-of-run flush has landed.
+Under the :mod:`repro.engine` kernel the timeline's next boundary,
+:attr:`PowerTimeline.next_sample_time`, is the kernel's sample slot: the
+kernel fires it at the boundary's exact time, *before* any same-instant
+mutation (class 0) — nothing outside the kernel should call
+:meth:`PowerTimeline.sample` during a run (check R8 flags such calls),
+since the kernel reads this cursor as its schedule.  Boundaries after
+the last policy checkpoint are settled by :meth:`PowerTimeline.finish`
+once the end-of-run flush has landed.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ surface on top:
 
 * :meth:`SnapshotSession.run` replays the trace and, every N record
   boundaries, captures the *entire* mutable simulation state — kernel
-  clock and event queue, controller books, enclosure power state and
+  clock and checkpoint slot, controller books, enclosure power state and
   energy meters, cache partitions, both monitors, the power timeline,
   the policy's planner state, fault-clock draw cursors, the degraded
   -mode gate, and the full typed action log — into one atomic
@@ -199,7 +199,6 @@ class SnapshotSession:
             "controller": context.controller.snapshot_state(),
             "virtualization": context.virtualization.snapshot_state(),
             "cache": context.cache.snapshot_state(),
-            "migration_engine": context.migration_engine.snapshot_state(),
             "app_monitor": context.app_monitor.snapshot_state(),
             "storage_monitor": context.storage_monitor.snapshot_state(),
             "policy": self.policy.snapshot_state(),
@@ -300,9 +299,6 @@ class SnapshotSession:
             self._state(states, "virtualization")
         )
         context.cache.restore_state(self._state(states, "cache"))
-        context.migration_engine.restore_state(
-            self._state(states, "migration_engine")
-        )
         context.app_monitor.restore_state(self._state(states, "app_monitor"))
         context.storage_monitor.restore_state(
             self._state(states, "storage_monitor")

@@ -2,15 +2,16 @@
 
 A :class:`SimulationContext` bundles everything one experiment run needs
 — configuration, enclosures, virtualization, cache, controller, monitors,
-migration engine — and :func:`build_context` assembles it the way the
+meter, action executor — and :func:`build_context` assembles it the way the
 paper's testbed is assembled (Fig 5 / Fig 7): one controller over N
 enclosures, the storage monitor tapping physical I/O, the application
 monitor fed by the replayer.
 
 The context holds no notion of time itself: virtual time lives in the
 :mod:`repro.engine` kernel, which drives every component here through
-events (records, checkpoints, timeline samples, fault bookkeeping) and
-settles them at end of run.  One context backs one measurement window.
+the trace records and its two slots (timeline samples; fault bookkeeping
+and checkpoints) and settles them at end of run.  One context backs one
+measurement window.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.storage.cache import StorageCache
 from repro.storage.controller import StorageController
 from repro.storage.enclosure import DiskEnclosure
 from repro.storage.meter import PowerMeter
-from repro.storage.migration import MigrationEngine
 from repro.storage.tiers import (
     ARCHIVE_COST_PER_BYTE,
     FLASH_COST_PER_BYTE,
@@ -51,7 +51,6 @@ class SimulationContext:
     controller: StorageController
     app_monitor: ApplicationMonitor
     storage_monitor: StorageMonitor
-    migration_engine: MigrationEngine
     meter: PowerMeter
     #: Fault oracle (:mod:`repro.faults`); ``None`` for zero-fault runs,
     #: in which case the storage layer takes its pre-fault code paths.
@@ -72,9 +71,6 @@ class SimulationContext:
             self.executor = ActionExecutor(
                 self.controller, self.config, self.fault_clock
             )
-        # The migration engine must apply plans through the context
-        # executor so its migrations land in the shared action log.
-        self.migration_engine.executor = self.executor
 
     def require_executor(self) -> ActionExecutor:
         """The context's action executor (always set after init)."""
@@ -208,7 +204,6 @@ def build_context(
         controller=controller,
         app_monitor=ApplicationMonitor(),
         storage_monitor=storage_monitor,
-        migration_engine=MigrationEngine(controller),
         meter=PowerMeter(enclosures, config.controller_power),
         fault_clock=fault_clock,
         array_id=array_id,

@@ -394,7 +394,7 @@ class StorageController:
                 if write_delay.absorb_write(item_id, first_page, last_page):
                     self.flush_write_delay(timestamp)
                 return CACHE_HIT_LATENCY
-            if faulted:
+            if faulted and not self._battery_failed:
                 buffered = self._emergency_buffer_write(
                     timestamp, item_id, name, first_page, last_page
                 )
@@ -444,10 +444,9 @@ class StorageController:
         pages drain once the outage ends.  Returns ``None`` when the
         buffer cannot be used (battery gone, no outage, partition full)
         and the write must take the physical path instead.  ``enclosure``
-        is the name of the item's home enclosure.
+        is the name of the item's home enclosure.  The caller has checked
+        that the battery still holds.
         """
-        if self._battery_failed:
-            return None
         if self._fault_clock.outage_at(enclosure, timestamp) is None:
             return None
         wd = self.cache.write_delay
@@ -577,8 +576,8 @@ class StorageController:
         Shared by migrations and replications; returns the completion
         time.  Fault injection is consulted before anything is charged:
         an aborted copy is discarded, leaving placement maps, used-bytes
-        and energy books exactly as they were (the MigrationEngine
-        re-plans at the next checkpoint).
+        and energy books exactly as they were (the policy re-plans at
+        the next checkpoint).
         """
         if self._fault_clock is not None:
             if self._fault_clock.migration_abort(item_id, now):

@@ -513,7 +513,7 @@ class DiskEnclosure:
         if count <= 0:
             raise ValidationError("count must be positive")
         # Entirely lazy: the transfer may be scheduled in the future (the
-        # migration engine serializes moves), so the state machine is not
+        # action executor serializes moves), so the state machine is not
         # advanced here — that would turn the settled clock into a queue
         # barrier for earlier application I/O.  The hold-awake window is
         # honoured lazily by :meth:`settle`'s idle branch.

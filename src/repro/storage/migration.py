@@ -1,26 +1,22 @@
-"""Migration engine: executes a data-placement plan item by item.
+"""Placement plans: the data-item moves a placement algorithm decides.
 
 Paper §V-A: after the power-management function decides placement, the
 runtime method migrates data items between enclosures, P0/P1/P2 items
-first (to free space for P3), one by one and throttled.  This module
-turns a :class:`PlacementPlan` (list of moves) into
-:class:`~repro.actions.records.MigrateItem` actions applied through the
-:class:`~repro.actions.executor.ActionExecutor` — the sole mutation
-path into the controller — and aggregates statistics into a
-:class:`MigrationReport` for its callers.
+first (to free space for P3), one by one and throttled.  A
+:class:`PlacementPlan` (list of moves) becomes
+:class:`~repro.actions.records.MigrateItem` actions through
+:meth:`PlacementPlan.as_actions`; policies apply those through the
+:class:`~repro.actions.executor.ActionExecutor`, the sole mutation path
+into the controller, which serializes the moves and reports them in its
+:class:`~repro.actions.executor.ApplyReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.actions.plan import ActionPlan
-from repro.actions.records import ActionOutcome, MigrateItem
-from repro.storage.controller import StorageController
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.actions.executor import ActionExecutor
+from repro.actions.records import MigrateItem
 
 
 @dataclass(frozen=True)
@@ -66,98 +62,3 @@ class PlacementPlan:
 
     def __bool__(self) -> bool:
         return bool(self.moves)
-
-
-@dataclass(frozen=True)
-class MigrationReport:
-    """Outcome of executing one placement plan."""
-
-    moves_executed: int
-    bytes_moved: int
-    started_at: float
-    completed_at: float
-    #: Moves dropped because the target could no longer hold the item
-    #: (the plan was computed against a snapshot; a concurrent policy or
-    #: an earlier skipped move can invalidate it).
-    moves_skipped: int = 0
-    #: Moves aborted mid-transfer by fault injection and rolled back.
-    #: The item stays on its source enclosure with all books (placement,
-    #: used-bytes, energy) untouched; the next management checkpoint
-    #: re-plans the move.
-    moves_aborted: int = 0
-
-    @property
-    def duration(self) -> float:
-        """Wall-clock time the migration took, in seconds."""
-        return self.completed_at - self.started_at
-
-
-class MigrationEngine:
-    """Executes placement plans through the action executor."""
-
-    def __init__(
-        self,
-        controller: StorageController,
-        executor: ActionExecutor | None = None,
-    ) -> None:
-        self.controller = controller
-        if executor is None:
-            # Imported here, not at module top: the executor costs plans
-            # via the cache module, whose package imports this module.
-            from repro.actions.executor import ActionExecutor
-
-            executor = ActionExecutor(controller)
-        #: The executor plans are applied through; a standalone engine
-        #: gets a private one, :class:`~repro.simulation.SimulationContext`
-        #: re-points this to the shared context executor so migrations
-        #: land in the same action log as everything else.
-        self.executor = executor
-        self.total_bytes_moved = 0
-        self.total_moves = 0
-        self.total_aborts = 0
-
-    def execute(self, now: float, plan: PlacementPlan) -> MigrationReport:
-        """Run every move in plan order; returns an execution report.
-
-        Moves are serialized: each starts when the previous completes,
-        which is what a throttled one-at-a-time migration does (the
-        executor's migration-chaining rule).  Moves whose item is gone
-        or already sits on the target are rejected by the executor and
-        skipped silently here (the plan may have been computed before an
-        earlier move landed); capacity rejections count as skips.
-        """
-        report = self.executor.apply(now, plan.as_actions())
-        skipped = sum(
-            1
-            for record in report.records
-            if record.outcome is ActionOutcome.REJECTED
-            and record.reason == "capacity"
-        )
-        executed = report.moves_executed
-        bytes_moved = report.bytes_moved
-        aborted = report.moves_aborted
-        self.total_bytes_moved += bytes_moved
-        self.total_moves += executed
-        self.total_aborts += aborted
-        return MigrationReport(
-            moves_executed=executed,
-            bytes_moved=bytes_moved,
-            started_at=now,
-            completed_at=report.migration_clock,
-            moves_skipped=skipped,
-            moves_aborted=aborted,
-        )
-
-    def snapshot_state(self) -> dict:
-        """Serializable migration totals (:mod:`repro.persistence`)."""
-        return {
-            "total_bytes_moved": self.total_bytes_moved,
-            "total_moves": self.total_moves,
-            "total_aborts": self.total_aborts,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the totals exactly as captured."""
-        self.total_bytes_moved = state["total_bytes_moved"]
-        self.total_moves = state["total_moves"]
-        self.total_aborts = state["total_aborts"]

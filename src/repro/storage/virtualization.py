@@ -425,7 +425,7 @@ class BlockVirtualization:
         """Re-map a data item to (a volume on) another enclosure.
 
         Returns ``(source, target)`` enclosure names.  The caller — the
-        migration engine — is responsible for the physical copy I/O; this
+        controller's migration — is responsible for the physical copy I/O; this
         method only updates the mapping and capacity accounting.  A
         per-enclosure migration volume is created on demand.
         """

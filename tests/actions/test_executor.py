@@ -62,7 +62,6 @@ class TestContextWiring:
     def test_context_builds_shared_executor(self, small_context):
         executor = small_context.require_executor()
         assert executor is small_context.executor
-        assert small_context.migration_engine.executor is executor
         assert executor.controller is small_context.controller
 
 
@@ -378,18 +377,20 @@ class TestLogAndReport:
         assert report.outcome_count(ActionOutcome.REJECTED) == 1
 
 
-class TestMigrationEngineDelegation:
-    def test_engine_reports_through_executor(self, small_context):
+class TestPlacementPlanApply:
+    def test_plan_reports_through_executor(self, small_context):
         from repro.storage.migration import PlacementPlan
 
-        engine = small_context.migration_engine
+        executor = small_context.require_executor()
         plan = PlacementPlan()
         plan.add("item-0", "enc-01")
         plan.add("ghost", "enc-02")
-        report = engine.execute(0.0, plan)
+        report = executor.apply(0.0, plan.as_actions())
         assert report.moves_executed == 1
         assert report.bytes_moved == 64 * units.MB
-        assert report.moves_skipped == 0  # "unknown-item" is not a capacity skip
-        executor = small_context.require_executor()
+        assert [record.reason for record in report.records] == [
+            "",
+            "unknown-item",
+        ]
         assert len(executor.log) == 2
-        assert engine.total_moves == 1
+        assert small_context.controller.migration_count == 1

@@ -1,4 +1,4 @@
-"""Tests for repro.engine.kernel — hooks, pairing, online operation."""
+"""Tests for repro.engine.kernel — hooks, pairing, misuse, snapshots."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro import units
 from repro.baselines.base import PowerPolicy
 from repro.baselines.nopower import NoPowerSavingPolicy
 from repro.config import DEFAULT_CONFIG
-from repro.engine.events import FlushDeadlineEvent, TraceRecordEvent
 from repro.engine.kernel import SimulationKernel
 from repro.errors import ReplayError, SnapshotError, UsageError
 from repro.faults.plan import CacheBatteryFailure, FaultPlan
@@ -15,7 +14,7 @@ from repro.trace.records import IOType, LogicalIORecord
 
 
 class PeriodicPolicy(PowerPolicy):
-    """Minimal checkpointing policy: fixed period, records every call."""
+    """Minimal checkpointing policy: fixed period, logs each checkpoint."""
 
     name = "periodic-spy"
 
@@ -23,7 +22,6 @@ class PeriodicPolicy(PowerPolicy):
         super().__init__()
         self.period = period
         self.checkpoints = []
-        self.io_seen = []
 
     def on_start(self, now):
         self._next = now + self.period
@@ -34,9 +32,6 @@ class PeriodicPolicy(PowerPolicy):
     def on_checkpoint(self, now):
         self.checkpoints.append(now)
         self._next = now + self.period
-
-    def after_io(self, timestamp, *fields):
-        self.io_seen.append(timestamp)
 
 
 def make_context(faults=None):
@@ -101,63 +96,6 @@ class TestFaultPairing:
         assert not context.controller.battery_failed
 
 
-class TestOnlineMode:
-    def test_posted_records_are_served_by_run_until(self):
-        context = make_context()
-        policy = PeriodicPolicy(period=60.0)
-        policy.bind(context)
-        kernel = SimulationKernel(context, policy)
-        policy.on_start(0.0)
-        context.app_monitor.begin_window(0.0)
-        context.storage_monitor.begin_window(0.0)
-        kernel.post(TraceRecordEvent(record(5.0)))
-        kernel.post(TraceRecordEvent(record(70.0)))
-        kernel.run_until(50.0)
-        assert policy.io_seen == [5.0]
-        kernel.run_until(200.0)
-        assert policy.io_seen == [5.0, 70.0]
-        # Serving the first record synced the checkpoint schedule, so
-        # checkpoints interleave with posted records in time order.
-        assert policy.checkpoints == [60.0, 120.0, 180.0]
-        assert kernel.clock.now == 200.0
-
-    def test_checkpoints_fire_between_posted_records(self):
-        context = make_context()
-        policy = PeriodicPolicy(period=60.0)
-        policy.bind(context)
-        kernel = SimulationKernel(context, policy)
-        policy.on_start(0.0)
-        context.app_monitor.begin_window(0.0)
-        context.storage_monitor.begin_window(0.0)
-        kernel._sync_checkpoint()
-        kernel.post(TraceRecordEvent(record(5.0)))
-        kernel.post(TraceRecordEvent(record(130.0)))
-        kernel.run_until(200.0)
-        assert policy.checkpoints == [60.0, 120.0, 180.0]
-        assert policy.io_seen == [5.0, 130.0]
-
-    def test_posting_into_the_past_raises_usage_error(self):
-        context = make_context()
-        policy = PeriodicPolicy(period=60.0)
-        policy.bind(context)
-        kernel = SimulationKernel(context, policy)
-        policy.on_start(0.0)
-        context.app_monitor.begin_window(0.0)
-        context.storage_monitor.begin_window(0.0)
-        kernel.post(TraceRecordEvent(record(5.0)))
-        kernel.post(TraceRecordEvent(record(150.0)))
-        kernel.run_until(100.0)
-        before = kernel.queue.live_entries()
-        with pytest.raises(UsageError, match="in the past"):
-            kernel.post(FlushDeadlineEvent(50.0))
-        # The queue is untouched and the kernel still pumps.
-        assert kernel.queue.live_entries() == before
-        kernel.run_until(200.0)
-        assert policy.io_seen == [5.0, 150.0]
-        assert policy.checkpoints == [60.0, 120.0, 180.0]
-        assert kernel.clock.now == 200.0
-
-
 class TestReplayValidation:
     def test_unordered_records_raise(self):
         context = make_context()
@@ -187,16 +125,6 @@ class TestFinishedKernelMisuse:
         assert kernel.finished
         return kernel
 
-    def test_post_after_finish_raises_usage_error(self):
-        kernel = self._finished_kernel()
-        with pytest.raises(UsageError, match="finished kernel"):
-            kernel.post(TraceRecordEvent(record(60.0)))
-
-    def test_run_until_after_finish_raises_usage_error(self):
-        kernel = self._finished_kernel()
-        with pytest.raises(UsageError, match="finished kernel"):
-            kernel.run_until(100.0)
-
     def test_resume_replay_after_finish_raises_usage_error(self):
         kernel = self._finished_kernel()
         with pytest.raises(UsageError, match="finished kernel"):
@@ -220,25 +148,6 @@ class TestFinishedKernelMisuse:
             kernel.replay([record(60.0)], duration=100.0)
         assert state() == before
 
-    def test_run_until_into_the_past_raises_usage_error(self):
-        context = make_context()
-        policy = NoPowerSavingPolicy()
-        policy.bind(context)
-        kernel = SimulationKernel(context, policy)
-        kernel.run_until(100.0)
-        with pytest.raises(UsageError, match="in the past"):
-            kernel.run_until(50.0)
-        # The clock did not move: the misuse left no trace.
-        assert kernel.clock.now == 100.0
-
-    def test_run_until_current_time_is_allowed(self):
-        context = make_context()
-        policy = NoPowerSavingPolicy()
-        policy.bind(context)
-        kernel = SimulationKernel(context, policy)
-        kernel.run_until(100.0)
-        assert kernel.run_until(100.0) == 100.0
-
 
 class TestSnapshotState:
     def _kernel(self):
@@ -251,14 +160,28 @@ class TestSnapshotState:
         kernel = self._kernel()
         kernel.replay([record(5.0)], duration=50.0)
         state = kernel.snapshot_state()
+        assert set(state) == {"clock", "scheduled_checkpoint", "finished"}
         assert state["scheduled_checkpoint"] == 60.0
-        assert state["queue_entries"] == []
+        assert state["finished"] is True
 
     @pytest.mark.parametrize(
-        "kind", ["policy_checkpoint", "fault_bookkeeping"]
+        "kind",
+        [
+            "policy_checkpoint",
+            "fault_bookkeeping",
+            "flush_deadline",
+            "action_apply",
+            "trace_record",
+        ],
     )
     def test_retired_checkpoint_kinds_are_refused(self, kind):
+        # Kernel states from the event-heap kernel carry queue entries;
+        # only a timeline sample is redundant with the restored timeline.
         state = self._kernel().snapshot_state()
-        state["queue_entries"] = [(0, (kind, 60.0, None))]
+        state["queue_entries"] = [
+            (0, ("timeline_sample", 60.0, None)),
+            (1, (kind, 60.0, None)),
+        ]
+        state["queue_next_seq"] = 2
         with pytest.raises(SnapshotError, match="unknown event kind"):
             self._kernel().restore_state(state)

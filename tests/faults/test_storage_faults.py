@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import units
+from repro.actions.executor import ActionExecutor
 from repro.errors import (
     AuditError,
     EnclosureUnavailableError,
@@ -30,7 +31,7 @@ from repro.faults.plan import (
 from repro.storage.cache import StorageCache
 from repro.storage.controller import CACHE_HIT_LATENCY, StorageController
 from repro.storage.enclosure import DiskEnclosure
-from repro.storage.migration import MigrationEngine, PlacementPlan
+from repro.storage.migration import PlacementPlan
 from repro.storage.power import PowerState
 from repro.storage.virtualization import BlockVirtualization
 from repro.trace.records import IOType, LogicalIORecord
@@ -269,13 +270,12 @@ class TestMigrationAbort:
     def test_engine_counts_aborts_and_continues(self) -> None:
         plan = FaultPlan(events=(MigrationAbort(item_id="a", after=0.0),))
         controller, virt, _, _ = build(plan)
-        engine = MigrationEngine(controller)
         moves = PlacementPlan()
         moves.add("a", "e1")
         moves.add("b", "e0")
-        report = engine.execute(100.0, moves)
+        report = ActionExecutor(controller).apply(100.0, moves.as_actions())
         assert report.moves_aborted == 1
         assert report.moves_executed == 1
-        assert engine.total_aborts == 1
+        assert controller.migration_aborts == 1
         assert virt.enclosure_of("a").name == "e0"  # aborted
         assert virt.enclosure_of("b").name == "e0"  # executed

@@ -6,10 +6,10 @@ record gap under a policy with no checkpoints (no-power-saving's
 `next_checkpoint()` is always None) produced no samples until the next
 record finally backfilled every missed boundary in one batch — exact
 values, but only because nothing can mutate state mid-gap.  The
-:mod:`repro.engine` kernel fixes this structurally: each boundary is a
-first-class :class:`~repro.engine.events.TimelineSampleEvent` fired at
-its own virtual time, so the cadence holds by construction, not by the
-accident of the next record's arrival.
+:mod:`repro.engine` kernel fixes this structurally: the timeline's next
+boundary is the kernel's sample slot, fired at its own virtual time, so
+the cadence holds by construction, not by the accident of the next
+record's arrival.
 
 These tests pin the *observable* contract both engines satisfy — one
 point per boundary, exact timestamps, exact idle-level interval watts —

@@ -149,6 +149,44 @@ class TestResumeBitIdentity:
             "reads",
         }
 
+    def test_kernel_state_with_retired_queue_resumes_bit_identically(self):
+        """Snapshots written while the kernel kept an event heap carry its
+        one timeline-sample entry, and a ``migration_engine`` component
+        state; both restore, and the resumed replay matches the
+        uninterrupted one, timeline points included."""
+        spec = RunSpec(workload="tpcc", policy="pdc", timeline_interval=300.0)
+        golden_session = SnapshotSession(spec)
+        golden = golden_session.run()
+        boundary = golden.io_count // 2
+        session = SnapshotSession(spec)
+        captured = {}
+
+        def hook(count, ts):
+            if count == boundary:
+                captured["payload"] = session.capture(count, ts)
+
+        session.run(record_hook=hook)
+        payload = captured["payload"]
+        states = payload["states"]
+        next_sample = states["timeline"]["next_sample"]
+        states["kernel"]["queue_entries"] = [
+            (7, ("timeline_sample", next_sample, None))
+        ]
+        states["kernel"]["queue_next_seq"] = 8
+        states["migration_engine"] = {
+            "total_bytes_moved": 0,
+            "total_moves": 0,
+            "total_aborts": 0,
+        }
+        fresh = SnapshotSession(spec)
+        resumed = fresh.resume(payload)
+        assert _surface(resumed, fresh) == _surface(golden, golden_session)
+        assert set(fresh.kernel.snapshot_state()) == {
+            "clock",
+            "scheduled_checkpoint",
+            "finished",
+        }
+
     def test_crash_before_first_snapshot_leaves_no_file(self, tmp_path):
         spec = RunSpec(workload="tpcc", policy="no-power-saving")
         session = SnapshotSession(spec)

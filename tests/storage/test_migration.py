@@ -3,14 +3,15 @@
 import pytest
 
 from repro import units
+from repro.actions.executor import ActionExecutor
 from repro.storage.cache import StorageCache
 from repro.storage.controller import StorageController
 from repro.storage.enclosure import DiskEnclosure
-from repro.storage.migration import MigrationEngine, Move, PlacementPlan
+from repro.storage.migration import Move, PlacementPlan
 from repro.storage.virtualization import BlockVirtualization
 
 
-def build_engine(items=3):
+def build_executor(items=3):
     encs = [
         DiskEnclosure(f"e{i}", capacity_bytes=10 * units.GB) for i in range(3)
     ]
@@ -20,7 +21,7 @@ def build_engine(items=3):
     for k in range(items):
         virt.add_item(f"item-{k}", 10 * units.MB, "v0")
     controller = StorageController(virt, StorageCache())
-    return MigrationEngine(controller), virt
+    return ActionExecutor(controller), virt
 
 
 class TestPlacementPlan:
@@ -48,56 +49,60 @@ class TestPlacementPlan:
         assert [m.item_id for m in plan.ordered()] == ["a", "b"]
 
 
-class TestMigrationEngine:
+class TestPlanThroughExecutor:
+    """A placement plan applied as migrate actions, reported by ``ApplyReport``."""
+
     def test_executes_moves_and_reports(self):
-        engine, virt = build_engine()
+        executor, virt = build_executor()
         plan = PlacementPlan()
         plan.add("item-0", "e1")
         plan.add("item-1", "e2")
-        report = engine.execute(100.0, plan)
+        report = executor.apply(100.0, plan.as_actions())
         assert report.moves_executed == 2
         assert report.bytes_moved == 20 * units.MB
         assert virt.enclosure_of("item-0").name == "e1"
         assert virt.enclosure_of("item-1").name == "e2"
 
     def test_moves_are_serialized(self):
-        engine, _ = build_engine()
+        executor, _ = build_executor()
         plan = PlacementPlan()
         plan.add("item-0", "e1")
         plan.add("item-1", "e1")
-        report = engine.execute(0.0, plan)
-        per_item = 10 * units.MB / engine.controller.migration_throughput_bps
-        assert report.duration == pytest.approx(2 * per_item)
+        report = executor.apply(0.0, plan.as_actions())
+        per_item = 10 * units.MB / executor.controller.migration_throughput_bps
+        assert report.migration_clock - report.started_at == pytest.approx(
+            2 * per_item
+        )
 
     def test_skips_items_already_on_target(self):
-        engine, _ = build_engine()
+        executor, _ = build_executor()
         plan = PlacementPlan()
         plan.add("item-0", "e0")
-        report = engine.execute(0.0, plan)
+        report = executor.apply(0.0, plan.as_actions())
         assert report.moves_executed == 0
         assert report.bytes_moved == 0
 
     def test_skips_unknown_items(self):
-        engine, _ = build_engine()
+        executor, _ = build_executor()
         plan = PlacementPlan()
         plan.add("ghost", "e1")
-        report = engine.execute(0.0, plan)
+        report = executor.apply(0.0, plan.as_actions())
         assert report.moves_executed == 0
 
     def test_totals_accumulate_across_plans(self):
-        engine, _ = build_engine()
+        executor, _ = build_executor()
         for target in ("e1", "e2"):
             plan = PlacementPlan()
             plan.add("item-0", target)
-            engine.execute(0.0, plan)
-        assert engine.total_moves == 2
-        assert engine.total_bytes_moved == 20 * units.MB
+            executor.apply(0.0, plan.as_actions())
+        assert executor.controller.migration_count == 2
+        assert executor.controller.migrated_bytes == 20 * units.MB
 
     def test_empty_plan_report(self):
-        engine, _ = build_engine()
-        report = engine.execute(5.0, PlacementPlan())
+        executor, _ = build_executor()
+        report = executor.apply(5.0, PlacementPlan().as_actions())
         assert report.moves_executed == 0
-        assert report.started_at == report.completed_at == 5.0
+        assert report.started_at == report.migration_clock == 5.0
 
 
 class TestMove:

@@ -3,12 +3,24 @@
 import pytest
 
 from repro import units
+from repro.actions.executor import ActionExecutor, ApplyReport
+from repro.actions.records import ActionOutcome
 from repro.errors import CapacityError
 from repro.storage.cache import StorageCache
 from repro.storage.controller import StorageController
 from repro.storage.enclosure import DiskEnclosure
-from repro.storage.migration import MigrationEngine, PlacementPlan
+from repro.storage.migration import PlacementPlan
 from repro.storage.virtualization import BlockVirtualization
+
+
+def capacity_skips(report: ApplyReport) -> int:
+    """Moves the executor rejected because the target could not hold them."""
+    return sum(
+        1
+        for record in report.records
+        if record.outcome is ActionOutcome.REJECTED
+        and record.reason == "capacity"
+    )
 
 
 def build(capacity=100 * units.MB):
@@ -19,12 +31,12 @@ def build(capacity=100 * units.MB):
     for i in range(3):
         virt.create_volume(f"v{i}", f"e{i}")
     controller = StorageController(virt, StorageCache())
-    return MigrationEngine(controller), virt, controller
+    return ActionExecutor(controller), virt, controller
 
 
 class TestCapacityPressure:
     def test_migrate_item_precheck_raises_before_charging(self):
-        engine, virt, controller = build()
+        executor, virt, controller = build()
         virt.add_item("a", 80 * units.MB, "v0")
         virt.add_item("b", 80 * units.MB, "v1")
         src = virt.enclosure("e0")
@@ -37,39 +49,39 @@ class TestCapacityPressure:
         assert virt.enclosure_of("a").name == "e0"
 
     def test_engine_skips_infeasible_moves_and_continues(self):
-        engine, virt, _ = build()
+        executor, virt, _ = build()
         virt.add_item("a", 80 * units.MB, "v0")
         virt.add_item("b", 80 * units.MB, "v1")
         virt.add_item("c", 10 * units.MB, "v0")
         plan = PlacementPlan()
         plan.add("a", "e1")  # cannot fit (b occupies e1)
         plan.add("c", "e2")  # fits
-        report = engine.execute(0.0, plan)
-        assert report.moves_skipped == 1
+        report = executor.apply(0.0, plan.as_actions())
+        assert capacity_skips(report) == 1
         assert report.moves_executed == 1
         assert virt.enclosure_of("a").name == "e0"
         assert virt.enclosure_of("c").name == "e2"
 
     def test_skipped_moves_do_not_count_bytes(self):
-        engine, virt, _ = build()
+        executor, virt, _ = build()
         virt.add_item("a", 80 * units.MB, "v0")
         virt.add_item("b", 80 * units.MB, "v1")
         plan = PlacementPlan()
         plan.add("a", "e1")
-        report = engine.execute(0.0, plan)
+        report = executor.apply(0.0, plan.as_actions())
         assert report.bytes_moved == 0
-        assert engine.total_bytes_moved == 0
+        assert executor.controller.migrated_bytes == 0
 
     def test_sequential_dependent_moves(self):
         # Move b away first, then a fits: plan order matters and the
-        # engine honours it.
-        engine, virt, _ = build()
+        # executor honours it.
+        executor, virt, _ = build()
         virt.add_item("a", 80 * units.MB, "v0")
         virt.add_item("b", 80 * units.MB, "v1")
         plan = PlacementPlan()
         plan.add("b", "e2", evacuation=True)  # executes first
         plan.add("a", "e1")
-        report = engine.execute(0.0, plan)
-        assert report.moves_skipped == 0
+        report = executor.apply(0.0, plan.as_actions())
+        assert capacity_skips(report) == 0
         assert virt.enclosure_of("a").name == "e1"
         assert virt.enclosure_of("b").name == "e2"
