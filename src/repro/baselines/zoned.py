@@ -148,14 +148,16 @@ class ZonedPolicy(PowerPolicy):
             context.virtualization.enclosure(name)
             for name in zone.enclosures
         ]
-        # Zone-scoped monitors: sub-policies classify and window their
-        # own traffic (records are routed in after_io/record below).
+        # Zone-scoped monitors: each sub-policy windows the array's
+        # trace on its own (classification drops other zones' items,
+        # which are not in its virtualization) and meters its own
+        # enclosures' physical I/O (routed in by the fan-out tap).
         zone_context = SimulationContext(
             config=context.config,
             virtualization=virtualization,  # type: ignore[arg-type]
             cache=context.cache,
             controller=context.controller,
-            app_monitor=ApplicationMonitor(),
+            app_monitor=ApplicationMonitor(context.app_monitor),
             storage_monitor=StorageMonitor(enclosures),
             meter=PowerMeter(enclosures, context.config.controller_power),
             fault_clock=context.fault_clock,
@@ -246,13 +248,13 @@ class ZonedPolicy(PowerPolicy):
         sequential: bool,
         response_time: float,
     ) -> None:
-        """Route the I/O to the owning zone's monitor and policy."""
+        """Route the I/O to the owning zone's policy."""
         zone = self._zone_of(item_id)
         if zone is None:
             return
-        fields = (timestamp, item_id, offset, size, is_read, sequential)
-        zone.policy.context.app_monitor.record(*fields, response_time)
-        zone.policy.after_io(*fields, response_time)
+        zone.policy.after_io(
+            timestamp, item_id, offset, size, is_read, sequential, response_time
+        )
         self.determinations = sum(
             z.policy.determinations for z in self.zones
         )
@@ -268,10 +270,11 @@ class ZonedPolicy(PowerPolicy):
     def snapshot_state(self) -> dict:
         """Capture the router cache plus every zone's sub-simulation.
 
-        Each zone owns a private app monitor and storage monitor (built
-        in :meth:`_zone_context`); they are
-        invisible to the session-level capture, so the zoned planner
-        snapshots them alongside the inner policies' own state.
+        Each zone owns a private app monitor (its window over the
+        array's trace) and storage monitor (built in
+        :meth:`_zone_context`); they are invisible to the session-level
+        capture, so the zoned planner snapshots them alongside the inner
+        policies' own state.
         """
         state = super().snapshot_state()
         state["item_zone"] = {

@@ -22,40 +22,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import (
-    Iterable,
-    Mapping,
-    NamedTuple,
-    Protocol,
-    Sequence,
-    TypeVar,
-    runtime_checkable,
-)
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.core.intervals import Interval, IOSequence, ItemActivity
+from repro.trace.columnar import FLAG_READ, ColumnarTrace
 from repro.trace.records import LogicalIORecord
 
 _T = TypeVar("_T")
-
-
-@runtime_checkable
-class SupportsProfileArrays(Protocol):
-    """A window buffer that exposes its I/Os as parallel columns.
-
-    Both :class:`repro.monitoring.application.WindowColumns` and
-    :class:`repro.trace.columnar.ColumnarTrace` satisfy this; their
-    columns go straight into :func:`build_profiles`'s array pass,
-    without packing record objects first.
-    """
-
-    def profile_arrays(
-        self,
-    ) -> tuple[Sequence[float], Sequence[str], Sequence[int], Sequence[bool]]:
-        """Return the ``(timestamps, item ids, sizes, reads)`` columns."""
-        ...
 
 
 class IOPattern(enum.Enum):
@@ -139,32 +115,13 @@ class _ItemWindow(NamedTuple):
     peak_iops: float
 
 
-def _profile_columns(
-    records: Iterable[LogicalIORecord] | SupportsProfileArrays,
-) -> tuple[Sequence[float], Sequence[str], Sequence[int], Sequence[bool]]:
-    """The window's ``(timestamps, item ids, sizes, reads)`` columns.
-
-    Columnar buffers hand theirs over as they are; an iterable of
-    records is packed into the same four columns first.
-    """
-    if isinstance(records, SupportsProfileArrays):
-        return records.profile_arrays()
-    rows = list(records)
-    return (
-        [rec.timestamp for rec in rows],
-        [rec.item_id for rec in rows],
-        [rec.size for rec in rows],
-        [rec.is_read for rec in rows],
-    )
-
-
 def _slices(values: list[_T], bounds: list[int]) -> list[tuple[_T, ...]]:
     """``values`` cut at consecutive ``bounds``, one tuple per cut."""
     return [tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _item_windows(
-    records: Iterable[LogicalIORecord] | SupportsProfileArrays,
+    trace: ColumnarTrace,
     item_sizes: Mapping[str, int],
     window_start: float,
     window_end: float,
@@ -177,24 +134,24 @@ def _item_windows(
     One array pass over the window's columns; no Python code runs per
     I/O.  Items missing from ``item_sizes`` are dropped.
     """
-    timestamps, item_ids, io_sizes, io_reads = _profile_columns(records)
-    # Item codes follow ``item_sizes`` order.  Unknown items share the
-    # largest code, so they sort last and are cut off; the stable sort
-    # keeps each item's I/Os in their order.
+    # Item codes follow ``item_sizes`` order, looked up once per entry
+    # of the trace's item table.  Unknown items share the largest code,
+    # so they sort last and are cut off; the stable sort keeps each
+    # item's I/Os in their order.
     known = len(item_sizes)
-    code_of = dict.fromkeys(item_ids, known)
-    code_of.update(zip(item_sizes, range(known)))
-    codes = np.fromiter(
-        map(code_of.__getitem__, item_ids), dtype=np.intp, count=len(item_ids)
+    code_of = dict(zip(item_sizes, range(known)))
+    table = np.array(
+        [code_of.get(item, known) for item in trace.items], dtype=np.intp
     )
+    codes = table[np.frombuffer(trace.item_index, dtype=np.uint32)]
     order = np.argsort(codes, kind="stable")[: np.count_nonzero(codes < known)]
     n = len(order)
     if not n:
         return {}
     codes = codes[order]
-    ts = np.asarray(timestamps, dtype=np.float64)[order]
-    sizes = np.asarray(io_sizes, dtype=np.int64)[order]
-    reads = np.asarray(io_reads, dtype=bool)[order]
+    ts = np.frombuffer(trace.timestamps, dtype=np.float64)[order]
+    sizes = np.frombuffer(trace.sizes, dtype=np.int64)[order]
+    reads = (np.frombuffer(trace.flags, dtype=np.uint8)[order] & FLAG_READ) != 0
 
     first = np.empty(n, dtype=bool)
     first[0] = True
@@ -283,7 +240,7 @@ def _item_windows(
 
 
 def build_profiles(
-    records: Iterable[LogicalIORecord] | SupportsProfileArrays,
+    records: ColumnarTrace | Iterable[LogicalIORecord],
     window_start: float,
     window_end: float,
     break_even_time: float,
@@ -298,9 +255,10 @@ def build_profiles(
     the paper's Step 1 explicitly marks them.  Window I/Os of items not
     in ``item_sizes`` are ignored.
 
-    The window may arrive either as an iterable of records or as any
-    :class:`SupportsProfileArrays` columnar buffer; records are packed
-    into the same columns, so both inputs produce the same profiles.
+    The window arrives as a :class:`~repro.trace.columnar.ColumnarTrace`
+    (such as the application monitor's window, a slice of the replayed
+    trace); any other record iterable is packed into one first, so both
+    inputs produce the same profiles.
 
     The per-I/O work is one array pass: a stable sort by item keeps each
     item's time order, and gaps, Long Intervals, sequence boundaries,
@@ -320,6 +278,8 @@ def build_profiles(
     bucket_count = max(1, math.ceil(window / iops_bucket_seconds))
     bucket_lengths = [iops_bucket_seconds] * (bucket_count - 1)
     bucket_lengths.append(window - (bucket_count - 1) * iops_bucket_seconds)
+    if not isinstance(records, ColumnarTrace):
+        records = ColumnarTrace.from_records(records)
     windows = _item_windows(
         records,
         item_sizes,

@@ -544,7 +544,7 @@ _TIME_OWNERS = (
 
 #: Timeline methods that advance sampling state.  Only suspicious on a
 #: timeline-looking receiver — ``random.sample`` is a different thing.
-_TIMELINE_METHODS = frozenset({"sample", "sample_due"})
+_TIMELINE_METHODS = frozenset({"sample"})
 
 
 @register_checker

@@ -199,7 +199,10 @@ class SimulationKernel:
         taken after record ``start_count`` at timestamp ``start_ts``.
         Those first ``start_count`` records of ``records`` are skipped —
         their effects live in the restored state — and the pump resumes
-        with the cursor seeded at the boundary.  The replay prologue
+        with the cursor seeded at the boundary.  The application monitor
+        indexes all of ``records`` and must hold exactly ``start_count``
+        restored responses, else :class:`~repro.errors.SnapshotError`
+        is raised before any record is served.  The replay prologue
         (``policy.on_start``, window begins) is deliberately **not**
         re-run: the restored checkpoint field, timeline and monitors
         already reflect it.  Epilogue semantics match :meth:`replay`,
@@ -219,8 +222,7 @@ class SimulationKernel:
                 "resume cursor must be non-negative, got "
                 f"count={start_count}, ts={start_ts}"
             )
-        trace = _as_columnar(records)[start_count:]
-        return self._pump(trace, duration, start_count, start_ts)
+        return self._pump(_as_columnar(records), duration, start_count, start_ts)
 
     def _pump(
         self,
@@ -231,10 +233,12 @@ class SimulationKernel:
     ) -> ReplayOutcome:
         """The record loop: drive the simulation straight off columns.
 
-        Each record goes through the scalar I/O chain — controller
-        ``submit``, application-monitor ``record``, policy ``after_io``
-        — so no :class:`~repro.trace.records.LogicalIORecord` exists
-        anywhere on the loop.
+        The application monitor is attached to the whole ``trace``; the
+        loop serves its rows from ``count`` on.  Each record goes
+        through the scalar I/O chain — controller ``submit``,
+        application-monitor ``record`` of the response, policy
+        ``after_io`` — so no :class:`~repro.trace.records.LogicalIORecord`
+        exists anywhere on the loop.
         """
         from repro.baselines.base import PowerPolicy
 
@@ -244,6 +248,9 @@ class SimulationKernel:
         clock = self.clock
         hook = self._record_hook
 
+        context.app_monitor.attach(trace, count)
+        if count:
+            trace = trace[count:]
         timestamps = trace.timestamps
         item_index = trace.item_index
         offsets = trace.offsets
@@ -293,7 +300,7 @@ class SimulationKernel:
             is_read = read_lut[flag]
             sequential = sequential_lut[flag]
             response = submit(ts, item, offset, size, is_read, sequential)
-            record(ts, item, offset, size, is_read, sequential, response)
+            record(response)
             count += 1
             if after_io is not None:
                 after_io(ts, item, offset, size, is_read, sequential, response)

@@ -6,57 +6,32 @@ which volume — and (ii) the **logical I/O trace**.  The power-management
 function reads the current monitoring window's records from here to
 classify data items into logical I/O patterns.
 
-The monitor buffers only the current window.  The paper's monitor also
-keeps the whole trace, spilling it to a repository when memory fills;
-nothing in the simulator reads past the window, and the workload's own
-trace (its ``.ecot`` image) already holds every I/O, so that store is
-not modelled.
+In the simulator the logical trace already exists: it is the
+:class:`~repro.trace.columnar.ColumnarTrace` the kernel replays.  The
+kernel attaches the monitor to that trace, and the monitor indexes it by
+row instead of copying I/Os: per served I/O it keeps only the measured
+response, and the current window is the rows from ``window_row`` to the
+last served one.  The paper's monitor also spills the whole trace to a
+repository when memory fills; the workload's own trace (its ``.ecot``
+image) already holds every I/O, so that store is not modelled.
 
-The monitor also accumulates the response-time statistics that the
-paper's evaluation reports ("The I/O response time and I/O throughput
-were measured using the application monitor in the trace replay tool",
+The monitor also derives the response-time statistics that the paper's
+evaluation reports ("The I/O response time and I/O throughput were
+measured using the application monitor in the trace replay tool",
 §VII-A.4).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
 
-class WindowColumns:
-    """One monitoring window's logical I/Os as parallel columns.
+from repro.errors import SnapshotError
+from repro.trace.columnar import FLAG_READ, ColumnarTrace
 
-    The Application Monitor buffers the current window here instead of
-    as a list of record objects: the classification pass
-    (:func:`repro.core.patterns.build_profiles`) consumes plain columns,
-    so the replay never materializes
-    :class:`~repro.trace.records.LogicalIORecord` objects per window.
-    """
-
-    __slots__ = ("timestamps", "item_ids", "sizes", "reads")
-
-    def __init__(self) -> None:
-        self.timestamps: list[float] = []
-        self.item_ids: list[str] = []
-        self.sizes: list[int] = []
-        self.reads: list[bool] = []
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def clear(self) -> None:
-        """Drop all buffered I/Os."""
-        self.timestamps.clear()
-        self.item_ids.clear()
-        self.sizes.clear()
-        self.reads.clear()
-
-    def profile_arrays(self) -> tuple[list[float], list[str], list[int], list[bool]]:
-        """The ``(timestamps, item ids, sizes, reads)`` columns that the
-        access-pattern classifier consumes (same shape as
-        :meth:`repro.trace.columnar.ColumnarTrace.profile_arrays`)."""
-        return self.timestamps, self.item_ids, self.sizes, self.reads
+#: What an unattached monitor indexes: no rows.
+_NO_TRACE = ColumnarTrace.from_records(())
 
 
 @dataclass(frozen=True)
@@ -80,27 +55,38 @@ class ResponseStats:
         return self.read_response_sum / self.read_count if self.read_count else 0.0
 
 
-class ApplicationMonitor:
-    """Collects the current window's logical I/Os and run-wide response books."""
+def _running_total(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added in row order.
 
-    def __init__(self) -> None:
-        #: I/Os of the *current* monitoring window, in arrival order,
-        #: buffered as parallel columns (no record objects).
-        self._window = WindowColumns()
+    The bits of a running total kept per I/O: ``np.cumsum`` folds left,
+    where ``np.sum`` and the builtin ``sum`` (compensated on Python
+    3.12) would round differently.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+class ApplicationMonitor:
+    """Indexes the replayed trace by row and keeps one response per served I/O.
+
+    A zone's monitor (:mod:`repro.baselines.zoned`) passes the array's
+    monitor as ``source``: it reads that monitor's trace and responses
+    through a window of its own, and is never attached or recorded to.
+    """
+
+    def __init__(self, source: ApplicationMonitor | None = None) -> None:
+        self._source = self if source is None else source
+        self._trace = _NO_TRACE
+        #: Measured response of each served row of the trace, in row order.
+        self._responses: list[float] = []
+        #: First trace row of the current monitoring window.
+        self._window_row = 0
         self._window_start = 0.0
+        #: A restored window in the retired column format, ``(item ids,
+        #: timestamps, rows served at the snapshot)``, until the
+        #: attached trace locates its first row.
+        self._legacy_window: tuple[list[str], list[float], int] | None = None
         #: Logical mapping information: item → volume name.
         self._item_volume: dict[str, str] = {}
-
-        self.io_count = 0
-        self.read_count = 0
-        self.response_sum = 0.0
-        self.read_response_sum = 0.0
-        self.max_response = 0.0
-        #: Per-item totals over the whole run (used by reports).
-        self.ios_per_item: defaultdict[str, int] = defaultdict(int)
-        #: Compact per-I/O samples ``(timestamp, response, is_read)`` for
-        #: time-windowed analysis (e.g. per-query response, paper Fig 15).
-        self.response_samples: list[tuple[float, float, bool]] = []
 
     # ------------------------------------------------------------------
     # logical mapping information
@@ -124,50 +110,83 @@ class ApplicationMonitor:
     # ------------------------------------------------------------------
     # logical I/O trace
     # ------------------------------------------------------------------
-    def record(
-        self,
-        timestamp: float,
-        item_id: str,
-        offset: int,
-        size: int,
-        is_read: bool,
-        sequential: bool,
-        response_time: float,
-    ) -> None:
-        """Capture one application I/O and its measured response.
+    def attach(self, trace: ColumnarTrace, served: int) -> None:
+        """Index ``trace``, whose first ``served`` rows were already served.
 
-        ``offset`` and ``sequential`` are accepted so callers pass a
-        logical I/O's fields positionally; the window classification
-        reads neither, so neither is kept.
+        A replay attaches with ``served == 0``; a resumed one with its
+        cursor, after the responses of those rows were restored.
+        Raises :class:`~repro.errors.SnapshotError` when the monitor
+        holds a different number of responses.
         """
-        window = self._window
-        window.timestamps.append(timestamp)
-        window.item_ids.append(item_id)
-        window.sizes.append(size)
-        window.reads.append(is_read)
-        self.io_count += 1
-        self.response_sum += response_time
-        self.response_samples.append((timestamp, response_time, is_read))
-        if response_time > self.max_response:
-            self.max_response = response_time
-        if is_read:
-            self.read_count += 1
-            self.read_response_sum += response_time
-        self.ios_per_item[item_id] += 1
+        if len(self._responses) != served:
+            raise SnapshotError(
+                f"application monitor holds {len(self._responses)} "
+                f"responses, but the replay resumes after {served} rows"
+            )
+        self._trace = trace
+
+    def record(self, response_time: float) -> None:
+        """Capture the measured response of the next row of the trace."""
+        self._responses.append(response_time)
 
     @property
     def window_start(self) -> float:
         """Start time of the current monitoring window."""
         return self._window_start
 
-    def window_columns(self) -> WindowColumns:
-        """The current window's I/Os as parallel columns (no copy)."""
-        return self._window
+    @property
+    def window_row(self) -> int:
+        """First trace row of the current monitoring window."""
+        if self._legacy_window is not None:
+            self._window_row = self._locate_legacy_window(*self._legacy_window)
+            self._legacy_window = None
+        return self._window_row
+
+    def window_columns(self) -> ColumnarTrace:
+        """The current window's rows of the trace (a zero-copy slice)."""
+        source = self._source
+        return source._trace[self.window_row : len(source._responses)]
 
     def begin_window(self, now: float) -> None:
-        """Start a new monitoring window, discarding the old buffer."""
-        self._window.clear()
+        """Start a new monitoring window after the last served row."""
+        self._window_row = len(self._source._responses)
         self._window_start = now
+        self._legacy_window = None
+
+    # ------------------------------------------------------------------
+    # measurements
+    # ------------------------------------------------------------------
+    def _read_mask(self) -> np.ndarray:
+        """Whether each served row is a read, in row order."""
+        source = self._source
+        flags = np.frombuffer(source._trace.flags, dtype=np.uint8)
+        return (flags[: len(source._responses)] & FLAG_READ) != 0
+
+    def response_stats(self) -> ResponseStats:
+        """Response-time totals over every served row."""
+        responses = np.array(self._source._responses, dtype=np.float64)
+        reads = self._read_mask()
+        return ResponseStats(
+            io_count=len(responses),
+            read_count=int(np.count_nonzero(reads)),
+            response_sum=_running_total(responses),
+            read_response_sum=_running_total(responses[reads]),
+            max_response=float(responses.max(initial=0.0)),
+        )
+
+    @property
+    def response_samples(self) -> list[tuple[float, float, bool]]:
+        """``(timestamp, response, is_read)`` of every served row, in row
+        order, for time-windowed analysis (e.g. per-query response,
+        paper Fig 15)."""
+        source = self._source
+        return list(
+            zip(
+                source._trace.timestamps,
+                source._responses,
+                self._read_mask().tolist(),
+            )
+        )
 
     # ------------------------------------------------------------------
     # Snapshot support (repro.persistence)
@@ -175,62 +194,78 @@ class ApplicationMonitor:
     def snapshot_state(self) -> dict:
         """Serializable monitor state (:mod:`repro.persistence`).
 
-        Captures the current window's columns, the mapping information,
-        and every response accumulator.
+        Captures the window's first row and start time, the mapping
+        information, and the responses of the served rows (a zone's
+        monitor owns none).  The trace itself is the workload's, which
+        the resumed replay attaches again.
         """
-        window = self._window
-        return {
-            "window": {
-                "timestamps": list(window.timestamps),
-                "item_ids": list(window.item_ids),
-                "sizes": list(window.sizes),
-                "reads": list(window.reads),
-            },
+        state: dict = {
+            "window_row": self.window_row,
             "window_start": self._window_start,
             "item_volume": list(self._item_volume.items()),
-            "io_count": self.io_count,
-            "read_count": self.read_count,
-            "response_sum": self.response_sum,
-            "read_response_sum": self.read_response_sum,
-            "max_response": self.max_response,
-            "ios_per_item": list(self.ios_per_item.items()),
-            "response_samples": list(self.response_samples),
         }
+        if self._source is self:
+            state["responses"] = list(self._responses)
+        return state
 
     def restore_state(self, state: dict) -> None:
         """Restore the monitor exactly as :meth:`snapshot_state` captured it.
 
-        States written by older versions also carry the retained full
-        trace and the window's ``offsets`` and ``sequentials``; nothing
-        reads those, so they are ignored.
+        States in the retired format copied every I/O: the window as
+        columns, ``(timestamp, response, is_read)`` samples, per-item
+        counters and running totals.  Their responses are the samples'
+        (only a monitor that owns its rows keeps them), and their window
+        is located in the trace once the resumed replay attaches it.  A
+        zone's monitor restores after its source, whose restored
+        responses mark where the snapshot was taken.
         """
-        window = state["window"]
-        self._window.timestamps = list(window["timestamps"])
-        self._window.item_ids = list(window["item_ids"])
-        self._window.sizes = list(window["sizes"])
-        self._window.reads = list(window["reads"])
         self._window_start = state["window_start"]
         self._item_volume = dict(state["item_volume"])
-        self.io_count = state["io_count"]
-        self.read_count = state["read_count"]
-        self.response_sum = state["response_sum"]
-        self.read_response_sum = state["read_response_sum"]
-        self.max_response = state["max_response"]
-        self.ios_per_item = defaultdict(int, state["ios_per_item"])
-        self.response_samples = [
-            (timestamp, response, is_read)
-            for timestamp, response, is_read in state["response_samples"]
-        ]
+        retired = "window_row" not in state
+        if self._source is self:
+            self._responses = (
+                [response for _, response, _ in state["response_samples"]]
+                if retired
+                else list(state["responses"])
+            )
+        self._legacy_window = None
+        if retired:
+            window = state["window"]
+            self._legacy_window = (
+                list(window["item_ids"]),
+                list(window["timestamps"]),
+                len(self._source._responses),
+            )
+        else:
+            self._window_row = state["window_row"]
 
-    # ------------------------------------------------------------------
-    # measurements
-    # ------------------------------------------------------------------
-    def response_stats(self) -> ResponseStats:
-        """Snapshot of the response-time accumulators."""
-        return ResponseStats(
-            io_count=self.io_count,
-            read_count=self.read_count,
-            response_sum=self.response_sum,
-            read_response_sum=self.read_response_sum,
-            max_response=self.max_response,
-        )
+    def _locate_legacy_window(
+        self, item_ids: list[str], timestamps: list[float], served: int
+    ) -> int:
+        """First row of a window restored as columns of its I/Os.
+
+        That window held every I/O of its items served since it began
+        (a zone's window: every I/O of the zone's items), so its rows
+        are the last ``len(item_ids)`` rows of those items among the
+        first ``served``.  Raises :class:`~repro.errors.SnapshotError`
+        when the attached trace's rows do not match the restored columns.
+        """
+        if not item_ids:
+            return served
+        trace = self._source._trace
+        wanted = set(item_ids)
+        ours = np.array([item in wanted for item in trace.items], dtype=bool)
+        codes = np.frombuffer(trace.item_index, dtype=np.uint32)[:served]
+        rows = np.flatnonzero(ours[codes])[-len(item_ids) :]
+        if (
+            len(rows) != len(item_ids)
+            or [trace.items[code] for code in codes[rows].tolist()] != item_ids
+            # Bitwise: a restored window names exactly these rows.
+            or np.frombuffer(trace.timestamps, dtype=np.float64)[rows].tobytes()
+            != np.array(timestamps, dtype=np.float64).tobytes()
+        ):
+            raise SnapshotError(
+                "restored monitoring window does not match the last "
+                f"{len(item_ids)} served rows of its items"
+            )
+        return int(rows[0])

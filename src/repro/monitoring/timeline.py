@@ -61,10 +61,6 @@ class PowerTimeline:
         """Time at which the next power sample is due."""
         return self._next_sample
 
-    def sample_due(self, now: Seconds) -> bool:
-        """Whether a power sample is due at time ``now``."""
-        return now >= self._next_sample
-
     def sample(self, now: Seconds) -> TimelinePoint | None:
         """Record every interval boundary up to ``now``.
 

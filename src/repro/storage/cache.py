@@ -368,6 +368,21 @@ class StorageCache:
         lru = self.lru
         blocks = lru._blocks
         capacity = lru.capacity_pages
+        if first_page == last_page:
+            # Most reads touch one page: the loop body without the loop.
+            if first_page in dirty:
+                return True
+            key = (item_id, first_page)
+            if key in blocks:
+                blocks.move_to_end(key)
+                lru.hits += 1
+                return True
+            lru.misses += 1
+            if capacity > 0:
+                blocks[key] = None
+                while len(blocks) > capacity:
+                    blocks.popitem(last=False)
+            return False
         hits = misses = 0
         for page in range(first_page, last_page + 1):
             if page in dirty:

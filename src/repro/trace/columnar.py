@@ -221,13 +221,14 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
         self, index: "int | slice"
     ) -> "LogicalIORecord | ColumnarTrace":
         if isinstance(index, slice):
+            # Views over the same buffers: a slice copies no column.
             return ColumnarTrace(
                 items=self.items,
-                timestamps=self.timestamps[index],
-                item_index=self.item_index[index],
-                offsets=self.offsets[index],
-                sizes=self.sizes[index],
-                flags=self.flags[index],
+                timestamps=memoryview(self.timestamps)[index],
+                item_index=memoryview(self.item_index)[index],
+                offsets=memoryview(self.offsets)[index],
+                sizes=memoryview(self.sizes)[index],
+                flags=memoryview(self.flags)[index],
             )
         n = len(self.timestamps)
         if index < 0:
@@ -262,23 +263,6 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
         return (
             f"ColumnarTrace({len(self)} records, {len(self.items)} items)"
         )
-
-    # ------------------------------------------------------------------
-    # analysis adapters
-    # ------------------------------------------------------------------
-    def profile_arrays(
-        self,
-    ) -> tuple[Sequence[float], Sequence[str], Sequence[int], Sequence[bool]]:
-        """Columns the pattern classifier consumes: (ts, item, size, is_read).
-
-        The item column is materialized as strings (one lookup per
-        record); :func:`repro.core.patterns.build_profiles` detects this
-        method and takes its columnar branch.
-        """
-        items = self.items
-        item_ids = [items[i] for i in self.item_index]
-        reads = [bool(flag & FLAG_READ) for flag in self.flags]
-        return self.timestamps, item_ids, self.sizes, reads
 
     # ------------------------------------------------------------------
     # .ecot file format

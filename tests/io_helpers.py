@@ -1,8 +1,8 @@
 """Unpack a :class:`LogicalIORecord` into the scalar per-I/O arguments.
 
-``StorageController.submit``, ``ApplicationMonitor.record`` and
-``PowerPolicy.after_io`` all take one I/O as plain fields; tests build
-records tersely and spread them with ``*io_fields(record)``.
+``StorageController.submit`` and ``PowerPolicy.after_io`` both take one
+I/O as plain fields; tests build records tersely and spread them with
+``*io_fields(record)``.
 """
 
 from __future__ import annotations

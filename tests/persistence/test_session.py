@@ -4,6 +4,10 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.baselines.ddr import DDRPolicy
+from repro.baselines.zoned import Zone, ZonedPolicy
+from repro.core.manager import EnergyEfficientPolicy
+from repro.engine.kernel import SimulationKernel
 from repro.errors import SnapshotError, ValidationError
 from repro.experiments.testbed import build_workload
 from repro.faults.plan import (
@@ -66,6 +70,76 @@ def _crash_and_resume(spec, snapshot_every, kill_at, directory):
     return fresh, fresh.resume(load_snapshot(latest)), snapshot_count(latest)
 
 
+def _capture_at(session, boundary):
+    """Run ``session`` to the end; the payload it captured at ``boundary``."""
+    captured = {}
+
+    def hook(count, ts):
+        if count == boundary:
+            captured["payload"] = session.capture(count, ts)
+
+    session.run(record_hook=hook)
+    return captured["payload"]
+
+
+def _zoned_session():
+    """A file-server session under a mixed zoned policy: DDR on the first
+    half of the enclosures, the proposed method on the second."""
+    session = SnapshotSession(RunSpec(workload="fileserver", policy="ddr"))
+    names = session.context.enclosure_names()
+    half = len(names) // 2
+    session.policy = ZonedPolicy(
+        [
+            Zone("db", tuple(names[:half]), DDRPolicy()),
+            Zone("archive", tuple(names[half:]), EnergyEfficientPolicy()),
+        ]
+    )
+    session.policy.bind(session.context)
+    session.kernel = SimulationKernel(session.context, session.policy)
+    return session
+
+
+def _retired_monitor_state(state, array_state, session, items=None):
+    """A monitor ``state`` rewritten in the retired format, which copied
+    every I/O the monitor recorded: all served rows, or for a zone's
+    monitor the rows of the zone's ``items``."""
+    trace = session.workload.columnar()
+    responses = array_state["responses"]
+    rows = [
+        row
+        for row in range(len(responses))
+        if items is None or trace.items[trace.item_index[row]] in items
+    ]
+    window = [trace[row] for row in rows if row >= state["window_row"]]
+    samples = [
+        (trace.timestamps[row], responses[row], trace[row].is_read) for row in rows
+    ]
+    totals = {"response_sum": 0.0, "read_response_sum": 0.0, "max_response": 0.0}
+    ios_per_item = {}
+    for row, (_, response, is_read) in zip(rows, samples):
+        totals["response_sum"] += response
+        if is_read:
+            totals["read_response_sum"] += response
+        totals["max_response"] = max(totals["max_response"], response)
+        item = trace.items[trace.item_index[row]]
+        ios_per_item[item] = ios_per_item.get(item, 0) + 1
+    return {
+        "window": {
+            "timestamps": [rec.timestamp for rec in window],
+            "item_ids": [rec.item_id for rec in window],
+            "sizes": [rec.size for rec in window],
+            "reads": [rec.is_read for rec in window],
+        },
+        "window_start": state["window_start"],
+        "item_volume": state["item_volume"],
+        "io_count": len(rows),
+        "read_count": sum(1 for _, _, is_read in samples if is_read),
+        **totals,
+        "ios_per_item": list(ios_per_item.items()),
+        "response_samples": samples,
+    }
+
+
 class TestResumeBitIdentity:
     def test_everything_cell_resumes_bit_identically(self, tmp_path):
         """The maximal configuration: proposed policy, fault plan,
@@ -115,39 +189,76 @@ class TestResumeBitIdentity:
         assert _surface(resumed, fresh) == _surface(golden, golden_session)
 
     def test_monitor_state_with_retired_keys_resumes_bit_identically(self):
-        """States written while the application monitor still kept the
-        full trace and the window's offset and sequential columns
-        restore, and the resumed replay matches the uninterrupted one."""
+        """States written while the application monitor copied every I/O
+        (window columns, response samples, per-item counters and
+        running totals, and before that the full trace and the window's
+        offset and sequential columns) restore, and the resumed replay
+        matches the uninterrupted one."""
         spec = RunSpec(workload="tpcc", policy="proposed")
         golden_session = SnapshotSession(spec)
         golden = golden_session.run()
-        boundary = golden.io_count // 2
         session = SnapshotSession(spec)
-        captured = {}
-
-        def hook(count, ts):
-            if count == boundary:
-                captured["payload"] = session.capture(count, ts)
-
-        session.run(record_hook=hook)
-        payload = captured["payload"]
-        state = payload["states"]["app_monitor"]
-        window = state["window"]
-        assert window["timestamps"]  # the seam falls inside a window
-        window["offsets"] = [0] * len(window["timestamps"])
-        window["sequentials"] = [False] * len(window["timestamps"])
-        state["full_trace"] = list(session.workload.records[:boundary])
+        payload = _capture_at(session, golden.io_count // 2)
+        states = payload["states"]
+        state = _retired_monitor_state(
+            states["app_monitor"], states["app_monitor"], session
+        )
+        assert state["window"]["timestamps"]  # the seam falls inside a window
+        state["window"]["offsets"] = [0] * len(state["window"]["timestamps"])
+        state["window"]["sequentials"] = [False] * len(state["window"]["timestamps"])
+        state["full_trace"] = list(session.workload.records[: state["io_count"]])
+        states["app_monitor"] = state
         fresh = SnapshotSession(spec)
         resumed = fresh.resume(payload)
         assert _surface(resumed, fresh) == _surface(golden, golden_session)
-        rewritten = fresh.context.app_monitor.snapshot_state()
-        assert "full_trace" not in rewritten
-        assert set(rewritten["window"]) == {
-            "timestamps",
-            "item_ids",
-            "sizes",
-            "reads",
+        assert set(fresh.context.app_monitor.snapshot_state()) == {
+            "window_row",
+            "window_start",
+            "item_volume",
+            "responses",
         }
+
+    def test_zone_monitor_states_with_retired_keys_resume_bit_identically(self):
+        """A zoned run's zone monitors once copied the I/O of their own
+        zone's items; states in that format restore, each zone window
+        found in the array's trace, and the resumed replay matches the
+        uninterrupted one."""
+        golden_session = _zoned_session()
+        golden = golden_session.run()
+        session = _zoned_session()
+        payload = _capture_at(session, golden.io_count * 2 // 3)
+        states = payload["states"]
+        array_state = states["app_monitor"]
+        states["app_monitor"] = _retired_monitor_state(
+            array_state, array_state, session
+        )
+        partial = 0
+        for zone in session.policy.zones:
+            zone_states = states["policy"]["zones"][zone.name]
+            retired = _retired_monitor_state(
+                zone_states["app_monitor"],
+                array_state,
+                session,
+                set(zone.policy.context.virtualization.item_ids()),
+            )
+            window = retired["window"]["timestamps"]
+            # The zone's window holds fewer rows than the array's rows
+            # since the window began: other zones' I/O sits between.
+            served_since = payload["meta"]["count"] - zone_states["app_monitor"]["window_row"]
+            partial += 0 < len(window) < served_since
+            zone_states["app_monitor"] = retired
+        assert partial
+        fresh = _zoned_session()
+        resumed = fresh.resume(payload)
+        assert _surface(resumed, fresh) == _surface(golden, golden_session)
+
+    def test_response_count_off_the_cursor_is_refused(self):
+        spec = RunSpec(workload="tpcc", policy="ddr")
+        session = SnapshotSession(spec)
+        payload = _capture_at(session, 500)
+        payload["states"]["app_monitor"]["responses"].pop()
+        with pytest.raises(SnapshotError, match="499 responses"):
+            SnapshotSession(spec).resume(payload)
 
     def test_kernel_state_with_retired_queue_resumes_bit_identically(self):
         """Snapshots written while the kernel kept an event heap carry its

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.core.intervals import Interval, IOSequence, ItemActivity, extract_activity
 from repro.core.patterns import IOPattern, ItemProfile, build_profiles, classify
 from repro.errors import ValidationError
-from repro.monitoring.application import WindowColumns
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import IOType, LogicalIORecord
 
@@ -162,14 +161,18 @@ def assert_profiles_equal(actual, expected):
 # ----------------------------------------------------------------------
 # windows
 # ----------------------------------------------------------------------
-def as_window_columns(records):
-    columns = WindowColumns()
-    for rec in records:
-        columns.timestamps.append(rec.timestamp)
-        columns.item_ids.append(rec.item_id)
-        columns.sizes.append(rec.size)
-        columns.reads.append(rec.is_read)
-    return columns
+def as_trace_slice(records, head_items):
+    """``records`` as a window sliced out of a longer trace.
+
+    The slice starts after one row per ``head_items`` entry and ends
+    before a row of another item, so it starts at a non-zero row and
+    its item table holds items with no I/O in the window, some not in
+    ``item_sizes`` at all.
+    """
+    head = [LogicalIORecord(0.0, item, 0, 1, IOType.READ) for item in head_items]
+    tail = [LogicalIORecord(9e9, "tail-only", 0, 1, IOType.WRITE)]
+    trace = ColumnarTrace.from_records(head + records + tail)
+    return trace[len(head) : len(head) + len(records)]
 
 
 @st.composite
@@ -232,13 +235,19 @@ def test_build_profiles_agrees_with_oracle(case):
     assert_profiles_equal(actual, oracle_profiles(*case))
 
 
-@given(windows())
+@given(windows(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_input_forms_give_equal_profiles(case):
+def test_input_forms_give_equal_profiles(case, data):
     records, start, end, break_even, bucket, sizes, enclosures = case
     args = (start, end, break_even, sizes, enclosures)
+    head_items = data.draw(
+        st.lists(st.sampled_from(ITEMS + GHOSTS + ("head-only",)), min_size=1)
+    )
     from_records = build_profiles(records, *args, iops_bucket_seconds=bucket)
-    for columns in (as_window_columns(records), ColumnarTrace.from_records(records)):
+    for columns in (
+        as_trace_slice(records, head_items),
+        ColumnarTrace.from_records(records),
+    ):
         from_columns = build_profiles(columns, *args, iops_bucket_seconds=bucket)
         assert_profiles_equal(from_columns, from_records)
 
