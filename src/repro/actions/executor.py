@@ -221,13 +221,11 @@ class ActionExecutor:
         self.migrated_bytes_applied = state["migrated_bytes_applied"]
         self._cooldown_until = dict(state["cooldown_until"])
         self.degraded_cooldowns = state["degraded_cooldowns"]
-        self.promotes_applied = state.get("promotes_applied", 0)
-        self.demotes_applied = state.get("demotes_applied", 0)
-        self.archives_applied = state.get("archives_applied", 0)
-        self.replicates_applied = state.get("replicates_applied", 0)
-        self.promote_attempt_items = set(
-            state.get("promote_attempt_items", ())
-        )
+        self.promotes_applied = state["promotes_applied"]
+        self.demotes_applied = state["demotes_applied"]
+        self.archives_applied = state["archives_applied"]
+        self.replicates_applied = state["replicates_applied"]
+        self.promote_attempt_items = set(state["promote_attempt_items"])
 
     # ------------------------------------------------------------------
     # public API

@@ -218,9 +218,9 @@ class ZonedPolicy(PowerPolicy):
     def next_checkpoint(self) -> float | None:
         """Earliest checkpoint requested by any zone policy."""
         times = [
-            zone.policy.next_checkpoint()
+            time
             for zone in self.zones
-            if zone.policy.next_checkpoint() is not None
+            if (time := zone.policy.next_checkpoint()) is not None
         ]
         return min(times) if times else None
 
@@ -252,12 +252,11 @@ class ZonedPolicy(PowerPolicy):
         zone = self._zone_of(item_id)
         if zone is None:
             return
+        before = zone.policy.determinations
         zone.policy.after_io(
             timestamp, item_id, offset, size, is_read, sequential, response_time
         )
-        self.determinations = sum(
-            z.policy.determinations for z in self.zones
-        )
+        self.determinations += zone.policy.determinations - before
 
     def on_end(self, now: float) -> None:
         """Finish every zone policy."""

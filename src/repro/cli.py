@@ -75,7 +75,11 @@ from typing import TYPE_CHECKING
 
 from repro import units
 from repro.analysis.report import gigabytes, seconds, watts
-from repro.experiments.runner import STANDARD_POLICIES, run_cell
+from repro.experiments.runner import (
+    ALL_POLICIES,
+    STANDARD_POLICIES,
+    run_cell,
+)
 from repro.experiments.testbed import WORKLOAD_NAMES, build_workload
 
 if TYPE_CHECKING:
@@ -339,14 +343,13 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    from repro.persistence import RunSpec, SnapshotSession, load_snapshot
+    from repro.persistence import SnapshotSession, load_snapshot, read_meta
 
     payload = load_snapshot(args.snapshot)
-    meta = payload["meta"]
-    spec = RunSpec.from_dict(meta["spec"])
+    spec, count, ts = read_meta(payload)
     print(
         f"resuming {spec.workload} / {spec.policy} from record "
-        f"{meta['count']} (t={meta['ts']:,.1f} s)",
+        f"{count} (t={ts:,.1f} s)",
         file=sys.stderr,
     )
     session = SnapshotSession(spec)
@@ -370,7 +373,7 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
 
     status = 0
     reports = []
-    for policy in args.policies or sorted(STANDARD_POLICIES):
+    for policy in args.policies:
         # A timeline, so kill/resume identity covers the sample slot
         # and the timeline points too.
         spec = RunSpec(
@@ -858,9 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
     crash_test.add_argument(
         "--policies",
         nargs="+",
-        choices=sorted(STANDARD_POLICIES),
-        default=None,
-        help="policies to drill (default: all four)",
+        choices=sorted(ALL_POLICIES),
+        default=sorted(ALL_POLICIES),
+        help="policies to drill (default: all five)",
     )
     crash_test.add_argument("--full", action="store_true")
     crash_test.add_argument(

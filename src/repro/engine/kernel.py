@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.actions.plan import ActionPlan
 from repro.actions.records import FlushWriteDelay
 from repro.engine.clock import SimClock
-from repro.errors import ReplayError, SnapshotError, UsageError
+from repro.errors import ReplayError, UsageError
 from repro.trace.columnar import FLAG_READ, FLAG_SEQUENTIAL, ColumnarTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -453,17 +453,7 @@ class SimulationKernel:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild clock and checkpoint field from a snapshot.
-
-        Kernel states written while the kernel kept an event heap carry
-        ``queue_entries`` / ``queue_next_seq``.  A heap that held only
-        the next timeline sample is redundant with the restored
-        timeline's cursor and is ignored; any other retired kind names
-        an event this kernel cannot fire and is refused.
-        """
-        for _, (kind, _, _) in state.get("queue_entries", ()):
-            if kind != "timeline_sample":
-                raise SnapshotError(f"unknown event kind {kind!r} in snapshot")
+        """Rebuild clock and checkpoint field from a snapshot."""
         self.clock.restore_state(state["clock"])
         self._scheduled_checkpoint = state["scheduled_checkpoint"]
         self._finished = state["finished"]

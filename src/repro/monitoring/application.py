@@ -79,12 +79,8 @@ class ApplicationMonitor:
         #: Measured response of each served row of the trace, in row order.
         self._responses: list[float] = []
         #: First trace row of the current monitoring window.
-        self._window_row = 0
+        self.window_row = 0
         self._window_start = 0.0
-        #: A restored window in the retired column format, ``(item ids,
-        #: timestamps, rows served at the snapshot)``, until the
-        #: attached trace locates its first row.
-        self._legacy_window: tuple[list[str], list[float], int] | None = None
         #: Logical mapping information: item → volume name.
         self._item_volume: dict[str, str] = {}
 
@@ -134,14 +130,6 @@ class ApplicationMonitor:
         """Start time of the current monitoring window."""
         return self._window_start
 
-    @property
-    def window_row(self) -> int:
-        """First trace row of the current monitoring window."""
-        if self._legacy_window is not None:
-            self._window_row = self._locate_legacy_window(*self._legacy_window)
-            self._legacy_window = None
-        return self._window_row
-
     def window_columns(self) -> ColumnarTrace:
         """The current window's rows of the trace (a zero-copy slice)."""
         source = self._source
@@ -149,9 +137,8 @@ class ApplicationMonitor:
 
     def begin_window(self, now: float) -> None:
         """Start a new monitoring window after the last served row."""
-        self._window_row = len(self._source._responses)
+        self.window_row = len(self._source._responses)
         self._window_start = now
-        self._legacy_window = None
 
     # ------------------------------------------------------------------
     # measurements
@@ -209,63 +196,9 @@ class ApplicationMonitor:
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Restore the monitor exactly as :meth:`snapshot_state` captured it.
-
-        States in the retired format copied every I/O: the window as
-        columns, ``(timestamp, response, is_read)`` samples, per-item
-        counters and running totals.  Their responses are the samples'
-        (only a monitor that owns its rows keeps them), and their window
-        is located in the trace once the resumed replay attaches it.  A
-        zone's monitor restores after its source, whose restored
-        responses mark where the snapshot was taken.
-        """
+        """Restore the monitor exactly as :meth:`snapshot_state` captured it."""
+        self.window_row = state["window_row"]
         self._window_start = state["window_start"]
         self._item_volume = dict(state["item_volume"])
-        retired = "window_row" not in state
         if self._source is self:
-            self._responses = (
-                [response for _, response, _ in state["response_samples"]]
-                if retired
-                else list(state["responses"])
-            )
-        self._legacy_window = None
-        if retired:
-            window = state["window"]
-            self._legacy_window = (
-                list(window["item_ids"]),
-                list(window["timestamps"]),
-                len(self._source._responses),
-            )
-        else:
-            self._window_row = state["window_row"]
-
-    def _locate_legacy_window(
-        self, item_ids: list[str], timestamps: list[float], served: int
-    ) -> int:
-        """First row of a window restored as columns of its I/Os.
-
-        That window held every I/O of its items served since it began
-        (a zone's window: every I/O of the zone's items), so its rows
-        are the last ``len(item_ids)`` rows of those items among the
-        first ``served``.  Raises :class:`~repro.errors.SnapshotError`
-        when the attached trace's rows do not match the restored columns.
-        """
-        if not item_ids:
-            return served
-        trace = self._source._trace
-        wanted = set(item_ids)
-        ours = np.array([item in wanted for item in trace.items], dtype=bool)
-        codes = np.frombuffer(trace.item_index, dtype=np.uint32)[:served]
-        rows = np.flatnonzero(ours[codes])[-len(item_ids) :]
-        if (
-            len(rows) != len(item_ids)
-            or [trace.items[code] for code in codes[rows].tolist()] != item_ids
-            # Bitwise: a restored window names exactly these rows.
-            or np.frombuffer(trace.timestamps, dtype=np.float64)[rows].tobytes()
-            != np.array(timestamps, dtype=np.float64).tobytes()
-        ):
-            raise SnapshotError(
-                "restored monitoring window does not match the last "
-                f"{len(item_ids)} served rows of its items"
-            )
-        return int(rows[0])
+            self._responses = list(state["responses"])

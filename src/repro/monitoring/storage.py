@@ -138,11 +138,7 @@ class StorageMonitor:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore the monitor exactly as :meth:`snapshot_state` captured it.
-
-        States written by older versions also carry ``window_reads`` and
-        ``short_gap_total``; nothing reads those books, so they are ignored.
-        """
+        """Restore the monitor exactly as :meth:`snapshot_state` captured it."""
         self._window_counts = defaultdict(int, state["window_counts"])
         self._window_start = state["window_start"]
         self._last_io = dict(state["last_io"])

@@ -31,7 +31,7 @@ from repro.persistence.harness import (
     RecoveryReport,
     run_crash_sweep,
 )
-from repro.persistence.session import RunSpec, SnapshotSession
+from repro.persistence.session import RunSpec, SnapshotSession, read_meta
 
 __all__ = [
     "FORMAT_VERSION",
@@ -44,6 +44,7 @@ __all__ = [
     "Snapshottable",
     "find_latest_valid",
     "load_snapshot",
+    "read_meta",
     "run_crash_sweep",
     "snapshot_count",
     "snapshot_filename",

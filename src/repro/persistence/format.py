@@ -4,7 +4,7 @@ A snapshot file is one fixed header followed by one pickled payload::
 
     offset  size  field
     0       4     magic ``b"ECSN"``
-    4       4     format version (u32, little-endian) — currently 2
+    4       4     format version (u32, little-endian) — currently 3
     8       8     payload length in bytes (u64, little-endian)
     16      4     CRC-32 of the payload bytes (u32, little-endian)
     20      len   payload: ``pickle.dumps({"meta": ..., "states": ...})``
@@ -53,10 +53,10 @@ __all__ = [
 #: First four bytes of every snapshot file.
 MAGIC = b"ECSN"
 
-#: Envelope version written by :func:`write_snapshot`.  Version 2: the
-#: kernel state no longer carries policy-checkpoint or fault-bookkeeping
-#: queue entries (the checkpoint is the ``scheduled_checkpoint`` field).
-FORMAT_VERSION = 2
+#: Envelope version written by :func:`write_snapshot`, the only one
+#: :func:`load_snapshot` reads.  Version 3: every component state has
+#: exactly the keys its ``snapshot_state`` writes.
+FORMAT_VERSION = 3
 
 #: File-name suffix of snapshot files.
 SNAPSHOT_SUFFIX = ".ecsn"
@@ -184,6 +184,11 @@ def load_snapshot(path: str | os.PathLike) -> dict:
     if magic != MAGIC:
         raise SnapshotError(
             f"snapshot {path} has bad magic {magic!r} (expected {MAGIC!r})"
+        )
+    if version < FORMAT_VERSION:
+        raise SnapshotError(
+            f"snapshot {path} is from an older release (format version "
+            f"{version}); re-run"
         )
     if version != FORMAT_VERSION:
         raise SnapshotError(

@@ -15,7 +15,8 @@ surface on top:
   freshly built session and pumps the remaining records through
   :meth:`~repro.engine.kernel.SimulationKernel.resume_replay`.  The
   replay prologue is *not* re-run (the restored state already reflects
-  it) and the epilogue is identical, so the final
+  it), and the epilogue and :func:`~repro.trace.replay.assemble_result`
+  are the ones a fresh replay runs, so the final
   :class:`~repro.trace.replay.ReplayResult` — energy books,
   availability report, timeline samples, action log — is bit-identical
   to the uninterrupted run.  The crash harness
@@ -31,24 +32,28 @@ anything that is not state.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.config import DEFAULT_CONFIG
-from repro.engine.kernel import ReplayOutcome, SimulationKernel
+from repro.engine.kernel import SimulationKernel
 from repro.errors import SnapshotError, ValidationError
 from repro.faults.plan import FaultPlan
-from repro.faults.report import availability_from_context
 from repro.monitoring.timeline import PowerTimeline
-from repro.persistence.format import snapshot_filename, write_snapshot
-from repro.trace.replay import ReplayResult
+from repro.persistence.format import (
+    Snapshottable,
+    snapshot_filename,
+    write_snapshot,
+)
+from repro.trace.replay import ReplayResult, assemble_result
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.devtools.audit import InvariantAuditor
     from repro.simulation import SimulationContext
 
-__all__ = ["RunSpec", "SnapshotSession"]
+__all__ = ["RunSpec", "SnapshotSession", "read_meta"]
 
 #: ``hook(count, ts)`` observer fired at record boundaries.
 RecordHook = Callable[[int, float], None]
@@ -79,8 +84,7 @@ class RunSpec:
     #: Fleet coordinates (:mod:`repro.fleet`): this session replays
     #: array ``array_index`` of an ``n_arrays``-wide fleet routed with
     #: ``router_seed``.  The defaults (``1``/``0``/``0``) describe a
-    #: standalone single-array run and keep the spec — and any snapshot
-    #: carrying it — bit-compatible with pre-fleet sessions.
+    #: standalone single-array run.
     n_arrays: int = 1
     array_index: int = 0
     router_seed: int = 0
@@ -121,13 +125,30 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        """Rebuild a spec serialized by :meth:`to_dict`.
+        """Rebuild a spec serialized by :meth:`to_dict`."""
+        return cls(**data)
 
-        Snapshots written when a spec could pick between two replay
-        pumps carry a ``columnar`` key; the choice never changed any
-        state, so it is dropped.
-        """
-        return cls(**{k: v for k, v in data.items() if k != "columnar"})
+
+@contextmanager
+def _reading(part: str) -> Iterator[None]:
+    """Refuse a verified payload whose ``part`` has the wrong shape."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise SnapshotError(
+            f"snapshot {part} is malformed: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def read_meta(payload: dict) -> tuple[RunSpec, int, float]:
+    """The run spec, record count and timestamp a snapshot was taken at.
+
+    Raises :class:`~repro.errors.SnapshotError` when ``meta`` lacks a
+    field or a field has the wrong shape.
+    """
+    with _reading("meta"):
+        meta = payload["meta"]
+        return RunSpec.from_dict(meta["spec"]), meta["count"], meta["ts"]
 
 
 class SnapshotSession:
@@ -193,34 +214,36 @@ class SnapshotSession:
         taking a snapshot cannot perturb the run (the crash harness's
         bit-identity assertion would catch it if one did).
         """
+        return {
+            "meta": {"spec": self.spec.to_dict(), "count": count, "ts": ts},
+            "states": {
+                name: component.snapshot_state()
+                for name, component in self._components().items()
+            },
+        }
+
+    def _components(self) -> dict[str, Snapshottable]:
+        """Every stateful component of this session, by snapshot key."""
         context = self.context
-        states: dict[str, dict] = {
-            "kernel": self.kernel.snapshot_state(),
-            "controller": context.controller.snapshot_state(),
-            "virtualization": context.virtualization.snapshot_state(),
-            "cache": context.cache.snapshot_state(),
-            "app_monitor": context.app_monitor.snapshot_state(),
-            "storage_monitor": context.storage_monitor.snapshot_state(),
-            "policy": self.policy.snapshot_state(),
-            "executor": context.require_executor().snapshot_state(),
+        components: dict[str, Snapshottable] = {
+            "kernel": self.kernel,
+            "controller": context.controller,
+            "virtualization": context.virtualization,
+            "cache": context.cache,
+            "app_monitor": context.app_monitor,
+            "storage_monitor": context.storage_monitor,
+            "policy": self.policy,
+            "executor": context.require_executor(),
         }
         for enclosure in context.enclosures:
-            states[f"enclosure:{enclosure.name}"] = enclosure.snapshot_state()
+            components[f"enclosure:{enclosure.name}"] = enclosure
         if self.timeline is not None:
-            states["timeline"] = self.timeline.snapshot_state()
+            components["timeline"] = self.timeline
         if context.fault_clock is not None:
-            states["fault_clock"] = context.fault_clock.snapshot_state()
+            components["fault_clock"] = context.fault_clock
         if self.auditor is not None:
-            states["auditor"] = self.auditor.snapshot_state()
-        return {
-            "meta": {
-                "spec": self.spec.to_dict(),
-                "count": count,
-                "ts": ts,
-                "policy_name": self.policy.name,
-            },
-            "states": states,
-        }
+            components["auditor"] = self.auditor
+        return components
 
     # ------------------------------------------------------------------
     # run / resume
@@ -264,110 +287,40 @@ class SnapshotSession:
         outcome = self.kernel.replay(
             self.workload.columnar(), duration=self.workload.duration
         )
-        return self._assemble(outcome)
+        return assemble_result(self.context, self.policy, outcome)
 
     def resume(self, payload: dict) -> ReplayResult:
         """Restore a verified snapshot payload and finish the replay.
 
         The payload must come from :func:`~repro.persistence.format.load_snapshot`
-        (which already proved it bytewise intact) and must have been
-        taken for this session's exact :class:`RunSpec` — anything else
-        raises :class:`~repro.errors.SnapshotError` before a single
-        component is touched.
+        (which already proved it bytewise intact), must have been taken
+        for this session's exact :class:`RunSpec`, and must hold exactly
+        the component states :meth:`capture` writes for it; anything
+        else raises :class:`~repro.errors.SnapshotError` before a single
+        component is touched.  A component state that lacks a key or has
+        the wrong shape is refused with a :class:`~repro.errors.SnapshotError`
+        naming the component; the session is not reusable after that.
         """
-        meta = payload["meta"]
-        # Normalize through RunSpec so snapshots written before a field
-        # existed (e.g. the fleet coordinates) compare by their default
-        # values instead of by key absence.
-        snapshot_spec = meta.get("spec")
-        if isinstance(snapshot_spec, dict):
-            try:
-                snapshot_spec = RunSpec.from_dict(snapshot_spec).to_dict()
-            except (TypeError, ValidationError):
-                pass  # unparseable spec: compare (and refuse) raw
-        if snapshot_spec != self.spec.to_dict():
+        _, count, ts = read_meta(payload)
+        if payload["meta"]["spec"] != self.spec.to_dict():
             raise SnapshotError(
                 "snapshot was taken for a different run: "
-                f"snapshot spec {meta.get('spec')!r} != session spec "
+                f"snapshot spec {payload['meta']['spec']!r} != session spec "
                 f"{self.spec.to_dict()!r}"
             )
+        components = self._components()
         states = payload["states"]
-        context = self.context
-        self.kernel.restore_state(self._state(states, "kernel"))
-        context.controller.restore_state(self._state(states, "controller"))
-        context.virtualization.restore_state(
-            self._state(states, "virtualization")
-        )
-        context.cache.restore_state(self._state(states, "cache"))
-        context.app_monitor.restore_state(self._state(states, "app_monitor"))
-        context.storage_monitor.restore_state(
-            self._state(states, "storage_monitor")
-        )
-        self.policy.restore_state(self._state(states, "policy"))
-        context.require_executor().restore_state(
-            self._state(states, "executor")
-        )
-        for enclosure in context.enclosures:
-            enclosure.restore_state(
-                self._state(states, f"enclosure:{enclosure.name}")
-            )
-        if self.timeline is not None:
-            self.timeline.restore_state(self._state(states, "timeline"))
-        if context.fault_clock is not None:
-            context.fault_clock.restore_state(
-                self._state(states, "fault_clock")
-            )
-        if self.auditor is not None:
-            self.auditor.restore_state(self._state(states, "auditor"))
-        outcome = self.kernel.resume_replay(
-            self.workload.columnar(),
-            self.workload.duration,
-            meta["count"],
-            meta["ts"],
-        )
-        return self._assemble(outcome)
-
-    @staticmethod
-    def _state(states: dict, key: str) -> dict:
-        if key not in states:
+        found = set(states) if isinstance(states, dict) else set()
+        if found != set(components):
             raise SnapshotError(
-                f"snapshot is missing component state {key!r}"
+                "snapshot does not hold this run's components: missing "
+                f"component states {sorted(set(components) - found)}, "
+                f"extra {sorted(found - set(components))}"
             )
-        return states[key]
-
-    # ------------------------------------------------------------------
-    # result assembly — must stay in lockstep with TraceReplayer.run
-    # ------------------------------------------------------------------
-    def _assemble(self, outcome: ReplayOutcome) -> ReplayResult:
-        """Package the context's monitors into a :class:`ReplayResult`.
-
-        Field-for-field the tail of
-        :meth:`repro.trace.replay.TraceReplayer.run` — the crash
-        harness compares these results to ones produced by the replayer
-        path, so the two assemblies must not drift.
-        """
-        context = self.context
-        policy = self.policy
-        final = outcome.final
-        controller = context.controller
-        power = context.meter.read(final, controller)
-        availability = availability_from_context(context, policy, final)
-        result = ReplayResult(
-            policy_name=policy.name,
-            duration_seconds=final,
-            io_count=outcome.io_count,
-            response=context.app_monitor.response_stats(),
-            power=power,
-            migrated_bytes=controller.migrated_bytes,
-            migration_count=controller.migration_count,
-            determinations=policy.determinations,
-            cache_hit_ratio=controller.cache_hit_ratio,
-            spin_up_count=sum(e.spin_up_count for e in context.enclosures),
-            spin_down_count=sum(e.spin_down_count for e in context.enclosures),
-            availability=availability,
+        for name, component in components.items():
+            with _reading(f"component state {name!r}"):
+                component.restore_state(states[name])
+        outcome = self.kernel.resume_replay(
+            self.workload.columnar(), self.workload.duration, count, ts
         )
-        if context.executor is not None:
-            object.__setattr__(
-                result, "actions", tuple(context.executor.log)
-            )
-        return result
+        return assemble_result(self.context, self.policy, outcome)

@@ -120,7 +120,11 @@ class StorageController:
         self.archive_serviced_items: set[str] = set()
         #: Per-device latency books (service seconds / served I/Os) for
         #: the per-tier report.
-        self._zero_service_books()
+        names = self.virtualization.enclosure_names
+        self._device_service_seconds: dict[str, float] = {
+            name: 0.0 for name in names
+        }
+        self._device_service_ios: dict[str, int] = {name: 0 for name in names}
 
         # Fault handling (:mod:`repro.faults`).  All of this is inert —
         # strictly zero-cost on the hot path — until a fault clock is
@@ -158,13 +162,6 @@ class StorageController:
     def set_fault_clock(self, clock: "FaultClock") -> None:
         """Attach the simulation's fault oracle (:mod:`repro.faults`)."""
         self._fault_clock = clock
-
-    def _zero_service_books(self) -> None:
-        names = self.virtualization.enclosure_names
-        self._device_service_seconds: dict[str, float] = {
-            name: 0.0 for name in names
-        }
-        self._device_service_ios: dict[str, int] = {name: 0 for name in names}
 
     def device_service_seconds(self, device: str) -> float:
         """Accumulated application service seconds on one device."""
@@ -851,19 +848,11 @@ class StorageController:
         self.at_risk_peak_bytes = state["at_risk_peak_bytes"]
         self.at_risk_byte_seconds = state["at_risk_byte_seconds"]
         self.at_risk_samples = list(state["at_risk_samples"])
-        self.promotion_count = state.get("promotion_count", 0)
-        self.demotion_count = state.get("demotion_count", 0)
-        self.archive_move_count = state.get("archive_move_count", 0)
-        self.replication_count = state.get("replication_count", 0)
-        self.replicated_bytes = state.get("replicated_bytes", 0)
-        self.archive_serviced_items = set(
-            state.get("archive_serviced_items", ())
-        )
-        # Snapshots of untiered runs written before the books were kept
-        # on every run carry ``None`` (or nothing): start those at zero.
-        service_seconds = state.get("device_service_seconds")
-        if service_seconds is None:
-            self._zero_service_books()
-        else:
-            self._device_service_seconds = dict(service_seconds)
-            self._device_service_ios = dict(state["device_service_ios"])
+        self.promotion_count = state["promotion_count"]
+        self.demotion_count = state["demotion_count"]
+        self.archive_move_count = state["archive_move_count"]
+        self.replication_count = state["replication_count"]
+        self.replicated_bytes = state["replicated_bytes"]
+        self.archive_serviced_items = set(state["archive_serviced_items"])
+        self._device_service_seconds = dict(state["device_service_seconds"])
+        self._device_service_ios = dict(state["device_service_ios"])

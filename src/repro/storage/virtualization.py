@@ -502,13 +502,11 @@ class BlockVirtualization:
         self._used_bytes = dict(state["used_bytes"])
         self._next_block = dict(state["next_block"])
         self._replicas = {
-            item: dict(copies) for item, copies in state.get("replicas", ())
+            item: dict(copies) for item, copies in state["replicas"]
         }
         self._replica_bytes = {name: 0 for name in self._enclosures}
         for copies in self._replicas.values():
             for enclosure, size in copies.items():
                 self._replica_bytes[enclosure] += size
-        ledger_state = state.get("tier_ledger")
-        if ledger_state is not None:
-            self.tier_ledger.restore_state(ledger_state)
+        self.tier_ledger.restore_state(state["tier_ledger"])
         self._route_cache.clear()

@@ -11,8 +11,8 @@ energy and latency costs land in the same accounting as application I/O.
 Since the :mod:`repro.engine` refactor the replayer is a thin façade:
 each :meth:`TraceReplayer.run` builds a single-use
 :class:`~repro.engine.kernel.SimulationKernel`, hooks the auditor onto
-it, pumps the records through, and assembles the
-:class:`ReplayResult` from the context's monitors.  All event ordering
+it, pumps the records through, and :func:`assemble_result` packages
+the context's monitors into a :class:`ReplayResult`.  All event ordering
 lives in the kernel (and is pinned bit-identical by the golden test in
 ``tests/trace/test_replay_golden.py``).
 """
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.monitoring.timeline import PowerTimeline
 
 from repro.baselines.base import PowerPolicy
-from repro.engine.kernel import SimulationKernel
+from repro.engine.kernel import ReplayOutcome, SimulationKernel
 from repro.faults.report import AvailabilityReport, availability_from_context
 from repro.monitoring.application import ResponseStats
 from repro.simulation import SimulationContext
@@ -57,7 +57,7 @@ class ReplayResult:
 
     # Non-field attribute (class-level default, no annotation on
     # purpose — an annotation would make it a dataclass field; set
-    # per-instance via object.__setattr__ in TraceReplayer.run): the
+    # per-instance via object.__setattr__ in assemble_result): the
     # run's full action log, a tuple of
     # :class:`~repro.actions.records.ActionRecord`.  Kept out of
     # ``asdict``/``==`` — and with them the golden bit-identity test —
@@ -142,27 +142,36 @@ class TraceReplayer:
         if self.auditor is not None:
             self.auditor.hook(kernel)
         outcome = kernel.replay(records, duration=duration)
-        final = outcome.final
+        return assemble_result(context, policy, outcome)
 
-        controller = context.controller
-        power = context.meter.read(final, controller)
-        availability = availability_from_context(context, policy, final)
-        result = ReplayResult(
-            policy_name=policy.name,
-            duration_seconds=final,
-            io_count=outcome.io_count,
-            response=context.app_monitor.response_stats(),
-            power=power,
-            migrated_bytes=controller.migrated_bytes,
-            migration_count=controller.migration_count,
-            determinations=policy.determinations,
-            cache_hit_ratio=controller.cache_hit_ratio,
-            spin_up_count=sum(e.spin_up_count for e in context.enclosures),
-            spin_down_count=sum(e.spin_down_count for e in context.enclosures),
-            availability=availability,
-        )
-        if context.executor is not None:
-            object.__setattr__(
-                result, "actions", tuple(context.executor.log)
-            )
-        return result
+
+def assemble_result(
+    context: SimulationContext, policy: PowerPolicy, outcome: ReplayOutcome
+) -> ReplayResult:
+    """Package a finished replay's monitors into a :class:`ReplayResult`.
+
+    The one assembly a fresh replay (:meth:`TraceReplayer.run`) and a
+    resumed one (:meth:`repro.persistence.SnapshotSession.resume`) share,
+    so a resumed result is built by the same code as an uninterrupted one.
+    """
+    final = outcome.final
+    controller = context.controller
+    power = context.meter.read(final, controller)
+    availability = availability_from_context(context, policy, final)
+    result = ReplayResult(
+        policy_name=policy.name,
+        duration_seconds=final,
+        io_count=outcome.io_count,
+        response=context.app_monitor.response_stats(),
+        power=power,
+        migrated_bytes=controller.migrated_bytes,
+        migration_count=controller.migration_count,
+        determinations=policy.determinations,
+        cache_hit_ratio=controller.cache_hit_ratio,
+        spin_up_count=sum(e.spin_up_count for e in context.enclosures),
+        spin_down_count=sum(e.spin_down_count for e in context.enclosures),
+        availability=availability,
+    )
+    if context.executor is not None:
+        object.__setattr__(result, "actions", tuple(context.executor.log))
+    return result

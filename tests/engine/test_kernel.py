@@ -7,7 +7,7 @@ from repro.baselines.base import PowerPolicy
 from repro.baselines.nopower import NoPowerSavingPolicy
 from repro.config import DEFAULT_CONFIG
 from repro.engine.kernel import SimulationKernel
-from repro.errors import ReplayError, SnapshotError, UsageError
+from repro.errors import ReplayError, UsageError
 from repro.faults.plan import CacheBatteryFailure, FaultPlan
 from repro.simulation import build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
@@ -163,25 +163,3 @@ class TestSnapshotState:
         assert set(state) == {"clock", "scheduled_checkpoint", "finished"}
         assert state["scheduled_checkpoint"] == 60.0
         assert state["finished"] is True
-
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            "policy_checkpoint",
-            "fault_bookkeeping",
-            "flush_deadline",
-            "action_apply",
-            "trace_record",
-        ],
-    )
-    def test_retired_checkpoint_kinds_are_refused(self, kind):
-        # Kernel states from the event-heap kernel carry queue entries;
-        # only a timeline sample is redundant with the restored timeline.
-        state = self._kernel().snapshot_state()
-        state["queue_entries"] = [
-            (0, ("timeline_sample", 60.0, None)),
-            (1, (kind, 60.0, None)),
-        ]
-        state["queue_next_seq"] = 2
-        with pytest.raises(SnapshotError, match="unknown event kind"):
-            self._kernel().restore_state(state)

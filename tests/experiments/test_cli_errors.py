@@ -12,6 +12,42 @@ import repro.cli as cli
 from repro.cli import main
 from repro.core.placement import HotSetTooSmall
 from repro.errors import AuditError, PlacementError
+from repro.persistence import (
+    RunSpec,
+    SnapshotSession,
+    snapshot_filename,
+    write_snapshot,
+)
+
+
+_SPEC = RunSpec(workload="tpcc", policy="pdc")
+
+
+def _empty_meta():
+    return {"meta": {}, "states": {}}
+
+
+def _spec_with_unknown_key():
+    spec = {**_SPEC.to_dict(), "columnar": True}
+    return {"meta": {"spec": spec, "count": 1, "ts": 0.0}, "states": {}}
+
+
+def _kernel_state_without_clock():
+    """A real payload captured after record 500, its kernel clock gone."""
+    session = SnapshotSession(_SPEC)
+    captured = {}
+
+    def hook(count, ts):
+        if count == 500:
+            captured["payload"] = session.capture(count, ts)
+
+    session.run(record_hook=hook)
+    del captured["payload"]["states"]["kernel"]["clock"]
+    return captured["payload"]
+
+
+def _meta_as_string():
+    return {"meta": "spec", "states": {}}
 
 
 class TestDomainErrorsExitTwo:
@@ -42,6 +78,26 @@ class TestDomainErrorsExitTwo:
         bad.write_bytes(b"torn")
         assert main(["resume", str(bad)]) == 2
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "malformed, named",
+        [
+            pytest.param(_empty_meta, "meta", id="empty-meta"),
+            pytest.param(_spec_with_unknown_key, "meta", id="unknown-spec-key"),
+            pytest.param(
+                _kernel_state_without_clock, "'kernel'", id="kernel-clock"
+            ),
+            pytest.param(_meta_as_string, "meta", id="string-meta"),
+        ],
+    )
+    def test_snapshot_error_from_malformed_payload(
+        self, capsys, tmp_path, malformed, named
+    ):
+        path = write_snapshot(tmp_path / snapshot_filename(1), malformed())
+        assert main(["resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ecostor: error: snapshot " in err
+        assert named in err
 
     def test_trace_error_from_corrupt_ecot(self, capsys, tmp_path):
         bad = tmp_path / "bad.ecot"

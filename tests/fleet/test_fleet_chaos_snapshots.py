@@ -135,11 +135,3 @@ def test_run_spec_round_trips_fleet_coordinates():
         router_seed=9,
     )
     assert RunSpec.from_dict(spec.to_dict()) == spec
-    # Pre-fleet spec dicts (no fleet keys) load with the defaults.
-    legacy = {"workload": "fileserver", "policy": "ddr"}
-    loaded = RunSpec.from_dict(legacy)
-    assert (loaded.n_arrays, loaded.array_index, loaded.router_seed) == (
-        1,
-        0,
-        0,
-    )

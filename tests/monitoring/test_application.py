@@ -114,54 +114,3 @@ class TestAttach:
         fresh.attach(trace, 1)
         fresh.record(0.25)
         assert fresh.response_samples == [(1.0, 0.5, True), (2.0, 0.25, True)]
-
-    def test_retired_state_format_restores(self):
-        # Columns, samples, per-item counters and totals of every I/O.
-        records = [rec(1.0), rec(2.0, "b"), rec(3.0, "a", IOType.WRITE)]
-        state = {
-            "window": {
-                "timestamps": [2.0, 3.0],
-                "item_ids": ["b", "a"],
-                "sizes": [4096, 4096],
-                "reads": [True, False],
-            },
-            "window_start": 1.5,
-            "item_volume": [("a", "vol0")],
-            "io_count": 3,
-            "read_count": 2,
-            "response_sum": 0.6,
-            "read_response_sum": 0.3,
-            "max_response": 0.3,
-            "ios_per_item": [("a", 2), ("b", 1)],
-            "response_samples": [
-                (1.0, 0.1, True),
-                (2.0, 0.2, True),
-                (3.0, 0.3, False),
-            ],
-        }
-        monitor = ApplicationMonitor()
-        monitor.restore_state(state)
-        monitor.attach(ColumnarTrace.from_records(records), 3)
-        assert monitor.window_row == 1
-        assert list(monitor.window_columns()) == records[1:]
-        assert monitor.response_samples == state["response_samples"]
-        assert monitor.volume_of("a") == "vol0"
-        assert set(monitor.snapshot_state()) == {
-            "window_row",
-            "window_start",
-            "item_volume",
-            "responses",
-        }
-
-    def test_retired_window_that_does_not_match_the_trace_is_refused(self):
-        state = {
-            "window": {"timestamps": [9.0], "item_ids": ["a"]},
-            "window_start": 0.0,
-            "item_volume": [],
-            "response_samples": [(1.0, 0.1, True)],
-        }
-        monitor = ApplicationMonitor()
-        monitor.restore_state(state)
-        monitor.attach(ColumnarTrace.from_records([rec(1.0)]), 1)
-        with pytest.raises(SnapshotError, match="does not match"):
-            monitor.window_columns()

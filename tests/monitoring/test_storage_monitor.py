@@ -45,31 +45,6 @@ class TestPhysicalTrace:
         assert mon.window_stats(4.0) == {"e0": 0.0, "e1": 0.0}
 
 
-class TestSnapshotState:
-    def test_legacy_state_with_dead_books_restores(self):
-        # States written before the read-count and short-gap books were
-        # dropped still carry them; restoring ignores both keys.
-        legacy = {
-            "window_counts": {"e0": 3},
-            "window_reads": {"e0": 2},
-            "window_start": 4.0,
-            "last_io": {"e0": 6.0},
-            "gaps": {"e0": [2.0]},
-            "short_gap_total": {"e0": 0.05},
-            "physical_io_count": 5,
-            "finished_at": None,
-        }
-        mon, _ = monitor()
-        mon.restore_state(legacy)
-        assert mon.window_stats(10.0) == {"e0": 3 / 6.0, "e1": 0.0}
-        assert mon.physical_io_count == 5
-        assert mon.intervals("e0") == [2.0]
-        assert mon.last_io_time("e0") == 6.0
-        state = mon.snapshot_state()
-        assert "window_reads" not in state
-        assert "short_gap_total" not in state
-
-
 class TestIntervals:
     def test_gaps_recorded(self):
         mon, _ = monitor()

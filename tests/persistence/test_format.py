@@ -86,13 +86,15 @@ class TestRefusal:
         with pytest.raises(SnapshotError, match="unsupported format version"):
             load_snapshot(path)
 
-    def test_version_one_refused(self, tmp_path):
-        # Version 1 kernel states carried checkpoint queue entries.
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_refused(self, tmp_path, version):
         path = self._written(tmp_path)
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 1)
+        data[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError, match="format version 1"):
+        with pytest.raises(
+            SnapshotError, match=f"older release \\(format version {version}\\)"
+        ):
             load_snapshot(path)
 
     def test_truncated_payload(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for SnapshotSession: resume bit-identity and refusal paths."""
 
+import re
 from dataclasses import asdict
 
 import pytest
@@ -9,6 +10,7 @@ from repro.baselines.zoned import Zone, ZonedPolicy
 from repro.core.manager import EnergyEfficientPolicy
 from repro.engine.kernel import SimulationKernel
 from repro.errors import SnapshotError, ValidationError
+from repro.experiments.runner import ALL_POLICIES
 from repro.experiments.testbed import build_workload
 from repro.faults.plan import (
     CacheBatteryFailure,
@@ -71,14 +73,16 @@ def _crash_and_resume(spec, snapshot_every, kill_at, directory):
 
 
 def _capture_at(session, boundary):
-    """Run ``session`` to the end; the payload it captured at ``boundary``."""
+    """The payload ``session`` captures at ``boundary``, where it stops."""
     captured = {}
 
     def hook(count, ts):
         if count == boundary:
             captured["payload"] = session.capture(count, ts)
+            raise _InjectedCrash()
 
-    session.run(record_hook=hook)
+    with pytest.raises(_InjectedCrash):
+        session.run(record_hook=hook)
     return captured["payload"]
 
 
@@ -97,47 +101,6 @@ def _zoned_session():
     session.policy.bind(session.context)
     session.kernel = SimulationKernel(session.context, session.policy)
     return session
-
-
-def _retired_monitor_state(state, array_state, session, items=None):
-    """A monitor ``state`` rewritten in the retired format, which copied
-    every I/O the monitor recorded: all served rows, or for a zone's
-    monitor the rows of the zone's ``items``."""
-    trace = session.workload.columnar()
-    responses = array_state["responses"]
-    rows = [
-        row
-        for row in range(len(responses))
-        if items is None or trace.items[trace.item_index[row]] in items
-    ]
-    window = [trace[row] for row in rows if row >= state["window_row"]]
-    samples = [
-        (trace.timestamps[row], responses[row], trace[row].is_read) for row in rows
-    ]
-    totals = {"response_sum": 0.0, "read_response_sum": 0.0, "max_response": 0.0}
-    ios_per_item = {}
-    for row, (_, response, is_read) in zip(rows, samples):
-        totals["response_sum"] += response
-        if is_read:
-            totals["read_response_sum"] += response
-        totals["max_response"] = max(totals["max_response"], response)
-        item = trace.items[trace.item_index[row]]
-        ios_per_item[item] = ios_per_item.get(item, 0) + 1
-    return {
-        "window": {
-            "timestamps": [rec.timestamp for rec in window],
-            "item_ids": [rec.item_id for rec in window],
-            "sizes": [rec.size for rec in window],
-            "reads": [rec.is_read for rec in window],
-        },
-        "window_start": state["window_start"],
-        "item_volume": state["item_volume"],
-        "io_count": len(rows),
-        "read_count": sum(1 for _, _, is_read in samples if is_read),
-        **totals,
-        "ios_per_item": list(ios_per_item.items()),
-        "response_samples": samples,
-    }
 
 
 class TestResumeBitIdentity:
@@ -188,70 +151,6 @@ class TestResumeBitIdentity:
         )
         assert _surface(resumed, fresh) == _surface(golden, golden_session)
 
-    def test_monitor_state_with_retired_keys_resumes_bit_identically(self):
-        """States written while the application monitor copied every I/O
-        (window columns, response samples, per-item counters and
-        running totals, and before that the full trace and the window's
-        offset and sequential columns) restore, and the resumed replay
-        matches the uninterrupted one."""
-        spec = RunSpec(workload="tpcc", policy="proposed")
-        golden_session = SnapshotSession(spec)
-        golden = golden_session.run()
-        session = SnapshotSession(spec)
-        payload = _capture_at(session, golden.io_count // 2)
-        states = payload["states"]
-        state = _retired_monitor_state(
-            states["app_monitor"], states["app_monitor"], session
-        )
-        assert state["window"]["timestamps"]  # the seam falls inside a window
-        state["window"]["offsets"] = [0] * len(state["window"]["timestamps"])
-        state["window"]["sequentials"] = [False] * len(state["window"]["timestamps"])
-        state["full_trace"] = list(session.workload.records[: state["io_count"]])
-        states["app_monitor"] = state
-        fresh = SnapshotSession(spec)
-        resumed = fresh.resume(payload)
-        assert _surface(resumed, fresh) == _surface(golden, golden_session)
-        assert set(fresh.context.app_monitor.snapshot_state()) == {
-            "window_row",
-            "window_start",
-            "item_volume",
-            "responses",
-        }
-
-    def test_zone_monitor_states_with_retired_keys_resume_bit_identically(self):
-        """A zoned run's zone monitors once copied the I/O of their own
-        zone's items; states in that format restore, each zone window
-        found in the array's trace, and the resumed replay matches the
-        uninterrupted one."""
-        golden_session = _zoned_session()
-        golden = golden_session.run()
-        session = _zoned_session()
-        payload = _capture_at(session, golden.io_count * 2 // 3)
-        states = payload["states"]
-        array_state = states["app_monitor"]
-        states["app_monitor"] = _retired_monitor_state(
-            array_state, array_state, session
-        )
-        partial = 0
-        for zone in session.policy.zones:
-            zone_states = states["policy"]["zones"][zone.name]
-            retired = _retired_monitor_state(
-                zone_states["app_monitor"],
-                array_state,
-                session,
-                set(zone.policy.context.virtualization.item_ids()),
-            )
-            window = retired["window"]["timestamps"]
-            # The zone's window holds fewer rows than the array's rows
-            # since the window began: other zones' I/O sits between.
-            served_since = payload["meta"]["count"] - zone_states["app_monitor"]["window_row"]
-            partial += 0 < len(window) < served_since
-            zone_states["app_monitor"] = retired
-        assert partial
-        fresh = _zoned_session()
-        resumed = fresh.resume(payload)
-        assert _surface(resumed, fresh) == _surface(golden, golden_session)
-
     def test_response_count_off_the_cursor_is_refused(self):
         spec = RunSpec(workload="tpcc", policy="ddr")
         session = SnapshotSession(spec)
@@ -259,44 +158,6 @@ class TestResumeBitIdentity:
         payload["states"]["app_monitor"]["responses"].pop()
         with pytest.raises(SnapshotError, match="499 responses"):
             SnapshotSession(spec).resume(payload)
-
-    def test_kernel_state_with_retired_queue_resumes_bit_identically(self):
-        """Snapshots written while the kernel kept an event heap carry its
-        one timeline-sample entry, and a ``migration_engine`` component
-        state; both restore, and the resumed replay matches the
-        uninterrupted one, timeline points included."""
-        spec = RunSpec(workload="tpcc", policy="pdc", timeline_interval=300.0)
-        golden_session = SnapshotSession(spec)
-        golden = golden_session.run()
-        boundary = golden.io_count // 2
-        session = SnapshotSession(spec)
-        captured = {}
-
-        def hook(count, ts):
-            if count == boundary:
-                captured["payload"] = session.capture(count, ts)
-
-        session.run(record_hook=hook)
-        payload = captured["payload"]
-        states = payload["states"]
-        next_sample = states["timeline"]["next_sample"]
-        states["kernel"]["queue_entries"] = [
-            (7, ("timeline_sample", next_sample, None))
-        ]
-        states["kernel"]["queue_next_seq"] = 8
-        states["migration_engine"] = {
-            "total_bytes_moved": 0,
-            "total_moves": 0,
-            "total_aborts": 0,
-        }
-        fresh = SnapshotSession(spec)
-        resumed = fresh.resume(payload)
-        assert _surface(resumed, fresh) == _surface(golden, golden_session)
-        assert set(fresh.kernel.snapshot_state()) == {
-            "clock",
-            "scheduled_checkpoint",
-            "finished",
-        }
 
     def test_crash_before_first_snapshot_leaves_no_file(self, tmp_path):
         spec = RunSpec(workload="tpcc", policy="no-power-saving")
@@ -314,15 +175,7 @@ class TestResumeBitIdentity:
 class TestRefusals:
     def _payload(self):
         spec = RunSpec(workload="tpcc", policy="pdc")
-        session = SnapshotSession(spec)
-        captured = {}
-
-        def hook(count, ts):
-            if count == 500:
-                captured["payload"] = session.capture(count, ts)
-
-        session.run(record_hook=hook)
-        return spec, captured["payload"]
+        return spec, _capture_at(SnapshotSession(spec), 500)
 
     def test_resume_with_different_spec_refused(self):
         _, payload = self._payload()
@@ -336,6 +189,12 @@ class TestRefusals:
         with pytest.raises(SnapshotError, match="missing component"):
             SnapshotSession(spec).resume(payload)
 
+    def test_extra_component_state_refused(self):
+        spec, payload = self._payload()
+        payload["states"]["migration_engine"] = {"total_moves": 0}
+        with pytest.raises(SnapshotError, match="extra.*migration_engine"):
+            SnapshotSession(spec).resume(payload)
+
     def test_snapshot_every_without_dir_rejected(self):
         session = SnapshotSession(RunSpec(workload="tpcc", policy="pdc"))
         with pytest.raises(ValidationError, match="snapshot_dir"):
@@ -345,6 +204,39 @@ class TestRefusals:
         session = SnapshotSession(RunSpec(workload="tpcc", policy="pdc"))
         with pytest.raises(ValidationError, match="non-negative"):
             session.run(snapshot_every=-1, snapshot_dir=tmp_path)
+
+
+class TestStrictRestore:
+    @pytest.mark.parametrize("policy", [*ALL_POLICIES, "zoned"])
+    def test_every_state_key_is_required(self, policy):
+        """Each top-level key of each component state is read: a state
+        missing any one of them is refused, never filled with a default."""
+        if policy == "zoned":
+            make = _zoned_session
+        else:
+            spec = RunSpec(
+                workload="tpcc",
+                policy=policy,
+                audit=True,
+                timeline_interval=300.0,
+                faults_json=_fault_plan().to_json(),
+            )
+
+            def make():
+                return SnapshotSession(spec)
+
+        payload = _capture_at(make(), 7000)
+        # Restores are refused before the replay starts, so one fresh
+        # session takes every attempt.
+        fresh = make()
+        for name, state in payload["states"].items():
+            for key in state:
+                states = {
+                    **payload["states"],
+                    name: {k: v for k, v in state.items() if k != key},
+                }
+                with pytest.raises(SnapshotError, match=re.escape(repr(name))):
+                    fresh.resume({"meta": payload["meta"], "states": states})
 
 
 class TestRunSpec:
@@ -358,11 +250,6 @@ class TestRunSpec:
             faults_json=_fault_plan().to_json(),
         )
         assert RunSpec.from_dict(spec.to_dict()) == spec
-
-    def test_retired_columnar_key_is_dropped(self):
-        spec = RunSpec(workload="tpcc", policy="ddr")
-        legacy = {**spec.to_dict(), "columnar": True}
-        assert RunSpec.from_dict(legacy) == spec
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValidationError, match="unknown workload"):

@@ -269,23 +269,6 @@ class TestStats:
 
 
 class TestServiceBooks:
-    def test_pre_tier_snapshot_restores_to_zeroed_books(self):
-        # Snapshots of untiered runs carry ``device_service_seconds: None``.
-        controller, _, _, _ = build()
-        state = controller.snapshot_state()
-        state["device_service_seconds"] = None
-        state["device_service_ios"] = {}
-        restored, _, _, _ = build()
-        restored.restore_state(state)
-        assert restored.device_service_ios("e0") == 0
-        response = restored.submit(*io_fields(read(1.0)))
-        assert restored.device_service_ios("e0") == 1
-        assert restored.device_service_seconds("e0") == response
-        assert restored.snapshot_state()["device_service_ios"] == {
-            "e0": 1,
-            "e1": 0,
-        }
-
     def test_cache_hits_stay_off_the_books(self):
         controller, _, _, _ = build()
         controller.submit(*io_fields(read(1.0)))
