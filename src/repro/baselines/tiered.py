@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
+import numpy as np
+
 from repro.actions.plan import ActionPlan
 from repro.actions.records import (
     Action,
@@ -41,11 +43,11 @@ from repro.actions.records import (
 )
 from repro.baselines.base import PowerPolicy
 from repro.core.hotcold import choose_hot_cold, required_hot_count
-from repro.core.intervals import ItemActivity
 from repro.core.patterns import (
     DEFAULT_IOPS_BUCKET_SECONDS,
-    IOPattern,
-    ItemProfile,
+    P0_CODE,
+    P3_CODE,
+    ProfileTable,
 )
 from repro.storage.virtualization import BlockVirtualization
 
@@ -266,40 +268,59 @@ class TieredLifecyclePolicy(PowerPolicy):
         virt = context.virtualization
         config = context.config
         hdd_devices = virt.devices_in_tier(HDD_TIER)
-        profiles: dict[str, ItemProfile] = {}
         bucket_seconds = DEFAULT_IOPS_BUCKET_SECONDS
-        for device in hdd_devices:
+        bucket_count = max(1, math.ceil(period / bucket_seconds))
+        item_ids: list[str] = []
+        device_codes: list[int] = []
+        bucket_rows: list[list[int]] = []
+        peaks: list[float] = []
+        for code, device in enumerate(hdd_devices):
             for item in virt.items_on(device):
                 counts = self._window_buckets.get(item, {})
-                bucket_count = max(1, math.ceil(period / bucket_seconds))
-                bucket_counts = tuple(
-                    counts.get(index, 0) for index in range(bucket_count)
+                item_ids.append(item)
+                device_codes.append(code)
+                bucket_rows.append(
+                    [counts.get(index, 0) for index in range(bucket_count)]
                 )
-                io_count = self._window_counts.get(item, 0)
-                profiles[item] = ItemProfile(
-                    item_id=item,
-                    pattern=IOPattern.P3 if item in hot else IOPattern.P0,
-                    activity=ItemActivity(
-                        item_id=item,
-                        window_start=self._window_start,
-                        window_end=now,
-                        long_intervals=(),
-                        sequences=(),
-                    ),
-                    size_bytes=virt.item_size(item),
-                    enclosure=device,
-                    mean_iops=io_count / period,
-                    peak_iops=(
-                        max(counts.values()) / bucket_seconds
-                        if counts
-                        else 0.0
-                    ),
-                    bucket_counts=bucket_counts,
-                    read_count=io_count,
-                    write_count=0,
-                    write_bytes=0,
-                    read_bytes=0,
+                peaks.append(
+                    max(counts.values()) / bucket_seconds if counts else 0.0
                 )
+        rows = len(item_ids)
+        io_count = np.array(
+            [self._window_counts.get(item, 0) for item in item_ids],
+            dtype=np.int64,
+        )
+        no_bytes = np.zeros(rows, dtype=np.int64)
+        no_entries = np.zeros(rows + 1, dtype=np.intp)
+        profiles = ProfileTable(
+            item_ids=tuple(item_ids),
+            size_bytes=np.array(
+                [virt.item_size(item) for item in item_ids], dtype=np.int64
+            ),
+            enclosure_names=tuple(hdd_devices),
+            enclosure_codes=np.array(device_codes, dtype=np.intp),
+            pattern_codes=np.array(
+                [P3_CODE if item in hot else P0_CODE for item in item_ids],
+                dtype=np.intp,
+            ),
+            io_count=io_count,
+            read_count=io_count,
+            read_bytes=no_bytes,
+            write_bytes=no_bytes,
+            mean_iops=io_count / period,
+            peak_iops=np.array(peaks, dtype=np.float64),
+            bucket_counts=np.array(bucket_rows, dtype=np.int64).reshape(
+                rows, bucket_count
+            ),
+            interval_starts=np.zeros(0),
+            interval_ends=np.zeros(0),
+            interval_bounds=no_entries,
+            sequence_starts=np.zeros(0),
+            sequence_ends=np.zeros(0),
+            sequence_reads=np.zeros(0, dtype=np.int64),
+            sequence_writes=np.zeros(0, dtype=np.int64),
+            sequence_bounds=no_entries,
+        )
         n_hot, i_max = required_hot_count(
             profiles,
             config.max_iops_random,

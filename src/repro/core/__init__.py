@@ -21,7 +21,7 @@ from repro.core.intervals import (
 from repro.core.manager import EnergyEfficientPolicy, ManagementSnapshot
 from repro.core.patterns import (
     IOPattern,
-    ItemProfile,
+    ProfileTable,
     build_profiles,
     classify,
     pattern_counts,
@@ -38,9 +38,9 @@ __all__ = [
     "IOSequence",
     "Interval",
     "ItemActivity",
-    "ItemProfile",
     "ManagementSnapshot",
     "PatternChangeTriggers",
+    "ProfileTable",
     "TriggerResult",
     "build_profiles",
     "classify",

@@ -14,17 +14,30 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import ValidationError
-from repro.core.patterns import IOPattern, ItemProfile
+from repro.core.patterns import P0_CODE, P1_CODE, P2_CODE, ProfileTable
 
 
-def estimate_dirty_bytes(profile: ItemProfile) -> int:
-    """Expected dirty footprint of one write-delayed item per window."""
-    return min(profile.size_bytes, profile.write_bytes)
+def estimate_dirty_bytes(profiles: ProfileTable) -> np.ndarray:
+    """Expected dirty footprint of each item per window, if write-delayed."""
+    return np.minimum(profiles.size_bytes, profiles.write_bytes)
+
+
+def _on_cold(
+    profiles: ProfileTable,
+    rows: np.ndarray,
+    cold: set[str],
+    item_locations: Mapping[str, str],
+) -> list[int]:
+    """The ``rows`` whose items now sit on a cold enclosure."""
+    ids = profiles.item_ids
+    return [row for row in rows.tolist() if item_locations[ids[row]] in cold]
 
 
 def select_write_delay_items(
-    profiles: Mapping[str, ItemProfile],
+    profiles: ProfileTable,
     cold_enclosures: Sequence[str],
     item_locations: Mapping[str, str],
     cache_bytes: int,
@@ -42,45 +55,38 @@ def select_write_delay_items(
     if cache_bytes < 0:
         raise ValidationError("cache_bytes must be non-negative")
     cold = set(cold_enclosures)
+    ids = profiles.item_ids
+    patterns = profiles.pattern_codes
+    write_counts = profiles.io_count - profiles.read_count
+    footprints = estimate_dirty_bytes(profiles)
     selected: set[str] = set()
     budget = cache_bytes
 
-    p2_items = sorted(
-        (
-            p
-            for p in profiles.values()
-            if p.pattern is IOPattern.P2 and item_locations[p.item_id] in cold
-        ),
-        key=lambda p: (-p.write_count, p.item_id),
-    )
-    for profile in p2_items:
-        footprint = estimate_dirty_bytes(profile)
+    def ranked(mask: np.ndarray) -> list[int]:
+        rows = _on_cold(profiles, np.flatnonzero(mask), cold, item_locations)
+        return sorted(
+            rows, key=lambda row: (-int(write_counts[row]), ids[row])
+        )
+
+    for row in ranked(patterns == P2_CODE):
+        footprint = int(footprints[row])
         if footprint <= budget:
-            selected.add(profile.item_id)
+            selected.add(ids[row])
             budget -= footprint
 
-    p1_items = sorted(
-        (
-            p
-            for p in profiles.values()
-            if p.pattern is IOPattern.P1
-            and item_locations[p.item_id] in cold
-            and p.write_count >= min_p1_write_ios
-        ),
-        key=lambda p: (-p.write_count, p.item_id),
-    )
-    for profile in p1_items:
-        footprint = estimate_dirty_bytes(profile)
+    p1 = (patterns == P1_CODE) & (write_counts >= min_p1_write_ios)
+    for row in ranked(p1):
+        footprint = int(footprints[row])
         if footprint == 0:
             continue
         if footprint <= budget:
-            selected.add(profile.item_id)
+            selected.add(ids[row])
             budget -= footprint
     return selected
 
 
 def select_preload_items(
-    profiles: Mapping[str, ItemProfile],
+    profiles: ProfileTable,
     cold_enclosures: Sequence[str],
     item_locations: Mapping[str, str],
     cache_bytes: int,
@@ -96,34 +102,42 @@ def select_preload_items(
         raise ValidationError("cache_bytes must be non-negative")
     cold = set(cold_enclosures)
     pinned = already_pinned or set()
+    ids = profiles.item_ids
+    sizes = profiles.size_bytes
+    reads = profiles.read_count
     # Already-pinned items stay candidates while P0 too: a pinned item
     # with no I/O this window is still the same read-mostly item, and
     # paper §V-C explicitly "keeps data items that are already preloaded
     # into the cache".  Dropping it would force a fresh preload burst —
     # and a cold-enclosure wake-up — when it turns P1 again.
+    eligible = profiles.pattern_codes == P1_CODE
+    pinned_rows = [
+        profiles.code_of[item] for item in pinned if item in profiles.code_of
+    ]
+    eligible[pinned_rows] |= profiles.pattern_codes[pinned_rows] == P0_CODE
+
+    def reads_per_byte(row: int) -> float:
+        """Preload ranking key: read I/Os per data byte (paper §IV-F)."""
+        size = int(sizes[row])
+        return int(reads[row]) / size if size > 0 else 0.0
+
     candidates = sorted(
-        (
-            p
-            for p in profiles.values()
-            if item_locations[p.item_id] in cold
-            and (
-                p.pattern is IOPattern.P1
-                or (p.item_id in pinned and p.pattern is IOPattern.P0)
-            )
-        ),
-        key=lambda p: (-p.reads_per_byte, p.item_id),
+        _on_cold(profiles, np.flatnonzero(eligible), cold, item_locations),
+        key=lambda row: (-reads_per_byte(row), ids[row]),
     )
     selected: list[str] = []
     budget = cache_bytes
     # Keep still-eligible pinned items first: re-reading them is free.
-    for profile in candidates:
-        if profile.item_id in pinned and profile.size_bytes <= budget:
-            selected.append(profile.item_id)
-            budget -= profile.size_bytes
-    for profile in candidates:
-        if profile.item_id in pinned:
+    for row in candidates:
+        size = int(sizes[row])
+        if ids[row] in pinned and size <= budget:
+            selected.append(ids[row])
+            budget -= size
+    for row in candidates:
+        if ids[row] in pinned:
             continue
-        if profile.size_bytes <= budget:
-            selected.append(profile.item_id)
-            budget -= profile.size_bytes
+        size = int(sizes[row])
+        if size <= budget:
+            selected.append(ids[row])
+            budget -= size
     return selected

@@ -14,12 +14,11 @@ power-off.  The split follows the paper's three steps:
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import ValidationError
-from repro.core.patterns import IOPattern, ItemProfile
+from repro.core.patterns import P3_CODE, ProfileTable
 
 
 @dataclass(frozen=True)
@@ -31,36 +30,25 @@ class HotColdSplit:
     i_max: float
     n_hot: int
 
-    def is_hot(self, enclosure: str) -> bool:
-        """Whether the enclosure is in the hot (always-on) tier."""
-        return enclosure in self.hot
-
     def is_cold(self, enclosure: str) -> bool:
         """Whether the enclosure is in the cold (power-managed) tier."""
         return enclosure in self.cold
 
 
-def _p3_totals(
-    profiles: Mapping[str, ItemProfile],
-) -> tuple[dict[int, int], int]:
-    """One pass over the profiles: per-bucket P3 I/O totals + P3 bytes.
+def _p3_totals(profiles: ProfileTable) -> tuple[list[int], int]:
+    """Per-bucket P3 I/O totals and P3 bytes, from the count columns.
 
     Both Step 1 (``I_max``) and Step 2 (the byte bound on ``N_hot``)
-    reduce over the same P3 subset; a shared pass keeps the per-window
-    determination cost at one profile scan instead of two.
+    reduce over the same P3 rows.  With no P3 item there are no totals.
     """
-    totals: defaultdict[int, int] = defaultdict(int)
-    p3_bytes = 0
-    for profile in profiles.values():
-        if profile.pattern is not IOPattern.P3:
-            continue
-        p3_bytes += profile.size_bytes
-        for index, count in enumerate(profile.bucket_counts):
-            totals[index] += count
-    return totals, p3_bytes
+    p3 = profiles.pattern_codes == P3_CODE
+    if not p3.any():
+        return [], 0
+    totals = profiles.bucket_counts[p3].sum(axis=0).tolist()
+    return totals, int(profiles.size_bytes[p3].sum())
 
 
-def _peak_from_totals(totals: Mapping[int, int], bucket_seconds: float) -> float:
+def _peak_from_totals(totals: list[int], bucket_seconds: float) -> float:
     """``I_max``: peak over time of the summed IOPS of all P3 items.
 
     The totals are the profiles' aligned bucket counts, so simultaneous
@@ -73,13 +61,13 @@ def _peak_from_totals(totals: Mapping[int, int], bucket_seconds: float) -> float
     """
     if not totals:
         return 0.0
-    values = sorted(totals.values())
+    values = sorted(totals)
     index = max(0, math.ceil(len(values) * 95.0 / 100.0) - 1)
     return values[index] / bucket_seconds
 
 
 def required_hot_count(
-    profiles: Mapping[str, ItemProfile],
+    profiles: ProfileTable,
     max_enclosure_iops: float,
     enclosure_size_bytes: int,
     bucket_seconds: float,
@@ -99,7 +87,7 @@ def required_hot_count(
 
 
 def choose_hot_cold(
-    profiles: Mapping[str, ItemProfile],
+    profiles: ProfileTable,
     enclosure_names: Sequence[str],
     n_hot: int,
     i_max: float,
@@ -124,10 +112,16 @@ def choose_hot_cold(
     if stickiness < 1.0:
         raise ValidationError("stickiness must be >= 1")
     preferred = preferred_hot or set()
-    p3_bytes: defaultdict[str, float] = defaultdict(float)
-    for profile in profiles.values():
-        if profile.pattern is IOPattern.P3:
-            p3_bytes[profile.enclosure] += profile.size_bytes
+    # A float left fold in item order, as the ranking has always summed.
+    p3 = profiles.pattern_codes == P3_CODE
+    names = profiles.enclosure_names
+    p3_bytes: dict[str, float] = {}
+    for code, size in zip(
+        profiles.enclosure_codes[p3].tolist(),
+        profiles.size_bytes[p3].tolist(),
+    ):
+        name = names[code]
+        p3_bytes[name] = p3_bytes.get(name, 0.0) + size
     ranked = sorted(
         enclosure_names,
         key=lambda name: (

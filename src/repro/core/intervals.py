@@ -93,16 +93,6 @@ class ItemActivity:
         """Total write count across all sequences."""
         return sum(seq.write_count for seq in self.sequences)
 
-    @property
-    def has_long_interval(self) -> bool:
-        """Whether any interval exceeds the break-even time."""
-        return bool(self.long_intervals)
-
-    @property
-    def total_long_interval_length(self) -> float:
-        """Summed length of all long intervals, in seconds."""
-        return sum(interval.length for interval in self.long_intervals)
-
 
 def extract_activity(
     item_id: str,

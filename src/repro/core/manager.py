@@ -238,6 +238,8 @@ class EnergyEfficientPolicy(PowerPolicy):
         bytes_moved = 0
         moves_executed = 0
         moves_aborted = 0
+        # Where each item sits now: only a migration changes that.
+        locations = item_enclosures
         if self.enable_migration and plan:
             migration_plan.extend(
                 FlushItem(move.item_id) for move in plan.moves
@@ -247,8 +249,9 @@ class EnergyEfficientPolicy(PowerPolicy):
             bytes_moved = report.bytes_moved
             moves_executed = report.moves_executed
             moves_aborted = report.moves_aborted
-
-        locations = {item: virt.route(item)[1] for item in virt.item_ids()}
+            locations = {
+                item: virt.route(item)[1] for item in virt.item_ids()
+            }
 
         # Step 5: write delay for applicable data items.
         write_delay_items: set[str] = set()

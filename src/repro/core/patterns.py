@@ -14,24 +14,23 @@ Each data item's window activity maps to exactly one of four patterns:
 determination function over a whole monitoring window: split the logical
 trace per data item, extract Long Intervals and I/O Sequences, classify,
 and attach the per-item statistics (sizes, IOPS, time-bucketed rates)
-that the hot/cold split and the placement algorithms consume.
+that the hot/cold split and the placement algorithms consume.  The
+result is one :class:`ProfileTable` of parallel columns, one row per
+placed item; consumers read it by column.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, TypeVar
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.core.intervals import Interval, IOSequence, ItemActivity
 from repro.trace.columnar import FLAG_READ, ColumnarTrace
 from repro.trace.records import LogicalIORecord
-
-_T = TypeVar("_T")
 
 
 class IOPattern(enum.Enum):
@@ -42,58 +41,85 @@ class IOPattern(enum.Enum):
     P2 = "P2"
     P3 = "P3"
 
-    @property
-    def is_cold_friendly(self) -> bool:
-        """Whether items of this pattern belong on cold enclosures."""
-        return self is not IOPattern.P3
+
+#: Patterns in code order: a pattern code indexes this tuple.
+PATTERNS: tuple[IOPattern, ...] = tuple(IOPattern)
+P0_CODE = PATTERNS.index(IOPattern.P0)
+P1_CODE = PATTERNS.index(IOPattern.P1)
+P2_CODE = PATTERNS.index(IOPattern.P2)
+P3_CODE = PATTERNS.index(IOPattern.P3)
 
 
-def classify(activity: ItemActivity) -> IOPattern:
-    """Map one item's window activity to its logical I/O pattern."""
-    if not activity.sequences:
-        return IOPattern.P0
-    if not activity.long_intervals:
-        return IOPattern.P3
-    reads = activity.read_count
-    total = activity.io_count
-    if 2 * reads > total:
-        return IOPattern.P1
-    return IOPattern.P2
+def classify(
+    sequence_counts: np.ndarray,
+    long_counts: np.ndarray,
+    read_counts: np.ndarray,
+    io_counts: np.ndarray,
+) -> np.ndarray:
+    """Pattern codes (indexes into :data:`PATTERNS`) of count columns.
+
+    The one pattern rule, applied to every item at once from its I/O
+    Sequence, Long Interval, read and I/O counts: no sequence is P0, no
+    Long Interval is P3, reads more than half of the I/Os is P1,
+    anything else P2.
+    """
+    return np.where(
+        sequence_counts == 0,
+        P0_CODE,
+        np.where(
+            long_counts == 0,
+            P3_CODE,
+            np.where(2 * read_counts > io_counts, P1_CODE, P2_CODE),
+        ),
+    )
 
 
-@dataclass(frozen=True)
-class ItemProfile:
-    """One data item's classification plus placement-relevant statistics."""
+@dataclass(frozen=True, eq=False)
+class ProfileTable:
+    """Every placed item's classification and statistics, as columns.
 
-    item_id: str
-    pattern: IOPattern
-    activity: ItemActivity
-    size_bytes: int
-    enclosure: str
-    #: I/Os per second averaged over the window.
-    mean_iops: float
-    #: Peak I/Os per second over the IOPS buckets (paper's I_it input).
-    peak_iops: float
-    #: Per-bucket I/O counts, aligned to the window start.
-    bucket_counts: tuple[int, ...]
-    read_count: int
-    write_count: int
+    Row ``i`` of each per-item column describes ``item_ids[i]``; rows
+    follow the ``item_sizes`` order :func:`build_profiles` was given.
+    Long Intervals and I/O Sequences are flat columns in item order,
+    then time order: item ``i`` owns entries ``bounds[i]:bounds[i + 1]``
+    of its ``*_bounds`` column.
+    """
+
+    item_ids: tuple[str, ...]
+    size_bytes: np.ndarray
+    #: Distinct enclosure names; ``enclosure_codes`` indexes them.
+    enclosure_names: tuple[str, ...]
+    enclosure_codes: np.ndarray
+    #: Indexes into :data:`PATTERNS`.
+    pattern_codes: np.ndarray
+    io_count: np.ndarray
+    read_count: np.ndarray
+    read_bytes: np.ndarray
     #: Bytes written in the window (sizing input for write-delay).
-    write_bytes: int
-    #: Bytes read in the window.
-    read_bytes: int
+    write_bytes: np.ndarray
+    #: I/Os per second averaged over the window.
+    mean_iops: np.ndarray
+    #: Peak I/Os per second over the IOPS buckets (paper's I_it input).
+    peak_iops: np.ndarray
+    #: Items x buckets I/O counts, aligned to the window start.
+    bucket_counts: np.ndarray
+    interval_starts: np.ndarray
+    interval_ends: np.ndarray
+    interval_bounds: np.ndarray
+    sequence_starts: np.ndarray
+    sequence_ends: np.ndarray
+    sequence_reads: np.ndarray
+    sequence_writes: np.ndarray
+    sequence_bounds: np.ndarray
+    #: Row of each item id.
+    code_of: dict[str, int] = field(init=False, repr=False)
 
-    @property
-    def io_count(self) -> int:
-        """Number of I/Os in the profile (reads plus writes)."""
-        return self.read_count + self.write_count
+    def __post_init__(self) -> None:
+        rows = range(len(self.item_ids))
+        object.__setattr__(self, "code_of", dict(zip(self.item_ids, rows)))
 
-    @property
-    def reads_per_byte(self) -> float:
-        """Preload ranking key: read I/Os per data byte (paper §IV-F)."""
-        if self.size_bytes <= 0:
-            return 0.0
-        return self.read_count / self.size_bytes
+    def __len__(self) -> int:
+        return len(self.item_ids)
 
 
 #: Bucket length used when computing peak IOPS (I_max).  Chosen close to
@@ -102,59 +128,47 @@ class ItemProfile:
 DEFAULT_IOPS_BUCKET_SECONDS = 60.0
 
 
-class _ItemWindow(NamedTuple):
-    """One item's window totals, as Python scalars."""
-
-    long_intervals: tuple[Interval, ...]
-    sequences: tuple[IOSequence, ...]
-    io_count: int
-    read_count: int
-    read_bytes: int
-    write_bytes: int
-    bucket_counts: tuple[int, ...]
-    peak_iops: float
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """Offsets of consecutive runs of ``counts`` entries, plus the end."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
 
 
-def _slices(values: list[_T], bounds: list[int]) -> list[tuple[_T, ...]]:
-    """``values`` cut at consecutive ``bounds``, one tuple per cut."""
-    return [tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-def _item_windows(
+def _window_table(
     trace: ColumnarTrace,
     item_sizes: Mapping[str, int],
+    item_enclosures: Mapping[str, str],
     window_start: float,
     window_end: float,
     break_even_time: float,
     bucket_seconds: float,
     bucket_lengths: list[float],
-) -> dict[int, _ItemWindow]:
-    """Totals of every item with window I/O, keyed by its ``item_sizes`` index.
+) -> ProfileTable:
+    """The window's profile table, from one array pass over its columns.
 
-    One array pass over the window's columns; no Python code runs per
-    I/O.  Items missing from ``item_sizes`` are dropped.
+    No Python code runs per I/O.  Window I/Os of items missing from
+    ``item_sizes`` are dropped.
     """
     # Item codes follow ``item_sizes`` order, looked up once per entry
     # of the trace's item table.  Unknown items share the largest code,
     # so they sort last and are cut off; the stable sort keeps each
     # item's I/Os in their order.
-    known = len(item_sizes)
-    code_of = dict(zip(item_sizes, range(known)))
-    table = np.array(
+    item_ids = tuple(item_sizes)
+    known = len(item_ids)
+    code_of = dict(zip(item_ids, range(known)))
+    code_table = np.array(
         [code_of.get(item, known) for item in trace.items], dtype=np.intp
     )
-    codes = table[np.frombuffer(trace.item_index, dtype=np.uint32)]
+    codes = code_table[np.frombuffer(trace.item_index, dtype=np.uint32)]
     order = np.argsort(codes, kind="stable")[: np.count_nonzero(codes < known)]
     n = len(order)
-    if not n:
-        return {}
     codes = codes[order]
     ts = np.frombuffer(trace.timestamps, dtype=np.float64)[order]
     sizes = np.frombuffer(trace.sizes, dtype=np.int64)[order]
     reads = (np.frombuffer(trace.flags, dtype=np.uint8)[order] & FLAG_READ) != 0
 
-    first = np.empty(n, dtype=bool)
-    first[0] = True
+    first = np.ones(n, dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     previous = np.empty(n)
     previous[1:] = ts[:-1]
@@ -164,35 +178,41 @@ def _item_windows(
     disordered = ts < previous
     if disordered.any():
         bad = int(disordered.argmax())
-        item_id = list(item_sizes)[int(codes[bad])]
+        item_id = item_ids[int(codes[bad])]
         last_time = window_start if first[bad] else float(ts[bad - 1])
         raise ValidationError(
             f"events of item {item_id!r} are not time-ordered: "
             f"{float(ts[bad])} after {last_time}"
         )
 
+    # Per-item totals, first for the items with window I/O (``active``,
+    # in code order), then scattered into rows of every placed item.
     item_at = np.flatnonzero(first)
+    active = codes[item_at]
     item_ios = np.diff(item_at, append=n)
     item_last = item_at + item_ios - 1
     read_ones = reads.astype(np.int64)
+    io_count = np.zeros(known, dtype=np.int64)
+    io_count[active] = item_ios
+    read_count = np.zeros(known, dtype=np.int64)
+    read_count[active] = np.add.reduceat(read_ones, item_at)
+    # Byte sums are exact in int64 up to 2**63 bytes per item and window.
+    read_bytes = np.zeros(known, dtype=np.int64)
+    read_bytes[active] = np.add.reduceat(np.where(reads, sizes, 0), item_at)
+    write_bytes = np.zeros(known, dtype=np.int64)
+    write_bytes[active] = np.add.reduceat(np.where(reads, 0, sizes), item_at)
 
     # I/O Sequences start at an item's first I/O and after each gap
     # longer than the break-even time.
     is_long = ts - previous > break_even_time
     seq_at = np.flatnonzero(first | is_long)
     seq_ios = np.diff(seq_at, append=n)
+    seq_last = seq_at + seq_ios - 1
     seq_reads = np.add.reduceat(read_ones, seq_at)
-    sequences = list(
-        map(
-            IOSequence,
-            ts[seq_at].tolist(),
-            ts[seq_at + seq_ios - 1].tolist(),
-            seq_reads.tolist(),
-            (seq_ios - seq_reads).tolist(),
-        )
+    seq_counts = np.zeros(known, dtype=np.intp)
+    seq_counts[active] = np.diff(
+        np.searchsorted(seq_at, item_at), append=len(seq_at)
     )
-    seq_bounds = np.searchsorted(seq_at, item_at).tolist()
-    seq_bounds.append(len(seq_at))
 
     # Long Intervals: the long gap before an I/O (key 2i), then the long
     # gap after an item's last I/O (key 2i + 1), merged in time order.
@@ -200,11 +220,25 @@ def _item_windows(
     tail_at = item_last[window_end - ts[item_last] > break_even_time]
     keys = np.concatenate((2 * gap_at, 2 * tail_at + 1))
     by_key = np.argsort(keys, kind="stable")
-    starts = np.concatenate((previous[gap_at], ts[tail_at]))[by_key]
-    ends = np.concatenate((ts[gap_at], np.full(len(tail_at), window_end)))[by_key]
-    intervals = list(map(Interval, starts.tolist(), ends.tolist()))
-    interval_bounds = np.searchsorted(keys[by_key], 2 * item_at).tolist()
-    interval_bounds.append(len(keys))
+    # An item with no I/O has one Long Interval over the whole window:
+    # every slot starts as that interval, and active items' slots are
+    # overwritten with their own.
+    active_first = np.searchsorted(keys[by_key], 2 * item_at)
+    active_counts = np.diff(active_first, append=len(keys))
+    interval_counts = np.ones(known, dtype=np.intp)
+    interval_counts[active] = active_counts
+    interval_bounds = _bounds(interval_counts)
+    slots = np.arange(len(keys)) + np.repeat(
+        interval_bounds[active] - active_first, active_counts
+    )
+    interval_starts = np.full(interval_bounds[-1], window_start, np.float64)
+    interval_starts[slots] = np.concatenate(
+        (previous[gap_at], ts[tail_at])
+    )[by_key]
+    interval_ends = np.full(interval_bounds[-1], window_end, np.float64)
+    interval_ends[slots] = np.concatenate(
+        (ts[gap_at], np.full(len(tail_at), window_end))
+    )[by_key]
 
     lengths = np.array(bucket_lengths)
     bucket_count = len(lengths)
@@ -212,30 +246,46 @@ def _item_windows(
         (ts - window_start) / bucket_seconds, bucket_count - 1
     ).astype(np.intp)
     item_row = np.cumsum(first) - 1
-    counts = np.bincount(
+    bucket_counts = np.zeros((known, bucket_count), dtype=np.int64)
+    bucket_counts[active] = np.bincount(
         item_row * bucket_count + bucket_index,
         minlength=len(item_at) * bucket_count,
     ).reshape(len(item_at), bucket_count)
     # A last bucket of length <= 0 (ceil rounding) holds no rate.
     usable = lengths > 0
-    peaks = (counts[:, usable] / lengths[usable]).max(axis=1)
+    peak_iops = (bucket_counts[:, usable] / lengths[usable]).max(axis=1)
 
-    # Byte sums are exact in int64 up to 2**63 bytes per item and window.
-    return dict(
-        zip(
-            codes[item_at].tolist(),
-            map(
-                _ItemWindow,
-                _slices(intervals, interval_bounds),
-                _slices(sequences, seq_bounds),
-                item_ios.tolist(),
-                np.add.reduceat(read_ones, item_at).tolist(),
-                np.add.reduceat(np.where(reads, sizes, 0), item_at).tolist(),
-                np.add.reduceat(np.where(reads, 0, sizes), item_at).tolist(),
-                map(tuple, counts.tolist()),
-                peaks.tolist(),
-            ),
-        )
+    names: dict[str, int] = {}
+    enclosure_codes = np.array(
+        [
+            names.setdefault(item_enclosures[item], len(names))
+            for item in item_ids
+        ],
+        dtype=np.intp,
+    )
+    return ProfileTable(
+        item_ids=item_ids,
+        size_bytes=np.fromiter(item_sizes.values(), np.int64, count=known),
+        enclosure_names=tuple(names),
+        enclosure_codes=enclosure_codes,
+        pattern_codes=classify(
+            seq_counts, interval_counts, read_count, io_count
+        ),
+        io_count=io_count,
+        read_count=read_count,
+        read_bytes=read_bytes,
+        write_bytes=write_bytes,
+        mean_iops=io_count / (window_end - window_start),
+        peak_iops=peak_iops,
+        bucket_counts=bucket_counts,
+        interval_starts=interval_starts,
+        interval_ends=interval_ends,
+        interval_bounds=interval_bounds,
+        sequence_starts=ts[seq_at],
+        sequence_ends=ts[seq_last],
+        sequence_reads=seq_reads,
+        sequence_writes=seq_ios - seq_reads,
+        sequence_bounds=_bounds(seq_counts),
     )
 
 
@@ -247,25 +297,26 @@ def build_profiles(
     item_sizes: Mapping[str, int],
     item_enclosures: Mapping[str, str],
     iops_bucket_seconds: float = DEFAULT_IOPS_BUCKET_SECONDS,
-) -> dict[str, ItemProfile]:
+) -> ProfileTable:
     """Classify every known data item over one monitoring window.
 
     ``item_sizes`` / ``item_enclosures`` enumerate all *placed* items —
-    items with no I/O in the window still get a profile (pattern P0), as
-    the paper's Step 1 explicitly marks them.  Window I/Os of items not
-    in ``item_sizes`` are ignored.
+    items with no I/O in the window still get a row (pattern P0, one
+    Long Interval over the whole window), as the paper's Step 1
+    explicitly marks them.  Window I/Os of items not in ``item_sizes``
+    are ignored.
 
     The window arrives as a :class:`~repro.trace.columnar.ColumnarTrace`
     (such as the application monitor's window, a slice of the replayed
     trace); any other record iterable is packed into one first, so both
-    inputs produce the same profiles.
+    inputs produce the same table.
 
     The per-I/O work is one array pass: a stable sort by item keeps each
     item's time order, and gaps, Long Intervals, sequence boundaries,
-    counts, byte sums and bucket counts are vector operations.  Each
-    profile equals, field for field and as Python scalars, the one
+    counts, byte sums and bucket counts are vector operations.  Each row
+    equals, value for value, what
     :func:`~repro.core.intervals.extract_activity` and :func:`classify`
-    give for that item's events; profiles come in ``item_sizes`` order.
+    give for that item's events.
     """
     if window_end <= window_start:
         raise ValidationError("window must have positive length")
@@ -280,65 +331,25 @@ def build_profiles(
     bucket_lengths.append(window - (bucket_count - 1) * iops_bucket_seconds)
     if not isinstance(records, ColumnarTrace):
         records = ColumnarTrace.from_records(records)
-    windows = _item_windows(
+    return _window_table(
         records,
         item_sizes,
+        item_enclosures,
         window_start,
         window_end,
         break_even_time,
         iops_bucket_seconds,
         bucket_lengths,
     )
-    # An item with no I/O has one Long Interval over the whole window.
-    idle = _ItemWindow(
-        long_intervals=(Interval(window_start, window_end),),
-        sequences=(),
-        io_count=0,
-        read_count=0,
-        read_bytes=0,
-        write_bytes=0,
-        bucket_counts=(0,) * bucket_count,
-        peak_iops=0.0,
-    )
-
-    profiles: dict[str, ItemProfile] = {}
-    for code, (item_id, size) in enumerate(item_sizes.items()):
-        totals = windows.get(code, idle)
-        activity = ItemActivity(
-            item_id,
-            window_start,
-            window_end,
-            totals.long_intervals,
-            totals.sequences,
-        )
-        profiles[item_id] = ItemProfile(
-            item_id=item_id,
-            pattern=classify(activity),
-            activity=activity,
-            size_bytes=size,
-            enclosure=item_enclosures[item_id],
-            mean_iops=totals.io_count / window,
-            peak_iops=totals.peak_iops,
-            bucket_counts=totals.bucket_counts,
-            read_count=totals.read_count,
-            write_count=totals.io_count - totals.read_count,
-            write_bytes=totals.write_bytes,
-            read_bytes=totals.read_bytes,
-        )
-    return profiles
 
 
-def pattern_counts(profiles: Mapping[str, ItemProfile]) -> dict[IOPattern, int]:
+def pattern_counts(profiles: ProfileTable) -> dict[IOPattern, int]:
     """How many items fell into each pattern (paper Fig 6's measurement)."""
-    counts = {pattern: 0 for pattern in IOPattern}
-    for profile in profiles.values():
-        counts[profile.pattern] += 1
-    return counts
+    counts = np.bincount(profiles.pattern_codes, minlength=len(PATTERNS))
+    return dict(zip(PATTERNS, counts.tolist()))
 
 
-def pattern_fractions(
-    profiles: Mapping[str, ItemProfile],
-) -> dict[IOPattern, float]:
+def pattern_fractions(profiles: ProfileTable) -> dict[IOPattern, float]:
     """Pattern mix as fractions of all items (Fig 6's y-axis)."""
     counts = pattern_counts(profiles)
     total = sum(counts.values())

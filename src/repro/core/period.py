@@ -10,10 +10,10 @@ determinations versus PDC's 11 on the File Server run.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.errors import ValidationError
-from repro.core.patterns import ItemProfile
+from repro.core.patterns import ProfileTable
 
 
 def next_monitoring_period(
@@ -48,12 +48,12 @@ def next_monitoring_period(
     return max(min_period, min(average * alpha, max_period))
 
 
-def collect_long_intervals(
-    profiles: Mapping[str, ItemProfile],
-) -> list[float]:
-    """All Long-Interval lengths across every data item's activity."""
-    lengths: list[float] = []
-    for profile in profiles.values():
-        for interval in profile.activity.long_intervals:
-            lengths.append(interval.length)
+def collect_long_intervals(profiles: ProfileTable) -> list[float]:
+    """All Long-Interval lengths, in item order and then time order.
+
+    :func:`next_monitoring_period` sums them left to right.
+    """
+    lengths: list[float] = (
+        profiles.interval_ends - profiles.interval_starts
+    ).tolist()
     return lengths

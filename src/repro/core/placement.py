@@ -17,11 +17,12 @@ nothing moves until the runtime method executes the returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.hotcold import HotColdSplit, choose_hot_cold, required_hot_count
-from repro.core.patterns import IOPattern, ItemProfile
+from repro.core.patterns import P3_CODE, ProfileTable
 from repro.errors import PlacementError, ValidationError
 from repro.storage.migration import PlacementPlan
 
@@ -40,87 +41,88 @@ class HotSetTooSmall(PlacementError):
         self.item_id = item_id
 
 
-@dataclass
-class _EnclosureState:
-    """Projected load/size of one enclosure during planning."""
-
-    name: str
-    used_bytes: int = 0
-    mean_iops: float = 0.0
-    bucket_counts: list[int] = field(default_factory=list)
-
-    def peak_iops(self, bucket_seconds: float) -> float:
-        if not self.bucket_counts:
-            return 0.0
-        return max(self.bucket_counts) / bucket_seconds
-
-
 class EnclosureLedger:
-    """Projected per-enclosure usage while the planner assigns items."""
+    """Projected per-enclosure usage while the planner assigns items.
+
+    The tallies start from the table's placement.  ``mean_iops`` is a
+    float left fold in item order, then one ``-=`` and one ``+=`` per
+    move; bytes and bucket counts are exact integers.
+    """
 
     def __init__(
         self,
         enclosure_names: Sequence[str],
-        profiles: Mapping[str, ItemProfile],
+        profiles: ProfileTable,
         bucket_seconds: float,
     ) -> None:
         if bucket_seconds <= 0:
             raise ValidationError("bucket_seconds must be positive")
         self.bucket_seconds = bucket_seconds
-        bucket_len = max(
-            (len(p.bucket_counts) for p in profiles.values()), default=1
+        self.profiles = profiles
+        self._names = tuple(enclosure_names)
+        self._index = {name: row for row, name in enumerate(self._names)}
+        enclosures = len(self._names)
+        ledger_row = np.array(
+            [self._index[name] for name in profiles.enclosure_names],
+            dtype=np.intp,
         )
-        self._states = {
-            name: _EnclosureState(name, bucket_counts=[0] * bucket_len)
-            for name in enclosure_names
-        }
-        self._location: dict[str, str] = {}
-        self._profiles = profiles
-        for profile in profiles.values():
-            self._place(profile, profile.enclosure)
-
-    def _place(self, profile: ItemProfile, enclosure: str) -> None:
-        state = self._states[enclosure]
-        state.used_bytes += profile.size_bytes
-        state.mean_iops += profile.mean_iops
-        for index, count in enumerate(profile.bucket_counts):
-            state.bucket_counts[index] += count
-        self._location[profile.item_id] = enclosure
-
-    def _unplace(self, profile: ItemProfile) -> None:
-        state = self._states[self._location[profile.item_id]]
-        state.used_bytes -= profile.size_bytes
-        state.mean_iops -= profile.mean_iops
-        for index, count in enumerate(profile.bucket_counts):
-            state.bucket_counts[index] -= count
+        #: Ledger row of the enclosure each item sits on.
+        self._location = ledger_row[profiles.enclosure_codes]
+        used = np.zeros(enclosures, dtype=np.int64)
+        np.add.at(used, self._location, profiles.size_bytes)
+        self._used_bytes: list[int] = used.tolist()
+        self._mean_iops = [0.0] * enclosures
+        for row, iops in zip(
+            self._location.tolist(), profiles.mean_iops.tolist()
+        ):
+            self._mean_iops[row] += iops
+        buckets = profiles.bucket_counts.shape[1] if len(profiles) else 1
+        self._bucket_counts = np.zeros((enclosures, buckets), dtype=np.int64)
+        np.add.at(self._bucket_counts, self._location, profiles.bucket_counts)
 
     def move(self, item_id: str, target: str) -> None:
         """Reassign an item to another enclosure, updating both tallies."""
-        profile = self._profiles[item_id]
-        self._unplace(profile)
-        self._place(profile, target)
+        code = self.profiles.code_of[item_id]
+        source = int(self._location[code])
+        destination = self._index[target]
+        size = int(self.profiles.size_bytes[code])
+        iops = float(self.profiles.mean_iops[code])
+        counts = self.profiles.bucket_counts[code]
+        self._used_bytes[source] -= size
+        self._mean_iops[source] -= iops
+        self._bucket_counts[source] -= counts
+        self._used_bytes[destination] += size
+        self._mean_iops[destination] += iops
+        self._bucket_counts[destination] += counts
+        self._location[code] = destination
 
     def location(self, item_id: str) -> str:
         """Enclosure currently holding the item."""
-        return self._location[item_id]
+        return self._names[self._location[self.profiles.code_of[item_id]]]
 
     def used_bytes(self, enclosure: str) -> int:
         """Bytes of item data placed on the enclosure."""
-        return self._states[enclosure].used_bytes
+        return self._used_bytes[self._index[enclosure]]
 
     def mean_iops(self, enclosure: str) -> float:
         """Mean IOPS aggregated over items placed on the enclosure."""
-        return self._states[enclosure].mean_iops
+        return self._mean_iops[self._index[enclosure]]
 
     def peak_iops(self, enclosure: str) -> float:
         """Peak bucketed IOPS among items placed on the enclosure."""
-        return self._states[enclosure].peak_iops(self.bucket_seconds)
+        peak = int(self._bucket_counts[self._index[enclosure]].max())
+        return peak / self.bucket_seconds
+
+    def codes_on(self, enclosures: Sequence[str]) -> np.ndarray:
+        """Item rows placed on any of ``enclosures``, in item order."""
+        rows = [self._index[name] for name in enclosures]
+        return np.flatnonzero(np.isin(self._location, rows))
 
     def items_on(self, enclosure: str) -> list[str]:
         """Sorted ids of the items placed on the enclosure."""
-        return sorted(
-            item for item, loc in self._location.items() if loc == enclosure
-        )
+        ids = self.profiles.item_ids
+        codes = self.codes_on([enclosure]).tolist()
+        return sorted(ids[code] for code in codes)
 
 
 def plan_evacuation(
@@ -142,33 +144,29 @@ def plan_evacuation(
     if not cold:
         return False
     freed = 0
-    movable = [
-        ledger._profiles[item]
-        for item in ledger.items_on(hot_enclosure)
-        if ledger._profiles[item].pattern is not IOPattern.P3
-    ]
+    table = ledger.profiles
+    on_hot = ledger.codes_on([hot_enclosure])
+    movable = on_hot[table.pattern_codes[on_hot] != P3_CODE].tolist()
+    ids = table.item_ids
+    sizes = table.size_bytes
     # Largest items first frees space with the fewest moves.
-    movable.sort(key=lambda p: (-p.size_bytes, p.item_id))
-    for profile in movable:
+    movable.sort(key=lambda code: (-int(sizes[code]), ids[code]))
+    for code in movable:
         if freed >= needed_bytes:
             break
+        size = int(sizes[code])
+        peak = float(table.peak_iops[code])
         # Cold enclosures by descending projected peak IOPS (I_max).
         targets = sorted(
             cold, key=lambda name: (-ledger.peak_iops(name), name)
         )
         for target in targets:
-            fits = (
-                profile.size_bytes
-                <= enclosure_size_bytes - ledger.used_bytes(target)
-            )
-            load_ok = (
-                ledger.peak_iops(target) + profile.peak_iops
-                < max_enclosure_iops
-            )
+            fits = size <= enclosure_size_bytes - ledger.used_bytes(target)
+            load_ok = ledger.peak_iops(target) + peak < max_enclosure_iops
             if fits and load_ok:
-                ledger.move(profile.item_id, target)
-                plan.add(profile.item_id, target, evacuation=True)
-                freed += profile.size_bytes
+                ledger.move(ids[code], target)
+                plan.add(ids[code], target, evacuation=True)
+                freed += size
                 break
     return freed >= needed_bytes
 
@@ -196,40 +194,36 @@ def plan_p3_consolidation(
     ``stuck_enclosures`` so the caller keeps it powered as hot.
     """
     plan = PlacementPlan()
-    movers_exist = any(
-        p.pattern is IOPattern.P3 for p in ledger._profiles.values()
-    )
+    table = ledger.profiles
+    p3 = table.pattern_codes == P3_CODE
     if not split.hot:
-        if movers_exist:
+        if p3.any():
             raise HotSetTooSmall("P3 items exist but the hot set is empty")
         return plan
 
     excluded = excluded_items or set()
+    ids = table.item_ids
+    sizes = table.size_bytes.tolist()
+    mean_iops = table.mean_iops.tolist()
+    on_cold = ledger.codes_on(split.cold)
     movers = []
-    for profile in ledger._profiles.values():
-        if profile.pattern is not IOPattern.P3:
-            continue
-        location = ledger.location(profile.item_id)
-        if location not in split.cold:
-            continue
-        if (
-            profile.mean_iops >= max_enclosure_iops
-            or profile.item_id in excluded
-        ):
+    for code in on_cold[p3[on_cold]].tolist():
+        if mean_iops[code] >= max_enclosure_iops or ids[code] in excluded:
             # Unmovable (saturates any enclosure by itself) or pinned by
             # the caller after a previous overflow.
             if stuck_enclosures is not None:
-                stuck_enclosures.add(location)
+                stuck_enclosures.add(ledger.location(ids[code]))
             continue
-        movers.append(profile)
+        movers.append(code)
     # Paper: sort M by IOPS/size descending (hottest bytes first).
     movers.sort(
-        key=lambda p: (
-            -(p.mean_iops / p.size_bytes if p.size_bytes else 0.0),
-            p.item_id,
+        key=lambda code: (
+            -(mean_iops[code] / sizes[code] if sizes[code] else 0.0),
+            ids[code],
         )
     )
-    for profile in movers:
+    for code in movers:
+        item_id = ids[code]
         placed = False
         # Hot enclosures by ascending projected average IOPS.
         candidates = sorted(
@@ -237,30 +231,25 @@ def plan_p3_consolidation(
         )
         for target in candidates:
             if (
-                profile.mean_iops + ledger.mean_iops(target)
+                mean_iops[code] + ledger.mean_iops(target)
                 >= max_enclosure_iops
             ):
                 # Even the least-loaded hot enclosure overflows on IOPS:
                 # the hot set is too small (paper: "increase N_hot").
                 raise HotSetTooSmall(
-                    f"P3 item {profile.item_id!r} overloads hot enclosure "
+                    f"P3 item {item_id!r} overloads hot enclosure "
                     f"{target!r}",
-                    item_id=profile.item_id,
+                    item_id=item_id,
                 )
-            if (
-                profile.size_bytes + ledger.used_bytes(target)
-                <= enclosure_size_bytes
-            ):
-                ledger.move(profile.item_id, target)
-                plan.add(profile.item_id, target, evacuation=False)
+            if sizes[code] + ledger.used_bytes(target) <= enclosure_size_bytes:
+                ledger.move(item_id, target)
+                plan.add(item_id, target, evacuation=False)
                 placed = True
                 break
             # Size overflow: try evacuating P0/P1/P2 from this hot
             # enclosure (Algorithm 3), then place here.
             needed = (
-                profile.size_bytes
-                + ledger.used_bytes(target)
-                - enclosure_size_bytes
+                sizes[code] + ledger.used_bytes(target) - enclosure_size_bytes
             )
             if plan_evacuation(
                 ledger,
@@ -271,19 +260,19 @@ def plan_p3_consolidation(
                 max_enclosure_iops,
                 enclosure_size_bytes,
             ):
-                ledger.move(profile.item_id, target)
-                plan.add(profile.item_id, target, evacuation=False)
+                ledger.move(item_id, target)
+                plan.add(item_id, target, evacuation=False)
                 placed = True
                 break
         if not placed:
             raise HotSetTooSmall(
-                f"no hot enclosure can hold P3 item {profile.item_id!r}"
+                f"no hot enclosure can hold P3 item {item_id!r}"
             )
     return plan
 
 
 def determine_placement(
-    profiles: Mapping[str, ItemProfile],
+    profiles: ProfileTable,
     enclosure_names: Sequence[str],
     max_enclosure_iops: float,
     enclosure_size_bytes: int,

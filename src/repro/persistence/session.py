@@ -32,6 +32,7 @@ anything that is not state.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -144,11 +145,32 @@ def read_meta(payload: dict) -> tuple[RunSpec, int, float]:
     """The run spec, record count and timestamp a snapshot was taken at.
 
     Raises :class:`~repro.errors.SnapshotError` when ``meta`` lacks a
-    field or a field has the wrong shape.
+    field or a field has the wrong shape: ``spec`` must be a mapping,
+    ``count`` a non-negative ``int`` and ``ts`` a finite non-negative
+    number (``bool`` is neither).
     """
     with _reading("meta"):
         meta = payload["meta"]
-        return RunSpec.from_dict(meta["spec"]), meta["count"], meta["ts"]
+        spec, count, ts = meta["spec"], meta["count"], meta["ts"]
+        if not isinstance(spec, dict):
+            raise SnapshotError(
+                f"snapshot meta.spec is malformed: not a mapping: {spec!r}"
+            )
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise SnapshotError(
+                "snapshot meta.count is malformed: not a non-negative "
+                f"int: {count!r}"
+            )
+        if (
+            isinstance(ts, bool)
+            or not isinstance(ts, (int, float))
+            or not (math.isfinite(ts) and ts >= 0)
+        ):
+            raise SnapshotError(
+                "snapshot meta.ts is malformed: not a finite non-negative "
+                f"number: {ts!r}"
+            )
+        return RunSpec.from_dict(spec), count, ts
 
 
 class SnapshotSession:

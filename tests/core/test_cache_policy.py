@@ -10,7 +10,7 @@ from repro.core.cache_policy import (
 )
 from repro.core.patterns import IOPattern
 
-from tests.core.profile_helpers import make_profile
+from tests.core.profile_helpers import make_profile, make_table
 
 MB = units.MB
 COLD = ["e1", "e2"]
@@ -25,13 +25,13 @@ class TestEstimateDirtyBytes:
         profile = make_profile(
             "a", IOPattern.P2, "e1", size_bytes=MB, write_bytes=10 * MB
         )
-        assert estimate_dirty_bytes(profile) == MB
+        assert estimate_dirty_bytes(make_table([profile])).tolist() == [MB]
 
     def test_write_bytes_when_smaller(self):
         profile = make_profile(
             "a", IOPattern.P2, "e1", size_bytes=10 * MB, write_bytes=MB
         )
-        assert estimate_dirty_bytes(profile) == MB
+        assert estimate_dirty_bytes(make_table([profile])).tolist() == [MB]
 
 
 class TestWriteDelaySelection:
@@ -45,7 +45,7 @@ class TestWriteDelaySelection:
             ),
         }
         selected = select_write_delay_items(
-            profiles, COLD, locations(profiles), 100 * MB
+            make_table(profiles), COLD, locations(profiles), 100 * MB
         )
         assert selected == {"p2a", "p2b"}
 
@@ -57,7 +57,7 @@ class TestWriteDelaySelection:
         }
         assert (
             select_write_delay_items(
-                profiles, COLD, locations(profiles), 100 * MB
+                make_table(profiles), COLD, locations(profiles), 100 * MB
             )
             == set()
         )
@@ -69,7 +69,7 @@ class TestWriteDelaySelection:
             ),
         }
         selected = select_write_delay_items(
-            profiles, COLD, locations(profiles), 100 * MB
+            make_table(profiles), COLD, locations(profiles), 100 * MB
         )
         assert selected == {"p1"}
 
@@ -81,7 +81,7 @@ class TestWriteDelaySelection:
         }
         assert (
             select_write_delay_items(
-                profiles, COLD, locations(profiles), 100 * MB
+                make_table(profiles), COLD, locations(profiles), 100 * MB
             )
             == set()
         )
@@ -98,7 +98,7 @@ class TestWriteDelaySelection:
             ),
         }
         selected = select_write_delay_items(
-            profiles, COLD, locations(profiles), 100 * MB
+            make_table(profiles), COLD, locations(profiles), 100 * MB
         )
         # Only the more-written item fits the 100 MB budget.
         assert selected == {"big"}
@@ -112,14 +112,14 @@ class TestWriteDelaySelection:
         }
         assert (
             select_write_delay_items(
-                profiles, COLD, locations(profiles), 100 * MB
+                make_table(profiles), COLD, locations(profiles), 100 * MB
             )
             == set()
         )
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            select_write_delay_items({}, COLD, {}, -1)
+            select_write_delay_items(make_table({}), COLD, {}, -1)
 
 
 class TestPreloadSelection:
@@ -133,7 +133,7 @@ class TestPreloadSelection:
             ),
         }
         selected = select_preload_items(
-            profiles, COLD, locations(profiles), 40 * MB
+            make_table(profiles), COLD, locations(profiles), 40 * MB
         )
         assert selected == ["dense"]
 
@@ -146,7 +146,7 @@ class TestPreloadSelection:
             for k in range(5)
         }
         selected = select_preload_items(
-            profiles, COLD, locations(profiles), 25 * MB
+            make_table(profiles), COLD, locations(profiles), 25 * MB
         )
         assert selected == ["i0", "i1"]
 
@@ -157,7 +157,7 @@ class TestPreloadSelection:
             ),
         }
         assert (
-            select_preload_items(profiles, COLD, locations(profiles), 100 * MB)
+            select_preload_items(make_table(profiles), COLD, locations(profiles), 100 * MB)
             == []
         )
 
@@ -167,7 +167,7 @@ class TestPreloadSelection:
             "p3": make_profile("p3", IOPattern.P3, "e1", read_count=100),
         }
         assert (
-            select_preload_items(profiles, COLD, locations(profiles), 1 << 40)
+            select_preload_items(make_table(profiles), COLD, locations(profiles), 1 << 40)
             == []
         )
 
@@ -181,7 +181,7 @@ class TestPreloadSelection:
             ),
         }
         selected = select_preload_items(
-            profiles,
+            make_table(profiles),
             COLD,
             locations(profiles),
             40 * MB,
@@ -198,7 +198,7 @@ class TestPreloadSelection:
             ),
         }
         selected = select_preload_items(
-            profiles,
+            make_table(profiles),
             COLD,
             locations(profiles),
             100 * MB,
@@ -213,7 +213,7 @@ class TestPreloadSelection:
             ),
         }
         assert (
-            select_preload_items(profiles, COLD, locations(profiles), 100 * MB)
+            select_preload_items(make_table(profiles), COLD, locations(profiles), 100 * MB)
             == []
         )
 
@@ -227,10 +227,10 @@ class TestPreloadSelection:
             ),
         }
         selected = select_preload_items(
-            profiles, COLD, locations(profiles), 100 * MB
+            make_table(profiles), COLD, locations(profiles), 100 * MB
         )
         assert selected == ["small"]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            select_preload_items({}, COLD, {}, -1)
+            select_preload_items(make_table({}), COLD, {}, -1)

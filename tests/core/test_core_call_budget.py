@@ -30,7 +30,7 @@ CORE_DIR = os.path.dirname(repro.core.__file__) + os.sep
 
 #: Most calls into ``repro.core`` one smoke replay under the paper's
 #: method may make.
-BUDGET = 61_810
+BUDGET = 50_062
 
 
 def core_calls() -> tuple[int, int]:

@@ -5,14 +5,14 @@ import pytest
 from repro.core.hotcold import choose_hot_cold, required_hot_count
 from repro.core.patterns import IOPattern
 
-from tests.core.profile_helpers import BUCKET, make_profile
+from tests.core.profile_helpers import BUCKET, make_profile, make_table
 
 GB = 1 << 30
 
 
 def i_max(profiles, bucket_seconds=BUCKET):
     """``I_max`` as :func:`required_hot_count` computes it."""
-    return required_hot_count(profiles, 1.0, GB, bucket_seconds)[1]
+    return required_hot_count(make_table(profiles), 1.0, GB, bucket_seconds)[1]
 
 
 class TestPeakAggregate:
@@ -71,7 +71,7 @@ class TestRequiredHotCount:
             for k in range(3)
         }
         # Aggregate 3 IOPS, capacity 1 IOPS per enclosure -> 3 hot.
-        n, i_max = required_hot_count(profiles, 1.0, 100 * GB, BUCKET)
+        n, i_max = required_hot_count(make_table(profiles), 1.0, 100 * GB, BUCKET)
         assert i_max == pytest.approx(3.0)
         assert n == 3
 
@@ -83,20 +83,20 @@ class TestRequiredHotCount:
             )
             for k in range(4)
         }
-        n, _ = required_hot_count(profiles, 100.0, 15 * GB, BUCKET)
+        n, _ = required_hot_count(make_table(profiles), 100.0, 15 * GB, BUCKET)
         assert n == 3  # ceil(40 GB / 15 GB)
 
     def test_no_p3_needs_zero(self):
         profiles = {"a": make_profile("a", IOPattern.P1, "e0")}
-        n, i_max = required_hot_count(profiles, 1.0, GB, BUCKET)
+        n, i_max = required_hot_count(make_table(profiles), 1.0, GB, BUCKET)
         assert n == 0
         assert i_max == 0.0
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            required_hot_count({}, 0.0, GB, BUCKET)
+            required_hot_count(make_table({}), 0.0, GB, BUCKET)
         with pytest.raises(ValueError):
-            required_hot_count({}, 1.0, 0, BUCKET)
+            required_hot_count(make_table({}), 1.0, 0, BUCKET)
 
 
 class TestChooseHotCold:
@@ -108,22 +108,22 @@ class TestChooseHotCold:
             "big": make_profile("big", IOPattern.P3, "e2", size_bytes=10 * GB),
             "small": make_profile("small", IOPattern.P3, "e0", size_bytes=GB),
         }
-        split = choose_hot_cold(profiles, self.enclosures(), 1, 1.0)
+        split = choose_hot_cold(make_table(profiles), self.enclosures(), 1, 1.0)
         assert split.hot == ("e2",)
         assert "e0" in split.cold
 
     def test_n_hot_above_enclosure_count_selects_all(self):
-        split = choose_hot_cold({}, self.enclosures(), 99, 0.0)
+        split = choose_hot_cold(make_table({}), self.enclosures(), 99, 0.0)
         assert set(split.hot) == set(self.enclosures())
         assert split.cold == ()
 
     def test_zero_hot(self):
-        split = choose_hot_cold({}, self.enclosures(), 0, 0.0)
+        split = choose_hot_cold(make_table({}), self.enclosures(), 0, 0.0)
         assert split.hot == ()
         assert set(split.cold) == set(self.enclosures())
 
     def test_deterministic_tiebreak_by_name(self):
-        split = choose_hot_cold({}, self.enclosures(), 2, 0.0)
+        split = choose_hot_cold(make_table({}), self.enclosures(), 2, 0.0)
         assert split.hot == ("e0", "e1")
 
     def test_hysteresis_prefers_current_hot(self):
@@ -132,11 +132,11 @@ class TestChooseHotCold:
             "b": make_profile("b", IOPattern.P3, "e1", size_bytes=int(1.1 * GB)),
         }
         # Without preference e1 (more bytes) wins the single hot slot...
-        free = choose_hot_cold(profiles, self.enclosures(), 1, 1.0)
+        free = choose_hot_cold(make_table(profiles), self.enclosures(), 1, 1.0)
         assert free.hot == ("e1",)
         # ...but a sticky preference for e0 keeps it hot on a near-tie.
         sticky = choose_hot_cold(
-            profiles, self.enclosures(), 1, 1.0, preferred_hot={"e0"}
+            make_table(profiles), self.enclosures(), 1, 1.0, preferred_hot={"e0"}
         )
         assert sticky.hot == ("e0",)
 
@@ -146,22 +146,21 @@ class TestChooseHotCold:
             "b": make_profile("b", IOPattern.P3, "e1", size_bytes=10 * GB),
         }
         split = choose_hot_cold(
-            profiles, self.enclosures(), 1, 1.0, preferred_hot={"e0"}
+            make_table(profiles), self.enclosures(), 1, 1.0, preferred_hot={"e0"}
         )
         assert split.hot == ("e1",)
 
     def test_membership_helpers(self):
-        split = choose_hot_cold({}, self.enclosures(), 2, 0.0)
-        assert split.is_hot("e0")
+        split = choose_hot_cold(make_table({}), self.enclosures(), 2, 0.0)
         assert split.is_cold("e3")
 
     def test_invalid_stickiness(self):
         with pytest.raises(ValueError):
-            choose_hot_cold({}, self.enclosures(), 1, 0.0, stickiness=0.5)
+            choose_hot_cold(make_table({}), self.enclosures(), 1, 0.0, stickiness=0.5)
 
     def test_negative_n_hot_rejected(self):
         with pytest.raises(ValueError):
-            choose_hot_cold({}, self.enclosures(), -1, 0.0)
+            choose_hot_cold(make_table({}), self.enclosures(), -1, 0.0)
 
 
 class TestDetermineHotCold:
@@ -173,8 +172,8 @@ class TestDetermineHotCold:
             )
             for k in range(4)
         }
-        n_hot, peak = required_hot_count(profiles, 1.0, 100 * GB, BUCKET)
-        split = choose_hot_cold(profiles, ["e0", "e1", "e2"], n_hot, peak)
+        n_hot, peak = required_hot_count(make_table(profiles), 1.0, 100 * GB, BUCKET)
+        split = choose_hot_cold(make_table(profiles), ["e0", "e1", "e2"], n_hot, peak)
         # Aggregate 2 IOPS over capacity 1 -> 2 hot enclosures.
         assert split.n_hot == 2
         assert set(split.hot) == {"e0", "e1"}

@@ -6,6 +6,8 @@ from repro.core.intervals import Interval, IOSequence, extract_activity
 from repro.core.patterns import build_profiles
 from repro.trace.records import IOType, LogicalIORecord
 
+from tests.core.profile_helpers import table_rows
+
 BE = 52.0  # break-even time used throughout
 
 
@@ -129,20 +131,18 @@ class TestFromRecords:
             LogicalIORecord(1.0, "x", 0, 1, IOType.READ),
             LogicalIORecord(200.0, "x", 0, 1, IOType.WRITE),
         ]
-        profiles = build_profiles(records, 0.0, 300.0, BE, {"x": 1}, {"x": "e0"})
-        act = profiles["x"].activity
+        table = build_profiles(records, 0.0, 300.0, BE, {"x": 1}, {"x": "e0"})
+        row = table_rows(table)["x"]
         raw = activity([(1.0, True), (200.0, False)], end=300.0)
-        assert act.long_intervals == raw.long_intervals
-        assert act.read_count == raw.read_count
+        assert row.long_intervals == tuple(
+            (interval.start, interval.end) for interval in raw.long_intervals
+        )
+        assert row.read_count == raw.read_count
+
 
 
 class TestInvariantHelpers:
     def test_total_long_interval_length(self):
         act = activity([(500.0, True)], end=1000.0)
-        assert act.total_long_interval_length == pytest.approx(1000.0)
-
-    def test_has_long_interval(self):
-        dense = activity(
-            [(float(t), True) for t in range(0, 1000, 40)], end=1000.0
-        )
-        assert not dense.has_long_interval
+        total = sum(interval.length for interval in act.long_intervals)
+        assert total == pytest.approx(1000.0)

@@ -6,17 +6,18 @@ from repro.core.intervals import extract_activity
 from repro.core.patterns import (
     IOPattern,
     build_profiles,
-    classify,
     pattern_counts,
     pattern_fractions,
 )
 from repro.trace.records import IOType, LogicalIORecord
 
+from tests.core.profile_helpers import activity_pattern, make_table, table_rows
+
 BE = 52.0
 
 
 def classify_events(events, end=1000.0):
-    return classify(extract_activity("x", events, 0.0, end, BE))
+    return activity_pattern(extract_activity("x", events, 0.0, end, BE))
 
 
 class TestClassify:
@@ -41,21 +42,19 @@ class TestClassify:
         events = [(1.0, True), (2.0, False)]
         assert classify_events(events) is IOPattern.P2
 
-    def test_cold_friendliness(self):
-        assert IOPattern.P0.is_cold_friendly
-        assert IOPattern.P1.is_cold_friendly
-        assert IOPattern.P2.is_cold_friendly
-        assert not IOPattern.P3.is_cold_friendly
-
 
 def rec(t, item, kind=IOType.READ, size=4096):
     return LogicalIORecord(t, item, 0, size, kind)
 
 
-def profiles_for(records, sizes=None, end=1000.0):
+def table_for(records, sizes=None, end=1000.0):
     items = sizes or {"a": 1 << 20, "b": 1 << 20}
     locations = {item: "e0" for item in items}
     return build_profiles(records, 0.0, end, BE, items, locations)
+
+
+def profiles_for(records, sizes=None, end=1000.0):
+    return table_rows(table_for(records, sizes, end))
 
 
 class TestBuildProfiles:
@@ -97,7 +96,7 @@ class TestBuildProfiles:
     def test_reads_per_byte(self):
         records = [rec(float(t), "a") for t in range(4)]
         profiles = profiles_for(records, sizes={"a": 2})
-        assert profiles["a"].reads_per_byte == pytest.approx(2.0)
+        assert profiles["a"].read_count / profiles["a"].size_bytes == pytest.approx(2.0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
@@ -110,16 +109,14 @@ class TestBuildProfiles:
 
 class TestAggregations:
     def test_pattern_counts(self):
-        profiles = profiles_for([rec(1.0, "a")])
-        counts = pattern_counts(profiles)
+        counts = pattern_counts(table_for([rec(1.0, "a")]))
         assert counts[IOPattern.P0] == 1  # item b
         assert sum(counts.values()) == 2
 
     def test_pattern_fractions_sum_to_one(self):
-        profiles = profiles_for([rec(1.0, "a")])
-        fractions = pattern_fractions(profiles)
+        fractions = pattern_fractions(table_for([rec(1.0, "a")]))
         assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_pattern_fractions_empty(self):
-        fractions = pattern_fractions({})
+        fractions = pattern_fractions(make_table({}))
         assert all(v == 0.0 for v in fractions.values())

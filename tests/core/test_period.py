@@ -5,7 +5,7 @@ import pytest
 from repro.core.patterns import IOPattern
 from repro.core.period import collect_long_intervals, next_monitoring_period
 
-from tests.core.profile_helpers import make_profile
+from tests.core.profile_helpers import make_profile, make_table
 
 
 class TestNextPeriod:
@@ -51,10 +51,10 @@ class TestCollectLongIntervals:
             "p1": make_profile("p1", IOPattern.P1, "e0"),
             "p3": make_profile("p3", IOPattern.P3, "e0"),
         }
-        lengths = collect_long_intervals(profiles)
+        lengths = collect_long_intervals(make_table(profiles))
         # P0 contributes the whole 600 s window; P1 a 200 s interval;
         # P3 nothing.
         assert sorted(lengths) == [200.0, 600.0]
 
     def test_empty(self):
-        assert collect_long_intervals({}) == []
+        assert collect_long_intervals(make_table({})) == []

@@ -12,7 +12,7 @@ from repro.core.placement import (
     plan_p3_consolidation,
 )
 
-from tests.core.profile_helpers import BUCKET, make_profile
+from tests.core.profile_helpers import BUCKET, make_profile, make_table
 
 GB = 1 << 30
 ENCLOSURES = ["e0", "e1", "e2", "e3"]
@@ -28,7 +28,7 @@ class TestEnclosureLedger:
             "a": make_profile("a", IOPattern.P3, "e0", size_bytes=GB, mean_iops=0.2),
             "b": make_profile("b", IOPattern.P1, "e1", size_bytes=2 * GB, mean_iops=0.1),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         assert ledger.used_bytes("e0") == GB
         assert ledger.used_bytes("e1") == 2 * GB
         assert ledger.mean_iops("e0") == pytest.approx(0.2)
@@ -38,7 +38,7 @@ class TestEnclosureLedger:
         profiles = {
             "a": make_profile("a", IOPattern.P3, "e0", size_bytes=GB, mean_iops=0.2),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         ledger.move("a", "e2")
         assert ledger.used_bytes("e0") == 0
         assert ledger.used_bytes("e2") == GB
@@ -51,7 +51,7 @@ class TestEnclosureLedger:
                 "a", IOPattern.P3, "e0", bucket_counts=(12, 0, 0)
             ),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         assert ledger.peak_iops("e0") == pytest.approx(12 / BUCKET)
         assert ledger.peak_iops("e1") == 0.0
 
@@ -60,7 +60,7 @@ class TestEnclosureLedger:
             "a": make_profile("a", IOPattern.P3, "e0"),
             "b": make_profile("b", IOPattern.P1, "e0"),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         assert ledger.items_on("e0") == ["a", "b"]
 
 
@@ -74,7 +74,7 @@ class TestAlgorithm2:
                 "mover", IOPattern.P3, "e2", size_bytes=GB, mean_iops=0.1
             ),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         plan = plan_p3_consolidation(
             ledger, split(["e0"], ["e1", "e2", "e3"]), 1.0, 100 * GB
         )
@@ -85,7 +85,7 @@ class TestAlgorithm2:
         profiles = {
             "resident": make_profile("resident", IOPattern.P3, "e0"),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         plan = plan_p3_consolidation(
             ledger, split(["e0"], ["e1", "e2", "e3"]), 1.0, 100 * GB
         )
@@ -97,7 +97,7 @@ class TestAlgorithm2:
             "calm": make_profile("calm", IOPattern.P3, "e1", mean_iops=0.01),
             "mover": make_profile("mover", IOPattern.P3, "e2", mean_iops=0.1),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         plan = plan_p3_consolidation(
             ledger, split(["e0", "e1"], ["e2", "e3"]), 1.0, 100 * GB
         )
@@ -108,7 +108,7 @@ class TestAlgorithm2:
             "resident": make_profile("resident", IOPattern.P3, "e0", mean_iops=0.9),
             "mover": make_profile("mover", IOPattern.P3, "e1", mean_iops=0.5),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         with pytest.raises(HotSetTooSmall):
             plan_p3_consolidation(
                 ledger, split(["e0"], ["e1", "e2", "e3"]), 1.0, 100 * GB
@@ -116,7 +116,7 @@ class TestAlgorithm2:
 
     def test_empty_hot_set_with_p3_raises(self):
         profiles = {"p3": make_profile("p3", IOPattern.P3, "e0")}
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         with pytest.raises(HotSetTooSmall):
             plan_p3_consolidation(
                 ledger, split([], ENCLOSURES), 1.0, 100 * GB
@@ -124,7 +124,7 @@ class TestAlgorithm2:
 
     def test_no_p3_no_moves(self):
         profiles = {"p1": make_profile("p1", IOPattern.P1, "e1")}
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         plan = plan_p3_consolidation(
             ledger, split([], ENCLOSURES), 1.0, 100 * GB
         )
@@ -135,7 +135,7 @@ class TestAlgorithm2:
             "log": make_profile("log", IOPattern.P3, "e3", mean_iops=1.5),
             "resident": make_profile("resident", IOPattern.P3, "e0", mean_iops=0.1),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         stuck: set[str] = set()
         plan = plan_p3_consolidation(
             ledger,
@@ -159,7 +159,7 @@ class TestAlgorithm2:
                 "mover", IOPattern.P3, "e1", size_bytes=2 * GB, mean_iops=0.1
             ),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         plan = plan_p3_consolidation(
             ledger, split(["e0"], ["e1", "e2", "e3"]), 1.0, 10 * GB
         )
@@ -179,7 +179,7 @@ class TestAlgorithm2:
                 "anchor", IOPattern.P3, "e0", size_bytes=GB, mean_iops=0.01
             ),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         plan = plan_p3_consolidation(
             ledger, split(["e0"], ["e1", "e2", "e3"]), 1.0, 100 * GB
         )
@@ -198,7 +198,7 @@ class TestAlgorithm3:
                 bucket_counts=(6,) * 10,
             ),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         from repro.storage.migration import PlacementPlan
 
         plan = PlacementPlan()
@@ -214,7 +214,7 @@ class TestAlgorithm3:
         profiles = {
             "p3": make_profile("p3", IOPattern.P3, "e0", size_bytes=2 * GB),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         from repro.storage.migration import PlacementPlan
 
         plan = PlacementPlan()
@@ -228,7 +228,7 @@ class TestAlgorithm3:
         profiles = {
             "p1": make_profile("p1", IOPattern.P1, "e0", size_bytes=2 * GB),
         }
-        ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+        ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
         from repro.storage.migration import PlacementPlan
 
         assert not plan_evacuation(
@@ -248,7 +248,7 @@ class TestDeterminePlacement:
             for k in range(4)
         }
         split_result, plan = determine_placement(
-            profiles, ENCLOSURES, 1.0, 100 * GB, BUCKET
+            make_table(profiles), ENCLOSURES, 1.0, 100 * GB, BUCKET
         )
         assert split_result.n_hot >= 2
         assert len(split_result.cold) <= 2
@@ -267,7 +267,7 @@ class TestDeterminePlacement:
             for k in range(4)
         }
         split_result, plan = determine_placement(
-            profiles, ENCLOSURES, 1.0, 100 * GB, BUCKET
+            make_table(profiles), ENCLOSURES, 1.0, 100 * GB, BUCKET
         )
         assert split_result.cold == ()
         assert not plan
@@ -277,7 +277,7 @@ class TestDeterminePlacement:
             "p1": make_profile("p1", IOPattern.P1, "e0"),
         }
         split_result, plan = determine_placement(
-            profiles, ENCLOSURES, 1.0, 100 * GB, BUCKET
+            make_table(profiles), ENCLOSURES, 1.0, 100 * GB, BUCKET
         )
         assert split_result.hot == ()
         assert not plan
@@ -294,7 +294,7 @@ class TestDeterminePlacement:
             ),
         }
         split_result, _ = determine_placement(
-            profiles, ENCLOSURES, 1.0, 100 * GB, BUCKET
+            make_table(profiles), ENCLOSURES, 1.0, 100 * GB, BUCKET
         )
         assert "e3" in split_result.hot
         assert "e3" not in split_result.cold

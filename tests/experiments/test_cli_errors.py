@@ -50,6 +50,16 @@ def _meta_as_string():
     return {"meta": "spec", "states": {}}
 
 
+def _meta_with(**fields):
+    """A payload whose meta holds a valid spec, count and ts, then ``fields``."""
+
+    def payload():
+        meta = {"spec": _SPEC.to_dict(), "count": 1, "ts": 0.0, **fields}
+        return {"meta": meta, "states": {}}
+
+    return payload
+
+
 class TestDomainErrorsExitTwo:
     def test_usage_error_from_mismatched_snapshot_flags(self, capsys):
         status = main(
@@ -88,6 +98,9 @@ class TestDomainErrorsExitTwo:
                 _kernel_state_without_clock, "'kernel'", id="kernel-clock"
             ),
             pytest.param(_meta_as_string, "meta", id="string-meta"),
+            pytest.param(_meta_with(ts="x"), "meta.ts", id="string-ts"),
+            pytest.param(_meta_with(count="x"), "meta.count", id="string-count"),
+            pytest.param(_meta_with(count=-1), "meta.count", id="negative-count"),
         ],
     )
     def test_snapshot_error_from_malformed_payload(

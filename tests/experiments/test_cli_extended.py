@@ -29,6 +29,22 @@ class TestTraceCommands:
         assert "enclosure power" in out
         assert "inferred data items" in out
 
+    def test_analyze_trace_agrees_on_csv_and_ecot(self, tmp_path, capsys):
+        # The CSV reader hands build_profiles a record iterable, the
+        # .ecot loader a columnar trace: both must classify alike.
+        csv = tmp_path / "t.csv"
+        ecot = tmp_path / "t.ecot"
+        assert main(["export-trace", "tpcc", str(csv)]) == 0
+        assert main(["trace", "pack", str(csv), str(ecot)]) == 0
+        capsys.readouterr()
+        assert main(["analyze-trace", str(csv)]) == 0
+        from_csv = capsys.readouterr().out
+        assert main(["analyze-trace", str(ecot)]) == 0
+        assert capsys.readouterr().out == from_csv
+        assert "records:      13931" in from_csv
+        assert "P1:  21.3 %" in from_csv
+        assert "P3:  78.7 %" in from_csv
+
     def test_replay_msr_format(self, tmp_path, capsys):
         msr = tmp_path / "trace.msr"
         msr.write_text(

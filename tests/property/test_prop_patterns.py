@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervals import extract_activity
-from repro.core.patterns import IOPattern, classify
+from repro.core.patterns import IOPattern
+
+from tests.core.profile_helpers import activity_pattern
 
 BE = 52.0
 WINDOW_END = 5000.0
@@ -29,7 +31,7 @@ def event_lists(draw):
 @settings(max_examples=300)
 def test_exactly_one_pattern(events):
     activity = extract_activity("x", events, 0.0, WINDOW_END, BE)
-    pattern = classify(activity)
+    pattern = activity_pattern(activity)
     assert pattern in IOPattern
 
 
@@ -37,7 +39,7 @@ def test_exactly_one_pattern(events):
 @settings(max_examples=300)
 def test_p0_iff_no_io(events):
     activity = extract_activity("x", events, 0.0, WINDOW_END, BE)
-    pattern = classify(activity)
+    pattern = activity_pattern(activity)
     assert (pattern is IOPattern.P0) == (len(events) == 0)
 
 
@@ -45,7 +47,7 @@ def test_p0_iff_no_io(events):
 @settings(max_examples=300)
 def test_p3_iff_no_long_interval_with_io(events):
     activity = extract_activity("x", events, 0.0, WINDOW_END, BE)
-    pattern = classify(activity)
+    pattern = activity_pattern(activity)
     if events:
         assert (pattern is IOPattern.P3) == (not activity.long_intervals)
 
@@ -54,7 +56,7 @@ def test_p3_iff_no_long_interval_with_io(events):
 @settings(max_examples=300)
 def test_p1_implies_read_majority(events):
     activity = extract_activity("x", events, 0.0, WINDOW_END, BE)
-    pattern = classify(activity)
+    pattern = activity_pattern(activity)
     if pattern is IOPattern.P1:
         assert 2 * activity.read_count > activity.io_count
     if pattern is IOPattern.P2:
@@ -68,7 +70,7 @@ def test_flipping_io_direction_swaps_p1_p2(events):
     flipped = extract_activity(
         "x", [(t, not r) for t, r in events], 0.0, WINDOW_END, BE
     )
-    pattern, anti = classify(activity), classify(flipped)
+    pattern, anti = activity_pattern(activity), activity_pattern(flipped)
     if pattern is IOPattern.P1:
         assert anti is IOPattern.P2
     # The timing structure is unchanged either way.

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.core.patterns import IOPattern
 from repro.core.placement import EnclosureLedger, determine_placement
 
-from tests.core.profile_helpers import BUCKET, make_profile
+from tests.core.profile_helpers import BUCKET, make_profile, make_table
 
 GB = 1 << 30
 ENCLOSURES = ["e0", "e1", "e2", "e3", "e4"]
@@ -52,9 +52,9 @@ def profile_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_every_item_placed_exactly_once(profiles):
     split, plan = determine_placement(
-        profiles, ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
+        make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
-    ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+    ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
     for move in plan.ordered():
         ledger.move(move.item_id, move.target_enclosure)
     placed = set()
@@ -69,9 +69,9 @@ def test_every_item_placed_exactly_once(profiles):
 @settings(max_examples=150, deadline=None)
 def test_final_capacity_respected(profiles):
     split, plan = determine_placement(
-        profiles, ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
+        make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
-    ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+    ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
     for move in plan.ordered():
         ledger.move(move.item_id, move.target_enclosure)
     for name in ENCLOSURES:
@@ -82,9 +82,9 @@ def test_final_capacity_respected(profiles):
 @settings(max_examples=150, deadline=None)
 def test_p3_items_end_on_hot_enclosures(profiles):
     split, plan = determine_placement(
-        profiles, ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
+        make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
-    ledger = EnclosureLedger(ENCLOSURES, profiles, BUCKET)
+    ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
     for move in plan.ordered():
         ledger.move(move.item_id, move.target_enclosure)
     for item, profile in profiles.items():
@@ -96,7 +96,7 @@ def test_p3_items_end_on_hot_enclosures(profiles):
 @settings(max_examples=150, deadline=None)
 def test_hot_and_cold_partition_the_enclosures(profiles):
     split, _ = determine_placement(
-        profiles, ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
+        make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
     assert set(split.hot) | set(split.cold) == set(ENCLOSURES)
     assert set(split.hot) & set(split.cold) == set()
@@ -106,7 +106,7 @@ def test_hot_and_cold_partition_the_enclosures(profiles):
 @settings(max_examples=150, deadline=None)
 def test_moves_reference_known_items_and_enclosures(profiles):
     _, plan = determine_placement(
-        profiles, ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
+        make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
     for move in plan.moves:
         assert move.item_id in profiles
@@ -121,7 +121,7 @@ def test_p3_moves_are_real_and_target_hot(profiles):
     # the pre-merge selection; the externally observable invariants are
     # that every consolidation move changes enclosures and lands hot.)
     split, plan = determine_placement(
-        profiles, ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
+        make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
     for move in plan.moves:
         if move.evacuation:
@@ -129,3 +129,39 @@ def test_p3_moves_are_real_and_target_hot(profiles):
         assert profiles[move.item_id].pattern is IOPattern.P3
         assert move.target_enclosure in split.hot
         assert profiles[move.item_id].enclosure != move.target_enclosure
+
+
+@given(profile_sets(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ledger_tallies_equal_a_loop_in_item_order(profiles, data):
+    # Reference: one Python fold per enclosure over the items in table
+    # order, then a -= and a += per move, as a per-item ledger did.
+    rows = list(profiles.values())
+    ledger = EnclosureLedger(ENCLOSURES, make_table(rows), BUCKET)
+    where = {row.item_id: row.enclosure for row in rows}
+    iops = dict.fromkeys(ENCLOSURES, 0.0)
+    for row in rows:
+        iops[row.enclosure] += row.mean_iops
+    moves = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(rows), st.sampled_from(ENCLOSURES)),
+            max_size=6,
+        )
+        if rows
+        else st.just([])
+    )
+    for row, target in moves:
+        ledger.move(row.item_id, target)
+        iops[where[row.item_id]] -= row.mean_iops
+        iops[target] += row.mean_iops
+        where[row.item_id] = target
+    for name in ENCLOSURES:
+        mine = [row for row in rows if where[row.item_id] == name]
+        assert ledger.mean_iops(name) == iops[name]
+        assert ledger.used_bytes(name) == sum(row.size_bytes for row in mine)
+        peak = max(
+            (sum(column) for column in zip(*(row.bucket_counts for row in mine))),
+            default=0,
+        )
+        assert ledger.peak_iops(name) == peak / BUCKET
+        assert ledger.items_on(name) == sorted(row.item_id for row in mine)

@@ -9,8 +9,10 @@ with no I/O has one Long Interval over the whole window.  P0 has no
 sequence, P3 no Long Interval, and P1 needs reads > 50 % of the I/Os.
 
 Both the per-item definition (``extract_activity`` + ``classify``) and
-the whole-window array kernel (``build_profiles``) must agree with it
-on every ``ItemProfile`` field, as Python ``int``/``float`` scalars.
+the whole-window array kernel (``build_profiles``) must agree with it.
+The kernel's ``ProfileTable`` is checked column by column, row by row,
+interval and sequence columns included, as Python ``int``/``float``
+scalars after ``tolist()``.
 """
 
 from __future__ import annotations
@@ -18,15 +20,18 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervals import Interval, IOSequence, ItemActivity, extract_activity
-from repro.core.patterns import IOPattern, ItemProfile, build_profiles, classify
+from repro.core.patterns import IOPattern, build_profiles
 from repro.errors import ValidationError
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import IOType, LogicalIORecord
+
+from tests.core.profile_helpers import ProfileRow, activity_pattern, table_rows
 
 ITEMS = ("i0", "i1", "i2", "i3", "i4")
 #: Window I/O for these ids is ignored: they are not in ``item_sizes``.
@@ -84,6 +89,17 @@ def oracle_pattern(activity):
     return IOPattern.P1 if reads / total > 0.5 else IOPattern.P2
 
 
+def as_row_fields(activity):
+    """An activity's intervals and sequences as a row's tuples."""
+    return {
+        "long_intervals": tuple((i.start, i.end) for i in activity.long_intervals),
+        "sequences": tuple(
+            (seq.start, seq.end, seq.read_count, seq.write_count)
+            for seq in activity.sequences
+        ),
+    }
+
+
 def oracle_profiles(records, start, end, break_even, bucket, sizes, enclosures):
     window = end - start
     bucket_count = max(1, math.ceil(window / bucket))
@@ -100,58 +116,78 @@ def oracle_profiles(records, start, end, break_even, bucket, sizes, enclosures):
         rates = [count / length for count, length in zip(counts, lengths) if length > 0]
         reads = [rec for rec in mine if rec.is_read]
         writes = [rec for rec in mine if not rec.is_read]
-        profiles[item_id] = ItemProfile(
+        profiles[item_id] = ProfileRow(
             item_id=item_id,
             pattern=oracle_pattern(activity),
-            activity=activity,
-            size_bytes=size,
             enclosure=enclosures[item_id],
+            size_bytes=size,
             mean_iops=len(mine) / window,
             peak_iops=max(rates, default=0.0),
             bucket_counts=tuple(counts),
+            io_count=len(mine),
             read_count=len(reads),
-            write_count=len(writes),
-            write_bytes=sum(rec.size for rec in writes),
             read_bytes=sum(rec.size for rec in reads),
+            write_bytes=sum(rec.size for rec in writes),
+            **as_row_fields(activity),
         )
     return profiles
 
 
 def definition_profiles(records, start, end, break_even, bucket, sizes, enclosures):
-    """The oracle's profiles with activity and pattern from the per-item
+    """The oracle's rows with activity and pattern from the per-item
     definition (``extract_activity`` + ``classify``) instead."""
     expected = oracle_profiles(records, start, end, break_even, bucket, sizes, enclosures)
     out = {}
     for item_id, profile in expected.items():
         events = [(rec.timestamp, rec.is_read) for rec in records if rec.item_id == item_id]
         activity = extract_activity(item_id, events, start, end, break_even)
-        out[item_id] = dataclasses.replace(
-            profile, activity=activity, pattern=classify(activity)
+        out[item_id] = profile._replace(
+            pattern=activity_pattern(activity), **as_row_fields(activity)
         )
     return out
 
 
-def assert_python_scalars(profile):
-    assert type(profile.item_id) is str
-    assert type(profile.enclosure) is str
-    assert type(profile.size_bytes) is int
-    for name in ("read_count", "write_count", "read_bytes", "write_bytes"):
-        assert type(getattr(profile, name)) is int, name
-    assert type(profile.mean_iops) is float
-    assert type(profile.peak_iops) is float
-    assert type(profile.bucket_counts) is tuple
-    assert all(type(count) is int for count in profile.bucket_counts)
-    activity = profile.activity
-    assert type(activity.long_intervals) is tuple
-    assert type(activity.sequences) is tuple
-    for interval in activity.long_intervals:
-        assert type(interval.start) is float and type(interval.end) is float
-    for seq in activity.sequences:
-        assert type(seq.start) is float and type(seq.end) is float
-        assert type(seq.read_count) is int and type(seq.write_count) is int
+def assert_python_scalars(row):
+    assert type(row.item_id) is str
+    assert type(row.enclosure) is str
+    for name in ("size_bytes", "io_count", "read_count", "read_bytes", "write_bytes"):
+        assert type(getattr(row, name)) is int, name
+    assert type(row.mean_iops) is float
+    assert type(row.peak_iops) is float
+    assert all(type(count) is int for count in row.bucket_counts)
+    for interval in row.long_intervals:
+        assert all(type(bound) is float for bound in interval)
+    for seq_start, seq_end, reads, writes in row.sequences:
+        assert type(seq_start) is float and type(seq_end) is float
+        assert type(reads) is int and type(writes) is int
+
+
+def assert_table_shape(table):
+    """Per-item columns hold one row per item; bounds cut the flat ones."""
+    n = len(table)
+    for name in (
+        "size_bytes", "enclosure_codes", "pattern_codes", "io_count",
+        "read_count", "read_bytes", "write_bytes", "mean_iops", "peak_iops",
+    ):
+        assert getattr(table, name).shape == (n,), name
+    assert table.bucket_counts.ndim == 2 and len(table.bucket_counts) == n
+    for prefix, columns in (
+        ("interval", ("starts", "ends")),
+        ("sequence", ("starts", "ends", "reads", "writes")),
+    ):
+        bounds = getattr(table, f"{prefix}_bounds")
+        assert bounds.shape == (n + 1,) and bounds[0] == 0
+        assert np.all(np.diff(bounds) >= 0)
+        for column in columns:
+            assert getattr(table, f"{prefix}_{column}").shape == (bounds[-1],)
+    assert table.code_of == {item: code for code, item in enumerate(table.item_ids)}
 
 
 def assert_profiles_equal(actual, expected):
+    """``actual`` (a table, or rows) holds exactly the ``expected`` rows."""
+    if not isinstance(actual, dict):
+        assert_table_shape(actual)
+        actual = table_rows(actual)
     assert list(actual) == list(expected)
     for item_id, profile in expected.items():
         assert actual[item_id] == profile, item_id
@@ -249,7 +285,7 @@ def test_input_forms_give_equal_profiles(case, data):
         ColumnarTrace.from_records(records),
     ):
         from_columns = build_profiles(columns, *args, iops_bucket_seconds=bucket)
-        assert_profiles_equal(from_columns, from_records)
+        assert_profiles_equal(from_columns, table_rows(from_records))
 
 
 @given(windows(), st.data())
@@ -271,12 +307,8 @@ def test_renaming_items_only_renames_profiles(case, data):
         records, start, end, break_even, sizes, enclosures, iops_bucket_seconds=bucket
     )
     expected = {
-        rename[item]: dataclasses.replace(
-            profile,
-            item_id=rename[item],
-            activity=dataclasses.replace(profile.activity, item_id=rename[item]),
-        )
-        for item, profile in original.items()
+        rename[item]: profile._replace(item_id=rename[item])
+        for item, profile in table_rows(original).items()
     }
     assert_profiles_equal(renamed, expected)
 
@@ -359,8 +391,9 @@ def test_zero_length_last_bucket_is_skipped_in_the_peak():
     # lands there and must not produce an infinite rate.
     end = 0.30000000000000004
     records = [LogicalIORecord(end, "a", 0, 1, IOType.READ)]
-    profiles = build_profiles(
+    table = build_profiles(
         records, 0.0, end, 0.05, {"a": 1}, {"a": "e0"}, iops_bucket_seconds=0.1
     )
-    assert profiles["a"].bucket_counts == (0, 0, 0, 1)
-    assert profiles["a"].peak_iops == 0.0
+    row = table_rows(table)["a"]
+    assert row.bucket_counts == (0, 0, 0, 1)
+    assert row.peak_iops == 0.0

@@ -90,7 +90,7 @@ class TestCsvIngestion:
         """Regression: the synthetic tail after the last record must stay
         below the break-even time, or every end-active item gains an
         artificial Long Interval and P3 items misclassify as P1."""
-        from repro.core.patterns import IOPattern, build_profiles, classify
+        from repro.core.patterns import IOPattern
         from repro.experiments.fig06_patterns import measure_pattern_mix
         from repro.experiments.testbed import build_workload
         from repro.trace.writer import write_logical_trace as write
