@@ -20,6 +20,7 @@ reviewed semantic change) is::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -95,6 +96,13 @@ def _capture_cell(
         records, duration=workload.duration
     )
     cell = {"replay": asdict(result)}
+    # The action log is pinned by hash: whole logs would add about
+    # 1.5 MB of records, and a reordered flush or move changes the hash.
+    cell["actions_sha256"] = hashlib.sha256(
+        json.dumps(
+            [record.to_dict() for record in result.actions], sort_keys=True
+        ).encode("utf-8")
+    ).hexdigest()
     cell["timeline"] = [
         {
             "timestamp": point.timestamp,
