@@ -16,17 +16,6 @@ bit-for-bit):
   each starts at the previous migration's completion, the §V-A
   one-at-a-time throttled migration;
 * every other action starts at the plan's submission time ``now``.
-
-``dry_run=True`` costs a plan without mutating anything: no controller
-call, no log append, no counter change, no cool-down bookkeeping — the
-books are bit-identical before and after.  Dry-run records carry
-analytic cost estimates (transfer seconds at bulk/migration bandwidth,
-incremental active-over-idle joules) and predicted outcomes from pure
-reads only: capacity and placement checks, the degraded-mode gate
-evaluated without arming it, and scheduled outage windows via
-:meth:`repro.faults.clock.FaultClock.outage_at`.  One-shot
-``MigrationAbort`` injections are *not* predicted — consulting them
-consumes them, which a dry run must never do.
 """
 
 from __future__ import annotations
@@ -76,7 +65,6 @@ TierMoveAction = PromoteItem | DemoteItem | ArchiveItem | ReplicateItem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import EcoStorConfig
-    from repro.faults.clock import FaultClock
     from repro.storage.controller import StorageController
     from repro.storage.enclosure import DiskEnclosure
 
@@ -85,21 +73,9 @@ __all__ = ["ActionExecutor", "ApplyReport"]
 
 @dataclass(frozen=True)
 class ApplyReport:
-    """Outcome of applying one plan: the records plus timing aggregates."""
+    """Outcome of applying one plan: one record per action, in plan order."""
 
     records: tuple[ActionRecord, ...]
-    started_at: float
-    #: Max completion over all records (``started_at`` for empty plans).
-    completed_at: float
-    #: End of the serialized migration chain: the last applied
-    #: migration's completion, or ``started_at`` if none applied.
-    migration_clock: float
-    #: Whether this report came from a dry run (nothing was mutated).
-    dry_run: bool = False
-
-    def outcome_count(self, outcome: ActionOutcome) -> int:
-        """Number of records with the given outcome."""
-        return sum(1 for r in self.records if r.outcome is outcome)
 
     @property
     def moves_executed(self) -> int:
@@ -147,15 +123,13 @@ class ActionExecutor:
         self,
         controller: StorageController,
         config: EcoStorConfig | None = None,
-        fault_clock: FaultClock | None = None,
     ) -> None:
         self.controller = controller
         self.config = config
-        self.fault_clock = fault_clock
-        #: Every record of every live (non-dry) apply, in order.
+        #: Every record of every apply, in order.
         self.log: list[ActionRecord] = []
 
-        # Outcome counters (live applies only).
+        # Outcome counters.
         self.actions_applied = 0
         self.actions_aborted = 0
         self.actions_vetoed = 0
@@ -230,35 +204,22 @@ class ActionExecutor:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def apply(
-        self, now: float, plan: ActionPlan, dry_run: bool = False
-    ) -> ApplyReport:
+    def apply(self, now: float, plan: ActionPlan) -> ApplyReport:
         """Apply ``plan`` starting at virtual time ``now``.
 
         Returns one :class:`ApplyReport` carrying a record per action in
-        plan order.  With ``dry_run=True`` nothing is mutated and
-        nothing is logged; outcomes and costs are predictions (see the
-        module docstring for what dry runs can and cannot foresee).
+        plan order; the records are also appended to :attr:`log`.
         """
         records: list[ActionRecord] = []
         migration_clock = now
-        completed = now
         for action in plan:
             record, migration_clock = self._apply_one(
-                now, action, migration_clock, dry_run
+                now, action, migration_clock
             )
             records.append(record)
-            completed = max(completed, record.completion)
-        if not dry_run:
-            self._count(records)
-            self.log.extend(records)
-        return ApplyReport(
-            records=tuple(records),
-            started_at=now,
-            completed_at=completed,
-            migration_clock=migration_clock,
-            dry_run=dry_run,
-        )
+        self._count(records)
+        self.log.extend(records)
+        return ApplyReport(records=tuple(records))
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -312,38 +273,32 @@ class ActionExecutor:
     # per-action application
     # ------------------------------------------------------------------
     def _apply_one(
-        self, now: float, action: Action, migration_clock: float, dry_run: bool
+        self, now: float, action: Action, migration_clock: float
     ) -> tuple[ActionRecord, float]:
         if isinstance(action, MigrateItem):
-            return self._apply_migrate(action, migration_clock, dry_run)
+            return self._apply_migrate(action, migration_clock)
         if isinstance(
             action, (PromoteItem, DemoteItem, ArchiveItem, ReplicateItem)
         ):
-            return self._apply_tier_move(action, migration_clock, dry_run)
+            return self._apply_tier_move(action, migration_clock)
         if isinstance(action, PreloadItem):
-            return self._apply_preload(now, action, dry_run), migration_clock
+            return self._apply_preload(now, action), migration_clock
         if isinstance(action, UnpinItem):
-            return self._apply_unpin(now, action, dry_run), migration_clock
+            return self._apply_unpin(now, action), migration_clock
         if isinstance(action, EnableWriteDelay):
-            return (
-                self._apply_write_delay(now, action, dry_run),
-                migration_clock,
-            )
+            return self._apply_write_delay(now, action), migration_clock
         if isinstance(action, FlushItem):
-            return self._apply_flush_item(now, action, dry_run), migration_clock
+            return self._apply_flush_item(now, action), migration_clock
         if isinstance(action, FlushWriteDelay):
-            return self._apply_flush_all(now, action, dry_run), migration_clock
+            return self._apply_flush_all(now, action), migration_clock
         if isinstance(action, SetPowerOffEnabled):
-            return self._apply_power_off(now, action, dry_run), migration_clock
+            return self._apply_power_off(now, action), migration_clock
         if isinstance(action, ChargeBlockMigration):
-            return (
-                self._apply_block_charge(now, action, dry_run),
-                migration_clock,
-            )
+            return self._apply_block_charge(now, action), migration_clock
         raise UsageError(f"executor cannot apply action {action!r}")
 
     def _apply_migrate(
-        self, action: MigrateItem, start: float, dry_run: bool
+        self, action: MigrateItem, start: float
     ) -> tuple[ActionRecord, float]:
         controller = self.controller
         virt = controller.virtualization
@@ -367,41 +322,6 @@ class ActionExecutor:
         dst = virt.enclosure(target)
         busy = self._bulk_seconds(size)
         joules = (self._delta_watts(src) + self._delta_watts(dst)) * busy
-
-        if dry_run:
-            if dst.capacity_bytes and (
-                virt.used_bytes(target) + size > dst.capacity_bytes
-            ):
-                return rejected("capacity")
-            clock = self.fault_clock
-            if clock is not None and any(
-                clock.outage_at(name, start) is not None
-                for name in (src.name, target)
-            ):
-                return (
-                    ActionRecord(
-                        action,
-                        ActionOutcome.ABORTED_BY_FAULT,
-                        start,
-                        start,
-                        reason="outage",
-                    ),
-                    start,
-                )
-            completion = start + size / controller.migration_throughput_bps
-            return (
-                ActionRecord(
-                    action,
-                    ActionOutcome.APPLIED,
-                    start,
-                    completion,
-                    cost_seconds=completion - start,
-                    cost_joules=joules,
-                    cost_bytes=size,
-                ),
-                completion,
-            )
-
         try:
             completion = controller.migrate_item(start, item_id, target)
         except CapacityError:
@@ -435,8 +355,7 @@ class ActionExecutor:
     ) -> tuple[str | None, str | None]:
         """Resolve a tier-move action to ``(target device, reject reason)``.
 
-        Pure reads only — safe for dry runs.  Exactly one of the pair is
-        non-``None``.  The target device is chosen deterministically
+        Pure reads only.  Exactly one of the pair is non-``None``.  The target device is chosen deterministically
         inside the target tier: the device with the most free bytes that
         fits the item (undeclared-capacity devices count as unbounded),
         ties broken by name.
@@ -501,7 +420,7 @@ class ActionExecutor:
         return best[1], None
 
     def _apply_tier_move(
-        self, action: TierMoveAction, start: float, dry_run: bool
+        self, action: TierMoveAction, start: float
     ) -> tuple[ActionRecord, float]:
         """Apply one inter-tier move (promote/demote/archive/replicate).
 
@@ -516,54 +435,23 @@ class ActionExecutor:
         item_id = action.item_id
 
         def finish(
-            outcome: ActionOutcome, completion: float, reason: str = ""
+            outcome: ActionOutcome, reason: str
         ) -> tuple[ActionRecord, float]:
             return (
-                ActionRecord(
-                    action, outcome, start, completion, reason=reason
-                ),
+                ActionRecord(action, outcome, start, start, reason=reason),
                 start,
             )
 
         target, reject_reason = self._resolve_tier_target(action)
         if target is None:
-            return finish(ActionOutcome.REJECTED, start, reject_reason or "")
+            return finish(ActionOutcome.REJECTED, reject_reason or "")
         if start < self._cooldown_until.get(target, 0.0):
-            return finish(
-                ActionOutcome.VETOED_BY_DEGRADED_MODE, start, "cooldown"
-            )
+            return finish(ActionOutcome.VETOED_BY_DEGRADED_MODE, "cooldown")
         size = virt.item_size(item_id)
         src = virt.enclosure_of(item_id)
         dst = virt.enclosure(target)
         busy = self._bulk_seconds(size)
         joules = (self._delta_watts(src) + self._delta_watts(dst)) * busy
-
-        def applied(completion: float) -> tuple[ActionRecord, float]:
-            return (
-                ActionRecord(
-                    action,
-                    ActionOutcome.APPLIED,
-                    start,
-                    completion,
-                    cost_seconds=completion - start,
-                    cost_joules=joules,
-                    cost_bytes=size,
-                ),
-                completion,
-            )
-
-        if dry_run:
-            clock = self.fault_clock
-            if clock is not None and any(
-                clock.outage_at(name, start) is not None
-                for name in (src.name, target)
-            ):
-                return finish(
-                    ActionOutcome.ABORTED_BY_FAULT, start, "outage"
-                )
-            return applied(
-                start + size / controller.migration_throughput_bps
-            )
         try:
             if isinstance(action, PromoteItem):
                 completion = controller.promote_item(start, item_id, target)
@@ -574,16 +462,23 @@ class ActionExecutor:
             else:
                 completion = controller.replicate_item(start, item_id, target)
         except CapacityError:
-            return finish(ActionOutcome.REJECTED, start, "capacity")
+            return finish(ActionOutcome.REJECTED, "capacity")
         except MigrationAbortedError:
-            return finish(
-                ActionOutcome.ABORTED_BY_FAULT, start, "migration-abort"
-            )
-        return applied(completion)
+            return finish(ActionOutcome.ABORTED_BY_FAULT, "migration-abort")
+        return (
+            ActionRecord(
+                action,
+                ActionOutcome.APPLIED,
+                start,
+                completion,
+                cost_seconds=completion - start,
+                cost_joules=joules,
+                cost_bytes=size,
+            ),
+            completion,
+        )
 
-    def _apply_preload(
-        self, now: float, action: PreloadItem, dry_run: bool
-    ) -> ActionRecord:
+    def _apply_preload(self, now: float, action: PreloadItem) -> ActionRecord:
         controller = self.controller
         virt = controller.virtualization
         item_id = action.item_id
@@ -607,25 +502,6 @@ class ActionExecutor:
         joules = self._delta_watts(virt.enclosure_of(item_id)) * (
             self._bulk_seconds(size)
         )
-        if dry_run:
-            if not controller.cache.preload.fits(size):
-                return ActionRecord(
-                    action,
-                    ActionOutcome.REJECTED,
-                    now,
-                    now,
-                    reason="capacity",
-                )
-            completion = now + self._bulk_seconds(size)
-            return ActionRecord(
-                action,
-                ActionOutcome.APPLIED,
-                now,
-                completion,
-                cost_seconds=completion - now,
-                cost_joules=joules,
-                cost_bytes=size,
-            )
         try:
             completion = controller.preload_item(now, item_id)
         except CapacityError:
@@ -642,12 +518,9 @@ class ActionExecutor:
             cost_bytes=size,
         )
 
-    def _apply_unpin(
-        self, now: float, action: UnpinItem, dry_run: bool
-    ) -> ActionRecord:
+    def _apply_unpin(self, now: float, action: UnpinItem) -> ActionRecord:
         pinned = self.controller.cache.preload.is_pinned(action.item_id)
-        if not dry_run:
-            self.controller.unpin_item(action.item_id)
+        self.controller.unpin_item(action.item_id)
         return ActionRecord(
             action,
             ActionOutcome.APPLIED,
@@ -657,27 +530,10 @@ class ActionExecutor:
         )
 
     def _apply_write_delay(
-        self, now: float, action: EnableWriteDelay, dry_run: bool
+        self, now: float, action: EnableWriteDelay
     ) -> ActionRecord:
         controller = self.controller
         wd = controller.cache.write_delay
-        if dry_run:
-            # Estimate: deselected items flush their dirty pages.  The
-            # live path skips items still emergency-buffered for an
-            # outage; the estimate does not model that refinement.
-            stale = sorted(wd.selected_items() - set(action.item_ids))
-            flush_bytes = sum(wd.dirty_bytes_of(item) for item in stale)
-            seconds = self._bulk_seconds(flush_bytes)
-            return ActionRecord(
-                action,
-                ActionOutcome.APPLIED,
-                now,
-                now + seconds,
-                cost_seconds=seconds,
-                cost_joules=self._mean_delta_watts() * seconds,
-                cost_bytes=flush_bytes,
-                reason="battery-failed" if controller.battery_failed else "",
-            )
         flushed_before = wd.flushed_pages
         completion = controller.select_write_delay(now, set(action.item_ids))
         flush_bytes = (wd.flushed_pages - flushed_before) * PAGE_BYTES
@@ -693,24 +549,9 @@ class ActionExecutor:
             reason="battery-failed" if controller.battery_failed else "",
         )
 
-    def _apply_flush_item(
-        self, now: float, action: FlushItem, dry_run: bool
-    ) -> ActionRecord:
+    def _apply_flush_item(self, now: float, action: FlushItem) -> ActionRecord:
         controller = self.controller
-        wd = controller.cache.write_delay
-        dirty = wd.dirty_bytes_of(action.item_id)
-        if dry_run:
-            seconds = self._bulk_seconds(dirty)
-            return ActionRecord(
-                action,
-                ActionOutcome.APPLIED,
-                now,
-                now + seconds,
-                cost_seconds=seconds,
-                cost_joules=self._mean_delta_watts() * seconds,
-                cost_bytes=dirty,
-                reason="" if dirty else "no-dirty-data",
-            )
+        dirty = controller.cache.write_delay.dirty_bytes_of(action.item_id)
         completion = controller.flush_item(now, action.item_id)
         return ActionRecord(
             action,
@@ -724,22 +565,10 @@ class ActionExecutor:
         )
 
     def _apply_flush_all(
-        self, now: float, action: FlushWriteDelay, dry_run: bool
+        self, now: float, action: FlushWriteDelay
     ) -> ActionRecord:
         controller = self.controller
         wd = controller.cache.write_delay
-        if dry_run:
-            dirty = wd.dirty_pages * PAGE_BYTES
-            seconds = self._bulk_seconds(dirty)
-            return ActionRecord(
-                action,
-                ActionOutcome.APPLIED,
-                now,
-                now + seconds,
-                cost_seconds=seconds,
-                cost_joules=self._mean_delta_watts() * seconds,
-                cost_bytes=dirty,
-            )
         flushed_before = wd.flushed_pages
         completion = controller.flush_write_delay(now)
         flush_bytes = (wd.flushed_pages - flushed_before) * PAGE_BYTES
@@ -755,17 +584,15 @@ class ActionExecutor:
         )
 
     def _apply_power_off(
-        self, now: float, action: SetPowerOffEnabled, dry_run: bool
+        self, now: float, action: SetPowerOffEnabled
     ) -> ActionRecord:
         enclosure = self.controller.virtualization.enclosure(action.enclosure)
         if not action.enabled:
-            if not dry_run:
-                enclosure.disable_power_off(now)
+            enclosure.disable_power_off(now)
             return ActionRecord(action, ActionOutcome.APPLIED, now, now)
-        veto_reason = self._gate_veto(enclosure, now, dry_run)
+        veto_reason = self._gate_veto(enclosure, now)
         if veto_reason is not None:
-            if not dry_run:
-                enclosure.disable_power_off(now)
+            enclosure.disable_power_off(now)
             return ActionRecord(
                 action,
                 ActionOutcome.VETOED_BY_DEGRADED_MODE,
@@ -773,13 +600,10 @@ class ActionExecutor:
                 now,
                 reason=veto_reason,
             )
-        if not dry_run:
-            enclosure.enable_power_off(now)
+        enclosure.enable_power_off(now)
         return ActionRecord(action, ActionOutcome.APPLIED, now, now)
 
-    def _gate_veto(
-        self, enclosure: DiskEnclosure, now: float, dry_run: bool
-    ) -> str | None:
+    def _gate_veto(self, enclosure: DiskEnclosure, now: float) -> str | None:
         """Degraded-mode gate: veto reason for enabling power-off, or None.
 
         When an enclosure's recent spin-up failures (within
@@ -789,8 +613,7 @@ class ActionExecutor:
         enablement is vetoed — a drive that keeps failing to spin up
         should not keep being spun down.  Without fault injection there
         are no recorded failures and the gate is a transparent
-        pass-through.  Dry runs evaluate the decision without arming a
-        new cool-down.
+        pass-through.
         """
         until = self._cooldown_until.get(enclosure.name, 0.0)
         if now < until:
@@ -805,16 +628,15 @@ class ActionExecutor:
             window_start = now - self.config.spin_up_failure_window
             recent = sum(1 for t in failures if t >= window_start)
             if recent >= self.config.spin_up_failure_threshold:
-                if not dry_run:
-                    self._cooldown_until[enclosure.name] = (
-                        now + self.config.power_off_cooldown
-                    )
-                    self.degraded_cooldowns += 1
+                self._cooldown_until[enclosure.name] = (
+                    now + self.config.power_off_cooldown
+                )
+                self.degraded_cooldowns += 1
                 return "degraded-mode"
         return None
 
     def _apply_block_charge(
-        self, now: float, action: ChargeBlockMigration, dry_run: bool
+        self, now: float, action: ChargeBlockMigration
     ) -> ActionRecord:
         controller = self.controller
         if action.size_bytes <= 0:
@@ -831,16 +653,6 @@ class ActionExecutor:
             self._delta_watts(virt.enclosure(action.source_enclosure))
             + self._delta_watts(virt.enclosure(action.target_enclosure))
         ) * seconds
-        if dry_run:
-            return ActionRecord(
-                action,
-                ActionOutcome.APPLIED,
-                now,
-                now + seconds,
-                cost_seconds=seconds,
-                cost_joules=joules,
-                cost_bytes=action.size_bytes,
-            )
         completion = controller.charge_block_migration(
             now,
             action.item_id,

@@ -71,16 +71,16 @@ class PowerPolicy(abc.ABC):
     # ------------------------------------------------------------------
     def executor(self) -> ActionExecutor:
         """The bound context's action executor — the only mutation path."""
-        return self._require_context().require_executor()
+        return self._require_context().executor
 
     @property
     def degraded_cooldowns(self) -> int:
         """Times the degraded-mode gate vetoed a power-off enablement.
 
-        The gate (and its count) lives on the executor since the
-        :mod:`repro.actions` refactor; unbound policies report zero.
+        The gate (and its count) lives on the executor; unbound policies
+        report zero.
         """
-        if self.context is None or self.context.executor is None:
+        if self.context is None:
             return 0
         return self.context.executor.degraded_cooldowns
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.actions.plan import ActionPlan
-from repro.actions.records import SetPowerOffEnabled
+from repro.actions.records import MigrateItem, SetPowerOffEnabled
 from repro.errors import ValidationError
 from repro.baselines.base import PowerPolicy
 from repro.simulation import SimulationContext
-from repro.storage.migration import PlacementPlan
 
 
 class PDCPolicy(PowerPolicy):
@@ -136,7 +135,7 @@ class PDCPolicy(PowerPolicy):
         names = virt.enclosure_names
         capacity = config.enclosure_size_bytes
         iops_budget = config.max_iops_random * self.load_fill_fraction
-        plan = PlacementPlan()
+        plan = ActionPlan()
 
         active = [i for i in items if self._popularity.get(i, 0) > 0]
         inactive = [i for i in items if self._popularity.get(i, 0) == 0]
@@ -160,7 +159,7 @@ class PDCPolicy(PowerPolicy):
             used += size
             load += item_iops
             if virt.enclosure_of(item).name != target:
-                plan.add(item, target)
+                plan.add(MigrateItem(item, target))
 
         if inactive:
             first_tail = min(index + 1, len(names) - 1)
@@ -183,10 +182,9 @@ class PDCPolicy(PowerPolicy):
                 target = remaining[index]
                 used += size
                 if virt.enclosure_of(item).name != target:
-                    plan.add(item, target)
+                    plan.add(MigrateItem(item, target))
 
-        applied = plan.as_actions()
-        self.executor().apply(now, applied)
+        self.executor().apply(now, plan)
 
         # Re-evaluate the degraded-mode gate every period: an enclosure
         # whose spin-ups keep failing must stop spinning down for its
@@ -197,8 +195,8 @@ class PDCPolicy(PowerPolicy):
         self._popularity.clear()
         self._window_start = now
         self._schedule_next(now)
-        applied.extend(gate_plan)
-        return applied
+        plan.extend(gate_plan)
+        return plan
 
     def _schedule_next(self, now: float) -> None:
         assert self.monitoring_period is not None

@@ -160,11 +160,11 @@ class ZonedPolicy(PowerPolicy):
             app_monitor=ApplicationMonitor(context.app_monitor),
             storage_monitor=StorageMonitor(enclosures),
             meter=PowerMeter(enclosures, context.config.controller_power),
-            fault_clock=context.fault_clock,
             # All zones share the parent executor: one action log, one
             # degraded-mode gate, one mutation path (zone enclosure sets
             # are disjoint, so gate state never aliases across zones).
             executor=context.executor,
+            fault_clock=context.fault_clock,
         )
         return zone_context
 

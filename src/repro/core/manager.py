@@ -217,7 +217,7 @@ class EnergyEfficientPolicy(PowerPolicy):
         # Steps 2-3: hot/cold split and placement plan (with hysteresis
         # toward the current hot set, to avoid migration thrash).
         previous_split = self._split
-        split, plan = determine_placement(
+        split, moves = determine_placement(
             profiles,
             virt.enclosure_names,
             config.max_iops_random,
@@ -240,11 +240,13 @@ class EnergyEfficientPolicy(PowerPolicy):
         moves_aborted = 0
         # Where each item sits now: only a migration changes that.
         locations = item_enclosures
-        if self.enable_migration and plan:
+        if self.enable_migration and moves:
+            migration_plan.extend(FlushItem(move.item_id) for move in moves)
+            # Evacuations free the space consolidation needs, so they go
+            # first; the sort is stable within each class (§V-A).
             migration_plan.extend(
-                FlushItem(move.item_id) for move in plan.moves
+                sorted(moves, key=lambda move: not move.evacuation)
             )
-            migration_plan.extend(plan.as_actions())
             report = executor.apply(now, migration_plan)
             bytes_moved = report.bytes_moved
             moves_executed = report.moves_executed
@@ -335,7 +337,7 @@ class EnergyEfficientPolicy(PowerPolicy):
             pattern_counts=pattern_counts(profiles),
             hot=split.hot,
             cold=split.cold,
-            moves_planned=len(plan),
+            moves_planned=len(moves),
             bytes_moved=bytes_moved,
             write_delay_items=len(write_delay_items),
             preload_items=len(preload_items),

@@ -11,8 +11,11 @@ simply cannot absorb the P3 load, ``N_hot`` is increased and the whole
 planning retried — :func:`determine_placement` owns that retry loop.
 
 The planner works on *projected* state (an :class:`EnclosureLedger`);
-nothing moves until the runtime method executes the returned
-:class:`~repro.storage.migration.PlacementPlan`.
+nothing moves until the runtime method applies the returned
+:class:`~repro.actions.records.MigrateItem` actions.  Moves are returned
+in the order the algorithms decide them; evacuations are marked
+``evacuation=True`` because they execute before consolidation moves
+(§V-A).
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.actions.records import MigrateItem
 from repro.core.hotcold import HotColdSplit, choose_hot_cold, required_hot_count
 from repro.core.patterns import P3_CODE, ProfileTable
 from repro.errors import PlacementError, ValidationError
-from repro.storage.migration import PlacementPlan
 
 
 class HotSetTooSmall(PlacementError):
@@ -127,7 +130,7 @@ class EnclosureLedger:
 
 def plan_evacuation(
     ledger: EnclosureLedger,
-    plan: PlacementPlan,
+    moves: list[MigrateItem],
     hot_enclosure: str,
     needed_bytes: int,
     cold: Sequence[str],
@@ -139,7 +142,8 @@ def plan_evacuation(
     Moves P0/P1/P2 items from the hot enclosure to cold enclosures,
     preferring the cold enclosure whose projected peak IOPS is largest
     (conditions: the item fits, and peak + item IOPS stays under ``O``).
-    Returns True when enough space was freed.
+    Appends each evacuation to ``moves``; returns True when enough space
+    was freed.
     """
     if not cold:
         return False
@@ -165,7 +169,7 @@ def plan_evacuation(
             load_ok = ledger.peak_iops(target) + peak < max_enclosure_iops
             if fits and load_ok:
                 ledger.move(ids[code], target)
-                plan.add(ids[code], target, evacuation=True)
+                moves.append(MigrateItem(ids[code], target, evacuation=True))
                 freed += size
                 break
     return freed >= needed_bytes
@@ -178,8 +182,11 @@ def plan_p3_consolidation(
     enclosure_size_bytes: int,
     stuck_enclosures: set[str] | None = None,
     excluded_items: set[str] | None = None,
-) -> PlacementPlan:
+) -> list[MigrateItem]:
     """Paper Algorithm 2: move P3 items from cold to hot enclosures.
+
+    Returns the planned moves in decision order, Algorithm 3's
+    evacuations included.
 
     ``excluded_items`` are movers pinned in place by the caller (their
     enclosures must then be treated as hot).
@@ -193,13 +200,13 @@ def plan_p3_consolidation(
     stay put and their current enclosure is reported through
     ``stuck_enclosures`` so the caller keeps it powered as hot.
     """
-    plan = PlacementPlan()
+    moves: list[MigrateItem] = []
     table = ledger.profiles
     p3 = table.pattern_codes == P3_CODE
     if not split.hot:
         if p3.any():
             raise HotSetTooSmall("P3 items exist but the hot set is empty")
-        return plan
+        return moves
 
     excluded = excluded_items or set()
     ids = table.item_ids
@@ -243,7 +250,7 @@ def plan_p3_consolidation(
                 )
             if sizes[code] + ledger.used_bytes(target) <= enclosure_size_bytes:
                 ledger.move(item_id, target)
-                plan.add(item_id, target, evacuation=False)
+                moves.append(MigrateItem(item_id, target))
                 placed = True
                 break
             # Size overflow: try evacuating P0/P1/P2 from this hot
@@ -253,7 +260,7 @@ def plan_p3_consolidation(
             )
             if plan_evacuation(
                 ledger,
-                plan,
+                moves,
                 target,
                 needed,
                 split.cold,
@@ -261,14 +268,14 @@ def plan_p3_consolidation(
                 enclosure_size_bytes,
             ):
                 ledger.move(item_id, target)
-                plan.add(item_id, target, evacuation=False)
+                moves.append(MigrateItem(item_id, target))
                 placed = True
                 break
         if not placed:
             raise HotSetTooSmall(
                 f"no hot enclosure can hold P3 item {item_id!r}"
             )
-    return plan
+    return moves
 
 
 def determine_placement(
@@ -278,8 +285,8 @@ def determine_placement(
     enclosure_size_bytes: int,
     bucket_seconds: float,
     preferred_hot: set[str] | None = None,
-) -> tuple[HotColdSplit, PlacementPlan]:
-    """Hot/cold split plus placement plan, with the N_hot retry loop.
+) -> tuple[HotColdSplit, list[MigrateItem]]:
+    """Hot/cold split plus planned moves, with the N_hot retry loop.
 
     Starts from the §IV-C lower bound on ``N_hot`` and grows it while
     Algorithm 2 reports the hot set too small.  With every enclosure hot
@@ -301,7 +308,7 @@ def determine_placement(
             )
             stuck: set[str] = set()
             try:
-                plan = plan_p3_consolidation(
+                moves = plan_p3_consolidation(
                     ledger,
                     split,
                     max_enclosure_iops,
@@ -328,7 +335,7 @@ def determine_placement(
                 split = HotColdSplit(
                     hot=hot, cold=cold, i_max=split.i_max, n_hot=len(hot)
                 )
-            return split, plan
+            return split, moves
     # Everything hot: keep data where it is.
     split = choose_hot_cold(profiles, enclosure_names, total, i_max)
-    return split, PlacementPlan()
+    return split, []

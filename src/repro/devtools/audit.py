@@ -85,6 +85,14 @@ class InvariantAuditor:
         self.checks_run = 0
         self._last_now = 0.0
         self._last_clock: dict[str, float] = {}
+        #: Each enclosure's watts per state, read once from its frozen
+        #: power model: the energy check recomputes watts x time from it.
+        self._watts = {
+            enc.name: [
+                (state, enc.power_model.watts(state)) for state in PowerState
+            ]
+            for enc in context.enclosures
+        }
 
     # ------------------------------------------------------------------
     # public API
@@ -195,12 +203,12 @@ class InvariantAuditor:
         expected_total = 0.0
         for enc in ctx.enclosures:
             enc.settle(now)
-            state_sum = 0.0
-            for state in PowerState:
+            occupancy = 0.0
+            for state, watts in self._watts[enc.name]:
                 joules = enc.energy_joules(state)
                 seconds = enc.time_in_state(state)
-                recomputed = enc.power_model.watts(state) * seconds
-                state_sum += joules
+                occupancy += seconds
+                recomputed = watts * seconds
                 if joules < -self.abs_tol or seconds < -self.abs_tol:
                     problems.append(
                         f"{enc.name}: negative accounting in {state.value} "
@@ -211,7 +219,6 @@ class InvariantAuditor:
                         f"{enc.name}: {state.value} energy {joules:.6f}J "
                         f"!= watts x time = {recomputed:.6f}J"
                     )
-            occupancy = sum(enc.time_in_state(s) for s in PowerState)
             if not self._close(occupancy, enc.clock):
                 problems.append(
                     f"{enc.name}: state occupancies sum to {occupancy:.6f}s "
@@ -325,8 +332,6 @@ class InvariantAuditor:
     def _check_actions(self, problems: list[str]) -> None:
         ctx = self.context
         executor = ctx.executor
-        if executor is None:
-            return
         controller = ctx.controller
         # One-directional bounds: the controller also serves paths the
         # executor does not originate (DDR block charges predating the
@@ -377,8 +382,6 @@ class InvariantAuditor:
                     f"net {net} bytes, devices hold {placed} bytes"
                 )
         executor = ctx.executor
-        if executor is None:
-            return
         controller = ctx.controller
         # Same one-directional bound as migrations: the log may
         # under-claim tier moves, never over-claim them.

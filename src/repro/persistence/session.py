@@ -255,7 +255,7 @@ class SnapshotSession:
             "app_monitor": context.app_monitor,
             "storage_monitor": context.storage_monitor,
             "policy": self.policy,
-            "executor": context.require_executor(),
+            "executor": context.executor,
         }
         for enclosure in context.enclosures:
             components[f"enclosure:{enclosure.name}"] = enclosure

@@ -52,12 +52,11 @@ class SimulationContext:
     app_monitor: ApplicationMonitor
     storage_monitor: StorageMonitor
     meter: PowerMeter
+    #: The single mutation path into the storage layer (:mod:`repro.actions`).
+    executor: ActionExecutor
     #: Fault oracle (:mod:`repro.faults`); ``None`` for zero-fault runs,
     #: in which case the storage layer takes its pre-fault code paths.
     fault_clock: FaultClock | None = None
-    #: The single mutation path into the storage layer
-    #: (:mod:`repro.actions`); built in ``__post_init__`` when not given.
-    executor: ActionExecutor | None = None
     #: Which fleet array this context simulates (:mod:`repro.fleet`);
     #: ``None`` for standalone single-array runs.  When set, every
     #: enclosure (and therefore every default volume) name carries the
@@ -65,18 +64,6 @@ class SimulationContext:
     #: fleet run without any component name colliding in the global
     #: books (action logs, fault plans, reports).
     array_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.executor is None:
-            self.executor = ActionExecutor(
-                self.controller, self.config, self.fault_clock
-            )
-
-    def require_executor(self) -> ActionExecutor:
-        """The context's action executor (always set after init)."""
-        if self.executor is None:  # pragma: no cover - post_init guarantees
-            raise ValidationError("simulation context has no action executor")
-        return self.executor
 
     @property
     def enclosures(self) -> list[DiskEnclosure]:
@@ -205,6 +192,7 @@ def build_context(
         app_monitor=ApplicationMonitor(),
         storage_monitor=storage_monitor,
         meter=PowerMeter(enclosures, config.controller_power),
+        executor=ActionExecutor(controller, config),
         fault_clock=fault_clock,
         array_id=array_id,
     )

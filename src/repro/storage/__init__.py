@@ -4,7 +4,7 @@ This subpackage stands in for the paper's Hitachi AMS 2500 testbed and
 power meter (see DESIGN.md §2): disk enclosures with a power-state
 machine and exact energy integration, a battery-backed cache with preload
 and write-delay partitions, a block-virtualization layer, a storage
-controller, placement plans, and a power meter.
+controller, and a power meter.
 """
 
 from repro.storage.cache import (
@@ -17,7 +17,6 @@ from repro.storage.cache import (
 from repro.storage.controller import StorageController
 from repro.storage.enclosure import DiskEnclosure, IOResult
 from repro.storage.meter import PowerMeter, PowerReading
-from repro.storage.migration import Move, PlacementPlan
 from repro.storage.power import ControllerPowerModel, PowerModel, PowerState
 from repro.storage.tiers import (
     ArchiveTier,
@@ -41,9 +40,7 @@ __all__ = [
     "FlushPlan",
     "IOResult",
     "LRUBlockCache",
-    "Move",
     "PhysicalExtent",
-    "PlacementPlan",
     "PowerMeter",
     "PowerModel",
     "PowerReading",

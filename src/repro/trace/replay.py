@@ -60,8 +60,8 @@ class ReplayResult:
     # per-instance via object.__setattr__ in assemble_result): the
     # run's full action log, a tuple of
     # :class:`~repro.actions.records.ActionRecord`.  Kept out of
-    # ``asdict``/``==`` — and with them the golden bit-identity test —
-    # by design; the experiment serializer carries it explicitly.
+    # ``asdict``/``==`` by design; the experiment serializer carries it
+    # explicitly, and the golden replay test pins it by hash.
     actions = ()
 
     @property
@@ -172,6 +172,5 @@ def assemble_result(
         spin_down_count=sum(e.spin_down_count for e in context.enclosures),
         availability=availability,
     )
-    if context.executor is not None:
-        object.__setattr__(result, "actions", tuple(context.executor.log))
+    object.__setattr__(result, "actions", tuple(context.executor.log))
     return result

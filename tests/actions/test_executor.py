@@ -25,15 +25,11 @@ from repro.trace.records import IOType, LogicalIORecord
 from tests.io_helpers import io_fields
 
 
-def executor_of(context: SimulationContext) -> ActionExecutor:
-    return context.require_executor()
-
-
 def books_snapshot(context: SimulationContext) -> dict:
-    """Everything a dry run must leave bit-identical."""
+    """Every book an apply could change."""
     virt = context.virtualization
     wd = context.cache.write_delay
-    executor = context.require_executor()
+    executor = context.executor
     return {
         "used": {n: virt.used_bytes(n) for n in virt.enclosure_names},
         "pinned": sorted(context.cache.preload.item_ids()),
@@ -60,14 +56,15 @@ def books_snapshot(context: SimulationContext) -> dict:
 
 class TestContextWiring:
     def test_context_builds_shared_executor(self, small_context):
-        executor = small_context.require_executor()
-        assert executor is small_context.executor
+        executor = small_context.executor
+        assert isinstance(executor, ActionExecutor)
         assert executor.controller is small_context.controller
+        assert executor.config is small_context.config
 
 
 class TestMigrate:
     def test_applied_migration_moves_item_and_logs(self, small_context):
-        executor = executor_of(small_context)
+        executor = small_context.executor
         report = executor.apply(
             0.0, ActionPlan([MigrateItem("item-0", "enc-01")])
         )
@@ -82,7 +79,7 @@ class TestMigrate:
         assert report.bytes_moved == 64 * units.MB
 
     def test_consecutive_migrations_chain_in_time(self, small_context):
-        executor = executor_of(small_context)
+        executor = small_context.executor
         report = executor.apply(
             0.0,
             ActionPlan(
@@ -94,10 +91,9 @@ class TestMigrate:
         )
         first, second = report.records
         assert second.time == first.completion
-        assert report.migration_clock == second.completion
 
     def test_unknown_item_and_already_placed_rejected(self, small_context):
-        executor = executor_of(small_context)
+        executor = small_context.executor
         report = executor.apply(
             5.0,
             ActionPlan(
@@ -125,7 +121,7 @@ class TestMigrate:
         cap = config.enclosure_size_bytes
         virt.add_item("big-0", cap - units.MB, default_volume(names[0]))
         virt.add_item("big-1", cap - units.MB, default_volume(names[1]))
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0, ActionPlan([MigrateItem("big-0", names[1])])
         )
         assert report.records[0].outcome is ActionOutcome.REJECTED
@@ -134,7 +130,7 @@ class TestMigrate:
 
 class TestPreloadUnpin:
     def test_preload_then_stale_unpin(self, small_context):
-        executor = executor_of(small_context)
+        executor = small_context.executor
         report = executor.apply(
             0.0,
             ActionPlan([PreloadItem("item-0"), UnpinItem("item-0")]),
@@ -147,7 +143,7 @@ class TestPreloadUnpin:
         assert not small_context.cache.preload.is_pinned("item-0")
 
     def test_preload_already_pinned_is_noop(self, small_context):
-        executor = executor_of(small_context)
+        executor = small_context.executor
         executor.apply(0.0, ActionPlan([PreloadItem("item-0")]))
         report = executor.apply(1.0, ActionPlan([PreloadItem("item-0")]))
         record = report.records[0]
@@ -157,7 +153,7 @@ class TestPreloadUnpin:
 
     def test_unpin_never_pinned_item_is_recorded_noop(self, small_context):
         """Edge case: unpinning an item that was never preloaded."""
-        executor = executor_of(small_context)
+        executor = small_context.executor
         before = books_snapshot(small_context)
         report = executor.apply(0.0, ActionPlan([UnpinItem("item-1")]))
         record = report.records[0]
@@ -169,7 +165,7 @@ class TestPreloadUnpin:
         assert before == after
 
     def test_preload_unknown_item_rejected(self, small_context):
-        report = executor_of(small_context).apply(
+        report = small_context.executor.apply(
             0.0, ActionPlan([PreloadItem("ghost")])
         )
         assert report.records[0].outcome is ActionOutcome.REJECTED
@@ -178,7 +174,7 @@ class TestPreloadUnpin:
 
 class TestWriteDelayFlush:
     def _dirty_item(self, context: SimulationContext, item: str) -> None:
-        context.require_executor().apply(
+        context.executor.apply(
             0.0, ActionPlan([EnableWriteDelay((item,))])
         )
         context.controller.submit(
@@ -190,7 +186,7 @@ class TestWriteDelayFlush:
         wd = small_context.cache.write_delay
         dirty = wd.dirty_bytes_of("item-0")
         assert dirty > 0
-        report = executor_of(small_context).apply(
+        report = small_context.executor.apply(
             2.0, ActionPlan([FlushItem("item-0")])
         )
         record = report.records[0]
@@ -202,7 +198,7 @@ class TestWriteDelayFlush:
 
     def test_flush_item_with_zero_dirty_bytes(self, small_context):
         """Edge case: flushing an item with nothing buffered."""
-        report = executor_of(small_context).apply(
+        report = small_context.executor.apply(
             0.0, ActionPlan([FlushItem("item-0")])
         )
         record = report.records[0]
@@ -215,7 +211,7 @@ class TestWriteDelayFlush:
     def test_enable_write_delay_flushes_deselected(self, small_context):
         self._dirty_item(small_context, "item-0")
         dirty = small_context.cache.write_delay.dirty_bytes_of("item-0")
-        report = executor_of(small_context).apply(
+        report = small_context.executor.apply(
             2.0, ActionPlan([EnableWriteDelay(("item-1",))])
         )
         record = report.records[0]
@@ -225,7 +221,7 @@ class TestWriteDelayFlush:
 
     def test_flush_write_delay_drains_everything(self, small_context):
         self._dirty_item(small_context, "item-0")
-        report = executor_of(small_context).apply(
+        report = small_context.executor.apply(
             3.0, ActionPlan([FlushWriteDelay()])
         )
         record = report.records[0]
@@ -237,7 +233,7 @@ class TestWriteDelayFlush:
 class TestPowerOffGate:
     def test_disable_always_applies(self, small_context):
         enclosure = small_context.enclosures[0]
-        report = executor_of(small_context).apply(
+        report = small_context.executor.apply(
             0.0, ActionPlan([SetPowerOffEnabled(enclosure.name, False)])
         )
         assert report.records[0].outcome is ActionOutcome.APPLIED
@@ -245,7 +241,7 @@ class TestPowerOffGate:
 
     def test_enable_passes_without_failures(self, small_context):
         enclosure = small_context.enclosures[0]
-        report = executor_of(small_context).apply(
+        report = small_context.executor.apply(
             0.0, ActionPlan([SetPowerOffEnabled(enclosure.name, True)])
         )
         assert report.records[0].outcome is ActionOutcome.APPLIED
@@ -254,7 +250,7 @@ class TestPowerOffGate:
     def test_degraded_mode_vetoes_and_arms_cooldown(
         self, small_context, config: EcoStorConfig
     ):
-        executor = executor_of(small_context)
+        executor = small_context.executor
         enclosure = small_context.enclosures[0]
         now = 100.0
         for _ in range(config.spin_up_failure_threshold):
@@ -283,7 +279,7 @@ class TestPowerOffGate:
 
 class TestChargeBlockMigration:
     def test_charge_counts_as_migration(self, small_context):
-        executor = executor_of(small_context)
+        executor = small_context.executor
         report = executor.apply(
             0.0,
             ActionPlan(
@@ -298,7 +294,7 @@ class TestChargeBlockMigration:
         assert executor.migrated_bytes_applied == 8192
 
     def test_non_positive_size_rejected(self, small_context):
-        report = executor_of(small_context).apply(
+        report = small_context.executor.apply(
             0.0,
             ActionPlan([ChargeBlockMigration("item-0", 0, "enc-00", "enc-01")]),
         )
@@ -306,86 +302,38 @@ class TestChargeBlockMigration:
         assert report.records[0].reason == "non-positive-size"
 
 
-class TestDryRun:
-    def _full_plan(self) -> ActionPlan:
-        return ActionPlan(
-            [
-                FlushItem("item-0"),
-                MigrateItem("item-0", "enc-01"),
-                PreloadItem("item-1"),
-                UnpinItem("item-2"),
-                EnableWriteDelay(("item-0", "item-1")),
-                FlushWriteDelay(),
-                SetPowerOffEnabled("enc-02", True),
-                ChargeBlockMigration("item-0", 8192, "enc-00", "enc-01"),
-            ]
-        )
-
-    def test_dry_run_mutates_nothing(self, small_context):
-        executor = executor_of(small_context)
-        before = books_snapshot(small_context)
-        report = executor.apply(0.0, self._full_plan(), dry_run=True)
-        assert report.dry_run
-        assert books_snapshot(small_context) == before
-
-    def test_dry_run_predicts_live_outcomes(self, small_context):
-        """Without faults, predicted outcomes match a real apply."""
-        executor = executor_of(small_context)
-        plan = self._full_plan()
-        dry = executor.apply(0.0, plan, dry_run=True)
-        live = executor.apply(0.0, plan)
-        assert [r.outcome for r in dry.records] == [
-            r.outcome for r in live.records
-        ]
-        assert [r.cost_bytes for r in dry.records] == [
-            r.cost_bytes for r in live.records
-        ]
-        assert dry.migration_clock == live.migration_clock
-
-    def test_dry_run_capacity_prediction(self, config):
-        context = build_context(config, 2)
-        virt = context.virtualization
-        names = virt.enclosure_names
-        cap = config.enclosure_size_bytes
-        virt.add_item("big-0", cap - units.MB, default_volume(names[0]))
-        virt.add_item("big-1", cap - units.MB, default_volume(names[1]))
-        report = context.require_executor().apply(
-            0.0, ActionPlan([MigrateItem("big-0", names[1])]), dry_run=True
-        )
-        assert report.records[0].outcome is ActionOutcome.REJECTED
-        assert report.records[0].reason == "capacity"
-        assert virt.enclosure_of("big-0").name == names[0]
-
-
 class TestLogAndReport:
     def test_empty_plan_report(self, small_context):
-        report = executor_of(small_context).apply(7.0, ActionPlan())
+        report = small_context.executor.apply(7.0, ActionPlan())
         assert report.records == ()
-        assert report.started_at == 7.0
-        assert report.completed_at == 7.0
-        assert report.migration_clock == 7.0
+        assert report.moves_executed == report.moves_aborted == 0
+        assert report.bytes_moved == 0
+        assert small_context.executor.log == []
 
     def test_outcome_count(self, small_context):
-        executor = executor_of(small_context)
+        executor = small_context.executor
         report = executor.apply(
             0.0,
             ActionPlan(
                 [UnpinItem("item-0"), MigrateItem("ghost", "enc-01")]
             ),
         )
-        assert report.outcome_count(ActionOutcome.APPLIED) == 1
-        assert report.outcome_count(ActionOutcome.REJECTED) == 1
+        assert [r.outcome for r in report.records] == [
+            ActionOutcome.APPLIED,
+            ActionOutcome.REJECTED,
+        ]
+        assert executor.actions_applied == 1
+        assert executor.actions_rejected == 1
+        assert executor.actions_aborted == executor.actions_vetoed == 0
 
 
 class TestPlacementPlanApply:
     def test_plan_reports_through_executor(self, small_context):
-        from repro.storage.migration import PlacementPlan
-
-        executor = small_context.require_executor()
-        plan = PlacementPlan()
-        plan.add("item-0", "enc-01")
-        plan.add("ghost", "enc-02")
-        report = executor.apply(0.0, plan.as_actions())
+        executor = small_context.executor
+        plan = ActionPlan(
+            [MigrateItem("item-0", "enc-01"), MigrateItem("ghost", "enc-02")]
+        )
+        report = executor.apply(0.0, plan)
         assert report.moves_executed == 1
         assert report.bytes_moved == 64 * units.MB
         assert [record.reason for record in report.records] == [

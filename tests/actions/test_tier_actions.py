@@ -4,9 +4,7 @@ Every promote/demote/archive/replicate outcome the executor can
 produce is pinned here: applied moves with their cost books, the full
 reject-reason taxonomy from ``_resolve_tier_target``, fault aborts via
 a :class:`~repro.faults.plan.MigrationAbort` draw, the degraded-mode
-cool-down veto, JSON round-trips of the resulting records, and
-dry-run identity (a dry run predicts the live outcomes while leaving
-every book bit-identical).
+cool-down veto, and JSON round-trips of the resulting records.
 """
 
 from __future__ import annotations
@@ -43,9 +41,9 @@ def tiered_context(config, flash_count=1, archive_count=1, faults=None):
 
 
 def books_snapshot(context: SimulationContext) -> dict:
-    """Everything a dry run must leave bit-identical, tiers included."""
+    """Every book a tier move could change, tiers included."""
     virt = context.virtualization
-    executor = context.require_executor()
+    executor = context.executor
     return {
         "used": {n: virt.used_bytes(n) for n in virt.enclosure_names},
         "placement": {
@@ -71,7 +69,7 @@ def books_snapshot(context: SimulationContext) -> dict:
 class TestAppliedMoves:
     def test_promote_places_item_on_flash(self, config):
         context = tiered_context(config)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0, ActionPlan([PromoteItem("item-0", "flash")])
         )
         record = report.records[0]
@@ -84,7 +82,7 @@ class TestAppliedMoves:
 
     def test_demote_and_archive_chain_on_migration_clock(self, config):
         context = tiered_context(config)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0,
             ActionPlan(
                 [
@@ -105,7 +103,7 @@ class TestAppliedMoves:
         context = tiered_context(config)
         controller = context.controller
         migrations_before = controller.migration_count
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0, ActionPlan([ReplicateItem("item-0", "flash")])
         )
         record = report.records[0]
@@ -121,7 +119,7 @@ class TestAppliedMoves:
 class TestRecordRoundTrip:
     def test_applied_tier_records_round_trip_through_json(self, config):
         context = tiered_context(config)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0,
             ActionPlan(
                 [
@@ -145,7 +143,7 @@ class TestRecordRoundTrip:
 class TestRejectTaxonomy:
     def test_unknown_item(self, config):
         context = tiered_context(config)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0, ActionPlan([PromoteItem("no-such-item", "flash")])
         )
         assert report.records[0].outcome is ActionOutcome.REJECTED
@@ -153,14 +151,14 @@ class TestRejectTaxonomy:
 
     def test_unknown_tier(self, config):
         context = tiered_context(config)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0, ActionPlan([PromoteItem("item-0", "no-such-tier")])
         )
         assert report.records[0].reason == "unknown-tier"
 
     def test_not_a_promotion_and_not_a_demotion(self, config):
         context = tiered_context(config)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0,
             ActionPlan(
                 [
@@ -180,7 +178,7 @@ class TestRejectTaxonomy:
 
     def test_already_placed_same_tier(self, config):
         context = tiered_context(config)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0,
             ActionPlan(
                 [
@@ -196,7 +194,7 @@ class TestRejectTaxonomy:
 
     def test_no_archive_tier(self, config):
         context = tiered_context(config, archive_count=0)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0, ActionPlan([ArchiveItem("item-0")])
         )
         assert report.records[0].outcome is ActionOutcome.REJECTED
@@ -210,7 +208,7 @@ class TestRejectTaxonomy:
             config.flash_capacity_bytes - units.MB,
             "vol/flash-00",
         )
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             0.0, ActionPlan([PromoteItem("item-0", "flash")])
         )
         assert report.records[0].outcome is ActionOutcome.REJECTED
@@ -223,7 +221,7 @@ class TestFaultAbort:
         context = tiered_context(config, faults=plan)
         virt = context.virtualization
         before = books_snapshot(context)
-        report = context.require_executor().apply(
+        report = context.executor.apply(
             10.0, ActionPlan([PromoteItem("item-0", "flash")])
         )
         record = report.records[0]
@@ -236,7 +234,7 @@ class TestFaultAbort:
         assert after["used"] == before["used"]
         assert after["ledger"] == before["ledger"]
         # One-shot draw: the retry of the same move goes through.
-        retry = context.require_executor().apply(
+        retry = context.executor.apply(
             20.0, ActionPlan([PromoteItem("item-0", "flash")])
         )
         assert retry.records[0].outcome is ActionOutcome.APPLIED
@@ -246,7 +244,7 @@ class TestFaultAbort:
 class TestDegradedModeVeto:
     def test_cooldown_on_resolved_target_vetoes_move(self, config):
         context = tiered_context(config)
-        executor = context.require_executor()
+        executor = context.executor
         # Simulate the degraded-mode gate having benched flash-00 (the
         # deterministic resolve target) after repeated spin-up faults.
         executor._cooldown_until["flash-00"] = 100.0
@@ -262,41 +260,3 @@ class TestDegradedModeVeto:
             150.0, ActionPlan([PromoteItem("item-0", "flash")])
         )
         assert late.records[0].outcome is ActionOutcome.APPLIED
-
-
-class TestDryRun:
-    def _full_plan(self) -> ActionPlan:
-        # Dry runs predict each action against the books as they stand,
-        # so the plan's outcomes must not depend on its own earlier
-        # moves (DemoteItem("item-0", ...) after the promote is fine —
-        # flash → archive and hdd → archive are both demotions).
-        return ActionPlan(
-            [
-                PromoteItem("item-0", "flash"),
-                ReplicateItem("item-1", "flash"),
-                ArchiveItem("item-1"),
-                DemoteItem("item-0", "archive"),
-                PromoteItem("no-such-item", "flash"),
-                DemoteItem("item-1", "no-such-tier"),
-            ]
-        )
-
-    def test_dry_run_predicts_live_outcomes_without_mutating(self, config):
-        dry_context = tiered_context(config)
-        before = books_snapshot(dry_context)
-        dry = dry_context.require_executor().apply(
-            0.0, self._full_plan(), dry_run=True
-        )
-        assert books_snapshot(dry_context) == before
-
-        live_context = tiered_context(config)
-        live = live_context.require_executor().apply(0.0, self._full_plan())
-        assert [r.outcome for r in dry.records] == [
-            r.outcome for r in live.records
-        ]
-        assert [r.reason for r in dry.records] == [
-            r.reason for r in live.records
-        ]
-        assert [r.cost_bytes for r in dry.records] == [
-            r.cost_bytes for r in live.records
-        ]

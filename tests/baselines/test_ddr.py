@@ -201,13 +201,13 @@ class TestDDRRecurrence:
 
 class TestDDRPlanRule:
     def spy_on_apply(self, context, monkeypatch):
-        executor = context.require_executor()
+        executor = context.executor
         calls = []
         real_apply = executor.apply
 
-        def spy(now, plan, dry_run=False):
+        def spy(now, plan):
             calls.append((now, list(plan)))
-            return real_apply(now, plan, dry_run)
+            return real_apply(now, plan)
 
         monkeypatch.setattr(executor, "apply", spy)
         return calls
@@ -276,7 +276,7 @@ class TestDDRDegradedMode:
         assert len(enc.spin_up_failure_times) == 1
         enables = [
             r
-            for r in context.require_executor().log
+            for r in context.executor.log
             if r.action == SetPowerOffEnabled("enc-01", True)
         ]
         vetoed = [
@@ -294,4 +294,4 @@ class TestDDRDegradedMode:
         assert window[:-1] == vetoed
         assert window[-1].outcome is ActionOutcome.APPLIED
         assert enc.power_off_enabled
-        assert context.require_executor().degraded_cooldowns == 1
+        assert context.executor.degraded_cooldowns == 1

@@ -4,6 +4,9 @@ import pytest
 
 from repro import units
 from repro.config import DEFAULT_CONFIG
+from repro.actions.records import FlushItem, MigrateItem
+from repro.core import manager as manager_module
+from repro.core.hotcold import HotColdSplit
 from repro.core.manager import EnergyEfficientPolicy
 from repro.core.patterns import IOPattern
 from repro.simulation import build_context, default_volume
@@ -118,6 +121,43 @@ class TestHotColdControl:
         assert result.migrated_bytes > 0
         split = policy.snapshots[-1]
         assert len(split.hot) < 4
+
+
+    def test_evacuations_apply_before_consolidation(self, monkeypatch):
+        """Flushes keep decision order; moves run evacuations first (§V-A)."""
+        context = build_system()
+        for index, item in enumerate(("a", "b", "c")):
+            place(context, item, units.MB, index)
+        moves = [
+            MigrateItem("a", "enc-03"),
+            MigrateItem("b", "enc-03", evacuation=True),
+            MigrateItem("c", "enc-03"),
+        ]
+        split = HotColdSplit(
+            hot=("enc-03",),
+            cold=("enc-00", "enc-01", "enc-02"),
+            i_max=0.0,
+            n_hot=1,
+        )
+        monkeypatch.setattr(
+            manager_module,
+            "determine_placement",
+            lambda *args, **kwargs: (split, moves),
+        )
+        run_manager(context, dense_trace("a", 0.0, 600.0), 600.0)
+        applied = [
+            record.action
+            for record in context.executor.log
+            if isinstance(record.action, (FlushItem, MigrateItem))
+        ]
+        assert applied[:6] == [
+            FlushItem("a"),
+            FlushItem("b"),
+            FlushItem("c"),
+            moves[1],
+            moves[0],
+            moves[2],
+        ]
 
 
 class TestCacheControl:

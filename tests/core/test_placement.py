@@ -78,7 +78,7 @@ class TestAlgorithm2:
         plan = plan_p3_consolidation(
             ledger, split(["e0"], ["e1", "e2", "e3"]), 1.0, 100 * GB
         )
-        moves = {m.item_id: m.target_enclosure for m in plan.moves}
+        moves = {m.item_id: m.target_enclosure for m in plan}
         assert moves == {"mover": "e0"}
 
     def test_p3_already_hot_does_not_move(self):
@@ -101,7 +101,7 @@ class TestAlgorithm2:
         plan = plan_p3_consolidation(
             ledger, split(["e0", "e1"], ["e2", "e3"]), 1.0, 100 * GB
         )
-        assert plan.moves[0].target_enclosure == "e1"
+        assert plan[0].target_enclosure == "e1"
 
     def test_iops_overflow_raises(self):
         profiles = {
@@ -163,7 +163,7 @@ class TestAlgorithm2:
         plan = plan_p3_consolidation(
             ledger, split(["e0"], ["e1", "e2", "e3"]), 1.0, 10 * GB
         )
-        kinds = {(m.item_id, m.evacuation) for m in plan.moves}
+        kinds = {(m.item_id, m.evacuation) for m in plan}
         assert ("filler", True) in kinds  # Algorithm 3 freed space
         assert ("mover", False) in kinds
 
@@ -183,7 +183,7 @@ class TestAlgorithm2:
         plan = plan_p3_consolidation(
             ledger, split(["e0"], ["e1", "e2", "e3"]), 1.0, 100 * GB
         )
-        assert plan.moves[0].item_id == "dense"
+        assert plan[0].item_id == "dense"
 
 
 class TestAlgorithm3:
@@ -199,40 +199,34 @@ class TestAlgorithm3:
             ),
         }
         ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
-        from repro.storage.migration import PlacementPlan
-
-        plan = PlacementPlan()
+        moves = []
         freed = plan_evacuation(
-            ledger, plan, "e0", GB, ["e1", "e2", "e3"], 1.0, 100 * GB
+            ledger, moves, "e0", GB, ["e1", "e2", "e3"], 1.0, 100 * GB
         )
         assert freed
         # e2 has the highest projected peak IOPS among cold enclosures.
-        assert plan.moves[0].target_enclosure == "e2"
-        assert plan.moves[0].evacuation
+        assert moves[0].target_enclosure == "e2"
+        assert moves[0].evacuation
 
     def test_does_not_move_p3(self):
         profiles = {
             "p3": make_profile("p3", IOPattern.P3, "e0", size_bytes=2 * GB),
         }
         ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
-        from repro.storage.migration import PlacementPlan
-
-        plan = PlacementPlan()
+        moves = []
         freed = plan_evacuation(
-            ledger, plan, "e0", GB, ["e1"], 1.0, 100 * GB
+            ledger, moves, "e0", GB, ["e1"], 1.0, 100 * GB
         )
         assert not freed
-        assert not plan
+        assert not moves
 
     def test_no_cold_enclosures_fails(self):
         profiles = {
             "p1": make_profile("p1", IOPattern.P1, "e0", size_bytes=2 * GB),
         }
         ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
-        from repro.storage.migration import PlacementPlan
-
         assert not plan_evacuation(
-            ledger, PlacementPlan(), "e0", GB, [], 1.0, 100 * GB
+            ledger, [], "e0", GB, [], 1.0, 100 * GB
         )
 
 
@@ -253,7 +247,7 @@ class TestDeterminePlacement:
         assert split_result.n_hot >= 2
         assert len(split_result.cold) <= 2
         # Every P3 item ends on a hot enclosure.
-        targets = {m.item_id: m.target_enclosure for m in plan.moves}
+        targets = {m.item_id: m.target_enclosure for m in plan}
         for k in range(4):
             final = targets.get(f"i{k}", f"e{k}")
             assert final in split_result.hot

@@ -140,7 +140,7 @@ class TestFinishedKernelMisuse:
                 kernel.snapshot_state(),
                 context.app_monitor.snapshot_state(),
                 context.storage_monitor.snapshot_state(),
-                list(context.require_executor().log),
+                list(context.executor.log),
             )
 
         before = state()

@@ -14,6 +14,8 @@ import pytest
 
 from repro import units
 from repro.actions.executor import ActionExecutor
+from repro.actions.plan import ActionPlan
+from repro.actions.records import MigrateItem
 from repro.errors import (
     AuditError,
     EnclosureUnavailableError,
@@ -31,7 +33,6 @@ from repro.faults.plan import (
 from repro.storage.cache import StorageCache
 from repro.storage.controller import CACHE_HIT_LATENCY, StorageController
 from repro.storage.enclosure import DiskEnclosure
-from repro.storage.migration import PlacementPlan
 from repro.storage.power import PowerState
 from repro.storage.virtualization import BlockVirtualization
 from repro.trace.records import IOType, LogicalIORecord
@@ -270,10 +271,8 @@ class TestMigrationAbort:
     def test_engine_counts_aborts_and_continues(self) -> None:
         plan = FaultPlan(events=(MigrationAbort(item_id="a", after=0.0),))
         controller, virt, _, _ = build(plan)
-        moves = PlacementPlan()
-        moves.add("a", "e1")
-        moves.add("b", "e0")
-        report = ActionExecutor(controller).apply(100.0, moves.as_actions())
+        moves = ActionPlan([MigrateItem("a", "e1"), MigrateItem("b", "e0")])
+        report = ActionExecutor(controller).apply(100.0, moves)
         assert report.moves_aborted == 1
         assert report.moves_executed == 1
         assert controller.migration_aborts == 1

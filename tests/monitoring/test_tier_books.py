@@ -74,7 +74,7 @@ class TestTierBooks:
         size = 64 * units.MB
         virt.add_item("item-0", size, "vol/enc-00")
         virt.add_item("item-1", size, "vol/enc-01")
-        context.require_executor().apply(
+        context.executor.apply(
             0.0,
             ActionPlan(
                 [

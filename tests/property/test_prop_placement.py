@@ -55,7 +55,7 @@ def test_every_item_placed_exactly_once(profiles):
         make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
     ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
-    for move in plan.ordered():
+    for move in sorted(plan, key=lambda move: not move.evacuation):
         ledger.move(move.item_id, move.target_enclosure)
     placed = set()
     for name in ENCLOSURES:
@@ -72,7 +72,7 @@ def test_final_capacity_respected(profiles):
         make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
     ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
-    for move in plan.ordered():
+    for move in sorted(plan, key=lambda move: not move.evacuation):
         ledger.move(move.item_id, move.target_enclosure)
     for name in ENCLOSURES:
         assert ledger.used_bytes(name) <= CAPACITY
@@ -85,7 +85,7 @@ def test_p3_items_end_on_hot_enclosures(profiles):
         make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
     ledger = EnclosureLedger(ENCLOSURES, make_table(profiles), BUCKET)
-    for move in plan.ordered():
+    for move in sorted(plan, key=lambda move: not move.evacuation):
         ledger.move(move.item_id, move.target_enclosure)
     for item, profile in profiles.items():
         if profile.pattern is IOPattern.P3:
@@ -108,7 +108,7 @@ def test_moves_reference_known_items_and_enclosures(profiles):
     _, plan = determine_placement(
         make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
-    for move in plan.moves:
+    for move in plan:
         assert move.item_id in profiles
         assert move.target_enclosure in ENCLOSURES
 
@@ -123,7 +123,7 @@ def test_p3_moves_are_real_and_target_hot(profiles):
     split, plan = determine_placement(
         make_table(profiles), ENCLOSURES, MAX_IOPS, CAPACITY, BUCKET
     )
-    for move in plan.moves:
+    for move in plan:
         if move.evacuation:
             continue
         assert profiles[move.item_id].pattern is IOPattern.P3

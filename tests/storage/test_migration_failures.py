@@ -4,12 +4,12 @@ import pytest
 
 from repro import units
 from repro.actions.executor import ActionExecutor, ApplyReport
-from repro.actions.records import ActionOutcome
+from repro.actions.plan import ActionPlan
+from repro.actions.records import ActionOutcome, MigrateItem
 from repro.errors import CapacityError
 from repro.storage.cache import StorageCache
 from repro.storage.controller import StorageController
 from repro.storage.enclosure import DiskEnclosure
-from repro.storage.migration import PlacementPlan
 from repro.storage.virtualization import BlockVirtualization
 
 
@@ -53,10 +53,13 @@ class TestCapacityPressure:
         virt.add_item("a", 80 * units.MB, "v0")
         virt.add_item("b", 80 * units.MB, "v1")
         virt.add_item("c", 10 * units.MB, "v0")
-        plan = PlacementPlan()
-        plan.add("a", "e1")  # cannot fit (b occupies e1)
-        plan.add("c", "e2")  # fits
-        report = executor.apply(0.0, plan.as_actions())
+        plan = ActionPlan(
+            [
+                MigrateItem("a", "e1"),  # cannot fit (b occupies e1)
+                MigrateItem("c", "e2"),  # fits
+            ]
+        )
+        report = executor.apply(0.0, plan)
         assert capacity_skips(report) == 1
         assert report.moves_executed == 1
         assert virt.enclosure_of("a").name == "e0"
@@ -66,9 +69,7 @@ class TestCapacityPressure:
         executor, virt, _ = build()
         virt.add_item("a", 80 * units.MB, "v0")
         virt.add_item("b", 80 * units.MB, "v1")
-        plan = PlacementPlan()
-        plan.add("a", "e1")
-        report = executor.apply(0.0, plan.as_actions())
+        report = executor.apply(0.0, ActionPlan([MigrateItem("a", "e1")]))
         assert report.bytes_moved == 0
         assert executor.controller.migrated_bytes == 0
 
@@ -78,10 +79,13 @@ class TestCapacityPressure:
         executor, virt, _ = build()
         virt.add_item("a", 80 * units.MB, "v0")
         virt.add_item("b", 80 * units.MB, "v1")
-        plan = PlacementPlan()
-        plan.add("b", "e2", evacuation=True)  # executes first
-        plan.add("a", "e1")
-        report = executor.apply(0.0, plan.as_actions())
+        plan = ActionPlan(
+            [
+                MigrateItem("b", "e2", evacuation=True),  # executes first
+                MigrateItem("a", "e1"),
+            ]
+        )
+        report = executor.apply(0.0, plan)
         assert capacity_skips(report) == 0
         assert virt.enclosure_of("a").name == "e1"
         assert virt.enclosure_of("b").name == "e2"
