@@ -7,8 +7,7 @@ frozen :class:`~repro.actions.records.Action` values here.  Policies
 :class:`~repro.actions.executor.ActionExecutor` *applies*, emitting an
 auditable, replayable, JSON-round-trippable
 :class:`~repro.actions.records.ActionRecord` per action.  See
-``docs/actions.md`` for the taxonomy, outcome semantics, and the
-dry-run contract.
+``docs/actions.md`` for the taxonomy and outcome semantics.
 """
 
 from repro.actions.executor import ActionExecutor, ApplyReport

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, ClassVar, Mapping, TypeVar, Union
+from typing import Any, ClassVar, Mapping, Union
 
 from repro.errors import ValidationError
 from repro.faults.model import FaultModel
@@ -169,9 +169,6 @@ EVENT_TYPES: dict[str, type] = {
     )
 }
 
-_EventT = TypeVar("_EventT")
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic schedule of fault events plus an optional model.
@@ -212,10 +209,6 @@ class FaultPlan:
         if self.model is not None and self.model.active:
             parts.append(f"model:{self.model.seed}")
         return "+".join(parts) if parts else "none"
-
-    def events_of(self, cls: type[_EventT]) -> tuple[_EventT, ...]:
-        """All scheduled events of one kind, in plan order."""
-        return tuple(e for e in self.events if isinstance(e, cls))
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form (stable key order under canonical JSON)."""

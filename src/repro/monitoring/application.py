@@ -91,17 +91,9 @@ class ApplicationMonitor:
         """Record that a data item was created on a volume."""
         self._item_volume[item_id] = volume
 
-    def unregister_item(self, item_id: str) -> None:
-        """Forget the item's volume mapping, if known."""
-        self._item_volume.pop(item_id, None)
-
     def volume_of(self, item_id: str) -> str | None:
         """Volume the item was registered on, or ``None``."""
         return self._item_volume.get(item_id)
-
-    def known_items(self) -> set[str]:
-        """Ids of all items registered with the monitor."""
-        return set(self._item_volume)
 
     # ------------------------------------------------------------------
     # logical I/O trace

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.storage.enclosure import DiskEnclosure
-from repro.trace.records import PowerSample
 from repro.units import Joules, Seconds, Watts
 
 
@@ -140,17 +139,6 @@ class PowerTimeline:
     def total_series(self) -> list[tuple[Seconds, Watts]]:
         """(timestamp, total watts) pairs in time order."""
         return [(p.timestamp, p.total_watts) for p in self.points]
-
-    def samples_for(self, enclosure: str) -> list[PowerSample]:
-        """§III-B power-consumption records for one enclosure."""
-        return [
-            PowerSample(
-                timestamp=p.timestamp,
-                enclosure=enclosure,
-                watts=p.per_enclosure[enclosure],
-            )
-            for p in self.points
-        ]
 
     def mean_watts(self) -> Watts:
         """Time-weighted mean of the recorded series."""

@@ -54,19 +54,6 @@ class LRUBlockCache:
     def __contains__(self, key: tuple[str, int]) -> bool:
         return key in self._blocks
 
-    def invalidate_item(self, item_id: str) -> int:
-        """Drop every cached block of one data item; returns count dropped."""
-        doomed = [key for key in self._blocks if key[0] == item_id]
-        for key in doomed:
-            del self._blocks[key]
-        return len(doomed)
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of accesses served from cache so far."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def snapshot_state(self) -> dict:
         """Serializable LRU state (:mod:`repro.persistence`).
 
@@ -114,10 +101,6 @@ class PreloadPartition:
     def item_ids(self) -> set[str]:
         """Ids of all pinned items."""
         return set(self._items)
-
-    def fits(self, size_bytes: Bytes) -> bool:
-        """Whether an item of this size fits in the free space."""
-        return size_bytes <= self.free_bytes
 
     def pin(self, item_id: str, size_bytes: Bytes) -> None:
         """Pin one data item; raises :class:`CapacityError` if it cannot fit."""
@@ -261,15 +244,10 @@ class WriteDelayPartition:
         self.dirty_pages += added
         return self.dirty_pages >= self.dirty_threshold_pages
 
-    def is_dirty(self, item_id: str, page: int) -> bool:
-        """Whether the given page of the item is dirty."""
-        return page in self._dirty.get(item_id, ())
-
     def dirty_bytes_of(self, item_id: str) -> Bytes:
         """Bytes of dirty data buffered for one item (read-only peek).
 
-        Lets the action executor cost a flush without touching the
-        partition — a dry run must leave the books bit-identical.
+        Lets the action executor cost a flush before it applies it.
         """
         return len(self._dirty.get(item_id, ())) * PAGE_BYTES
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.errors import ValidationError
 from repro.storage.controller import StorageController
 from repro.storage.enclosure import DiskEnclosure
-from repro.storage.power import ControllerPowerModel, PowerState
+from repro.storage.power import ControllerPowerModel
 from repro.units import Joules, Seconds, Watts
 
 
@@ -73,12 +73,3 @@ class PowerMeter:
             enclosure_joules=enclosure_joules,
             controller_joules=controller_joules,
         )
-
-    def state_breakdown(self, now: Seconds) -> dict[PowerState, Seconds]:
-        """Total enclosure-seconds spent in each power state up to ``now``."""
-        breakdown = {state: 0.0 for state in PowerState}
-        for enclosure in self.enclosures:
-            enclosure.settle(now)
-            for state in PowerState:
-                breakdown[state] += enclosure.time_in_state(state)
-        return breakdown

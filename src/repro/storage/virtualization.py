@@ -153,11 +153,6 @@ class BlockVirtualization:
         """Names of all registered tiers, in declaration order."""
         return list(self._tiers)
 
-    @property
-    def is_tiered(self) -> bool:
-        """Whether more than one tier is configured (multi-tier mode)."""
-        return len(self._tiers) > 1
-
     def tier(self, name: str) -> StorageTier:
         """Look up a tier by name."""
         try:
@@ -200,11 +195,6 @@ class BlockVirtualization:
             return self._volumes[name]
         except KeyError:
             raise MappingError(f"unknown volume {name!r}") from None
-
-    @property
-    def volume_names(self) -> list[str]:
-        """Names of all registered volumes."""
-        return list(self._volumes)
 
     # ------------------------------------------------------------------
     # data items

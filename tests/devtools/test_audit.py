@@ -9,7 +9,7 @@ from repro.core.manager import EnergyEfficientPolicy
 from repro.devtools.audit import InvariantAuditor
 from repro.errors import AuditError, ReproError
 from repro.experiments.runner import run_cell
-from repro.simulation import SimulationContext, build_context
+from repro.simulation import SimulationContext, build_context, default_volume
 from repro.storage.controller import StorageController
 from repro.storage.meter import PowerMeter, PowerReading
 from repro.workloads.fileserver import build_fileserver_workload
@@ -75,7 +75,7 @@ def test_audit_error_is_repro_error_with_state_dump() -> None:
 def test_placement_drift_raises_audit_error() -> None:
     context = _fresh_context()
     virt = context.virtualization
-    volume = virt.volume_names[0]
+    volume = default_volume(virt.enclosure_names[0])
     virt.add_item("item-x", 4096, volume)
     auditor = InvariantAuditor(context)
     auditor.check(1.0)

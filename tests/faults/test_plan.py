@@ -130,13 +130,6 @@ class TestFingerprint:
         assert a.fingerprint() != b.fingerprint()
 
 
-def test_events_of_filters_by_type() -> None:
-    plan = full_plan()
-    outages = plan.events_of(EnclosureOutage)
-    assert [event.enclosure for event in outages] == ["enc-01"]
-    assert plan.events_of(SpinUpFailure)[0].failures == 2
-
-
 def test_label_mentions_events_and_model() -> None:
     assert full_plan().label == "5ev+model:42"
     assert FaultPlan(events=(CacheBatteryFailure(time=1.0),)).label == "1ev"

@@ -26,13 +26,6 @@ class TestMapping:
         monitor = ApplicationMonitor()
         monitor.register_item("a", "vol0")
         assert monitor.volume_of("a") == "vol0"
-        assert monitor.known_items() == {"a"}
-
-    def test_unregister(self):
-        monitor = ApplicationMonitor()
-        monitor.register_item("a", "vol0")
-        monitor.unregister_item("a")
-        assert monitor.volume_of("a") is None
 
     def test_unknown_item_returns_none(self):
         assert ApplicationMonitor().volume_of("ghost") is None

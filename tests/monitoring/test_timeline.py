@@ -70,9 +70,9 @@ class TestSampling:
         timeline, _ = make_timeline()
         timeline.sample(60.0)
         timeline.sample(120.0)
-        samples = timeline.samples_for("e1")
+        samples = [point.per_enclosure["e1"] for point in timeline.points]
         assert len(samples) == 2
-        assert all(s.enclosure == "e1" for s in samples)
+        assert all(watts > 0 for watts in samples)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -78,23 +78,15 @@ class TestLRU:
         assert not read(cache, "a", 0)
         assert len(cache.lru) == 0
 
-    def test_invalidate_item(self):
-        cache = lru_only(10)
-        read(cache, "a", 0)
-        read(cache, "a", 1)
-        read(cache, "b", 0)
-        assert cache.lru.invalidate_item("a") == 2
-        assert not read(cache, "a", 0)
-        assert read(cache, "b", 0)
-
     def test_hit_ratio(self):
         cache = lru_only(10)
         read(cache, "a", 0)
         read(cache, "a", 0)
-        assert cache.lru.hit_ratio == pytest.approx(0.5)
+        assert (cache.lru.hits, cache.lru.misses) == (1, 1)
 
     def test_hit_ratio_empty(self):
-        assert LRUBlockCache(PAGE_BYTES).hit_ratio == 0.0
+        lru = LRUBlockCache(PAGE_BYTES)
+        assert (lru.hits, lru.misses) == (0, 0)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -145,8 +137,10 @@ class TestPreloadPartition:
 
     def test_fits(self):
         part = PreloadPartition(10 * units.MB)
-        assert part.fits(10 * units.MB)
-        assert not part.fits(11 * units.MB)
+        part.pin("a", 10 * units.MB)
+        assert part.free_bytes == 0
+        with pytest.raises(CapacityError):
+            PreloadPartition(10 * units.MB).pin("b", 11 * units.MB)
 
     def test_item_ids(self):
         part = PreloadPartition(units.GB)
@@ -237,9 +231,10 @@ class TestWriteDelayPartition:
         part = self.make(capacity_mb=100)
         part.select("a")
         part.absorb_write("a", 3, 3)
-        assert part.is_dirty("a", 3)
-        assert not part.is_dirty("a", 4)
-        assert not part.is_dirty("b", 3)
+        assert part.dirty_bytes_of("a") == PAGE_BYTES
+        assert part.dirty_bytes_of("b") == 0
+        part.absorb_write("a", 3, 4)  # page 3 is already dirty
+        assert part.dirty_bytes_of("a") == 2 * PAGE_BYTES
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):

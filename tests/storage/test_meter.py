@@ -71,6 +71,10 @@ class TestPowerMeter:
         meter, encs = make_meter(3)
         encs[0].submit(1.0)
         encs[1].enable_power_off(0.0)
-        breakdown = meter.state_breakdown(1000.0)
+        meter.read(1000.0)  # settles every enclosure to t = 1000 s
+        breakdown = {
+            state: sum(enc.time_in_state(state) for enc in encs)
+            for state in PowerState
+        }
         assert sum(breakdown.values()) == pytest.approx(3 * 1000.0)
         assert breakdown[PowerState.OFF] > 0  # enc 1 slept

@@ -148,13 +148,11 @@ class TestTieredVirtualization:
         virt = BlockVirtualization(
             [DiskEnclosure("e0", capacity_bytes=units.GB)]
         )
-        assert not virt.is_tiered
         assert virt.tier_names == ["hdd"]
         assert virt.tier_of_device("e0").kind is TierKind.HDD
 
     def test_tier_lookups(self):
         virt = make_tiered_virt()
-        assert virt.is_tiered
         assert virt.devices_in_tier("hdd") == ("hdd-0", "hdd-1")
         assert virt.tier_of_device("flash-0").name == "flash"
         virt.add_item("a", 10 * units.MB, "vol/hdd-0")
