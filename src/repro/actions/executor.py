@@ -41,6 +41,7 @@ from repro.actions.records import (
     SetPowerOffEnabled,
     UnpinItem,
 )
+from repro.capture import Snapshottable
 from repro.errors import CapacityError, MigrationAbortedError, UsageError
 from repro.storage.cache import PAGE_BYTES
 from repro.storage.tiers import TierKind
@@ -108,7 +109,7 @@ class ApplyReport:
         )
 
 
-class ActionExecutor:
+class ActionExecutor(Snapshottable):
     """Applies action plans to the storage layer; owns the action log.
 
     The executor is the *only* component that may call the controller's
@@ -117,7 +118,12 @@ class ActionExecutor:
     power-off gate that used to live on the policy base class: the
     per-enclosure cool-down state must sit beside the component that
     applies power decisions, not on each planner.
+
+    Its snapshot state is the action log, every outcome counter and
+    the gate's per-enclosure cool-down deadlines.
     """
+
+    _REBUILT = frozenset({"controller", "config"})
 
     def __init__(
         self,
@@ -153,53 +159,6 @@ class ActionExecutor:
         self._cooldown_until: dict[str, float] = {}
         #: Times the gate vetoed a power-off enablement.
         self.degraded_cooldowns = 0
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable executor state (:mod:`repro.persistence`).
-
-        The action log rides along record-for-record (records are frozen
-        dataclasses of frozen actions — directly picklable), together
-        with every outcome counter and the degraded-mode gate's
-        per-enclosure cool-down deadlines.
-        """
-        return {
-            "log": list(self.log),
-            "actions_applied": self.actions_applied,
-            "actions_aborted": self.actions_aborted,
-            "actions_vetoed": self.actions_vetoed,
-            "actions_rejected": self.actions_rejected,
-            "migrations_applied": self.migrations_applied,
-            "migrations_aborted": self.migrations_aborted,
-            "migrated_bytes_applied": self.migrated_bytes_applied,
-            "cooldown_until": dict(self._cooldown_until),
-            "degraded_cooldowns": self.degraded_cooldowns,
-            "promotes_applied": self.promotes_applied,
-            "demotes_applied": self.demotes_applied,
-            "archives_applied": self.archives_applied,
-            "replicates_applied": self.replicates_applied,
-            "promote_attempt_items": sorted(self.promote_attempt_items),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the executor exactly as :meth:`snapshot_state` captured it."""
-        self.log = list(state["log"])
-        self.actions_applied = state["actions_applied"]
-        self.actions_aborted = state["actions_aborted"]
-        self.actions_vetoed = state["actions_vetoed"]
-        self.actions_rejected = state["actions_rejected"]
-        self.migrations_applied = state["migrations_applied"]
-        self.migrations_aborted = state["migrations_aborted"]
-        self.migrated_bytes_applied = state["migrated_bytes_applied"]
-        self._cooldown_until = dict(state["cooldown_until"])
-        self.degraded_cooldowns = state["degraded_cooldowns"]
-        self.promotes_applied = state["promotes_applied"]
-        self.demotes_applied = state["demotes_applied"]
-        self.archives_applied = state["archives_applied"]
-        self.replicates_applied = state["replicates_applied"]
-        self.promote_attempt_items = set(state["promote_attempt_items"])
 
     # ------------------------------------------------------------------
     # public API

@@ -27,12 +27,13 @@ import abc
 from repro.actions.executor import ActionExecutor
 from repro.actions.plan import ActionPlan
 from repro.actions.records import ActionOutcome, SetPowerOffEnabled
+from repro.capture import Snapshottable
 from repro.errors import UsageError
 from repro.simulation import SimulationContext
 from repro.storage.enclosure import DiskEnclosure
 
 
-class PowerPolicy(abc.ABC):
+class PowerPolicy(abc.ABC, Snapshottable):
     """Base class for storage power-saving policies.
 
     Policies are *planners*: they decide, build
@@ -40,7 +41,14 @@ class PowerPolicy(abc.ABC):
     through the context's
     :class:`~repro.actions.executor.ActionExecutor` — never by calling
     controller mutators directly (check R9).
+
+    A policy's snapshot state is every attribute but its context.  A
+    restored policy is ``bind()``-ed to the rebuilt context but its
+    :meth:`on_start` is **not** re-run: the captured state already
+    reflects it.
     """
+
+    _REBUILT = frozenset({"context"})
 
     #: Human-readable policy name used in reports.
     name: str = "abstract"
@@ -143,21 +151,3 @@ class PowerPolicy(abc.ABC):
 
     def on_end(self, now: float) -> None:
         """Called once after the last record, before final settlement."""
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable planner state (:mod:`repro.persistence`).
-
-        The base captures the determinations counter; stateful policies
-        extend the dict (call ``super().snapshot_state()`` first) with
-        their window cursors and accumulators.  A restored policy is
-        ``bind()``-ed to the rebuilt context but its :meth:`on_start` is
-        **not** re-run — the captured state already reflects it.
-        """
-        return {"determinations": self.determinations}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore planner state exactly as :meth:`snapshot_state` captured it."""
-        self.determinations = state["determinations"]

@@ -76,17 +76,3 @@ class CacheOnlyPolicy(PowerPolicy):
         self.executor().apply(now, plan)
         self._next_checkpoint = now + self.refresh_period
         return plan
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Refresh cursor on top of the base state."""
-        state = super().snapshot_state()
-        state.update(next_checkpoint=self._next_checkpoint)
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the policy exactly as :meth:`snapshot_state` captured it."""
-        super().restore_state(state)
-        self._next_checkpoint = state["next_checkpoint"]

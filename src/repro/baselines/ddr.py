@@ -183,31 +183,3 @@ class DDRPolicy(PowerPolicy):
             ),
         )
         self.blocks_migrated += 1
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Thresholds, window cursor, and smoothed-IOPS books."""
-        state = super().snapshot_state()
-        state.update(
-            monitoring_period=self.monitoring_period,
-            target_th=self.target_th,
-            next_checkpoint=self._next_checkpoint,
-            window_start=self._window_start,
-            smoothed_iops=dict(self._smoothed_iops),
-            cold=sorted(self._cold),
-            blocks_migrated=self.blocks_migrated,
-        )
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the policy exactly as :meth:`snapshot_state` captured it."""
-        super().restore_state(state)
-        self.monitoring_period = state["monitoring_period"]
-        self.target_th = state["target_th"]
-        self._next_checkpoint = state["next_checkpoint"]
-        self._window_start = state["window_start"]
-        self._smoothed_iops = dict(state["smoothed_iops"])
-        self._cold = set(state["cold"])
-        self.blocks_migrated = state["blocks_migrated"]

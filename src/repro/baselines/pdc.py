@@ -201,25 +201,3 @@ class PDCPolicy(PowerPolicy):
     def _schedule_next(self, now: float) -> None:
         assert self.monitoring_period is not None
         self._next_checkpoint = now + self.monitoring_period
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Window cursor and popularity counts, on top of the base state."""
-        state = super().snapshot_state()
-        state.update(
-            monitoring_period=self.monitoring_period,
-            next_checkpoint=self._next_checkpoint,
-            window_start=self._window_start,
-            popularity=list(self._popularity.items()),
-        )
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the policy exactly as :meth:`snapshot_state` captured it."""
-        super().restore_state(state)
-        self.monitoring_period = state["monitoring_period"]
-        self._next_checkpoint = state["next_checkpoint"]
-        self._window_start = state["window_start"]
-        self._popularity = defaultdict(int, state["popularity"])

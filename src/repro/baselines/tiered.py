@@ -57,6 +57,11 @@ HDD_TIER = "hdd"
 ARCHIVE_TIER = "archive"
 
 
+def _bucket_counts() -> defaultdict[int, int]:
+    """An empty per-bucket I/O count (a module-level factory pickles)."""
+    return defaultdict(int)
+
+
 class TieredLifecyclePolicy(PowerPolicy):
     """Hot→flash / warm→HDD / frozen→archive temperature lifecycle."""
 
@@ -80,7 +85,7 @@ class TieredLifecyclePolicy(PowerPolicy):
         self._temperature: dict[str, float] = {}
         self._window_counts: defaultdict[str, int] = defaultdict(int)
         self._window_buckets: defaultdict[str, defaultdict[int, int]] = (
-            defaultdict(lambda: defaultdict(int))
+            defaultdict(_bucket_counts)
         )
         self._cold_streak: defaultdict[str, int] = defaultdict(int)
         self._preferred_hot: set[str] = set()
@@ -363,42 +368,3 @@ class TieredLifecyclePolicy(PowerPolicy):
         ]
         if actions:
             self.executor().apply(now, ActionPlan(actions))
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Temperatures, streaks, and window cursors, on the base state."""
-        state = super().snapshot_state()
-        state.update(
-            monitoring_period=self.monitoring_period,
-            half_life=self.half_life,
-            replicate_hot=self.replicate_hot,
-            next_checkpoint=self._next_checkpoint,
-            window_start=self._window_start,
-            temperature=sorted(self._temperature.items()),
-            window_counts=sorted(self._window_counts.items()),
-            window_buckets=sorted(
-                (item, sorted(buckets.items()))
-                for item, buckets in self._window_buckets.items()
-            ),
-            cold_streak=sorted(self._cold_streak.items()),
-            preferred_hot=sorted(self._preferred_hot),
-        )
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the policy exactly as :meth:`snapshot_state` captured it."""
-        super().restore_state(state)
-        self.monitoring_period = state["monitoring_period"]
-        self.half_life = state["half_life"]
-        self.replicate_hot = state["replicate_hot"]
-        self._next_checkpoint = state["next_checkpoint"]
-        self._window_start = state["window_start"]
-        self._temperature = dict(state["temperature"])
-        self._window_counts = defaultdict(int, dict(state["window_counts"]))
-        self._window_buckets = defaultdict(lambda: defaultdict(int))
-        for item, buckets in state["window_buckets"]:
-            self._window_buckets[item] = defaultdict(int, dict(buckets))
-        self._cold_streak = defaultdict(int, dict(state["cold_streak"]))
-        self._preferred_hot = set(state["preferred_hot"])

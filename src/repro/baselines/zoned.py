@@ -15,6 +15,7 @@ boundaries are hard — no policy migrates data across zones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.actions.plan import ActionPlan
 from repro.baselines.base import PowerPolicy
@@ -108,6 +109,8 @@ class ZonedPolicy(PowerPolicy):
     """Runs one sub-policy per enclosure zone."""
 
     name = "zoned"
+
+    _REBUILT = PowerPolicy._REBUILT | {"zones", "_item_zone"}
 
     def __init__(self, zones: list[Zone]) -> None:
         super().__init__()
@@ -266,14 +269,15 @@ class ZonedPolicy(PowerPolicy):
     # ------------------------------------------------------------------
     # Snapshot support (repro.persistence)
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
+    def snapshot_state(self) -> dict[str, Any]:
         """Capture the router cache plus every zone's sub-simulation.
 
         Each zone owns a private app monitor (its window over the
         array's trace) and storage monitor (built in
         :meth:`_zone_context`); they are invisible to the session-level
         capture, so the zoned planner snapshots them alongside the inner
-        policies' own state.
+        policies' own state.  Zones and the router cache hold
+        references, so they travel by zone name.
         """
         state = super().snapshot_state()
         state["item_zone"] = {
@@ -294,22 +298,25 @@ class ZonedPolicy(PowerPolicy):
         }
         return state
 
-    def restore_state(self, state: dict) -> None:
+    def restore_state(self, state: dict[str, Any]) -> None:
         """Restore every zone from :meth:`snapshot_state`'s capture.
 
         The policy must already be ``bind()``-ed (which rebuilds the
         zone sub-contexts); restoring also re-arms the physical-record
         fan-out tap that :meth:`on_start` installed in the original run.
         """
+        state = dict(state)
+        item_zone = state.pop("item_zone")
+        zones = state.pop("zones")
         super().restore_state(state)
         by_name = {zone.name: zone for zone in self.zones}
-        if set(state["zones"]) != set(by_name):
+        if set(zones) != set(by_name):
             raise SnapshotError(
                 "snapshot zones do not match this policy's zones: "
-                f"snapshot has {sorted(state['zones'])}, "
+                f"snapshot has {sorted(zones)}, "
                 f"policy has {sorted(by_name)}"
             )
-        for name, zone_state in state["zones"].items():
+        for name, zone_state in zones.items():
             zone = by_name[name]
             zone.policy.restore_state(zone_state["policy"])
             zone_context = zone.policy._require_context()
@@ -318,6 +325,6 @@ class ZonedPolicy(PowerPolicy):
                 zone_state["storage_monitor"]
             )
         self._item_zone = {
-            item: by_name[name] for item, name in state["item_zone"].items()
+            item: by_name[name] for item, name in item_zone.items()
         }
         self._install_fan_out()

@@ -39,9 +39,11 @@ regenerates every paper table/figure as text (``--jobs``/``--cache-dir``
 route its sweeps through the same engine); ``run`` replays one workload
 under one policy (``--audit`` verifies the energy / capacity / time
 invariants every monitoring period; ``--snapshot-every`` writes
-crash-safe ``.ecsn`` state snapshots that ``resume`` continues from
-bit-identically, and ``crash-test`` proves that with a seeded
-kill/resume sweep — see ``docs/snapshots.md``); ``export-trace`` /
+crash-safe ``.ecsn`` state snapshots (format 4: each component's
+attributes minus its construction wiring) that ``resume`` continues
+from bit-identically, refusing a file of an older format with exit 2,
+and ``crash-test`` proves that with a seeded kill/resume sweep — see
+``docs/snapshots.md``); ``export-trace`` /
 ``replay-trace`` round-trip logical traces through CSV (or ingest real
 MSR-Cambridge block traces with ``--msr``, or packed ``.ecot`` columnar
 traces — see ``docs/trace-format.md``); ``trace pack`` converts a CSV
@@ -55,7 +57,7 @@ while ``fleet report`` re-renders a saved fleet JSON; ``intervals``
 draws a
 Fig 17-19 curve in the terminal; ``check`` runs the static checker
 (:mod:`repro.devtools.analysis`: domain conventions R1–R10,
-dimensional consistency and planner purity/determinism D101–D205)
+dimensional consistency and planner purity/determinism D101–D204)
 with the committed ``analysis-baseline.json`` applied; ``chaos`` sweeps
 policies against
 seeded fault plans (:mod:`repro.faults`) with the invariant auditor
@@ -259,16 +261,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     workload = build_workload(args.workload, args.full)
     policy = STANDARD_POLICIES[args.policy]()
     result = run_cell(workload, policy, audit=args.audit)
-    print(f"workload:        {workload.name} ({workload.io_count} I/Os)")
-    print(f"policy:          {result.policy_name}")
-    print(f"enclosure power: {watts(result.enclosure_watts)}")
-    print(f"controller:      {watts(result.controller_watts)}")
-    print(f"mean response:   {seconds(result.mean_response)}")
-    print(f"read response:   {seconds(result.mean_read_response)}")
-    print(f"migrated:        {gigabytes(result.migrated_bytes)}")
-    print(f"determinations:  {result.determinations}")
-    print(f"spin-ups:        {result.replay.spin_up_count}")
-    print(f"cache hit ratio: {result.replay.cache_hit_ratio:.2f}")
+    _print_replay_report(
+        f"{workload.name} ({workload.io_count} I/Os)", result.replay
+    )
     if args.audit:
         print(
             f"audit:           {result.audit_checks} invariant checks, "

@@ -259,20 +259,6 @@ class EcoStorConfig:
         """Physical sequential-I/O service rate of one enclosure."""
         return self.max_iops_sequential * self.service_headroom
 
-    @property
-    def ddr_low_th(self) -> float:
-        """DDR's cold-enclosure threshold: half of TargetTH (paper §VII)."""
-        return self.ddr_target_th / 2.0
-
-    @property
-    def lru_cache_bytes(self) -> int:
-        """Cache left for the general-purpose LRU after the partitions."""
-        return (
-            self.storage_cache_bytes
-            - self.write_delay_cache_bytes
-            - self.preload_cache_bytes
-        )
-
     def scaled(self, scale: SimulationScale = DEFAULT_SCALE) -> "EcoStorConfig":
         """Return a copy with IOPS-denominated fields scaled for simulation.
 

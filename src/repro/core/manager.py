@@ -353,85 +353,6 @@ class EnergyEfficientPolicy(PowerPolicy):
         return applied
 
     # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Period, split, trigger, and snapshot books, on top of the base.
-
-        The trigger objects are captured as their mutable scalars and
-        rebuilt on restore; management snapshots are frozen dataclasses
-        (plus their two instance-dict counters) and ride along whole.
-        """
-        state = super().snapshot_state()
-        split = self._split
-        throttle = self._trigger_throttle
-        state.update(
-            period=self._period,
-            next_checkpoint=self._next_checkpoint,
-            split=(
-                None
-                if split is None
-                else (split.hot, split.cold, split.i_max, split.n_hot)
-            ),
-            triggers=(
-                None
-                if self._triggers is None
-                else {
-                    "break_even_time": self._triggers.break_even_time,
-                    "period_end": self._triggers._period_end,
-                }
-            ),
-            trigger_throttle=(
-                None if throttle is None else throttle.snapshot_state()
-            ),
-            trigger_count=self._trigger_count,
-            snapshots=[
-                (
-                    snapshot,
-                    snapshot.moves_executed,
-                    snapshot.moves_aborted,
-                )
-                for snapshot in self.snapshots
-            ],
-        )
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the policy exactly as :meth:`snapshot_state` captured it."""
-        super().restore_state(state)
-        self._period = state["period"]
-        self._next_checkpoint = state["next_checkpoint"]
-        split = state["split"]
-        self._split = (
-            None
-            if split is None
-            else HotColdSplit(
-                hot=tuple(split[0]),
-                cold=tuple(split[1]),
-                i_max=split[2],
-                n_hot=split[3],
-            )
-        )
-        triggers = state["triggers"]
-        if triggers is None:
-            self._triggers = None
-        else:
-            self._triggers = PatternChangeTriggers(triggers["break_even_time"])
-            self._triggers.reset(triggers["period_end"])
-        throttle_state = state["trigger_throttle"]
-        if throttle_state is None:
-            self._trigger_throttle = None
-        else:
-            self._trigger_throttle = Throttle(throttle_state["interval_seconds"])
-            self._trigger_throttle.restore_state(throttle_state)
-        self._trigger_count = state["trigger_count"]
-        self.snapshots = []
-        for snapshot, executed, aborted in state["snapshots"]:
-            object.__setattr__(snapshot, "moves_executed", executed)
-            object.__setattr__(snapshot, "moves_aborted", aborted)
-            self.snapshots.append(snapshot)
-
-    # ------------------------------------------------------------------
     # analysis helpers
     # ------------------------------------------------------------------
     @property

@@ -38,6 +38,13 @@ class PatternChangeTriggers:
         self.break_even_time = break_even_time
         self._period_end = 0.0
 
+    def __eq__(self, other: object) -> bool:
+        """Equal break-even time and management-run mark."""
+        return (
+            isinstance(other, PatternChangeTriggers)
+            and vars(other) == vars(self)
+        )
+
     def reset(self, period_end_time: float) -> None:
         """Mark the end of a management run (the paper's ``t_e``)."""
         self._period_end = period_end_time

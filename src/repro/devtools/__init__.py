@@ -15,7 +15,7 @@ Two lines of defence, both built only on the standard library:
   package into a symbol table and call graph, then runs every checker
   over it — the per-file domain conventions (R1–R10), dimensional
   consistency over the :mod:`repro.units` aliases (D101–D104), and
-  planner purity, determinism and snapshottability (D201–D205) — gated
+  planner purity and determinism (D201–D204) — gated
   on a committed ``analysis-baseline.json``.
 * :mod:`repro.devtools.audit` — an opt-in runtime
   :class:`~repro.devtools.audit.InvariantAuditor` the trace replayer

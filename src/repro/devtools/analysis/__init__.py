@@ -26,9 +26,6 @@ Built-in checkers, registered by importing this package:
   ``ActionExecutor.apply`` (closing R9's transitive-call hole), and
   flags unseeded :mod:`random`, wall-clock reads, and unordered ``set``
   iteration feeding ordering-sensitive sinks.
-* **D205 — snapshot protocol**
-  (:mod:`~repro.devtools.analysis.snapshots`): flags policy classes
-  whose mutable state is invisible to :mod:`repro.persistence`.
 
 Findings are silenced inline (``# check: ignore[D203]``) or
 grandfathered in the committed ``analysis-baseline.json``
@@ -36,10 +33,9 @@ grandfathered in the committed ``analysis-baseline.json``
 """
 
 # Importing the checker modules registers their checkers, in catalogue
-# order (R1–R10, D101–D104, D201–D204, D205).
+# order (R1–R10, D101–D104, D201–D204).
 from repro.devtools.analysis import (  # noqa: F401
     conventions,
     dimensions,
     determinism,
-    snapshots,
 )

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from repro.capture import Snapshottable
 from repro.errors import AuditError
 from repro.simulation import SimulationContext
 from repro.storage.cache import PAGE_BYTES
@@ -59,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["InvariantAuditor"]
 
 
-class InvariantAuditor:
+class InvariantAuditor(Snapshottable):
     """Checks simulation invariants each monitoring period.
 
     Parameters
@@ -71,7 +72,12 @@ class InvariantAuditor:
         summation over many intervals, so exact equality is not expected;
         the defaults allow normal float round-off while catching any
         real accounting error (which shows up in whole joules).
+
+    Its snapshot state is its cursors, so the monotonic-time checks
+    stay armed across a resume seam.
     """
+
+    _REBUILT = frozenset({"context", "_watts"})
 
     def __init__(
         self,
@@ -131,26 +137,6 @@ class InvariantAuditor:
                 f"{len(problems)} invariant violation(s) at t={now:.3f}s:\n"
                 f"{details}\n{self.snapshot(now)}"
             )
-
-    def snapshot_state(self) -> dict:
-        """Serializable audit cursors (:mod:`repro.persistence`).
-
-        Restoring these keeps the monotonic-time checks armed *across*
-        a resume seam: a restored run that somehow rewound an enclosure
-        clock would fail the audit exactly as the uninterrupted run
-        would.
-        """
-        return {
-            "checks_run": self.checks_run,
-            "last_now": self._last_now,
-            "last_clock": dict(self._last_clock),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the cursors exactly as :meth:`snapshot_state` captured them."""
-        self.checks_run = state["checks_run"]
-        self._last_now = state["last_now"]
-        self._last_clock = dict(state["last_clock"])
 
     def snapshot(self, now: float) -> str:
         """Dump of the audited state, embedded in audit failures."""

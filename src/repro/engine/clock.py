@@ -55,13 +55,9 @@ class SimClock:
         self._now = to
         return to
 
-    def snapshot_state(self) -> dict:
-        """Serializable clock state (:mod:`repro.persistence`)."""
-        return {"now": self._now}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the clock exactly as :meth:`snapshot_state` captured it."""
-        self._now = state["now"]
+    def __eq__(self, other: object) -> bool:
+        """Clocks are equal when they read the same time."""
+        return isinstance(other, SimClock) and other._now == self._now
 
 
 class Throttle:
@@ -104,14 +100,13 @@ class Throttle:
         """Re-open the gate at ``now`` (used at window starts)."""
         self.next_allowed = now
 
-    def snapshot_state(self) -> dict:
-        """Serializable throttle state (:mod:`repro.persistence`)."""
-        return {
-            "interval_seconds": self.interval_seconds,
-            "next_allowed": self.next_allowed,
-        }
+    def __eq__(self, other: object) -> bool:
+        """Throttles are equal when their interval and gate agree.
 
-    def restore_state(self, state: dict) -> None:
-        """Restore the throttle exactly as captured."""
-        self.interval_seconds = state["interval_seconds"]
-        self.next_allowed = state["next_allowed"]
+        Exact on purpose: a restored throttle must be bit-identical.
+        """
+        return (
+            isinstance(other, Throttle)
+            and other.interval_seconds == self.interval_seconds  # check: ignore[R1]
+            and other.next_allowed == self.next_allowed
+        )

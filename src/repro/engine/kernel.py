@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.actions.plan import ActionPlan
 from repro.actions.records import FlushWriteDelay
+from repro.capture import Snapshottable
 from repro.engine.clock import SimClock
 from repro.errors import ReplayError, UsageError
 from repro.trace.columnar import FLAG_READ, FLAG_SEQUENTIAL, ColumnarTrace
@@ -88,7 +89,7 @@ class ReplayOutcome:
     final: float
 
 
-class SimulationKernel:
+class SimulationKernel(Snapshottable):
     """Deterministic two-slot pump over one simulation context.
 
     A kernel drives one measurement window and is single-use for
@@ -96,7 +97,22 @@ class SimulationKernel:
     state lived in locals).  The caller is expected to have bound
     ``policy`` to ``context`` already; :class:`repro.trace.replay.TraceReplayer`
     does so and remains the public batch entry point.
+
+    Its snapshot state is the clock, the checkpoint field and the
+    finished flag; the sample slot is the timeline's own cursor, which
+    the timeline snapshots.
     """
+
+    _REBUILT = frozenset(
+        {
+            "context",
+            "policy",
+            "timeline",
+            "_checkpoint_hooks",
+            "_finish_hooks",
+            "_record_hook",
+        }
+    )
 
     def __init__(
         self,
@@ -433,25 +449,3 @@ class SimulationKernel:
             and self._scheduled_checkpoint <= end
         ):
             self._dispatch_until(self._scheduled_checkpoint)
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Serializable kernel state: clock, checkpoint field, finished.
-
-        Captured strictly read-only at a record boundary.  The sample
-        slot is the timeline's own cursor, which the timeline snapshots.
-        """
-        return {
-            "clock": self.clock.snapshot_state(),
-            "scheduled_checkpoint": self._scheduled_checkpoint,
-            "finished": self._finished,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild clock and checkpoint field from a snapshot."""
-        self.clock.restore_state(state["clock"])
-        self._scheduled_checkpoint = state["scheduled_checkpoint"]
-        self._finished = state["finished"]

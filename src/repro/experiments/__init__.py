@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     STANDARD_POLICIES,
     TIERED_POLICIES,
     run_cell,
-    run_comparison,
     run_on_context,
 )
 from repro.experiments.serialize import (
@@ -53,7 +52,6 @@ __all__ = [
     "result_to_dict",
     "result_to_json",
     "run_cell",
-    "run_comparison",
     "run_on_context",
     "workload_fingerprint",
 ]

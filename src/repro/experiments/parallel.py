@@ -572,9 +572,8 @@ def comparison_results(
 ) -> dict[str, ExperimentResult]:
     """All standard policies over one catalog workload, via the engine.
 
-    The engine-routed equivalent of
-    :func:`repro.experiments.runner.run_comparison`; results are
-    numerically identical to the serial path.  Raises
+    Results are numerically identical to one serial
+    :func:`repro.experiments.runner.run_cell` per policy.  Raises
     :class:`~repro.errors.ExperimentError` if any cell failed.
     """
     chosen = engine if engine is not None else default_engine()

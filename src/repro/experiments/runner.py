@@ -2,9 +2,9 @@
 
 Builds a fresh simulated storage system (the Fig 5 testbed), installs
 the workload, replays its trace under the chosen policy, and packages
-the measurements every figure of §VII needs.  :func:`run_comparison`
-runs all four methods on the same workload, which is exactly one column
-group of the paper's bar charts.
+the measurements every figure of §VII needs.  Running all four methods
+on the same workload gives one column group of the paper's bar charts
+(:func:`repro.experiments.parallel.comparison_results`).
 """
 
 from __future__ import annotations
@@ -177,15 +177,3 @@ def run_on_context(
         audit_checks=auditor.checks_run if auditor is not None else 0,
     )
 
-
-def run_comparison(
-    workload: Workload,
-    policies: dict[str, PolicyFactory] | None = None,
-    config: EcoStorConfig = DEFAULT_CONFIG,
-) -> dict[str, ExperimentResult]:
-    """Run several policies over the same workload (one figure group)."""
-    chosen = policies or STANDARD_POLICIES
-    return {
-        name: run_cell(workload, factory(), config)
-        for name, factory in chosen.items()
-    }

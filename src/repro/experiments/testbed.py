@@ -64,8 +64,8 @@ def comparison(
 
     Routed through the parallel experiment engine: with the default
     engine configuration (one job, no cache) the cells replay inline
-    and the results are numerically identical to
-    :func:`~repro.experiments.runner.run_comparison`; after
+    and the results are numerically identical to one
+    :func:`~repro.experiments.runner.run_cell` per policy; after
     ``repro.experiments.parallel.configure(jobs=..., cache_dir=...)``
     the same call fans out across workers and reuses cached cells.
     """

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.capture import Snapshottable
 from repro.faults.plan import (
     CacheBatteryFailure,
     EnclosureOutage,
@@ -59,8 +60,15 @@ class _EnclosureFaultState:
     streak_remaining: int = 0
 
 
-class FaultClock:
-    """Deterministic per-run oracle over one :class:`FaultPlan`."""
+class FaultClock(Snapshottable):
+    """Deterministic per-run oracle over one :class:`FaultPlan`.
+
+    Its snapshot state is the draw cursors and consumed-event sets; the
+    plan is immutable and travels in the run spec, and its index is
+    rebuilt by construction.
+    """
+
+    _REBUILT = frozenset({"plan", "_outages", "_battery_failure_time"})
 
     def __init__(self, plan: FaultPlan | None = None) -> None:
         self.plan = plan if plan is not None else FaultPlan()
@@ -181,41 +189,6 @@ class FaultClock:
                 self.migration_aborts_injected += 1
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable draw cursors (:mod:`repro.persistence`).
-
-        Captures every mutable counter and consumed-event set; the plan
-        itself is immutable and travels separately (by fingerprint), so
-        a restored clock replays the *remaining* one-shot events exactly
-        as the uninterrupted run would.
-        """
-        return {
-            "states": {
-                name: (state.attempts, state.cycles, state.streak_remaining)
-                for name, state in self._states.items()
-            },
-            "consumed_spin_up_events": sorted(self._consumed_spin_up_events),
-            "consumed_aborts": sorted(self._consumed_aborts),
-            "outage_violations": list(self.outage_violations),
-            "spin_up_failures_injected": self.spin_up_failures_injected,
-            "migration_aborts_injected": self.migration_aborts_injected,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the cursors exactly as :meth:`snapshot_state` captured them."""
-        self._states = {
-            name: _EnclosureFaultState(attempts, cycles, streak)
-            for name, (attempts, cycles, streak) in state["states"].items()
-        }
-        self._consumed_spin_up_events = set(state["consumed_spin_up_events"])
-        self._consumed_aborts = set(state["consumed_aborts"])
-        self.outage_violations = list(state["outage_violations"])
-        self.spin_up_failures_injected = state["spin_up_failures_injected"]
-        self.migration_aborts_injected = state["migration_aborts_injected"]
 
     def note_service(self, enclosure: str, start: Seconds) -> None:
         """Record an I/O service start for the outage-violation audit."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.capture import Snapshottable
 from repro.errors import SnapshotError
 from repro.trace.columnar import FLAG_READ, ColumnarTrace
 
@@ -65,13 +66,19 @@ def _running_total(values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
-class ApplicationMonitor:
+class ApplicationMonitor(Snapshottable):
     """Indexes the replayed trace by row and keeps one response per served I/O.
 
     A zone's monitor (:mod:`repro.baselines.zoned`) passes the array's
     monitor as ``source``: it reads that monitor's trace and responses
     through a window of its own, and is never attached or recorded to.
+
+    Its snapshot state is the window cursor, the mapping information
+    and the served rows' responses (a zone's monitor owns none); the
+    trace is the workload's, which the resumed replay attaches again.
     """
+
+    _REBUILT = frozenset({"_source", "_trace"})
 
     def __init__(self, source: ApplicationMonitor | None = None) -> None:
         self._source = self if source is None else source
@@ -166,31 +173,3 @@ class ApplicationMonitor:
                 self._read_mask().tolist(),
             )
         )
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable monitor state (:mod:`repro.persistence`).
-
-        Captures the window's first row and start time, the mapping
-        information, and the responses of the served rows (a zone's
-        monitor owns none).  The trace itself is the workload's, which
-        the resumed replay attaches again.
-        """
-        state: dict = {
-            "window_row": self.window_row,
-            "window_start": self._window_start,
-            "item_volume": list(self._item_volume.items()),
-        }
-        if self._source is self:
-            state["responses"] = list(self._responses)
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the monitor exactly as :meth:`snapshot_state` captured it."""
-        self.window_row = state["window_row"]
-        self._window_start = state["window_start"]
-        self._item_volume = dict(state["item_volume"])
-        if self._source is self:
-            self._responses = list(state["responses"])

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.capture import Snapshottable
 from repro.storage.enclosure import DiskEnclosure
 from repro.trace.records import IOType, PhysicalIORecord
 
 
-class StorageMonitor:
+class StorageMonitor(Snapshottable):
     """Counts physical I/O and keeps per-enclosure interval statistics."""
+
+    _REBUILT = frozenset({"enclosures"})
 
     #: Gaps shorter than this are not retained individually (they can
     #: never be Long Intervals and would bloat memory on busy runs).
@@ -118,35 +121,6 @@ class StorageMonitor:
     def last_io_time(self, enclosure: str) -> float | None:
         """Timestamp of the enclosure's most recent I/O, if any."""
         return self._last_io.get(enclosure)
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable monitor state (:mod:`repro.persistence`).
-
-        Window counters, gap books, and the finish marker; the enclosure
-        objects themselves snapshot separately.
-        """
-        return {
-            "window_counts": dict(self._window_counts),
-            "window_start": self._window_start,
-            "last_io": dict(self._last_io),
-            "gaps": {name: list(gaps) for name, gaps in self._gaps.items()},
-            "physical_io_count": self.physical_io_count,
-            "finished_at": self._finished_at,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the monitor exactly as :meth:`snapshot_state` captured it."""
-        self._window_counts = defaultdict(int, state["window_counts"])
-        self._window_start = state["window_start"]
-        self._last_io = dict(state["last_io"])
-        self._gaps = defaultdict(list)
-        for name, gaps in state["gaps"].items():
-            self._gaps[name] = list(gaps)
-        self.physical_io_count = state["physical_io_count"]
-        self._finished_at = state["finished_at"]
 
     # ------------------------------------------------------------------
     # spin-ups (read from the enclosures)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.capture import Snapshottable
 from repro.errors import ValidationError
 from repro.storage.enclosure import DiskEnclosure
 from repro.units import Joules, Seconds, Watts
@@ -36,8 +37,10 @@ class TimelinePoint:
     per_enclosure: dict[str, Watts]
 
 
-class PowerTimeline:
+class PowerTimeline(Snapshottable):
     """Samples enclosure power at a fixed cadence."""
+
+    _REBUILT = frozenset({"enclosures"})
 
     def __init__(
         self, enclosures: list[DiskEnclosure], interval_seconds: Seconds = 60.0
@@ -98,40 +101,6 @@ class PowerTimeline:
         self.sample(now)
         if now > self._last_time:
             self._record_point(now)
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable timeline state (:mod:`repro.persistence`).
-
-        Points are stored as plain ``(timestamp, total, per-enclosure)``
-        tuples, not :class:`TimelinePoint` instances, so the payload
-        stays decoupled from the class definition.
-        """
-        return {
-            "points": [
-                (p.timestamp, p.total_watts, dict(p.per_enclosure))
-                for p in self.points
-            ],
-            "last_energy": dict(self._last_energy),
-            "last_time": self._last_time,
-            "next_sample": self._next_sample,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the timeline exactly as :meth:`snapshot_state` captured it."""
-        self.points = [
-            TimelinePoint(
-                timestamp=timestamp,
-                total_watts=total,
-                per_enclosure=dict(per_enclosure),
-            )
-            for timestamp, total, per_enclosure in state["points"]
-        ]
-        self._last_energy = dict(state["last_energy"])
-        self._last_time = state["last_time"]
-        self._next_sample = state["next_sample"]
 
     # ------------------------------------------------------------------
     # views

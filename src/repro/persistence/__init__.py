@@ -3,9 +3,9 @@
 Three layers, bottom up:
 
 * :mod:`repro.persistence.format` — the versioned, CRC-checksummed,
-  torn-write-safe file envelope, the :class:`Snapshottable` protocol
-  every stateful component implements, and the recovery scan
-  (:func:`find_latest_valid`).
+  torn-write-safe file envelope and the recovery scan
+  (:func:`find_latest_valid`).  What each component puts in it is the
+  generic attribute capture of :class:`repro.capture.Snapshottable`.
 * :mod:`repro.persistence.session` — :class:`SnapshotSession`: run a
   replay with periodic whole-state snapshots, or restore one and resume
   to a bit-identical :class:`~repro.trace.replay.ReplayResult`.
@@ -15,11 +15,11 @@ Three layers, bottom up:
 See ``docs/snapshots.md`` for the byte layout and resume semantics.
 """
 
+from repro.capture import Snapshottable
 from repro.persistence.format import (
     FORMAT_VERSION,
     MAGIC,
     SNAPSHOT_SUFFIX,
-    Snapshottable,
     find_latest_valid,
     load_snapshot,
     snapshot_count,

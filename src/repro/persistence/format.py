@@ -4,10 +4,14 @@ A snapshot file is one fixed header followed by one pickled payload::
 
     offset  size  field
     0       4     magic ``b"ECSN"``
-    4       4     format version (u32, little-endian) — currently 3
+    4       4     format version (u32, little-endian) — currently 4
     8       8     payload length in bytes (u64, little-endian)
     16      4     CRC-32 of the payload bytes (u32, little-endian)
     20      len   payload: ``pickle.dumps({"meta": ..., "states": ...})``
+
+Each entry of ``states`` is one component's
+:meth:`~repro.capture.Snapshottable.snapshot_state`: its attributes,
+minus the ones construction rebuilds.
 
 The layout mirrors the ``.ecot`` trace header (magic + version + CRC):
 every field the loader trusts is verified before a single byte of state
@@ -34,7 +38,6 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 from repro.errors import SnapshotError
 
@@ -42,7 +45,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
     "SNAPSHOT_SUFFIX",
-    "Snapshottable",
     "find_latest_valid",
     "load_snapshot",
     "snapshot_filename",
@@ -54,43 +56,15 @@ __all__ = [
 MAGIC = b"ECSN"
 
 #: Envelope version written by :func:`write_snapshot`, the only one
-#: :func:`load_snapshot` reads.  Version 3: every component state has
-#: exactly the keys its ``snapshot_state`` writes.
-FORMAT_VERSION = 3
+#: :func:`load_snapshot` reads.  Version 4: every component state is
+#: the component's attributes, minus the ones construction rebuilds
+#: (:class:`repro.capture.Snapshottable`).
+FORMAT_VERSION = 4
 
 #: File-name suffix of snapshot files.
 SNAPSHOT_SUFFIX = ".ecsn"
 
 _HEADER = struct.Struct("<4sIQI")
-
-
-@runtime_checkable
-class Snapshottable(Protocol):
-    """Anything whose mutable simulation state can be captured/restored.
-
-    Every stateful component the kernel drives (controller, enclosures,
-    caches, monitors, policies, fault clock, executor, the kernel
-    itself) implements this pair:
-
-    * :meth:`snapshot_state` returns a picklable ``dict`` of the
-      component's *mutable* state — strictly read-only, no settlement,
-      no meter reads, no derived caches;
-    * :meth:`restore_state` rebuilds exactly that state onto a freshly
-      constructed component (construction wiring — power models,
-      capacities, taps, fault-clock references — comes from the normal
-      build path, never from the snapshot).
-
-    ``ecostor check`` (D205) flags policy classes that grow state
-    without implementing this protocol.
-    """
-
-    def snapshot_state(self) -> dict:
-        """Return this component's mutable state as a picklable dict."""
-        ...
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild exactly the state :meth:`snapshot_state` captured."""
-        ...
 
 
 def snapshot_filename(count: int) -> str:

@@ -38,16 +38,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
+from repro.capture import Snapshottable
 from repro.config import DEFAULT_CONFIG
 from repro.engine.kernel import SimulationKernel
 from repro.errors import SnapshotError, ValidationError
 from repro.faults.plan import FaultPlan
 from repro.monitoring.timeline import PowerTimeline
-from repro.persistence.format import (
-    Snapshottable,
-    snapshot_filename,
-    write_snapshot,
-)
+from repro.persistence.format import snapshot_filename, write_snapshot
 from repro.trace.replay import ReplayResult, assemble_result
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -135,7 +132,7 @@ def _reading(part: str) -> Iterator[None]:
     """Refuse a verified payload whose ``part`` has the wrong shape."""
     try:
         yield
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, SnapshotError) as exc:
         raise SnapshotError(
             f"snapshot {part} is malformed: {type(exc).__name__}: {exc}"
         ) from exc

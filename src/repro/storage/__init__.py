@@ -8,7 +8,6 @@ controller, and a power meter.
 """
 
 from repro.storage.cache import (
-    FlushPlan,
     LRUBlockCache,
     PreloadPartition,
     StorageCache,
@@ -37,7 +36,6 @@ __all__ = [
     "ControllerPowerModel",
     "DiskEnclosure",
     "FlashTier",
-    "FlushPlan",
     "IOResult",
     "LRUBlockCache",
     "PhysicalExtent",

@@ -18,9 +18,9 @@ decides what physical I/O each hit/miss/flush implies.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro import units
+from repro.capture import Snapshottable
 from repro.errors import CapacityError, ValidationError
 from repro.units import Bytes
 
@@ -45,8 +45,6 @@ class LRUBlockCache:
             raise ValidationError("capacity must be non-negative")
         self.capacity_pages = capacity_bytes // PAGE_BYTES
         self._blocks: OrderedDict[tuple[str, int], None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -54,25 +52,9 @@ class LRUBlockCache:
     def __contains__(self, key: tuple[str, int]) -> bool:
         return key in self._blocks
 
-    def snapshot_state(self) -> dict:
-        """Serializable LRU state (:mod:`repro.persistence`).
-
-        The key list preserves recency order (oldest first), which is
-        the part of the state that decides future evictions.
-        """
-        return {
-            "blocks": list(self._blocks),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the LRU exactly as captured, recency order included."""
-        self._blocks = OrderedDict(
-            ((item, page), None) for item, page in state["blocks"]
-        )
-        self.hits = state["hits"]
-        self.misses = state["misses"]
+    def __eq__(self, other: object) -> bool:
+        """Equal capacity and pages, in the same recency order."""
+        return isinstance(other, LRUBlockCache) and vars(other) == vars(self)
 
 
 class PreloadPartition:
@@ -123,25 +105,9 @@ class PreloadPartition:
         """Whether the item is currently pinned."""
         return item_id in self._items
 
-    def snapshot_state(self) -> dict:
-        """Serializable pin table (:mod:`repro.persistence`)."""
-        return {"items": list(self._items.items())}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the pin table exactly as captured."""
-        self._items = {item: size for item, size in state["items"]}
-
-
-@dataclass(frozen=True)
-class FlushPlan:
-    """What a write-delay flush must write: per-item dirty byte counts."""
-
-    dirty_bytes_by_item: dict[str, Bytes]
-
-    @property
-    def total_bytes(self) -> Bytes:
-        """Total dirty bytes buffered across all items."""
-        return sum(self.dirty_bytes_by_item.values())
+    def __eq__(self, other: object) -> bool:
+        """Equal capacity and pin table."""
+        return isinstance(other, PreloadPartition) and vars(other) == vars(self)
 
 
 class WriteDelayPartition:
@@ -208,19 +174,20 @@ class WriteDelayPartition:
         """Mark a data item for write delay."""
         self._selected.add(item_id)
 
-    def deselect(self, item_id: str) -> FlushPlan:
+    def deselect(self, item_id: str) -> dict[str, Bytes]:
         """Stop delaying an item; its dirty blocks must be written out.
 
+        Returns what the flush must write, as ``{item: dirty bytes}``.
         Paper §V-B: "write updated data items onto disk enclosures when
         the write-delay-applied data items are changed."
         """
         self._selected.discard(item_id)
         pages = self._dirty.pop(item_id, set())
         if not pages:
-            return FlushPlan({})
+            return {}
         self.flushed_pages += len(pages)
         self.dirty_pages -= len(pages)
-        return FlushPlan({item_id: len(pages) * PAGE_BYTES})
+        return {item_id: len(pages) * PAGE_BYTES}
 
     def absorb_write(self, item_id: str, first_page: int, last_page: int) -> bool:
         """Buffer the dirty pages ``first_page..last_page`` (inclusive).
@@ -251,64 +218,45 @@ class WriteDelayPartition:
         """
         return len(self._dirty.get(item_id, ())) * PAGE_BYTES
 
-    def flush_item(self, item_id: str) -> FlushPlan:
-        """Return one item's dirty pages and clear them (stay selected)."""
+    def flush_item(self, item_id: str) -> dict[str, Bytes]:
+        """Clear one item's dirty pages (it stays selected) and return
+        their ``{item: dirty bytes}``."""
         pages = self._dirty.pop(item_id, set())
         if not pages:
-            return FlushPlan({})
+            return {}
         self.flushed_pages += len(pages)
         self.dirty_pages -= len(pages)
-        return FlushPlan({item_id: len(pages) * PAGE_BYTES})
+        return {item_id: len(pages) * PAGE_BYTES}
 
-    def flush_all(self) -> FlushPlan:
-        """Return everything dirty and clear the partition."""
-        plan = FlushPlan(
-            {
-                item_id: len(pages) * PAGE_BYTES
-                for item_id, pages in self._dirty.items()
-                if pages
-            }
-        )
+    def flush_all(self) -> dict[str, Bytes]:
+        """Clear the partition and return every dirty item's bytes."""
+        plan = {
+            item_id: len(pages) * PAGE_BYTES
+            for item_id, pages in self._dirty.items()
+            if pages
+        }
         self.flushed_pages += self.dirty_pages
         self._dirty.clear()
         self.dirty_pages = 0
         self.flush_count += 1
         return plan
 
-    def snapshot_state(self) -> dict:
-        """Serializable write-delay state (:mod:`repro.persistence`).
-
-        The dirty map's insertion order is observable state —
-        :meth:`dirty_items` reports first-dirtied order — so it is
-        captured as an ordered list of ``(item, sorted pages)`` pairs.
-        """
-        return {
-            "selected": sorted(self._selected),
-            "dirty": [
-                (item, sorted(pages))
-                for item, pages in self._dirty.items()
-            ],
-            "flush_count": self.flush_count,
-            "absorbed_pages": self.absorbed_pages,
-            "flushed_pages": self.flushed_pages,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the partition exactly as captured."""
-        self._selected = set(state["selected"])
-        self._dirty = {item: set(pages) for item, pages in state["dirty"]}
-        self.dirty_pages = self.recount_dirty_pages()
-        self.flush_count = state["flush_count"]
-        self.absorbed_pages = state["absorbed_pages"]
-        self.flushed_pages = state["flushed_pages"]
+    def __eq__(self, other: object) -> bool:
+        """Equal selection, dirty pages (in first-dirtied order) and books."""
+        return (
+            isinstance(other, WriteDelayPartition)
+            and vars(other) == vars(self)
+            and list(other._dirty) == list(self._dirty)
+        )
 
 
-class StorageCache:
+class StorageCache(Snapshottable):
     """The full cache: LRU + preload + write-delay partitions.
 
     Thin façade so the controller manipulates one object; partition
     boundaries are fixed at construction (paper Table II: 500 MB each for
-    preload and write delay out of 2 GB).
+    preload and write delay out of 2 GB).  The partitions are its
+    snapshot state, captured as values.
     """
 
     def __init__(
@@ -353,42 +301,23 @@ class StorageCache:
             key = (item_id, first_page)
             if key in blocks:
                 blocks.move_to_end(key)
-                lru.hits += 1
                 return True
-            lru.misses += 1
             if capacity > 0:
                 blocks[key] = None
                 while len(blocks) > capacity:
                     blocks.popitem(last=False)
             return False
-        hits = misses = 0
+        missed = False
         for page in range(first_page, last_page + 1):
             if page in dirty:
                 continue
             key = (item_id, page)
             if key in blocks:
                 blocks.move_to_end(key)
-                hits += 1
                 continue
-            misses += 1
+            missed = True
             if capacity > 0:
                 blocks[key] = None
                 while len(blocks) > capacity:
                     blocks.popitem(last=False)
-        lru.hits += hits
-        lru.misses += misses
-        return misses == 0
-
-    def snapshot_state(self) -> dict:
-        """Serializable state of all three partitions (:mod:`repro.persistence`)."""
-        return {
-            "lru": self.lru.snapshot_state(),
-            "preload": self.preload.snapshot_state(),
-            "write_delay": self.write_delay.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore every partition exactly as captured."""
-        self.lru.restore_state(state["lru"])
-        self.preload.restore_state(state["preload"])
-        self.write_delay.restore_state(state["write_delay"])
+        return not missed

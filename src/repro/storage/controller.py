@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro import units
+from repro.capture import Snapshottable
 from repro.units import Bytes, Rate, Seconds
 from repro.errors import (
     CapacityError,
@@ -62,8 +63,22 @@ _T = TypeVar("_T")
 PhysicalTapFast = Callable[[float, str, int, int, IOType, "str | None"], None]
 
 
-class StorageController:
-    """The storage unit's controller: cache + routing + power primitives."""
+class StorageController(Snapshottable):
+    """The storage unit's controller: cache + routing + power primitives.
+
+    Its snapshot state is its books: I/O counters and fault/retry state.
+    The cache and virtualization snapshot as separate components.
+    """
+
+    _REBUILT = frozenset(
+        {
+            "virtualization",
+            "cache",
+            "_physical_tap",
+            "_fault_clock",
+            "_archive_devices",
+        }
+    )
 
     def __init__(
         self,
@@ -240,9 +255,9 @@ class StorageController:
                 # The policy also selected this item; its dirty pages
                 # keep draining through the normal write-delay flushes.
                 continue
-            plan = self.cache.write_delay.deselect(item_id)
-            if plan.dirty_bytes_by_item:
-                self._execute_flush(now, plan.dirty_bytes_by_item)
+            dirty = self.cache.write_delay.deselect(item_id)
+            if dirty:
+                self._execute_flush(now, dirty)
                 self.emergency_flushes += 1
 
     def _note_at_risk(self, now: Seconds) -> None:
@@ -500,9 +515,11 @@ class StorageController:
                 # window; _drain_emergency flushes it once the window
                 # ends.
                 continue
-            plan = self.cache.write_delay.deselect(stale)
             completion = max(
-                completion, self._execute_flush(now, plan.dirty_bytes_by_item)
+                completion,
+                self._execute_flush(
+                    now, self.cache.write_delay.deselect(stale)
+                ),
             )
         for item_id in sorted(item_ids):
             self.cache.write_delay.select(item_id)
@@ -518,8 +535,7 @@ class StorageController:
         """
         wd = self.cache.write_delay
         if self._fault_clock is None:
-            plan = wd.flush_all()
-            return self._execute_flush(now, plan.dirty_bytes_by_item)
+            return self._execute_flush(now, wd.flush_all())
         completion = now
         flushed_any = False
         for item_id in list(wd.dirty_items()):
@@ -529,9 +545,8 @@ class StorageController:
                 and self._fault_clock.outage_at(enclosure.name, now) is not None
             ):
                 continue
-            plan = wd.flush_item(item_id)
             completion = max(
-                completion, self._execute_flush(now, plan.dirty_bytes_by_item)
+                completion, self._execute_flush(now, wd.flush_item(item_id))
             )
             flushed_any = True
         if flushed_any:
@@ -544,8 +559,9 @@ class StorageController:
         Used before migrating a write-delayed item, so its delayed
         writes land on the old home before the mapping changes.
         """
-        plan = self.cache.write_delay.flush_item(item_id)
-        return self._execute_flush(now, plan.dirty_bytes_by_item)
+        return self._execute_flush(
+            now, self.cache.write_delay.flush_item(item_id)
+        )
 
     def _execute_flush(self, now: Seconds, dirty_bytes_by_item: dict[str, Bytes]) -> Seconds:
         completion = now
@@ -760,10 +776,8 @@ class StorageController:
             # close; the bulk-transfer retry waits the outage out.
             wd = self.cache.write_delay
             for item_id in list(wd.dirty_items()):
-                plan = wd.flush_item(item_id)
                 completion = max(
-                    completion,
-                    self._execute_flush(now, plan.dirty_bytes_by_item),
+                    completion, self._execute_flush(now, wd.flush_item(item_id))
                 )
                 self.emergency_flushes += 1
             self._emergency_items.clear()
@@ -778,81 +792,3 @@ class StorageController:
         if self.logical_io_count == 0:
             return 0.0
         return self.cache_hit_count / self.logical_io_count
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Serializable controller books: I/O counters, fault/retry state.
-
-        Construction wiring (virtualization, cache, taps, fault clock,
-        throughputs, backoff config) is rebuilt by the resume path and
-        deliberately not captured; the cache and virtualization snapshot
-        themselves as separate components.
-        """
-        return {
-            "logical_io_count": self.logical_io_count,
-            "cache_hit_count": self.cache_hit_count,
-            "migrated_bytes": self.migrated_bytes,
-            "migration_count": self.migration_count,
-            "preloaded_bytes": self.preloaded_bytes,
-            "flushed_bytes": self.flushed_bytes,
-            "battery_failed": self._battery_failed,
-            "emergency_items": sorted(self._emergency_items),
-            "policy_selected": sorted(self._policy_selected),
-            "fault_denied_ios": self.fault_denied_ios,
-            "fault_delayed_ios": self.fault_delayed_ios,
-            "fault_spin_up_retries": self.fault_spin_up_retries,
-            "fault_delay_seconds": self.fault_delay_seconds,
-            "fault_max_queue_delay": self.fault_max_queue_delay,
-            "emergency_buffered_ios": self.emergency_buffered_ios,
-            "emergency_flushes": self.emergency_flushes,
-            "migration_aborts": self.migration_aborts,
-            "at_risk_last_time": self._at_risk_last_time,
-            "at_risk_last_bytes": self._at_risk_last_bytes,
-            "at_risk_peak_bytes": self.at_risk_peak_bytes,
-            "at_risk_byte_seconds": self.at_risk_byte_seconds,
-            "at_risk_samples": list(self.at_risk_samples),
-            "promotion_count": self.promotion_count,
-            "demotion_count": self.demotion_count,
-            "archive_move_count": self.archive_move_count,
-            "replication_count": self.replication_count,
-            "replicated_bytes": self.replicated_bytes,
-            "archive_serviced_items": sorted(self.archive_serviced_items),
-            "device_service_seconds": dict(self._device_service_seconds),
-            "device_service_ios": dict(self._device_service_ios),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the controller books exactly as captured."""
-        self.logical_io_count = state["logical_io_count"]
-        self.cache_hit_count = state["cache_hit_count"]
-        self.migrated_bytes = state["migrated_bytes"]
-        self.migration_count = state["migration_count"]
-        self.preloaded_bytes = state["preloaded_bytes"]
-        self.flushed_bytes = state["flushed_bytes"]
-        self._battery_failed = state["battery_failed"]
-        self._emergency_items = set(state["emergency_items"])
-        self._policy_selected = set(state["policy_selected"])
-        self.fault_denied_ios = state["fault_denied_ios"]
-        self.fault_delayed_ios = state["fault_delayed_ios"]
-        self.fault_spin_up_retries = state["fault_spin_up_retries"]
-        self.fault_delay_seconds = state["fault_delay_seconds"]
-        self.fault_max_queue_delay = state["fault_max_queue_delay"]
-        self.emergency_buffered_ios = state["emergency_buffered_ios"]
-        self.emergency_flushes = state["emergency_flushes"]
-        self.migration_aborts = state["migration_aborts"]
-        self._at_risk_last_time = state["at_risk_last_time"]
-        self._at_risk_last_bytes = state["at_risk_last_bytes"]
-        self.at_risk_peak_bytes = state["at_risk_peak_bytes"]
-        self.at_risk_byte_seconds = state["at_risk_byte_seconds"]
-        self.at_risk_samples = list(state["at_risk_samples"])
-        self.promotion_count = state["promotion_count"]
-        self.demotion_count = state["demotion_count"]
-        self.archive_move_count = state["archive_move_count"]
-        self.replication_count = state["replication_count"]
-        self.replicated_bytes = state["replicated_bytes"]
-        self.archive_serviced_items = set(state["archive_serviced_items"])
-        self._device_service_seconds = dict(state["device_service_seconds"])
-        self._device_service_ios = dict(state["device_service_ios"])

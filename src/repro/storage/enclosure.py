@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.capture import Snapshottable
 from repro.errors import (
     AuditError,
     EnclosureUnavailableError,
@@ -73,7 +74,7 @@ class IOResult:
         return self.wait_time + service * (self.count + 1) / (2 * self.count)
 
 
-class DiskEnclosure:
+class DiskEnclosure(Snapshottable):
     """One disk enclosure: capacity, service queue, power-state timeline.
 
     Parameters
@@ -90,7 +91,15 @@ class DiskEnclosure:
     spin_down_timeout:
         Idle seconds before an automatic spin-down when power-off is
         enabled (paper: equal to the break-even time, 52 s).
+
+    Its snapshot state is the settled timeline and every accumulated
+    book; the fault clock and the ``_watts_by_state`` table derived
+    from the power model are rebuilt, never stored.  Capture does not
+    settle the timeline: it happens at a record boundary, where the
+    caller controls exactly what has been settled.
     """
+
+    _REBUILT = frozenset({"_fault_clock", "_watts_by_state"})
 
     def __init__(
         self,
@@ -613,77 +622,6 @@ class DiskEnclosure:
     def finish(self, now: Seconds) -> None:
         """Settle the timeline to the end of the run."""
         self.settle(max(now, self._clock))
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable power/energy state (:mod:`repro.persistence`).
-
-        Captures the settled timeline and every accumulated book;
-        construction wiring (the power model, capacities, the fault
-        clock) and the derived ``_watts_by_state`` table are rebuilt by
-        the resume path, never stored.  Read-only: the timeline is
-        **not** settled here — capture happens at a record boundary
-        where the caller controls exactly what has been settled.
-        """
-        return {
-            "clock": self._clock,
-            "state": self._state.value,
-            "state_entered": self._state_entered,
-            "idle_since": self._idle_since,
-            "busy_until": self._busy_until,
-            "transition_end": self._transition_end,
-            "power_off_enabled": self._power_off_enabled,
-            "hold_awake_until": self._hold_awake_until,
-            "external_energy": self._external_energy,
-            "energy_by_state": {
-                state.value: joules
-                for state, joules in self._energy_by_state.items()
-            },
-            "time_by_state": {
-                state.value: seconds
-                for state, seconds in self._time_by_state.items()
-            },
-            "spin_up_count": self.spin_up_count,
-            "spin_down_count": self.spin_down_count,
-            "io_count": self.io_count,
-            "read_count": self.read_count,
-            "write_count": self.write_count,
-            "last_io_time": self.last_io_time,
-            "spin_up_events": list(self.spin_up_events),
-            "spin_up_failing": self._spin_up_failing,
-            "spin_up_failure_times": list(self.spin_up_failure_times),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the enclosure exactly as :meth:`snapshot_state` captured it."""
-        self._clock = state["clock"]
-        self._state = PowerState(state["state"])
-        self._state_entered = state["state_entered"]
-        self._idle_since = state["idle_since"]
-        self._busy_until = state["busy_until"]
-        self._transition_end = state["transition_end"]
-        self._power_off_enabled = state["power_off_enabled"]
-        self._hold_awake_until = state["hold_awake_until"]
-        self._external_energy = state["external_energy"]
-        self._energy_by_state = {
-            PowerState(value): joules
-            for value, joules in state["energy_by_state"].items()
-        }
-        self._time_by_state = {
-            PowerState(value): seconds
-            for value, seconds in state["time_by_state"].items()
-        }
-        self.spin_up_count = state["spin_up_count"]
-        self.spin_down_count = state["spin_down_count"]
-        self.io_count = state["io_count"]
-        self.read_count = state["read_count"]
-        self.write_count = state["write_count"]
-        self.last_io_time = state["last_io_time"]
-        self.spin_up_events = list(state["spin_up_events"])
-        self._spin_up_failing = state["spin_up_failing"]
-        self.spin_up_failure_times = list(state["spin_up_failure_times"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -39,11 +39,6 @@ class PowerState(enum.Enum):
     # this the hottest hash in the whole replay loop.
     __hash__ = object.__hash__
 
-    @property
-    def is_on(self) -> bool:
-        """Whether the disks are spinning and able to serve I/O soon."""
-        return self in (PowerState.ACTIVE, PowerState.IDLE)
-
 
 #: The legal power-state transition graph of a disk enclosure
 #: (§II-A / DiskEnclosure's state machine)::

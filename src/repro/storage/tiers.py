@@ -242,18 +242,3 @@ class TierLedger:
     def net_bytes(self, tier_name: str) -> int:
         """Bytes the ledger says the tier currently holds (in − out)."""
         return self.bytes_in[tier_name] - self.bytes_out[tier_name]
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable ledger books (:mod:`repro.persistence`)."""
-        return {
-            "bytes_in": dict(self.bytes_in),
-            "bytes_out": dict(self.bytes_out),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the books exactly as :meth:`snapshot_state` captured them."""
-        self.bytes_in = dict(state["bytes_in"])
-        self.bytes_out = dict(state["bytes_out"])

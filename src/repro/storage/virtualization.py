@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import units
+from repro.capture import Snapshottable
 from repro.errors import CapacityError, MappingError, ValidationError
 from repro.storage.enclosure import DiskEnclosure
 from repro.storage.tiers import (
@@ -51,7 +52,7 @@ class PhysicalExtent:
         return units.blocks_to_bytes(self.blocks)
 
 
-class BlockVirtualization:
+class BlockVirtualization(Snapshottable):
     """Mapping between data items, volumes, enclosures, and tiers.
 
     Placement is ``(tier, device)``: every enclosure belongs to exactly
@@ -60,7 +61,21 @@ class BlockVirtualization:
     device — their behaviour (and every float in a replay) is unchanged,
     because the per-tier :class:`~repro.storage.tiers.TierLedger` books
     are maintained with integer arithmetic only.
+
+    Its snapshot state is the volumes, item placement, replicas,
+    capacity books and the tier ledger, all in insertion order
+    (``item_ids()``/``items_on()`` report it).  The enclosures, the
+    tier structure and the derived route cache are rebuilt.
     """
+
+    _REBUILT = frozenset(
+        {
+            "_enclosures",
+            "_tiers",
+            "_device_tier",
+            "_route_cache",
+        }
+    )
 
     def __init__(
         self,
@@ -451,52 +466,3 @@ class BlockVirtualization:
             self.tier_ledger.record_out(source_tier, size)
             self.tier_ledger.record_in(target_tier, size)
         return src, target_enclosure
-
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.persistence)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Serializable mapping state (:mod:`repro.persistence`).
-
-        Captures volumes, item placement, and capacity books, all in
-        insertion order (``item_ids()``/``items_on()`` report it, so it
-        is observable state).  The enclosure objects themselves and the
-        ``_route_cache`` are not stored — enclosures snapshot separately
-        and the route cache is derived, rebuilt lazily after restore.
-        """
-        return {
-            "volumes": [
-                (vol.name, vol.enclosure) for vol in self._volumes.values()
-            ],
-            "item_volume": list(self._item_volume.items()),
-            "item_size": list(self._item_size.items()),
-            "item_base": list(self._item_base.items()),
-            "used_bytes": dict(self._used_bytes),
-            "next_block": dict(self._next_block),
-            "replicas": [
-                (item, list(copies.items()))
-                for item, copies in self._replicas.items()
-            ],
-            "tier_ledger": self.tier_ledger.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the mapping exactly as captured (route cache cleared)."""
-        self._volumes = {
-            name: Volume(name, enclosure)
-            for name, enclosure in state["volumes"]
-        }
-        self._item_volume = dict(state["item_volume"])
-        self._item_size = dict(state["item_size"])
-        self._item_base = dict(state["item_base"])
-        self._used_bytes = dict(state["used_bytes"])
-        self._next_block = dict(state["next_block"])
-        self._replicas = {
-            item: dict(copies) for item, copies in state["replicas"]
-        }
-        self._replica_bytes = {name: 0 for name in self._enclosures}
-        for copies in self._replicas.values():
-            for enclosure, size in copies.items():
-                self._replica_bytes[enclosure] += size
-        self.tier_ledger.restore_state(state["tier_ledger"])
-        self._route_cache.clear()

@@ -53,7 +53,10 @@ def books_snapshot(context: SimulationContext) -> dict:
         "replicas": {
             item: virt.replicas_of(item) for item in ("item-0", "item-1")
         },
-        "ledger": virt.tier_ledger.snapshot_state(),
+        "ledger": (
+            dict(virt.tier_ledger.bytes_in),
+            dict(virt.tier_ledger.bytes_out),
+        ),
         "migrated_bytes": context.controller.migrated_bytes,
         "migration_count": context.controller.migration_count,
         "log_len": len(executor.log),

@@ -160,6 +160,6 @@ class TestSnapshotState:
         kernel = self._kernel()
         kernel.replay([record(5.0)], duration=50.0)
         state = kernel.snapshot_state()
-        assert set(state) == {"clock", "scheduled_checkpoint", "finished"}
-        assert state["scheduled_checkpoint"] == 60.0
-        assert state["finished"] is True
+        assert set(state) == {"clock", "_scheduled_checkpoint", "_finished"}
+        assert state["_scheduled_checkpoint"] == 60.0
+        assert state["_finished"] is True

@@ -6,6 +6,8 @@ with a one-line ``ecostor: error: ...`` diagnostic on stderr.  Anything
 else is a bug and must still propagate as a traceback.
 """
 
+import struct
+
 import pytest
 
 import repro.cli as cli
@@ -88,6 +90,16 @@ class TestDomainErrorsExitTwo:
         bad.write_bytes(b"torn")
         assert main(["resume", str(bad)]) == 2
         assert "truncated" in capsys.readouterr().err
+
+    def test_snapshot_error_from_version_3_snapshot(self, capsys, tmp_path):
+        path = write_snapshot(
+            tmp_path / snapshot_filename(1), {"meta": {}, "states": {}}
+        )
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 3)
+        path.write_bytes(bytes(data))
+        assert main(["resume", str(path)]) == 2
+        assert "older release (format version 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "malformed, named",

@@ -4,11 +4,8 @@ import pytest
 
 from repro.baselines.nopower import NoPowerSavingPolicy
 from repro.core.manager import EnergyEfficientPolicy
-from repro.experiments.runner import (
-    STANDARD_POLICIES,
-    run_cell,
-    run_comparison,
-)
+from repro.experiments.parallel import WorkloadSpec, standard_cells
+from repro.experiments.runner import STANDARD_POLICIES, run_cell
 from repro.experiments.testbed import (
     SMOKE_QUERIES,
     WORKLOAD_NAMES,
@@ -43,15 +40,14 @@ class TestRunCell:
 
 
 class TestRunComparison:
-    def test_all_four_policies(self, tiny_workload):
-        results = run_comparison(tiny_workload)
+    def test_all_four_policies(self):
+        results = comparison("tpcc", full=False)
         assert set(results) == set(STANDARD_POLICIES)
 
-    def test_custom_policy_subset(self, tiny_workload):
-        results = run_comparison(
-            tiny_workload, {"only": NoPowerSavingPolicy}
-        )
-        assert set(results) == {"only"}
+    def test_custom_policy_subset(self):
+        spec = WorkloadSpec(name="tpcc", full=False)
+        cells = standard_cells(spec, policies=["no-power-saving"])
+        assert [cell.policy.name for cell in cells] == ["no-power-saving"]
 
 
 class TestWorkloadCatalog:

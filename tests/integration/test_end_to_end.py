@@ -7,25 +7,24 @@ smoke scale; the full-scale shape assertions live in benchmarks/.
 import pytest
 
 from repro.analysis.metrics import power_saving_percent
-from repro.experiments.runner import run_comparison
-from repro.experiments.testbed import build_workload
+from repro.experiments.testbed import comparison
 
 pytestmark = pytest.mark.integration
 
 
 @pytest.fixture(scope="module")
 def fileserver_results():
-    return run_comparison(build_workload("fileserver", full=False))
+    return comparison("fileserver", full=False)
 
 
 @pytest.fixture(scope="module")
 def tpcc_results():
-    return run_comparison(build_workload("tpcc", full=False))
+    return comparison("tpcc", full=False)
 
 
 @pytest.fixture(scope="module")
 def tpch_results():
-    return run_comparison(build_workload("tpch", full=False))
+    return comparison("tpch", full=False)
 
 
 def saving(results, policy):

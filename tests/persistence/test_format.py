@@ -86,7 +86,7 @@ class TestRefusal:
         with pytest.raises(SnapshotError, match="unsupported format version"):
             load_snapshot(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_refused(self, tmp_path, version):
         path = self._written(tmp_path)
         data = bytearray(path.read_bytes())

@@ -155,7 +155,7 @@ class TestResumeBitIdentity:
         spec = RunSpec(workload="tpcc", policy="ddr")
         session = SnapshotSession(spec)
         payload = _capture_at(session, 500)
-        payload["states"]["app_monitor"]["responses"].pop()
+        payload["states"]["app_monitor"]["_responses"].pop()
         with pytest.raises(SnapshotError, match="499 responses"):
             SnapshotSession(spec).resume(payload)
 
@@ -206,7 +206,47 @@ class TestRefusals:
             session.run(snapshot_every=-1, snapshot_dir=tmp_path)
 
 
+def _maker(policy):
+    """Session factory for ``policy``: a TPC-C smoke replay with a fault
+    plan, the auditor and a timeline, or the mixed zoned session."""
+    if policy == "zoned":
+        return _zoned_session
+    spec = RunSpec(
+        workload="tpcc",
+        policy=policy,
+        audit=True,
+        timeline_interval=300.0,
+        faults_json=_fault_plan().to_json(),
+    )
+    return lambda: SnapshotSession(spec)
+
+
+class TestCaptureRoundTrip:
+    @pytest.mark.parametrize("policy", [*ALL_POLICIES, "zoned"])
+    def test_restored_component_recaptures_its_state(self, policy):
+        """Every component restored into a fresh session from its own
+        capture captures an equal state again."""
+        make = _maker(policy)
+        states = _capture_at(make(), 7000)["states"]
+        components = make()._components()
+        for name, state in states.items():
+            components[name].restore_state(state)
+            assert components[name].snapshot_state() == state, name
+
+
 class TestStrictRestore:
+    @pytest.mark.parametrize("policy", [*ALL_POLICIES, "zoned"])
+    def test_unknown_state_key_is_refused(self, policy):
+        """A component state with one attribute the component does not
+        have is refused, never silently ignored."""
+        make = _maker(policy)
+        payload = _capture_at(make(), 7000)
+        fresh = make()
+        for name, state in payload["states"].items():
+            states = {**payload["states"], name: {**state, "_unknown": 0}}
+            with pytest.raises(SnapshotError, match=re.escape(repr(name))):
+                fresh.resume({"meta": payload["meta"], "states": states})
+
     @pytest.mark.parametrize("policy", [*ALL_POLICIES, "zoned"])
     def test_every_state_key_is_required(self, policy):
         """Each top-level key of each component state is read: a state

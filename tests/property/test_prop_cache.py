@@ -66,8 +66,6 @@ class PageOracle:
         self.preloaded = preloaded
         self.selected = selected
         self.blocks: OrderedDict[tuple[str, int], None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.dirty: dict[str, set[int]] = {}
         self.absorbed = 0
 
@@ -79,9 +77,7 @@ class PageOracle:
         key = (item, page)
         if key in self.blocks:
             self.blocks.move_to_end(key)
-            self.hits += 1
             return True
-        self.misses += 1
         if self.capacity <= 0:
             return False
         self.blocks[key] = None
@@ -158,10 +154,8 @@ def test_range_calls_match_per_page_oracle(lru_pages, wd_pages, ops):
             if flush:
                 wd.flush_all()
                 oracle.dirty.clear()
-        lru = cache.lru.snapshot_state()
-        assert lru["blocks"] == list(oracle.blocks)
-        assert (lru["hits"], lru["misses"]) == (oracle.hits, oracle.misses)
-        assert wd.snapshot_state()["dirty"] == [
+        assert list(cache.lru._blocks) == list(oracle.blocks)
+        assert [(name, sorted(pages)) for name, pages in wd._dirty.items()] == [
             (name, sorted(dirty)) for name, dirty in oracle.dirty.items()
         ]
         assert wd.absorbed_pages == oracle.absorbed
@@ -226,6 +220,5 @@ def test_flush_conserves_dirty_bytes(writes):
     unique = {(item, page) for item, page in writes}
     for item, page in writes:
         part.absorb_write(item, page, page)
-    plan = part.flush_all()
-    assert plan.total_bytes == len(unique) * PAGE_BYTES
+    assert sum(part.flush_all().values()) == len(unique) * PAGE_BYTES
     assert part.dirty_pages == 0

@@ -80,13 +80,13 @@ class TestLRU:
 
     def test_hit_ratio(self):
         cache = lru_only(10)
-        read(cache, "a", 0)
-        read(cache, "a", 0)
-        assert (cache.lru.hits, cache.lru.misses) == (1, 1)
+        assert [read(cache, "a", 0), read(cache, "a", 0)] == [False, True]
+        assert list(cache.lru._blocks) == [("a", 0)]
 
     def test_hit_ratio_empty(self):
         lru = LRUBlockCache(PAGE_BYTES)
-        assert (lru.hits, lru.misses) == (0, 0)
+        assert len(lru) == 0
+        assert list(lru._blocks) == []
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -98,11 +98,9 @@ class TestLRU:
         # Page 1 hits, pages 0 and 2 miss: the read misses, all three
         # enter the LRU, and no page is skipped after the first miss.
         assert not cache.read_hit("a", 0, 2)
-        assert (cache.lru.hits, cache.lru.misses) == (1, 3)
+        assert list(cache.lru._blocks) == [("a", 0), ("a", 1), ("a", 2)]
         assert cache.read_hit("a", 0, 2)
-        assert cache.lru.snapshot_state()["blocks"] == [
-            ("a", 0), ("a", 1), ("a", 2)
-        ]
+        assert list(cache.lru._blocks) == [("a", 0), ("a", 1), ("a", 2)]
 
 
 class TestPreloadPartition:
@@ -196,12 +194,10 @@ class TestWriteDelayPartition:
         part.absorb_write("a", 0, 0)
         part.absorb_write("a", 1, 1)
         part.absorb_write("b", 7, 7)
-        plan = part.flush_all()
-        assert plan.dirty_bytes_by_item == {
+        assert part.flush_all() == {
             "a": 2 * PAGE_BYTES,
             "b": 1 * PAGE_BYTES,
         }
-        assert plan.total_bytes == 3 * PAGE_BYTES
         assert part.dirty_pages == 0
         assert part.flush_count == 1
 
@@ -209,8 +205,7 @@ class TestWriteDelayPartition:
         part = self.make(capacity_mb=100)
         part.select("a")
         part.absorb_write("a", 0, 0)
-        plan = part.flush_item("a")
-        assert plan.total_bytes == PAGE_BYTES
+        assert part.flush_item("a") == {"a": PAGE_BYTES}
         assert part.is_selected("a")
         assert part.dirty_pages == 0
 
@@ -218,14 +213,13 @@ class TestWriteDelayPartition:
         part = self.make(capacity_mb=100)
         part.select("a")
         part.absorb_write("a", 0, 0)
-        plan = part.deselect("a")
-        assert plan.total_bytes == PAGE_BYTES
+        assert part.deselect("a") == {"a": PAGE_BYTES}
         assert not part.is_selected("a")
 
     def test_deselect_clean_item_returns_empty_plan(self):
         part = self.make()
         part.select("a")
-        assert part.deselect("a").total_bytes == 0
+        assert part.deselect("a") == {}
 
     def test_is_dirty(self):
         part = self.make(capacity_mb=100)

@@ -10,17 +10,6 @@ from repro.storage.power import (
 )
 
 
-class TestPowerState:
-    def test_active_and_idle_are_on(self):
-        assert PowerState.ACTIVE.is_on
-        assert PowerState.IDLE.is_on
-
-    def test_off_and_transitions_are_not_on(self):
-        assert not PowerState.OFF.is_on
-        assert not PowerState.SPIN_UP.is_on
-        assert not PowerState.SPIN_DOWN.is_on
-
-
 class TestPowerModelValidation:
     def test_default_is_valid(self):
         PowerModel()

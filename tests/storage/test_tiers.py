@@ -122,6 +122,17 @@ class TestTierLedger:
         ledger.record_out("hdd", 128)
         assert ledger.net_bytes("hdd") == 640
 
+    def test_snapshot_restore_round_trip(self):
+        """The ledger is captured as a value of its virtualization."""
+        virt = make_tiered_virt()
+        virt.add_item("a", 10 * units.MB, "vol/hdd-0")
+        virt.move_item("a", "flash-0")
+        other = make_tiered_virt()
+        other.restore_state(virt.snapshot_state())
+        assert other.tier_ledger == virt.tier_ledger
+        assert other.tier_ledger is not virt.tier_ledger
+        assert other.tier_ledger.net_bytes("flash") == virt.item_size("a")
+
     def test_rejects_negative_sizes(self):
         ledger = TierLedger()
         ledger.register_tier("hdd")
@@ -129,18 +140,6 @@ class TestTierLedger:
             ledger.record_in("hdd", -1)
         with pytest.raises(ValidationError):
             ledger.record_out("hdd", -1)
-
-    def test_snapshot_restore_round_trip(self):
-        ledger = TierLedger()
-        ledger.register_tier("hdd")
-        ledger.record_in("hdd", 1024)
-        ledger.record_out("hdd", 512)
-        state = ledger.snapshot_state()
-        other = TierLedger()
-        other.register_tier("hdd")
-        other.restore_state(state)
-        assert other.net_bytes("hdd") == ledger.net_bytes("hdd")
-        assert other.snapshot_state() == state
 
 
 class TestTieredVirtualization:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro import units
+from repro.baselines.ddr import DDRPolicy
 from repro.config import (
     DEFAULT_CONFIG,
     DEFAULT_SCALE,
@@ -13,6 +14,7 @@ from repro.config import (
     SimulationScale,
 )
 from repro.errors import ConfigurationError
+from repro.storage.cache import PAGE_BYTES, StorageCache
 
 
 class TestPaperConfig:
@@ -49,13 +51,19 @@ class TestPaperConfig:
         assert PAPER_CONFIG.ddr_target_th == 450.0
 
     def test_ddr_low_th_is_half_target(self):
-        assert PAPER_CONFIG.ddr_low_th == 225.0
+        assert DDRPolicy(target_th=PAPER_CONFIG.ddr_target_th).low_th == 225.0
 
     def test_enclosure_size(self):
         assert PAPER_CONFIG.enclosure_size_bytes == int(1.7 * units.TB)
 
     def test_lru_cache_is_remainder(self):
-        assert PAPER_CONFIG.lru_cache_bytes == 2 * units.GB - 1000 * units.MB
+        cache = StorageCache(
+            PAPER_CONFIG.storage_cache_bytes,
+            PAPER_CONFIG.preload_cache_bytes,
+            PAPER_CONFIG.write_delay_cache_bytes,
+        )
+        remainder = 2 * units.GB - 1000 * units.MB
+        assert cache.lru.capacity_pages == remainder // PAGE_BYTES
 
     def test_physical_break_even_consistent(self):
         physical = PAPER_CONFIG.enclosure_power.break_even_time
@@ -125,7 +133,6 @@ class TestScaledConfig:
         assert DEFAULT_CONFIG.max_iops_random == pytest.approx(1.0)
         assert DEFAULT_CONFIG.max_iops_sequential == pytest.approx(2800 / 900)
         assert DEFAULT_CONFIG.ddr_target_th == pytest.approx(0.5)
-        assert DEFAULT_CONFIG.ddr_low_th == pytest.approx(0.25)
 
     def test_time_fields_unscaled(self):
         assert DEFAULT_CONFIG.break_even_time == PAPER_CONFIG.break_even_time
