@@ -94,21 +94,24 @@ class DDRPolicy(PowerPolicy):
         """
         context = self._require_context()
         window = now - self._window_start
-        assert self.monitoring_period is not None
+        assert self.monitoring_period is not None and self.target_th is not None
         if window <= 0:
             self._next_checkpoint = now + self.monitoring_period
             return None
-        window_iops = context.storage_monitor.window_stats(now)
         # Exponentially smoothed IOPS with ~iops_smoothing_seconds
         # time constant: DDR's placement decisions are sub-second but
         # its hot/cold judgement reflects sustained load, otherwise any
-        # quiet quarter-second would flap every enclosure cold.
+        # quiet quarter-second would flap every enclosure cold.  One
+        # pass over the table ``on_start`` seeded, reading the monitor's
+        # window counts directly: ``count / window`` is the window's IOPS.
         alpha = min(1.0, window / self.iops_smoothing_seconds)
-        low_th = self.low_th
+        keep = 1 - alpha
+        low_th = self.target_th / 2.0
+        counts = context.storage_monitor.window_counts
         smoothed_iops = self._smoothed_iops
         cold: set[str] = set()
-        for name, iops in window_iops.items():
-            smoothed = (1 - alpha) * smoothed_iops.get(name, 0.0) + alpha * iops
+        for name, previous in smoothed_iops.items():
+            smoothed = keep * previous + alpha * (counts.get(name, 0) / window)
             smoothed_iops[name] = smoothed
             if smoothed < low_th:
                 cold.add(name)

@@ -252,14 +252,9 @@ class InvariantAuditor(Snapshottable):
                 f"LRU cache overflow: {len(lru)} pages of {lru.capacity_pages}"
             )
         virt = ctx.virtualization
-        # One walk over the placed items recounts every enclosure from
-        # the item -> volume mapping, never from the counter it audits.
-        item_bytes = dict.fromkeys(virt.enclosure_names, 0)
-        for item in virt.item_ids():
-            enclosure = virt.volume_of(item).enclosure
-            item_bytes[enclosure] = (
-                item_bytes.get(enclosure, 0) + virt.item_size(item)
-            )
+        # Recounted from the item -> volume mapping, never from the
+        # counter it audits.
+        item_bytes = virt.recount_used_bytes()
         for name in virt.enclosure_names:
             used = virt.used_bytes(name)
             recomputed = item_bytes[name]

@@ -15,6 +15,7 @@ paper's Figs 17–19: per-enclosure inter-arrival gaps of physical I/O.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 
 from repro.capture import Snapshottable
 from repro.storage.enclosure import DiskEnclosure
@@ -82,11 +83,21 @@ class StorageMonitor(Snapshottable):
         self._window_counts.clear()
         self._window_start = now
 
+    @property
+    def window_counts(self) -> Mapping[str, int]:
+        """Per-enclosure physical I/O counts of the current window.
+
+        The live table, not a copy: read it with ``.get(name, 0)``, since
+        indexing a name with no I/O yet would insert a zero count.
+        """
+        return self._window_counts
+
     def window_stats(self, now: float) -> dict[str, float]:
         """Per-enclosure mean IOPS over the current window.
 
         Each value is the window's physical I/O count over its length;
-        a window of zero length or less gives ``0.0`` everywhere.
+        a window of zero length or less gives ``0.0`` everywhere.  No
+        policy calls it: DDR folds :attr:`window_counts` in one pass.
         """
         window = now - self._window_start
         counts = self._window_counts

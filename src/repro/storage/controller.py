@@ -207,13 +207,19 @@ class StorageController(Snapshottable):
             return
         # Each step is called only while it has work: the battery check
         # until the battery has failed, the drain while emergency items
-        # exist, the at-risk integral once the battery is gone.  This
+        # exist, the at-risk integral once the battery is gone and only
+        # while the last or the current at-risk bytes are non-zero.  With
+        # both zero it would add 0·dt, record no sample and move only
+        # ``_at_risk_last_time``, which the next call (at a later or equal
+        # time) multiplies by zero bytes: skipping it is exact.  This
         # runs before every faulted application I/O.
         if not self._battery_failed:
             self._check_battery(now)
         if self._emergency_items:
             self._drain_emergency(now)
-        if self._battery_failed:
+        if self._battery_failed and (
+            self._at_risk_last_bytes or self.cache.write_delay.dirty_pages
+        ):
             self._note_at_risk(now)
 
     def _check_battery(self, now: Seconds) -> None:

@@ -588,11 +588,12 @@ class DiskEnclosure(Snapshottable):
             start = self._clock
         if self._busy_until > start:
             start = self._busy_until
-        if faults is not None:
+        if faults is not None and start != at:
             # The queue (or spin-up wait) may have pushed the start into
             # an outage window that opened after arrival — refuse before
             # any service state is mutated; the controller retries past
-            # the window.
+            # the window.  With ``start == at`` the lookup above already
+            # answered ``None`` for this very instant.
             outage = faults.outage_at(self.name, start)
             if outage is not None:
                 raise EnclosureUnavailableError(self.name, start, outage.end)

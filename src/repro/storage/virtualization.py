@@ -344,6 +344,22 @@ class BlockVirtualization(Snapshottable):
         except KeyError:
             raise MappingError(f"unknown enclosure {enclosure!r}") from None
 
+    def recount_used_bytes(self) -> dict[str, int]:
+        """Bytes of item data per enclosure, summed from the placement.
+
+        Sums item sizes per volume over the item → volume mapping, then
+        per enclosure, and never reads the used-byte counters
+        :meth:`used_bytes` returns, so an audit can check them against it.
+        """
+        sizes = self._item_size
+        per_volume = dict.fromkeys(self._volumes, 0)
+        for item_id, volume in self._item_volume.items():
+            per_volume[volume] += sizes[item_id]
+        recounted = dict.fromkeys(self._enclosures, 0)
+        for volume, total in per_volume.items():
+            recounted[self._volumes[volume].enclosure] += total
+        return recounted
+
     def free_bytes(self, enclosure: str) -> int:
         """Remaining capacity of the enclosure in bytes.
 

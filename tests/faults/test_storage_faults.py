@@ -30,7 +30,7 @@ from repro.faults.plan import (
     SlowSpinUp,
     SpinUpFailure,
 )
-from repro.storage.cache import StorageCache
+from repro.storage.cache import PAGE_BYTES, StorageCache
 from repro.storage.controller import CACHE_HIT_LATENCY, StorageController
 from repro.storage.enclosure import DiskEnclosure
 from repro.storage.power import PowerState
@@ -153,6 +153,22 @@ class TestEnclosureOutage:
         enc.submit(50.0)
         assert enc.io_count == 1
 
+    def test_queue_pushing_start_into_window_is_refused(self) -> None:
+        # The arrival at 9.5 s is outside the window, but the transfer
+        # queued ahead of it pushes the service start to 11 s, inside.
+        plan = FaultPlan(
+            events=(EnclosureOutage(enclosure="e0", start=10.0, end=50.0),)
+        )
+        _, _, encs, clock = build(plan)
+        enc = encs[0]
+        enc.occupy(9.0, 2.0)
+        served = enc.io_count
+        with pytest.raises(EnclosureUnavailableError) as excinfo:
+            enc.submit_one(9.5, True, False)
+        assert excinfo.value.until == 50.0
+        assert enc.io_count == served
+        assert clock.outage_violations == []
+
 
 class TestControllerRetry:
     def test_spin_up_retries_with_capped_backoff(self) -> None:
@@ -230,6 +246,23 @@ class TestBatteryFailure:
         # At-risk accounting saw the exposure window close.
         assert controller.at_risk_peak_bytes > 0
         assert controller.at_risk_samples[-1][1] == 0
+
+    def test_at_risk_integral_resumes_at_first_non_zero_tick(self) -> None:
+        # Ticks skip the integral while the exposure is zero.  A page
+        # dirtied in the partition itself (the controller dirties none
+        # after the failure flush) is integrated from the first tick
+        # that sees it.
+        plan = FaultPlan(events=(CacheBatteryFailure(time=0.0),))
+        controller, _, _, _ = build(plan)
+        controller.on_time(1.0)
+        assert controller.battery_failed
+        wd = controller.cache.write_delay
+        wd.select("a")
+        wd.absorb_write("a", 0, 0)
+        controller.on_time(2.0)
+        controller.on_time(5.0)
+        assert controller.at_risk_byte_seconds == PAGE_BYTES * 3.0
+        assert controller.at_risk_samples[-1] == (2.0, PAGE_BYTES)
 
     def test_no_new_selection_after_failure(self) -> None:
         plan = FaultPlan(events=(CacheBatteryFailure(time=0.0),))

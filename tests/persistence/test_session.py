@@ -124,6 +124,47 @@ class TestResumeBitIdentity:
         # The auditor kept checking after the seam, on restored cursors.
         assert fresh.auditor.checks_run == golden_session.auditor.checks_run
 
+    def test_faulted_ddr_cell_resumes_bit_identically(self, tmp_path):
+        """DDR under the same fault plan, killed after the cache battery
+        failed: the smoothed IOPS table, the cold set and the at-risk
+        books (integrated only while exposure is non-zero) all cross
+        the seam, auditor armed throughout."""
+        plan = _fault_plan()
+        (failure,) = [
+            e for e in plan.events if isinstance(e, CacheBatteryFailure)
+        ]
+        spec = RunSpec(
+            workload="tpcc",
+            policy="ddr",
+            audit=True,
+            timeline_interval=300.0,
+            faults_json=plan.to_json(),
+        )
+        golden_session = SnapshotSession(spec)
+        golden = golden_session.run()
+        session = SnapshotSession(spec)
+
+        def injector(count, ts):
+            if ts >= failure.time + 300.0:
+                raise _InjectedCrash()
+
+        with pytest.raises(_InjectedCrash):
+            session.run(1000, tmp_path, record_hook=injector)
+        latest = find_latest_valid(tmp_path)
+        assert latest is not None
+        payload = load_snapshot(latest)
+        # The snapshot resumed from was taken after the failure.
+        assert payload["states"]["controller"]["_battery_failed"]
+        assert payload["states"]["policy"]["determinations"] > 0
+        fresh = SnapshotSession(spec)
+        resumed = fresh.resume(payload)
+        assert _surface(resumed, fresh) == _surface(golden, golden_session)
+        assert fresh.auditor.checks_run == golden_session.auditor.checks_run
+        assert (
+            fresh.context.controller.at_risk_samples
+            == golden_session.context.controller.at_risk_samples
+        )
+
     def test_tiered_lifecycle_resumes_bit_identically(self, tmp_path):
         """The multi-tier testbed: promote/demote/archive records and
         the policy's temperature state all cross the seam, auditor

@@ -42,7 +42,7 @@ STORAGE_DIR = os.path.dirname(repro.storage.__file__) + os.sep
 #: Most calls into ``repro.storage`` each smoke replay may make.
 BUDGETS = {
     "fileserver-proposed": 129_427,
-    "tpcc-ddr-storm": 152_849,
+    "tpcc-ddr-storm": 132_522,
 }
 
 

@@ -172,3 +172,17 @@ class TestMoveItem:
         virt.move_item("a", "e0")
         assert virt.enclosure_of("a").name == "e0"
         assert virt.used_bytes("e1") == 0
+
+    def test_recount_follows_moves_and_removals(self):
+        virt = make_virt(count=3)
+        virt.create_volume("v0b", "e0")
+        virt.add_item("a", 3 * units.MB, "v0")
+        virt.add_item("b", 5 * units.MB, "v0b")
+        virt.add_item("c", 7 * units.MB, "v1")
+        virt.move_item("a", "e1")
+        virt.remove_item("c")
+        recounted = virt.recount_used_bytes()
+        assert recounted == {"e0": 5 * units.MB, "e1": 3 * units.MB, "e2": 0}
+        assert recounted == {
+            name: virt.used_bytes(name) for name in virt.enclosure_names
+        }
