@@ -64,6 +64,15 @@ _MIGRATION_ACTIONS = (
 #: Inter-tier move actions that chain on the serialized migration clock.
 TierMoveAction = PromoteItem | DemoteItem | ArchiveItem | ReplicateItem
 
+# Enum members bound once: on CPython 3.11 each ``ActionOutcome.X`` load
+# in a method body goes through ``EnumType.__getattr__``, and
+# :meth:`ActionExecutor._count` tests every record's outcome.
+_APPLIED = ActionOutcome.APPLIED
+_REJECTED = ActionOutcome.REJECTED
+_ABORTED_BY_FAULT = ActionOutcome.ABORTED_BY_FAULT
+_VETOED_BY_DEGRADED_MODE = ActionOutcome.VETOED_BY_DEGRADED_MODE
+_ARCHIVE = TierKind.ARCHIVE
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import EcoStorConfig
     from repro.storage.controller import StorageController
@@ -85,7 +94,7 @@ class ApplyReport:
             1
             for r in self.records
             if isinstance(r.action, MigrateItem)
-            and r.outcome is ActionOutcome.APPLIED
+            and r.outcome is _APPLIED
         )
 
     @property
@@ -95,7 +104,7 @@ class ApplyReport:
             1
             for r in self.records
             if isinstance(r.action, MigrateItem)
-            and r.outcome is ActionOutcome.ABORTED_BY_FAULT
+            and r.outcome is _ABORTED_BY_FAULT
         )
 
     @property
@@ -105,7 +114,7 @@ class ApplyReport:
             r.cost_bytes
             for r in self.records
             if isinstance(r.action, MigrateItem)
-            and r.outcome is ActionOutcome.APPLIED
+            and r.outcome is _APPLIED
         )
 
 
@@ -186,33 +195,33 @@ class ActionExecutor(Snapshottable):
     def _count(self, records: list[ActionRecord]) -> None:
         for record in records:
             outcome = record.outcome
-            if outcome is ActionOutcome.APPLIED:
+            if outcome is _APPLIED:
                 self.actions_applied += 1
-            elif outcome is ActionOutcome.ABORTED_BY_FAULT:
+            elif outcome is _ABORTED_BY_FAULT:
                 self.actions_aborted += 1
-            elif outcome is ActionOutcome.VETOED_BY_DEGRADED_MODE:
+            elif outcome is _VETOED_BY_DEGRADED_MODE:
                 self.actions_vetoed += 1
             else:
                 self.actions_rejected += 1
             action = record.action
             if isinstance(action, _MIGRATION_ACTIONS):
-                if outcome is ActionOutcome.APPLIED:
+                if outcome is _APPLIED:
                     self.migrations_applied += 1
                     self.migrated_bytes_applied += record.cost_bytes
-                elif outcome is ActionOutcome.ABORTED_BY_FAULT:
+                elif outcome is _ABORTED_BY_FAULT:
                     self.migrations_aborted += 1
             if isinstance(action, PromoteItem):
                 self.promote_attempt_items.add(action.item_id)
-                if outcome is ActionOutcome.APPLIED:
+                if outcome is _APPLIED:
                     self.promotes_applied += 1
             elif isinstance(action, DemoteItem):
-                if outcome is ActionOutcome.APPLIED:
+                if outcome is _APPLIED:
                     self.demotes_applied += 1
             elif isinstance(action, ArchiveItem):
-                if outcome is ActionOutcome.APPLIED:
+                if outcome is _APPLIED:
                     self.archives_applied += 1
             elif isinstance(action, ReplicateItem):
-                if outcome is ActionOutcome.APPLIED:
+                if outcome is _APPLIED:
                     self.replicates_applied += 1
 
     def _delta_watts(self, enclosure: DiskEnclosure) -> float:
@@ -267,7 +276,7 @@ class ActionExecutor(Snapshottable):
         def rejected(reason: str) -> tuple[ActionRecord, float]:
             return (
                 ActionRecord(
-                    action, ActionOutcome.REJECTED, start, start, reason=reason
+                    action, _REJECTED, start, start, reason=reason
                 ),
                 start,
             )
@@ -289,7 +298,7 @@ class ActionExecutor(Snapshottable):
             return (
                 ActionRecord(
                     action,
-                    ActionOutcome.ABORTED_BY_FAULT,
+                    _ABORTED_BY_FAULT,
                     start,
                     start,
                     reason="migration-abort",
@@ -299,7 +308,7 @@ class ActionExecutor(Snapshottable):
         return (
             ActionRecord(
                 action,
-                ActionOutcome.APPLIED,
+                _APPLIED,
                 start,
                 completion,
                 cost_seconds=completion - start,
@@ -327,7 +336,7 @@ class ActionExecutor(Snapshottable):
             archive_tiers = [
                 tier
                 for tier in virt.tiers()
-                if tier.kind is TierKind.ARCHIVE
+                if tier.kind is _ARCHIVE
             ]
             if not archive_tiers:
                 return None, "no-archive-tier"
@@ -403,9 +412,9 @@ class ActionExecutor(Snapshottable):
 
         target, reject_reason = self._resolve_tier_target(action)
         if target is None:
-            return finish(ActionOutcome.REJECTED, reject_reason or "")
+            return finish(_REJECTED, reject_reason or "")
         if start < self._cooldown_until.get(target, 0.0):
-            return finish(ActionOutcome.VETOED_BY_DEGRADED_MODE, "cooldown")
+            return finish(_VETOED_BY_DEGRADED_MODE, "cooldown")
         size = virt.item_size(item_id)
         src = virt.enclosure_of(item_id)
         dst = virt.enclosure(target)
@@ -421,13 +430,13 @@ class ActionExecutor(Snapshottable):
             else:
                 completion = controller.replicate_item(start, item_id, target)
         except CapacityError:
-            return finish(ActionOutcome.REJECTED, "capacity")
+            return finish(_REJECTED, "capacity")
         except MigrationAbortedError:
-            return finish(ActionOutcome.ABORTED_BY_FAULT, "migration-abort")
+            return finish(_ABORTED_BY_FAULT, "migration-abort")
         return (
             ActionRecord(
                 action,
-                ActionOutcome.APPLIED,
+                _APPLIED,
                 start,
                 completion,
                 cost_seconds=completion - start,
@@ -444,7 +453,7 @@ class ActionExecutor(Snapshottable):
         if not virt.has_item(item_id):
             return ActionRecord(
                 action,
-                ActionOutcome.REJECTED,
+                _REJECTED,
                 now,
                 now,
                 reason="unknown-item",
@@ -452,7 +461,7 @@ class ActionExecutor(Snapshottable):
         if controller.cache.preload.is_pinned(item_id):
             return ActionRecord(
                 action,
-                ActionOutcome.APPLIED,
+                _APPLIED,
                 now,
                 now,
                 reason="already-pinned",
@@ -465,11 +474,11 @@ class ActionExecutor(Snapshottable):
             completion = controller.preload_item(now, item_id)
         except CapacityError:
             return ActionRecord(
-                action, ActionOutcome.REJECTED, now, now, reason="capacity"
+                action, _REJECTED, now, now, reason="capacity"
             )
         return ActionRecord(
             action,
-            ActionOutcome.APPLIED,
+            _APPLIED,
             now,
             completion,
             cost_seconds=completion - now,
@@ -482,7 +491,7 @@ class ActionExecutor(Snapshottable):
         self.controller.unpin_item(action.item_id)
         return ActionRecord(
             action,
-            ActionOutcome.APPLIED,
+            _APPLIED,
             now,
             now,
             reason="" if pinned else "not-pinned",
@@ -498,7 +507,7 @@ class ActionExecutor(Snapshottable):
         flush_bytes = (wd.flushed_pages - flushed_before) * PAGE_BYTES
         return ActionRecord(
             action,
-            ActionOutcome.APPLIED,
+            _APPLIED,
             now,
             completion,
             cost_seconds=completion - now,
@@ -514,7 +523,7 @@ class ActionExecutor(Snapshottable):
         completion = controller.flush_item(now, action.item_id)
         return ActionRecord(
             action,
-            ActionOutcome.APPLIED,
+            _APPLIED,
             now,
             completion,
             cost_seconds=completion - now,
@@ -533,7 +542,7 @@ class ActionExecutor(Snapshottable):
         flush_bytes = (wd.flushed_pages - flushed_before) * PAGE_BYTES
         return ActionRecord(
             action,
-            ActionOutcome.APPLIED,
+            _APPLIED,
             now,
             completion,
             cost_seconds=completion - now,
@@ -548,19 +557,19 @@ class ActionExecutor(Snapshottable):
         enclosure = self.controller.virtualization.enclosure(action.enclosure)
         if not action.enabled:
             enclosure.disable_power_off(now)
-            return ActionRecord(action, ActionOutcome.APPLIED, now, now)
+            return ActionRecord(action, _APPLIED, now, now)
         veto_reason = self._gate_veto(enclosure, now)
         if veto_reason is not None:
             enclosure.disable_power_off(now)
             return ActionRecord(
                 action,
-                ActionOutcome.VETOED_BY_DEGRADED_MODE,
+                _VETOED_BY_DEGRADED_MODE,
                 now,
                 now,
                 reason=veto_reason,
             )
         enclosure.enable_power_off(now)
-        return ActionRecord(action, ActionOutcome.APPLIED, now, now)
+        return ActionRecord(action, _APPLIED, now, now)
 
     def _gate_veto(self, enclosure: DiskEnclosure, now: float) -> str | None:
         """Degraded-mode gate: veto reason for enabling power-off, or None.
@@ -601,7 +610,7 @@ class ActionExecutor(Snapshottable):
         if action.size_bytes <= 0:
             return ActionRecord(
                 action,
-                ActionOutcome.REJECTED,
+                _REJECTED,
                 now,
                 now,
                 reason="non-positive-size",
@@ -621,7 +630,7 @@ class ActionExecutor(Snapshottable):
         )
         return ActionRecord(
             action,
-            ActionOutcome.APPLIED,
+            _APPLIED,
             now,
             completion,
             cost_seconds=completion - now,

@@ -55,6 +55,12 @@ BULK_BANDWIDTH_BPS = 150.0 * units.MB
 MIGRATION_CHUNK_BYTES = 64 * units.MB
 
 
+# Enum members bound once: on CPython 3.11 each ``IOType.X`` load in a
+# method body goes through ``EnumType.__getattr__``, and :meth:`submit`
+# picks one per physical I/O.
+_READ = IOType.READ
+_WRITE = IOType.WRITE
+
 _T = TypeVar("_T")
 
 #: The physical tap: ``(timestamp, enclosure name, block, count,
@@ -404,7 +410,7 @@ class StorageController(Snapshottable):
             if cache.read_hit(item_id, first_page, last_page):
                 self.cache_hit_count += 1
                 return CACHE_HIT_LATENCY
-            io_type = IOType.READ
+            io_type = _READ
         else:
             write_delay = cache.write_delay
             if write_delay.is_selected(item_id):
@@ -418,7 +424,7 @@ class StorageController(Snapshottable):
                 )
                 if buffered is not None:
                     return buffered
-            io_type = IOType.WRITE
+            io_type = _WRITE
 
         # One physical I/O, with the tap dispatch of :meth:`_emit_physical`
         # unrolled — this is the hottest call chain of the whole replay,
@@ -494,7 +500,7 @@ class StorageController(Snapshottable):
         self.cache.preload.pin(item_id, size)
         enclosure = self.virtualization.enclosure_of(item_id)
         result = self._bulk_transfer(
-            now, enclosure, size, IOType.READ, item_id, self.bulk_bandwidth_bps
+            now, enclosure, size, _READ, item_id, self.bulk_bandwidth_bps
         )
         self.preloaded_bytes += size
         return result.completion
@@ -576,7 +582,7 @@ class StorageController(Snapshottable):
                 continue
             enclosure = self.virtualization.enclosure_of(item_id)
             result = self._bulk_transfer(
-                now, enclosure, size, IOType.WRITE, item_id, self.bulk_bandwidth_bps
+                now, enclosure, size, _WRITE, item_id, self.bulk_bandwidth_bps
             )
             completion = max(completion, result.completion)
             self.flushed_bytes += size
@@ -621,10 +627,10 @@ class StorageController(Snapshottable):
         per_marker = max(1, int(count // max(1, duration // 60.0 + 1)))
         while marker < completion:
             self._emit_physical(
-                marker, src.name, 0, per_marker, IOType.READ, item_id
+                marker, src.name, 0, per_marker, _READ, item_id
             )
             self._emit_physical(
-                marker, dst.name, 0, per_marker, IOType.WRITE, item_id
+                marker, dst.name, 0, per_marker, _WRITE, item_id
             )
             marker += 60.0
         return completion
@@ -763,8 +769,8 @@ class StorageController(Snapshottable):
         seconds = size_bytes / self.bulk_bandwidth_bps
         read, _ = self._with_fault_retry(now, src.occupy, seconds, 1, True)
         write, _ = self._with_fault_retry(now, dst.occupy, seconds, 1, False)
-        self._emit_physical(now, source_enclosure, 0, 1, IOType.READ, item_id)
-        self._emit_physical(now, target_enclosure, 0, 1, IOType.WRITE, item_id)
+        self._emit_physical(now, source_enclosure, 0, 1, _READ, item_id)
+        self._emit_physical(now, target_enclosure, 0, 1, _WRITE, item_id)
         self.migrated_bytes += size_bytes
         self.migration_count += 1
         return max(read.completion, write.completion)

@@ -37,6 +37,22 @@ from repro.units import Bytes, Joules, Seconds, Watts
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.clock import FaultClock
 
+# The power states as module constants: on CPython 3.11 each
+# ``PowerState.X`` load goes through ``EnumType.__getattr__``, about ten
+# times the cost of a global load, and the per-I/O methods below test
+# the state several times per served I/O.
+_ACTIVE = PowerState.ACTIVE
+_IDLE = PowerState.IDLE
+_SPIN_DOWN = PowerState.SPIN_DOWN
+_OFF = PowerState.OFF
+_SPIN_UP = PowerState.SPIN_UP
+
+#: Legal source states of the two edges every served I/O takes in place
+#: (into ACTIVE when service starts, into IDLE when the queue drains),
+#: read off :data:`LEGAL_TRANSITIONS` once so the two cannot drift.
+_INTO_ACTIVE = frozenset(s for s, t in LEGAL_TRANSITIONS if t is _ACTIVE)
+_INTO_IDLE = frozenset(s for s, t in LEGAL_TRANSITIONS if t is _IDLE)
+
 
 @dataclass(frozen=True)
 class IOResult:
@@ -122,7 +138,7 @@ class DiskEnclosure(Snapshottable):
         self.spin_down_timeout = spin_down_timeout
 
         self._clock: Seconds = 0.0
-        self._state = PowerState.IDLE
+        self._state = _IDLE
         self._state_entered: Seconds = 0.0
         self._idle_since: Seconds = 0.0
         self._busy_until: Seconds = 0.0
@@ -215,7 +231,7 @@ class DiskEnclosure(Snapshottable):
             self._power_off_enabled = True
             # Restart the idle clock so a long-idle enclosure does not
             # instantly vanish at the exact policy switch instant.
-            if self._state is PowerState.IDLE:
+            if self._state is _IDLE:
                 self._idle_since = max(self._idle_since, now - 0.0)
 
     def disable_power_off(self, now: Seconds) -> None:
@@ -246,8 +262,9 @@ class DiskEnclosure(Snapshottable):
         The two edges every served I/O takes (IDLE→ACTIVE when service
         starts, ACTIVE→IDLE when the queue drains) are taken in place by
         :meth:`settle`, :meth:`submit_one` and :meth:`_serve`, with the
-        same membership test and error, so the audit stays on in the hot
-        path without this call frame.
+        same truth table (``_INTO_ACTIVE`` / ``_INTO_IDLE`` hold the
+        graph's legal sources of those two targets) and the same error,
+        so the audit stays on in the hot path without this call frame.
         """
         if (self._state, target) not in LEGAL_TRANSITIONS:
             raise self._illegal_transition(target, at)
@@ -285,8 +302,8 @@ class DiskEnclosure(Snapshottable):
         energy = self._energy_by_state
         time_in = self._time_by_state
         watts = self._watts_by_state
-        active = PowerState.ACTIVE
-        idle = PowerState.IDLE
+        active = _ACTIVE
+        idle = _IDLE
         while self._clock < now:
             if self._state is active:
                 busy_until = self._busy_until
@@ -302,7 +319,7 @@ class DiskEnclosure(Snapshottable):
                 self._clock = end
                 if end >= busy_until:
                     # _transition(idle, end), in place.
-                    if (self._state, idle) not in LEGAL_TRANSITIONS:
+                    if self._state not in _INTO_IDLE:
                         raise self._illegal_transition(idle, end)
                     self._state = idle
                     self._state_entered = end
@@ -329,34 +346,34 @@ class DiskEnclosure(Snapshottable):
                 self._clock = end
                 if spins_down:
                     self._begin_spin_down()
-            elif self._state is PowerState.SPIN_DOWN:
+            elif self._state is _SPIN_DOWN:
                 end = min(now, self._transition_end)
-                self._accrue(PowerState.SPIN_DOWN, end - self._clock)
+                self._accrue(_SPIN_DOWN, end - self._clock)
                 self._clock = end
                 if self._clock >= self._transition_end:
-                    self._transition(PowerState.OFF, self._clock)
-            elif self._state is PowerState.OFF:
-                self._accrue(PowerState.OFF, now - self._clock)
+                    self._transition(_OFF, self._clock)
+            elif self._state is _OFF:
+                self._accrue(_OFF, now - self._clock)
                 self._clock = now
-            elif self._state is PowerState.SPIN_UP:
+            elif self._state is _SPIN_UP:
                 end = min(now, self._transition_end)
-                self._accrue(PowerState.SPIN_UP, end - self._clock)
+                self._accrue(_SPIN_UP, end - self._clock)
                 self._clock = end
                 if self._clock >= self._transition_end:
                     if self._spin_up_failing:
                         # Injected transient failure: the motor spins back
                         # down having burned the attempt's time and energy.
                         self._spin_up_failing = False
-                        self._transition(PowerState.OFF, self._clock)
+                        self._transition(_OFF, self._clock)
                         self.spin_up_failure_times.append(self._clock)
                     else:
-                        self._transition(PowerState.IDLE, self._clock)
+                        self._transition(_IDLE, self._clock)
                         self._idle_since = self._clock
             else:  # pragma: no cover - enum is closed
                 raise PowerStateError(f"unknown state {self._state}")
 
     def _begin_spin_down(self) -> None:
-        self._transition(PowerState.SPIN_DOWN, self._clock)
+        self._transition(_SPIN_DOWN, self._clock)
         self._transition_end = self._clock + self.power_model.spin_down_seconds
         self.spin_down_count += 1
 
@@ -372,17 +389,17 @@ class DiskEnclosure(Snapshottable):
         controller's retry logic.  Failure streaks are finite by
         construction, so retrying eventually succeeds.
         """
-        if self._state is PowerState.SPIN_DOWN:
+        if self._state is _SPIN_DOWN:
             # A request arrived mid-spin-down: the platters must stop
             # before they can spin up again.
             self.settle(self._transition_end)
-        if self._state is PowerState.OFF:
+        if self._state is _OFF:
             verdict = None
             if self._fault_clock is not None:
                 verdict = self._fault_clock.spin_up_attempt(
                     self.name, self._clock
                 )
-            self._transition(PowerState.SPIN_UP, self._clock)
+            self._transition(_SPIN_UP, self._clock)
             seconds = self.power_model.spin_up_seconds
             if verdict is not None and verdict.seconds_multiplier > 1.0:
                 seconds *= verdict.seconds_multiplier
@@ -394,7 +411,7 @@ class DiskEnclosure(Snapshottable):
                 failed_at = self._clock
                 self.settle(self._transition_end)
                 raise SpinUpFailedError(self.name, failed_at)
-        if self._state is PowerState.SPIN_UP:
+        if self._state is _SPIN_UP:
             self.settle(self._transition_end)
 
     # ------------------------------------------------------------------
@@ -465,7 +482,7 @@ class DiskEnclosure(Snapshottable):
         if now > self._clock:
             self.settle(now)
         state = self._state
-        if state is not PowerState.ACTIVE and state is not PowerState.IDLE:
+        if state is not _ACTIVE and state is not _IDLE:
             self._ensure_on()
         start = now
         if self._clock > start:
@@ -480,11 +497,11 @@ class DiskEnclosure(Snapshottable):
         # 1.0 with no rounding).
         service = 1.0 / (self.iops_sequential if sequential else self.iops_random)
         completion = start + service
-        if self._state is not PowerState.ACTIVE:
+        if self._state is not _ACTIVE:
             # _transition(ACTIVE, start), in place.
-            if (self._state, PowerState.ACTIVE) not in LEGAL_TRANSITIONS:
-                raise self._illegal_transition(PowerState.ACTIVE, start)
-            self._state = PowerState.ACTIVE
+            if self._state not in _INTO_ACTIVE:
+                raise self._illegal_transition(_ACTIVE, start)
+            self._state = _ACTIVE
             self._state_entered = start
         if completion > self._busy_until:
             self._busy_until = completion
@@ -581,7 +598,7 @@ class DiskEnclosure(Snapshottable):
             if outage is not None:
                 raise EnclosureUnavailableError(self.name, at, outage.end)
         state = self._state
-        if state is not PowerState.ACTIVE and state is not PowerState.IDLE:
+        if state is not _ACTIVE and state is not _IDLE:
             self._ensure_on()
         start = now
         if self._clock > start:
@@ -604,11 +621,11 @@ class DiskEnclosure(Snapshottable):
         completion = start + seconds
         if faults is not None:
             faults.note_service(self.name, start)
-        if self._state is not PowerState.ACTIVE:
+        if self._state is not _ACTIVE:
             # _transition(ACTIVE, start), in place.
-            if (self._state, PowerState.ACTIVE) not in LEGAL_TRANSITIONS:
-                raise self._illegal_transition(PowerState.ACTIVE, start)
-            self._state = PowerState.ACTIVE
+            if self._state not in _INTO_ACTIVE:
+                raise self._illegal_transition(_ACTIVE, start)
+            self._state = _ACTIVE
             self._state_entered = start
         if completion > self._busy_until:
             self._busy_until = completion

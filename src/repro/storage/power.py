@@ -36,7 +36,11 @@ class PowerState(enum.Enum):
     # is equivalent to Enum's name-based hash — minus a Python-level
     # call on every dict/set lookup.  The enclosure energy timeline
     # indexes per-state tables several times per served I/O, which makes
-    # this the hottest hash in the whole replay loop.
+    # this the hottest hash in the whole replay loop.  Reading a member
+    # off the class costs too: on CPython 3.11 ``PowerState.IDLE`` goes
+    # through ``EnumType.__getattr__`` (about ten times a global load),
+    # so the per-I/O code reads module constants bound once at import
+    # (``storage/enclosure.py``'s ``_ACTIVE`` … ``_SPIN_UP``).
     __hash__ = object.__hash__
 
 
@@ -63,6 +67,16 @@ LEGAL_TRANSITIONS: frozenset[tuple[PowerState, PowerState]] = frozenset(
         (PowerState.SPIN_UP, PowerState.OFF),
     }
 )
+
+
+#: The :class:`PowerModel` field holding each state's wattage.
+_WATTS_FIELD: dict[PowerState, str] = {
+    PowerState.ACTIVE: "active_watts",
+    PowerState.IDLE: "idle_watts",
+    PowerState.SPIN_DOWN: "spin_down_watts",
+    PowerState.OFF: "off_watts",
+    PowerState.SPIN_UP: "spin_up_watts",
+}
 
 
 def can_transition(source: PowerState, target: PowerState) -> bool:
@@ -113,13 +127,7 @@ class PowerModel:
 
     def watts(self, state: PowerState) -> Watts:
         """Power draw of the enclosure in ``state``."""
-        return {
-            PowerState.ACTIVE: self.active_watts,
-            PowerState.IDLE: self.idle_watts,
-            PowerState.SPIN_DOWN: self.spin_down_watts,
-            PowerState.OFF: self.off_watts,
-            PowerState.SPIN_UP: self.spin_up_watts,
-        }[state]
+        return getattr(self, _WATTS_FIELD[state])
 
     @property
     def transition_energy(self) -> Joules:

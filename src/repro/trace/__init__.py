@@ -10,7 +10,6 @@ from repro.trace.records import (
     IOType,
     LogicalIORecord,
     PhysicalIORecord,
-    PowerSample,
 )
 from repro.trace.stats import TraceSummary, summarize
 from repro.trace.writer import write_logical_trace
@@ -20,7 +19,6 @@ __all__ = [
     "IOType",
     "LogicalIORecord",
     "PhysicalIORecord",
-    "PowerSample",
     "TraceSummary",
     "iter_logical_trace",
     "read_logical_trace",

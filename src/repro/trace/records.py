@@ -18,7 +18,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
-from repro import units
 
 
 class IOType(enum.Enum):
@@ -30,7 +29,7 @@ class IOType(enum.Enum):
     @property
     def is_read(self) -> bool:
         """Whether this is the read I/O type."""
-        return self is IOType.READ
+        return self is _READ
 
     @classmethod
     def parse(cls, text: str) -> "IOType":
@@ -41,6 +40,12 @@ class IOType(enum.Enum):
         if normalized in ("W", "WRITE"):
             return cls.WRITE
         raise ValidationError(f"unknown I/O type {text!r}")
+
+
+# Bound once: on CPython 3.11 each ``IOType.READ`` load in a method body
+# goes through ``EnumType.__getattr__``, and :attr:`IOType.is_read` runs
+# per bulk transfer.
+_READ = IOType.READ
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -77,20 +82,6 @@ class LogicalIORecord:
         """Whether this logical record is a read."""
         return self.io_type.is_read
 
-    def block_range(self) -> range:
-        """Block indices within the data item touched by this I/O."""
-        first = self.offset // units.BLOCK_SIZE
-        last = (self.offset + self.size - 1) // units.BLOCK_SIZE
-        return range(first, last + 1)
-
-    def page_range(self, page_bytes: int) -> range:
-        """Cache-page indices touched by this I/O."""
-        if page_bytes <= 0:
-            raise ValidationError("page_bytes must be positive")
-        first = self.offset // page_bytes
-        last = (self.offset + self.size - 1) // page_bytes
-        return range(first, last + 1)
-
 
 @dataclass(frozen=True, order=True, slots=True)
 class PhysicalIORecord:
@@ -117,12 +108,3 @@ class PhysicalIORecord:
     def is_read(self) -> bool:
         """Whether this physical record is a read."""
         return self.io_type.is_read
-
-
-@dataclass(frozen=True, order=True)
-class PowerSample:
-    """A power-consumption sample of one enclosure (paper §III-B)."""
-
-    timestamp: float
-    enclosure: str = field(compare=False)
-    watts: float = field(compare=False)

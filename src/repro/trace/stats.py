@@ -2,13 +2,12 @@
 
 Used by the workload generators' self-checks, by the experiment reports,
 and by tests that assert a generated trace has the intended shape
-(read ratio, per-item rates, sequentiality, duration).
+(read ratio, item count, duration).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.trace.records import LogicalIORecord
@@ -25,9 +24,6 @@ class TraceSummary:
     end_time: float
     total_bytes: int
     item_count: int
-    sequential_count: int
-    ios_per_item: dict[str, int] = field(repr=False, default_factory=dict)
-    reads_per_item: dict[str, int] = field(repr=False, default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -40,50 +36,32 @@ class TraceSummary:
         return self.read_count / self.record_count if self.record_count else 0.0
 
     @property
-    def sequential_ratio(self) -> float:
-        """Fraction of records that continue a sequential run."""
-        return (
-            self.sequential_count / self.record_count if self.record_count else 0.0
-        )
-
-    @property
     def mean_iops(self) -> float:
         """Mean I/O rate over the trace, in operations per second."""
         if self.duration <= 0:
             return 0.0
         return self.record_count / self.duration
 
-    def item_read_ratio(self, item_id: str) -> float:
-        """Fraction of the item's I/Os that are reads."""
-        total = self.ios_per_item.get(item_id, 0)
-        if not total:
-            return 0.0
-        return self.reads_per_item.get(item_id, 0) / total
-
 
 def summarize(records: Iterable[LogicalIORecord]) -> TraceSummary:
     """Compute a :class:`TraceSummary` in one pass."""
-    count = reads = seq = 0
+    count = reads = 0
     total_bytes = 0
     start = float("inf")
     end = float("-inf")
-    per_item: Counter[str] = Counter()
-    reads_per_item: Counter[str] = Counter()
+    items: set[str] = set()
     for rec in records:
         count += 1
         total_bytes += rec.size
         if rec.is_read:
             reads += 1
-            reads_per_item[rec.item_id] += 1
-        if rec.sequential:
-            seq += 1
-        per_item[rec.item_id] += 1
+        items.add(rec.item_id)
         if rec.timestamp < start:
             start = rec.timestamp
         if rec.timestamp > end:
             end = rec.timestamp
     if count == 0:
-        return TraceSummary(0, 0, 0, 0.0, 0.0, 0, 0, 0)
+        return TraceSummary(0, 0, 0, 0.0, 0.0, 0, 0)
     return TraceSummary(
         record_count=count,
         read_count=reads,
@@ -91,8 +69,5 @@ def summarize(records: Iterable[LogicalIORecord]) -> TraceSummary:
         start_time=start,
         end_time=end,
         total_bytes=total_bytes,
-        item_count=len(per_item),
-        sequential_count=seq,
-        ios_per_item=dict(per_item),
-        reads_per_item=dict(reads_per_item),
+        item_count=len(items),
     )

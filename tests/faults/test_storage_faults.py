@@ -137,6 +137,27 @@ class TestEnclosureSpinUp:
         with pytest.raises(AuditError, match="illegal power-state transition"):
             enc._transition(PowerState.OFF, 0.0)
 
+    @pytest.mark.parametrize(
+        "plan", [None, FaultPlan()], ids=["unfaulted", "faulted"]
+    )
+    def test_in_place_service_start_audits_source_state(
+        self, plan: FaultPlan | None, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # submit_one (and _serve, its faulted form) take the edge into
+        # ACTIVE in place, not through _transition.  With _ensure_on a
+        # no-op an OFF enclosure reaches that edge from OFF, which the
+        # legal graph refuses.
+        _, _, encs, _ = build(plan)
+        enc = encs[0]
+        power_off(enc, 0.0)
+        monkeypatch.setattr(enc, "_ensure_on", lambda: None)
+        with pytest.raises(
+            AuditError, match="illegal power-state transition off -> active"
+        ):
+            enc.submit_one(1000.0, read=True, sequential=False)
+        assert enc.state is PowerState.OFF
+        assert enc.io_count == 0
+
 
 class TestEnclosureOutage:
     def test_submit_refused_inside_window(self) -> None:

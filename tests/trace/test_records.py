@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro import units
-from repro.trace.records import (
-    IOType,
-    LogicalIORecord,
-    PhysicalIORecord,
-    PowerSample,
-)
+from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
 
 
 class TestIOType:
@@ -56,31 +50,6 @@ class TestLogicalIORecord:
         with pytest.raises(ValueError):
             LogicalIORecord(0.0, "a", 0, 0, IOType.READ)
 
-    def test_block_range_single_block(self):
-        rec = LogicalIORecord(0.0, "a", 0, 100, IOType.READ)
-        assert list(rec.block_range()) == [0]
-
-    def test_block_range_spans_blocks(self):
-        rec = LogicalIORecord(
-            0.0, "a", units.BLOCK_SIZE - 1, 2, IOType.READ
-        )
-        assert list(rec.block_range()) == [0, 1]
-
-    def test_block_range_aligned(self):
-        rec = LogicalIORecord(
-            0.0, "a", units.BLOCK_SIZE, units.BLOCK_SIZE, IOType.READ
-        )
-        assert list(rec.block_range()) == [1]
-
-    def test_page_range(self):
-        rec = LogicalIORecord(0.0, "a", 0, 3 * 256 * units.KB, IOType.READ)
-        assert list(rec.page_range(256 * units.KB)) == [0, 1, 2]
-
-    def test_page_range_rejects_bad_page_size(self):
-        rec = LogicalIORecord(0.0, "a", 0, 1, IOType.READ)
-        with pytest.raises(ValueError):
-            rec.page_range(0)
-
     def test_frozen(self):
         rec = LogicalIORecord(0.0, "a", 0, 1, IOType.READ)
         with pytest.raises(AttributeError):
@@ -103,9 +72,3 @@ class TestPhysicalIORecord:
         b = PhysicalIORecord(2.0, "e0", 0)
         assert a < b
 
-
-class TestPowerRecords:
-    def test_sample_ordering(self):
-        a = PowerSample(1.0, "e0", 100.0)
-        b = PowerSample(2.0, "e0", 110.0)
-        assert a < b

@@ -37,15 +37,3 @@ class TestSummarize:
         )
         assert summary.total_bytes == 300
         assert summary.item_count == 2
-
-    def test_sequential_ratio(self):
-        summary = summarize([rec(0.0, seq=True), rec(1.0)])
-        assert summary.sequential_ratio == pytest.approx(0.5)
-
-    def test_per_item_read_ratio(self):
-        summary = summarize(
-            [rec(0.0, "a"), rec(1.0, "a", kind=IOType.WRITE), rec(2.0, "b")]
-        )
-        assert summary.item_read_ratio("a") == pytest.approx(0.5)
-        assert summary.item_read_ratio("b") == 1.0
-        assert summary.item_read_ratio("ghost") == 0.0
