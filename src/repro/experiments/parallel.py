@@ -417,7 +417,11 @@ class ExperimentEngine:
         path = self._cache_path(key)
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
-            if entry.get("format") != CACHE_FORMAT or entry.get("key") != key:
+            if (
+                not isinstance(entry, dict)
+                or entry.get("format") != CACHE_FORMAT
+                or entry.get("key") != key
+            ):
                 return None
             return result_from_dict(entry["result"])
         except (OSError, ValueError, KeyError, TypeError, ExperimentError):

@@ -50,60 +50,65 @@ def result_from_dict(data: Mapping[str, Any]) -> ExperimentResult:
     """Rebuild a result from :func:`result_to_dict` output.
 
     Raises :class:`~repro.errors.ExperimentError` when the payload's
-    format marker is missing or from a different serializer version.
+    format marker is missing or from a different serializer version,
+    and for any other malformed payload (not a JSON object, a missing
+    key, a value of the wrong shape), so a damaged cache entry can
+    never escape as a bare ``KeyError`` or ``AttributeError``.
     """
-    if data.get("format") != RESULT_FORMAT:
-        raise ExperimentError(
-            f"unsupported result format {data.get('format')!r}; "
-            f"this serializer reads format {RESULT_FORMAT}"
+    try:
+        if data.get("format") != RESULT_FORMAT:
+            raise ExperimentError(
+                f"unsupported result format {data.get('format')!r}; "
+                f"this serializer reads format {RESULT_FORMAT}"
+            )
+        replay = data["replay"]
+        curve = data["interval_curve"]
+        availability = replay["availability"]
+        replay_result = ReplayResult(
+            policy_name=replay["policy_name"],
+            duration_seconds=replay["duration_seconds"],
+            io_count=replay["io_count"],
+            response=ResponseStats(**replay["response"]),
+            power=PowerReading(**replay["power"]),
+            migrated_bytes=replay["migrated_bytes"],
+            migration_count=replay["migration_count"],
+            determinations=replay["determinations"],
+            cache_hit_ratio=replay["cache_hit_ratio"],
+            spin_up_count=replay["spin_up_count"],
+            spin_down_count=replay["spin_down_count"],
+            availability=AvailabilityReport(
+                **{
+                    **availability,
+                    "at_risk_series": tuple(
+                        tuple(point) for point in availability["at_risk_series"]
+                    ),
+                }
+            ),
         )
-    replay = data["replay"]
-    curve = data["interval_curve"]
-    availability = replay["availability"]
-    replay_result = ReplayResult(
-        policy_name=replay["policy_name"],
-        duration_seconds=replay["duration_seconds"],
-        io_count=replay["io_count"],
-        response=ResponseStats(**replay["response"]),
-        power=PowerReading(**replay["power"]),
-        migrated_bytes=replay["migrated_bytes"],
-        migration_count=replay["migration_count"],
-        determinations=replay["determinations"],
-        cache_hit_ratio=replay["cache_hit_ratio"],
-        spin_up_count=replay["spin_up_count"],
-        spin_down_count=replay["spin_down_count"],
-        availability=AvailabilityReport(
-            **{
-                **availability,
-                "at_risk_series": tuple(
-                    tuple(point) for point in availability["at_risk_series"]
-                ),
-            }
-        ),
-    )
-    object.__setattr__(
-        replay_result,
-        "actions",
-        tuple(
-            ActionRecord.from_dict(record)
-            for record in data.get("actions", [])
-        ),
-    )
-    return ExperimentResult(
-        workload_name=data["workload_name"],
-        policy_name=data["policy_name"],
-        replay=replay_result,
-        interval_curve=IntervalCurve(
-            lengths=tuple(curve["lengths"]),
-            cumulative=tuple(curve["cumulative"]),
-        ),
-        window_responses=[
-            WindowResponse(**window) for window in data["window_responses"]
-        ],
-        enclosure_watts=data["enclosure_watts"],
-        controller_watts=data["controller_watts"],
-        audit_checks=data["audit_checks"],
-    )
+        object.__setattr__(
+            replay_result,
+            "actions",
+            tuple(ActionRecord.from_dict(record) for record in data["actions"]),
+        )
+        return ExperimentResult(
+            workload_name=data["workload_name"],
+            policy_name=data["policy_name"],
+            replay=replay_result,
+            interval_curve=IntervalCurve(
+                lengths=tuple(curve["lengths"]),
+                cumulative=tuple(curve["cumulative"]),
+            ),
+            window_responses=[
+                WindowResponse(**window) for window in data["window_responses"]
+            ],
+            enclosure_watts=data["enclosure_watts"],
+            controller_watts=data["controller_watts"],
+            audit_checks=data["audit_checks"],
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise ExperimentError(
+            f"malformed result payload: {type(err).__name__}: {err}"
+        ) from err
 
 
 def result_to_json(result: ExperimentResult) -> str:

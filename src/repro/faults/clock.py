@@ -10,6 +10,8 @@ questions the storage layer asks at its injection points:
 * :meth:`FaultClock.outage_at` — from enclosure
   ``submit_one``/``submit``/``occupy`` and the controller's routing
   logic: is this enclosure inside an injected outage window right now?
+  An enclosure asks it only if :meth:`FaultClock.outage_windows`, bound
+  once when the clock is attached, gave it any windows.
 * :meth:`FaultClock.battery_failure_time` — from the controller's
   virtual-time hook (:meth:`~repro.storage.controller.StorageController.on_time`,
   which the kernel's checkpoint slot runs just before each policy
@@ -152,6 +154,15 @@ class FaultClock(Snapshottable):
         if fails:
             self.spin_up_failures_injected += 1
         return SpinUpVerdict(fails=fails, seconds_multiplier=multiplier)
+
+    def outage_windows(self, enclosure: str) -> tuple[EnclosureOutage, ...]:
+        """The enclosure's outage windows in plan order; ``()`` if none.
+
+        With none, :meth:`outage_at` answers ``None`` at every instant
+        and :meth:`note_service` records nothing, so an enclosure binds
+        this once and asks neither question per I/O.
+        """
+        return self._outages.get(enclosure, ())
 
     def outage_at(self, enclosure: str, now: Seconds) -> EnclosureOutage | None:
         """The outage window covering ``now``, if any.

@@ -295,26 +295,43 @@ class StorageController(Snapshottable):
         attempt: Callable[..., _T],
         *args: object,
     ) -> tuple[_T, float]:
-        """Run ``attempt(at, *args)``, retrying across injected faults.
+        """Run ``attempt(now, *args)``, retrying across injected faults.
+
+        The first attempt runs outside any loop; only if it raised an
+        injected fault does :meth:`_retry_fault` take over, with that
+        error.  Returns the result plus the fault-imposed delay before
+        the successful attempt (``0.0`` when the first one succeeded).
+        """
+        try:
+            return attempt(now, *args), 0.0
+        except (EnclosureUnavailableError, SpinUpFailedError) as err:
+            return self._retry_fault(now, err, attempt, *args)
+
+    def _retry_fault(
+        self,
+        now: float,
+        err: EnclosureUnavailableError | SpinUpFailedError,
+        attempt: Callable[..., _T],
+        *args: object,
+    ) -> tuple[_T, float]:
+        """Retry ``attempt`` after its first try, at ``now``, raised ``err``.
 
         Outage refusals are waited out (retry at the window's end);
         failed spin-ups retry under capped exponential backoff — all in
         virtual time, so the schedule is deterministic.  Both fault
         types are finite by construction (outage windows end, failure
         streaks break), so the loop terminates.  Returns the result
-        plus the fault-imposed delay before the successful attempt.
+        plus the fault-imposed delay before the successful attempt, and
+        counts the I/O as denied and/or delayed.
         """
         at = now
         retries = 0
         denied = False
         while True:
-            try:
-                result = attempt(at, *args)
-            except EnclosureUnavailableError as err:
+            if isinstance(err, EnclosureUnavailableError):
                 denied = True
                 at = max(at, err.until)
-                continue
-            except SpinUpFailedError as err:
+            else:
                 self.fault_spin_up_retries += 1
                 backoff = min(
                     self.retry_backoff_cap,
@@ -322,6 +339,10 @@ class StorageController(Snapshottable):
                 )
                 retries += 1
                 at = max(at, err.at) + backoff
+            try:
+                result = attempt(at, *args)
+            except (EnclosureUnavailableError, SpinUpFailedError) as again:
+                err = again
                 continue
             break
         if denied:
@@ -389,9 +410,11 @@ class StorageController(Snapshottable):
         so their response is the cache latency (paper §II-E.2).
 
         With a fault clock attached, fault bookkeeping runs first
-        (:meth:`on_time`), a write whose enclosure is out may land in the
-        emergency buffer, and the physical I/O retries across injected
-        faults; without one none of that machinery is touched.
+        (:meth:`on_time`) and a write whose enclosure is out may land in
+        the emergency buffer.  The physical I/O is one
+        :meth:`~repro.storage.enclosure.DiskEnclosure.submit_one` call
+        on every run; only an injected fault it raises enters the retry
+        loop (:meth:`_retry_fault`).
         """
         self.logical_io_count += 1
         faulted = self._fault_clock is not None
@@ -433,15 +456,19 @@ class StorageController(Snapshottable):
             raise MappingError(
                 f"offset {offset} outside item {item_id!r} of size {item_size}"
             )
+        # The first attempt is the whole physical I/O on every run; an
+        # injected fault (never raised without a fault clock) hands the
+        # I/O to the retry loop.  A try block costs nothing in 3.11
+        # until it catches.
         issued = timestamp
-        if faulted:
-            served, delay = self._with_fault_retry(
-                timestamp, enclosure.submit_one, is_read, sequential
+        try:
+            response = enclosure.submit_one(timestamp, is_read, sequential)
+        except (EnclosureUnavailableError, SpinUpFailedError) as err:
+            served, delay = self._retry_fault(
+                timestamp, err, enclosure.submit_one, is_read, sequential
             )
             issued = timestamp + delay
             response = served + delay
-        else:
-            response = enclosure.submit_one(timestamp, is_read, sequential)
         block = base_block + offset // units.BLOCK_SIZE
         tap = self._physical_tap
         if tap is not None:

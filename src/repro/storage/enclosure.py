@@ -36,6 +36,7 @@ from repro.units import Bytes, Joules, Seconds, Watts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.clock import FaultClock
+    from repro.faults.plan import EnclosureOutage
 
 # The power states as module constants: on CPython 3.11 each
 # ``PowerState.X`` load goes through ``EnumType.__getattr__``, about ten
@@ -109,13 +110,14 @@ class DiskEnclosure(Snapshottable):
         enabled (paper: equal to the break-even time, 52 s).
 
     Its snapshot state is the settled timeline and every accumulated
-    book; the fault clock and the ``_watts_by_state`` table derived
-    from the power model are rebuilt, never stored.  Capture does not
+    book; the fault clock, its outage windows for this enclosure and the
+    ``_watts_by_state`` table derived from the power model are rebuilt,
+    never stored.  Capture does not
     settle the timeline: it happens at a record boundary, where the
     caller controls exactly what has been settled.
     """
 
-    _REBUILT = frozenset({"_fault_clock", "_watts_by_state"})
+    _REBUILT = frozenset({"_fault_clock", "_outage_windows", "_watts_by_state"})
 
     def __init__(
         self,
@@ -172,6 +174,10 @@ class DiskEnclosure(Snapshottable):
 
         #: Fault oracle (:mod:`repro.faults`); ``None`` outside fault runs.
         self._fault_clock: FaultClock | None = None
+        #: This enclosure's outage windows under that clock, bound once
+        #: by :meth:`set_fault_clock`.  Empty, the outage questions are
+        #: never asked: the answer would be "none" at every instant.
+        self._outage_windows: tuple[EnclosureOutage, ...] = ()
         #: Set while the in-progress spin-up is fated to fail.
         self._spin_up_failing = False
         #: Virtual times at which injected spin-up attempts failed —
@@ -247,6 +253,7 @@ class DiskEnclosure(Snapshottable):
     def set_fault_clock(self, clock: "FaultClock") -> None:
         """Attach the simulation's fault oracle (:mod:`repro.faults`)."""
         self._fault_clock = clock
+        self._outage_windows = clock.outage_windows(self.name)
 
     # ------------------------------------------------------------------
     # timeline
@@ -454,41 +461,51 @@ class DiskEnclosure(Snapshottable):
         """Serve a single I/O; returns its mean response time in seconds.
 
         The allocation-free form of :meth:`submit` for ``count=1`` that
-        the replay path drives: no :class:`IOResult` is built.  Both
-        branches walk the timeline exactly as :meth:`submit` does and
-        leave the same state; they differ only in how the response is
-        summed.
+        the replay path drives, faulted or not: no :class:`IOResult` is
+        built.  It walks the timeline exactly as :meth:`_serve` does and
+        leaves the same state.  On an enclosure with outage windows it
+        refuses service inside one (at the settled clock, and again at
+        the start if the queue moved it) and records the start for the
+        outage-violation audit; without windows neither question is
+        asked, since both would answer "no outage".  :meth:`_ensure_on`
+        draws the spin-up fault whenever a fault clock is attached.
 
-        * With a fault clock attached, the outage refusals, spin-up fault
-          draw and outage-violation audit of :meth:`submit` run in the
-          same order, and the return value is ``(start - now) +
-          (completion - start)`` — bit-equal to
-          ``submit(now, count=1, ...).mean_response_time`` (its
-          ``service × 2 / 2`` is exact in floating point).
-        * Without one, the return value is ``(start - now) + 1/rate``.
-          ``(start + s) - start`` may differ from ``s`` in the last bit,
-          so this can differ from :meth:`submit` by one ULP; the
-          fault-free golden replay fixtures pin this form.
+        The response is summed in one of two forms, which can differ in
+        the last bit because ``(start + s) - start`` need not equal
+        ``s``:
+
+        * with a fault clock attached, ``(start - now) + (completion -
+          start)`` — bit-equal to ``submit(now, count=1,
+          ...).mean_response_time`` (its ``service × 2 / 2`` is exact in
+          floating point); the faulted golden fixtures pin this form;
+        * without one, ``(start - now) + 1/rate``; the fault-free golden
+          replay fixtures pin this form.
         """
-        if self._fault_clock is not None:
-            # 1/rate == service_time(1, sequential), as in the branch below.
-            start, completion = self._serve(
-                now,
-                1.0 / (self.iops_sequential if sequential else self.iops_random),
-                1,
-                read,
-            )
-            return (start - now) + (completion - start)
         if now > self._clock:
             self.settle(now)
         state = self._state
         if state is not _ACTIVE and state is not _IDLE:
+            # After settle(now) the clock is max(now, clock): refuse
+            # there before the spin-up draws its fault.
+            at = self._clock
+            if self._outage_windows:
+                self._refuse_in_outage(at)
             self._ensure_on()
         start = now
         if self._clock > start:
             start = self._clock
         if self._busy_until > start:
             start = self._busy_until
+        if self._outage_windows:
+            if state is _ACTIVE or state is _IDLE:
+                # No spin-up ran, so the clock is still the settled one,
+                # and finding the start moved nothing: refusing here is
+                # refusing first.
+                at = self._clock
+                self._refuse_in_outage(at)
+            if start != at:
+                self._refuse_in_outage(start)
+            self._fault_clock.note_service(self.name, start)
         # settle(start) is a no-op unless the queue pushed the start past
         # the settled clock (start >= clock by construction).
         if start > self._clock:
@@ -511,8 +528,10 @@ class DiskEnclosure(Snapshottable):
         else:
             self.write_count += 1
         self.last_io_time = now
-        # mean response for count=1: wait + service*(1+1)/(2*1) == wait
-        # + service, since service*2/2 is exact in floating point.
+        # Two sums on purpose (see the docstring): each golden set pins
+        # one, and they can differ by one ULP.
+        if self._fault_clock is not None:
+            return (start - now) + (completion - start)
         return (start - now) + service
 
     def background_transfer(
@@ -581,46 +600,35 @@ class DiskEnclosure(Snapshottable):
     ) -> tuple[Seconds, Seconds]:
         """Queue ``count`` I/Os arriving at ``now`` for ``seconds`` of service.
 
-        Returns the service ``(start, completion)``.  Every faulted I/O
-        goes through here, so the outage refusals, spin-up fault draw and
-        outage-violation audit run in one order for all of them.
+        Returns the service ``(start, completion)``.  The service body of
+        :meth:`submit` and :meth:`occupy`, step for step that of
+        :meth:`submit_one`: the same outage refusals behind the same
+        windows gate, the same spin-up fault draw and outage-violation
+        audit, in the same order.
         """
-        faults = self._fault_clock
-        # at = max(now, clock) and start = max(now, clock, busy_until),
-        # written out: this runs for every faulted I/O.  settle(at) is a
-        # no-op unless ``now`` is past the settled clock.
-        at = self._clock
-        if now > at:
-            at = now
+        if now > self._clock:
             self.settle(now)
-        if faults is not None:
-            outage = faults.outage_at(self.name, at)
-            if outage is not None:
-                raise EnclosureUnavailableError(self.name, at, outage.end)
         state = self._state
         if state is not _ACTIVE and state is not _IDLE:
+            at = self._clock
+            if self._outage_windows:
+                self._refuse_in_outage(at)
             self._ensure_on()
         start = now
         if self._clock > start:
             start = self._clock
         if self._busy_until > start:
             start = self._busy_until
-        if faults is not None and start != at:
-            # The queue (or spin-up wait) may have pushed the start into
-            # an outage window that opened after arrival — refuse before
-            # any service state is mutated; the controller retries past
-            # the window.  With ``start == at`` the lookup above already
-            # answered ``None`` for this very instant.
-            outage = faults.outage_at(self.name, start)
-            if outage is not None:
-                raise EnclosureUnavailableError(self.name, start, outage.end)
-        # settle(start) is a no-op unless the queue pushed the start past
-        # the settled clock.
+        if self._outage_windows:
+            if state is _ACTIVE or state is _IDLE:
+                at = self._clock
+                self._refuse_in_outage(at)
+            if start != at:
+                self._refuse_in_outage(start)
+            self._fault_clock.note_service(self.name, start)
         if start > self._clock:
             self.settle(start)
         completion = start + seconds
-        if faults is not None:
-            faults.note_service(self.name, start)
         if self._state is not _ACTIVE:
             # _transition(ACTIVE, start), in place.
             if self._state not in _INTO_ACTIVE:
@@ -636,6 +644,19 @@ class DiskEnclosure(Snapshottable):
             self.write_count += count
         self.last_io_time = now
         return start, completion
+
+    def _refuse_in_outage(self, at: Seconds) -> None:
+        """Refuse service at ``at`` if it falls inside an outage window.
+
+        Called before any service state is mutated, first at the settled
+        clock and again at the service start when the queue (or a
+        spin-up wait) pushed it past that instant — into a window that
+        may have opened after arrival.  The controller retries past the
+        window's end.
+        """
+        outage = self._fault_clock.outage_at(self.name, at)
+        if outage is not None:
+            raise EnclosureUnavailableError(self.name, at, outage.end)
 
     def finish(self, now: Seconds) -> None:
         """Settle the timeline to the end of the run."""

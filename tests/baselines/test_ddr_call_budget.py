@@ -1,13 +1,15 @@
-"""Call budget of DDR's policy and monitoring layers on a faulted replay.
+"""Call budget of DDR's policy, monitoring and fault layers on a faulted replay.
 
 cProfile counts calls exactly, so a replay of one deterministic trace
-makes the same calls into :mod:`repro.baselines` and
-:mod:`repro.monitoring` on every run.  DDR judges every enclosure every
-quarter second (§VII-A.1), so on the TPC-C smoke trace with the
-``storm`` fault plan its checkpoints outnumber the records: a budget on
-these counts catches added per-checkpoint or per-enclosure frames in the
-policy or in the storage monitor it reads, without the noise of a
-wall-clock gate.
+makes the same calls into :mod:`repro.baselines`,
+:mod:`repro.monitoring` and :mod:`repro.faults` on every run.  DDR
+judges every enclosure every quarter second (§VII-A.1), so on the TPC-C
+smoke trace with the ``storm`` fault plan its checkpoints outnumber the
+records: a budget on these counts catches added per-checkpoint or
+per-enclosure frames in the policy or in the storage monitor it reads,
+without the noise of a wall-clock gate.  The fault clock's budget
+catches outage questions asked per I/O again on enclosures that have no
+outage window (the storm plan gives one enclosure of ten a window).
 
 Only named functions whose code lives under the package counts.
 Comprehension, generator-expression and lambda frames are skipped:
@@ -25,6 +27,7 @@ import pstats
 import pytest
 
 import repro.baselines
+import repro.faults
 import repro.monitoring
 from repro.baselines.ddr import DDRPolicy
 from repro.config import DEFAULT_CONFIG
@@ -36,12 +39,14 @@ from repro.trace.replay import TraceReplayer
 PACKAGES = {
     "repro.baselines": os.path.dirname(repro.baselines.__file__) + os.sep,
     "repro.monitoring": os.path.dirname(repro.monitoring.__file__) + os.sep,
+    "repro.faults": os.path.dirname(repro.faults.__file__) + os.sep,
 }
 
 #: Most calls into each package one faulted smoke replay under DDR may make.
 BUDGETS = {
     "repro.baselines": 57_359,
     "repro.monitoring": 47_076,
+    "repro.faults": 8_317,
 }
 
 

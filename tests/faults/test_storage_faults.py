@@ -143,8 +143,8 @@ class TestEnclosureSpinUp:
     def test_in_place_service_start_audits_source_state(
         self, plan: FaultPlan | None, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        # submit_one (and _serve, its faulted form) take the edge into
-        # ACTIVE in place, not through _transition.  With _ensure_on a
+        # submit_one takes the edge into ACTIVE in place, not through
+        # _transition, with or without a fault clock.  With _ensure_on a
         # no-op an OFF enclosure reaches that edge from OFF, which the
         # legal graph refuses.
         _, _, encs, _ = build(plan)
@@ -155,6 +155,22 @@ class TestEnclosureSpinUp:
             AuditError, match="illegal power-state transition off -> active"
         ):
             enc.submit_one(1000.0, read=True, sequential=False)
+        assert enc.state is PowerState.OFF
+        assert enc.io_count == 0
+
+    def test_in_place_bulk_service_start_audits_source_state(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # _serve, the body behind submit and occupy, takes the same edge
+        # in place.
+        _, _, encs, _ = build()
+        enc = encs[0]
+        power_off(enc, 0.0)
+        monkeypatch.setattr(enc, "_ensure_on", lambda: None)
+        with pytest.raises(
+            AuditError, match="illegal power-state transition off -> active"
+        ):
+            enc.occupy(1000.0, 2.0)
         assert enc.state is PowerState.OFF
         assert enc.io_count == 0
 
@@ -214,6 +230,83 @@ class TestControllerRetry:
         response = controller.submit(*io_fields(read("a", 100.0)))
         assert controller.fault_denied_ios == 1
         assert response >= 200.0  # delayed to the end of the window
+        assert clock.outage_violations == []
+
+    # The first attempt runs outside the retry loop, which takes over
+    # with that attempt's error: these pin the books the hand-off must
+    # carry across, for a first error of each kind.
+    def test_outage_refusal_then_two_failed_spin_ups(self) -> None:
+        plan = FaultPlan(
+            events=(
+                EnclosureOutage(enclosure="e0", start=900.0, end=1000.0),
+                SpinUpFailure(enclosure="e0", failures=2),
+            )
+        )
+        controller, _, encs, clock = build(plan)
+        power_off(encs[0], 1.0)
+        response = controller.submit(*io_fields(read("a", 950.0)))
+        # Refused at 950 s until 1000 s; spin-ups fail over 1000-1010 s
+        # (retry at 1000 + 1 s backoff) and 1010-1020 s (retry at
+        # 1010 + 2 s); the third, from 1020 s, serves at 1030 s.
+        assert controller.fault_denied_ios == 1
+        assert controller.fault_delayed_ios == 1
+        assert controller.fault_spin_up_retries == 2
+        assert controller.fault_delay_seconds == 62.0
+        assert controller.fault_max_queue_delay == 62.0
+        # 62 s of fault delay, 18 s of spin-up wait, 10 ms of service.
+        assert response == 80.00999999999999
+        assert encs[0].spin_up_failure_times == [1010.0, 1020.0]
+        assert clock.outage_violations == []
+
+    def test_failed_spin_up_pushes_into_an_outage(self) -> None:
+        plan = FaultPlan(
+            events=(
+                SpinUpFailure(enclosure="e0", failures=1),
+                EnclosureOutage(enclosure="e0", start=1005.0, end=1100.0),
+            )
+        )
+        controller, _, encs, clock = build(plan)
+        power_off(encs[0], 1.0)
+        response = controller.submit(*io_fields(read("a", 1000.0)))
+        # The failed attempt burns 1000-1010 s, so the retry at 1001 s
+        # meets the enclosure at 1010 s, inside the window: refused
+        # until 1100 s, then a clean spin-up serves at 1110 s.
+        assert controller.fault_spin_up_retries == 1
+        assert controller.fault_denied_ios == 1
+        assert controller.fault_delayed_ios == 1
+        assert controller.fault_delay_seconds == 100.0
+        assert controller.fault_max_queue_delay == 100.0
+        assert response == 110.00999999999999
+        assert encs[0].spin_up_failure_times == [1010.0]
+        assert clock.outage_violations == []
+
+    def test_bulk_flush_waits_out_an_outage(self) -> None:
+        # The battery fails inside e0's outage: the forced write-delay
+        # flush may not stay buffered, so its bulk transfer waits the
+        # window out and is issued at its end.
+        plan = FaultPlan(
+            events=(
+                EnclosureOutage(enclosure="e0", start=100.0, end=300.0),
+                CacheBatteryFailure(time=150.0),
+            )
+        )
+        controller, _, encs, clock = build(plan)
+        issued: list[tuple[float, str]] = []
+        controller.set_physical_tap(
+            lambda at, enclosure, *_: issued.append((at, enclosure))
+        )
+        controller.select_write_delay(0.0, {"a"})
+        assert controller.submit(*io_fields(write("a", 10.0))) == CACHE_HIT_LATENCY
+        controller.on_time(200.0)
+        assert controller.cache.write_delay.dirty_pages == 0
+        assert controller.emergency_flushes == 1
+        assert issued == [(300.0, "e0")]
+        assert controller.fault_denied_ios == 1
+        assert controller.fault_delayed_ios == 1
+        assert controller.fault_spin_up_retries == 0
+        assert controller.fault_delay_seconds == 100.0
+        assert controller.fault_max_queue_delay == 100.0
+        assert encs[0].busy_until == 300.00166666666667
         assert clock.outage_violations == []
 
 

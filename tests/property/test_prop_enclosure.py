@@ -131,9 +131,14 @@ def fault_plans(draw):
         st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
         st.floats(min_value=0.5, max_value=300.0, allow_nan=False),
     )
+    # Outages land on e0 (the enclosure under test) or on e1, so plans
+    # where e0 has a fault clock but no windows of its own, the common
+    # case of a storm plan, are drawn too.
     events = [
-        EnclosureOutage(enclosure="e0", start=start, end=start + length)
-        for start, length in draw(st.lists(windows, max_size=4))
+        EnclosureOutage(enclosure=enclosure, start=start, end=start + length)
+        for enclosure, (start, length) in draw(
+            st.lists(st.tuples(st.sampled_from(["e0", "e1"]), windows), max_size=4)
+        )
     ]
     events += [
         SpinUpFailure(enclosure="e0", after=after, failures=failures)
