@@ -11,10 +11,12 @@ so the experiment runner treats them uniformly.
 Checkpoint contract under the kernel: :meth:`PowerPolicy.next_checkpoint`
 is re-read at the only points its value may change — once at start
 (after :meth:`PowerPolicy.on_start`), after every
-:meth:`PowerPolicy.after_io`, and after every
+:meth:`PowerPolicy.after_io` that ran, and after every
 :meth:`PowerPolicy.on_checkpoint` — and mirrored in the kernel's one
-checkpoint slot.  A policy must
-advance its checkpoint strictly past ``now`` inside ``on_checkpoint``
+checkpoint slot.  :meth:`PowerPolicy.io_gate` is mirrored the same
+way: the kernel calls ``after_io`` only for records at or past it.  A
+policy must advance its checkpoint strictly past ``now`` inside
+``on_checkpoint``
 (the kernel raises :class:`~repro.errors.ReplayError` otherwise) and
 should only ever schedule into the future; checkpoints in the past
 would rewind the kernel's monotonic clock.
@@ -23,6 +25,7 @@ would rewind the kernel's monotonic clock.
 from __future__ import annotations
 
 import abc
+import math
 
 from repro.actions.executor import ActionExecutor
 from repro.actions.plan import ActionPlan
@@ -118,7 +121,8 @@ class PowerPolicy(abc.ABC, Snapshottable):
 
         The kernel keeps one live checkpoint event mirroring this value;
         returning a new time (or None) from here takes effect at the
-        next sync point (after ``after_io`` / ``on_checkpoint``).
+        next sync point (after an ``after_io`` that ran, or after
+        ``on_checkpoint``).
         """
 
     @abc.abstractmethod
@@ -142,12 +146,28 @@ class PowerPolicy(abc.ABC, Snapshottable):
         sequential: bool,
         response_time: float,
     ) -> None:
-        """Called after each application I/O has been served.
+        """Called after an application I/O has been served.
 
-        The default does nothing, and the kernel skips the call (and the
-        checkpoint re-sync after it) for policies that do not override
-        this hook.
+        The kernel calls it only for a record whose timestamp is at or
+        past :meth:`io_gate`, and re-reads the checkpoint and the gate
+        after each call.  The default does nothing.
         """
+
+    def io_gate(self) -> float:
+        """Earliest record timestamp at which :meth:`after_io` can act.
+
+        :meth:`after_io` must change no state for a record stamped
+        before the gate, so the kernel skips the call (and the
+        checkpoint re-sync after it).  The kernel re-reads the gate
+        where it re-reads the checkpoint: after each ``after_io`` that
+        ran and after each slot dispatch.  The default is ``math.inf``
+        (never call) for a policy that does not override
+        :meth:`after_io` and ``-math.inf`` (call on every record) for
+        one that does.
+        """
+        if type(self).after_io is PowerPolicy.after_io:
+            return math.inf
+        return -math.inf
 
     def on_end(self, now: float) -> None:
         """Called once after the last record, before final settlement."""

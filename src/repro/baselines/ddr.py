@@ -23,6 +23,8 @@ gigabytes (see EXPERIMENTS.md, "Substitutions").
 
 from __future__ import annotations
 
+import math
+
 from repro.actions.plan import ActionPlan
 from repro.actions.records import ChargeBlockMigration, SetPowerOffEnabled
 from repro.errors import ValidationError
@@ -140,6 +142,14 @@ class DDRPolicy(PowerPolicy):
         self._next_checkpoint = now + self.monitoring_period
         return plan or None
 
+    def io_gate(self) -> float:
+        """``-inf`` while some enclosure is cold, else ``inf``.
+
+        :meth:`after_io` acts only on access to a cold enclosure, and
+        the cold set changes only at checkpoints.
+        """
+        return -math.inf if self._cold else math.inf
+
     def after_io(
         self,
         timestamp: float,
@@ -155,7 +165,7 @@ class DDRPolicy(PowerPolicy):
         The copy is charged to the source (read) and the least-loaded
         hot enclosure (write) and counted as migrated data.
         """
-        # Nothing to migrate while no enclosure is cold: skip the call.
+        # Nothing to migrate while no enclosure is cold (see io_gate).
         if self._cold:
             self._on_access(timestamp, item_id, size)
 

@@ -26,7 +26,6 @@ from repro.simulation import SimulationContext
 from repro.storage.enclosure import DiskEnclosure
 from repro.storage.meter import PowerMeter
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import IOType
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class _ZoneVirtualization:
     def enclosure_of(self, item_id: str) -> DiskEnclosure:
         return self._inner.enclosure_of(item_id)
 
-    def route(self, item_id: str) -> tuple[DiskEnclosure, str, int, int]:
+    def route(self, item_id: str) -> tuple[DiskEnclosure, str, int]:
         return self._inner.route(item_id)
 
     def used_bytes(self, enclosure: str) -> int:
@@ -193,19 +192,12 @@ class ZonedPolicy(PowerPolicy):
         context = self._require_context()
         inner_tap = context.storage_monitor.on_physical_fast
 
-        def fan_out(
-            timestamp: float,
-            enclosure: str,
-            block: int,
-            count: int,
-            io_type: IOType,
-            item_id: str | None,
-        ) -> None:
-            inner_tap(timestamp, enclosure, block, count, io_type, item_id)
+        def fan_out(timestamp: float, enclosure: str, count: int) -> None:
+            inner_tap(timestamp, enclosure, count)
             for zone in self.zones:
                 if enclosure in zone.enclosures:
                     zone.policy.context.storage_monitor.on_physical_fast(
-                        timestamp, enclosure, block, count, io_type, item_id
+                        timestamp, enclosure, count
                     )
                     break
 

@@ -25,6 +25,7 @@ benchmarks; all default to the paper's full method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.actions.plan import ActionPlan
@@ -152,6 +153,17 @@ class EnergyEfficientPolicy(PowerPolicy):
         """Run one management cycle (analysis plus determination)."""
         return self._run_management(now, triggered=False)
 
+    def io_gate(self) -> float:
+        """The trigger throttle's next allowed time, or ``inf`` when off.
+
+        :meth:`after_io` acts only while triggers are enabled, a split
+        exists and the throttle is open.
+        """
+        throttle = self._trigger_throttle
+        if not self.enable_triggers or self._split is None or throttle is None:
+            return math.inf
+        return throttle.next_allowed
+
     def after_io(
         self,
         timestamp: float,
@@ -166,7 +178,8 @@ class EnergyEfficientPolicy(PowerPolicy):
         if not self.enable_triggers or self._split is None:
             return
         throttle = self._trigger_throttle
-        # throttle.ready(timestamp), read from its slot: this runs per I/O.
+        # throttle.ready(timestamp), read from its slot: the same test
+        # as io_gate, for callers other than the kernel.
         if throttle is None or timestamp < throttle.next_allowed:
             return
         context = self._require_context()
@@ -199,7 +212,7 @@ class EnergyEfficientPolicy(PowerPolicy):
         item_sizes: dict[str, int] = {}
         item_enclosures: dict[str, str] = {}
         for item in virt.item_ids():
-            _, enclosure, _, size = virt.route(item)
+            _, enclosure, size = virt.route(item)
             item_sizes[item] = size
             item_enclosures[item] = enclosure
 

@@ -17,9 +17,9 @@ merges both with the time-ordered trace records:
   expose ``next_checkpoint()`` (see
   :class:`repro.baselines.base.PowerPolicy`), and the kernel re-reads
   it at the only points the value can change, after each ``after_io``
-  and after each ``on_checkpoint``.  A moved checkpoint overwrites the
-  field, so it can never fire at its stale time.  With a fault clock
-  attached the slot runs fault bookkeeping first.
+  that ran and after each ``on_checkpoint``.  A moved checkpoint
+  overwrites the field, so it can never fire at its stale time.  With a
+  fault clock attached the slot runs fault bookkeeping first.
 
 When several occurrences share a timestamp they fire in ascending
 *class* — this table is the one place the boundary convention lives:
@@ -41,7 +41,10 @@ Trace records arrive as a pre-sorted
 :class:`~repro.trace.columnar.ColumnarTrace` (any other record iterable
 is packed into one first); before serving a record at ``ts`` the pump
 fires every slot due at or before ``ts``, which costs two float
-comparisons per record.
+comparisons per record, and after serving it calls the policy's
+``after_io`` only if ``ts`` has reached the policy's
+:meth:`~repro.baselines.base.PowerPolicy.io_gate`, mirrored in a local
+like the checkpoint.
 
 The golden regression test (``tests/trace/test_replay_golden.py``)
 pins this kernel bit-identical to the pre-kernel replayer for every
@@ -251,20 +254,21 @@ class SimulationKernel(Snapshottable):
 
         The application monitor is attached to the whole ``trace``; the
         loop serves its rows from ``count`` on.  Each record goes
-        through the scalar I/O chain — controller ``submit``,
-        application-monitor ``record`` of the response, policy
-        ``after_io`` — so no :class:`~repro.trace.records.LogicalIORecord`
-        exists anywhere on the loop.
+        through the scalar I/O chain — controller ``submit``, the
+        append of its response to the application monitor, and policy
+        ``after_io`` for a record at or past the policy's
+        :meth:`~repro.baselines.base.PowerPolicy.io_gate` — so no
+        :class:`~repro.trace.records.LogicalIORecord` exists anywhere on
+        the loop.  The kernel clock moves at each slot dispatch, before
+        the record hook and at finish: nothing reads it in between.
         """
-        from repro.baselines.base import PowerPolicy
-
         context = self.context
         policy = self.policy
         timeline = self.timeline
         clock = self.clock
         hook = self._record_hook
 
-        context.app_monitor.attach(trace, count)
+        record = context.app_monitor.attach(trace, count)
         if count:
             trace = trace[count:]
         timestamps = trace.timestamps
@@ -279,24 +283,17 @@ class SimulationKernel(Snapshottable):
         sequential_lut = [bool(value & FLAG_SEQUENTIAL) for value in range(256)]
 
         submit = context.controller.submit
-        record = context.app_monitor.record
+        after_io = policy.after_io
         next_checkpoint = policy.next_checkpoint
+        io_gate = policy.io_gate
         dispatch = self._dispatch_until
-        advance = clock.advance
 
-        # Policies that do not override the after-I/O hook
-        # (no-power-saving and friends) are skipped entirely: a no-op
-        # cannot move the checkpoint, so the per-record re-sync is
-        # dropped with it.
-        after_io: Callable[..., None] | None = policy.after_io
-        if type(policy).after_io is PowerPolicy.after_io:
-            after_io = None
-
-        # Local mirrors of the two slots: only a dispatch moves the
-        # sample slot, and only a dispatch or the after-I/O re-sync
-        # below moves the checkpoint.
+        # Local mirrors of the two slots and of the after-I/O gate: only
+        # a dispatch moves the sample slot, and only a dispatch or an
+        # ``after_io`` that ran moves the checkpoint or the gate.
         sample = math.inf if timeline is None else timeline.next_sample_time
         checkpoint = self._scheduled_checkpoint
+        gate = io_gate()
         for ts, idx, offset, size, flag in zip(
             timestamps, item_index, offsets, sizes, flags
         ):
@@ -309,19 +306,29 @@ class SimulationKernel(Snapshottable):
             if sample <= ts or (checkpoint is not None and checkpoint <= ts):
                 dispatch(ts)
                 checkpoint = self._scheduled_checkpoint
+                gate = io_gate()
                 if timeline is not None:
                     sample = timeline.next_sample_time
-            advance(ts)
             item = items[idx]
             is_read = read_lut[flag]
             sequential = sequential_lut[flag]
             response = submit(ts, item, offset, size, is_read, sequential)
             record(response)
             count += 1
-            if after_io is not None:
+            if ts >= gate:
                 after_io(ts, item, offset, size, is_read, sequential, response)
                 checkpoint = self._scheduled_checkpoint = next_checkpoint()
+                # The clock is not at ``ts`` here, so it cannot refuse a
+                # checkpoint moved behind the record just served.
+                if checkpoint is not None and checkpoint < ts:
+                    raise ReplayError(
+                        f"policy {policy.name!r} moved its checkpoint to "
+                        f"{checkpoint}, before the record served at {ts}"
+                    )
+                gate = io_gate()
             if hook is not None:
+                # A snapshot at this boundary captures the clock at ``ts``.
+                clock.advance(ts)
                 hook(count, ts)
 
         return self._finish_replay(count, last_ts, duration)

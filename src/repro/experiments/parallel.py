@@ -57,8 +57,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: array count + array index + pins) to the key, so per-array cells of
 #: a fleet run can never collide with whole-workload cells.  Format 5
 #: hashes the trace as its ``.ecot`` image instead of a ``repr`` feed
-#: per record.
-CACHE_FORMAT = 5
+#: per record.  Format 6 stores the sha256 of the result text in each
+#: entry, and a load whose result text does not match it misses.
+CACHE_FORMAT = 6
+
+
+def _entry_head(header: dict[str, Any]) -> bytes:
+    """A cache entry's bytes up to its ``result`` member's value.
+
+    The entry is ``header`` with the encoded result spliced in as its
+    last member, so the result's bytes sit between this head and the
+    closing brace.
+    """
+    head = json.dumps(header, sort_keys=True)[:-1] + ', "result": '
+    return head.encode("utf-8")
+
 
 #: Option value types allowed in specs: JSON-representable scalars.
 SpecValue = bool | int | float | str
@@ -413,15 +426,32 @@ class ExperimentEngine:
         return self.cache_dir / f"{key}.json"
 
     def _cache_load(self, key: str) -> ExperimentResult | None:
-        """Cached result for ``key``, or ``None`` (corrupt entries miss)."""
+        """Cached result for ``key``, or ``None`` (corrupt entries miss).
+
+        An entry is its header object with the result's bytes spliced in
+        last (:meth:`_cache_store`).  The header is re-encoded from the
+        parsed entry to find where those bytes start, so any change to
+        them fails the sha256 check and misses.
+        """
         path = self._cache_path(key)
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            data = path.read_bytes()
+            entry = json.loads(data)
             if (
                 not isinstance(entry, dict)
                 or entry.get("format") != CACHE_FORMAT
                 or entry.get("key") != key
             ):
+                return None
+            header = {
+                name: value for name, value in entry.items() if name != "result"
+            }
+            prefix = _entry_head(header)
+            if not (data.startswith(prefix) and data.endswith(b"}")):
+                return None
+            # A view, so the result bytes are hashed where they lie.
+            result = memoryview(data)[len(prefix) : -1]
+            if hashlib.sha256(result).hexdigest() != entry["result_sha256"]:
                 return None
             return result_from_dict(entry["result"])
         except (OSError, ValueError, KeyError, TypeError, ExperimentError):
@@ -430,19 +460,28 @@ class ExperimentEngine:
     def _cache_store(
         self, key: str, cell: ExperimentCell, payload: dict[str, Any]
     ) -> None:
-        """Persist one finished cell atomically (tmp file + rename)."""
+        """Persist one finished cell atomically (tmp file + rename).
+
+        The payload is encoded once; its sha256 goes into the header and
+        the encoded bytes are spliced in after it as the ``result``
+        member.
+        """
         assert self.cache_dir is not None
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        entry = {
+        result = json.dumps(payload, sort_keys=True).encode("utf-8")
+        header = {
             "format": CACHE_FORMAT,
             "key": key,
             "cell": cell.label,
             "workload_fingerprint": workload_fingerprint(cell.workload),
-            "result": payload,
+            "result_sha256": hashlib.sha256(result).hexdigest(),
         }
         path = self._cache_path(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        with tmp.open("wb") as handle:
+            handle.write(_entry_head(header))
+            handle.write(result)
+            handle.write(b"}")
         os.replace(tmp, path)
 
     # ------------------------------------------------------------------

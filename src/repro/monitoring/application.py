@@ -24,6 +24,7 @@ measured using the application monitor in the trace replay tool",
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -105,13 +106,20 @@ class ApplicationMonitor(Snapshottable):
     # ------------------------------------------------------------------
     # logical I/O trace
     # ------------------------------------------------------------------
-    def attach(self, trace: ColumnarTrace, served: int) -> None:
+    def attach(
+        self, trace: ColumnarTrace, served: int
+    ) -> Callable[[float], None]:
         """Index ``trace``, whose first ``served`` rows were already served.
 
         A replay attaches with ``served == 0``; a resumed one with its
         cursor, after the responses of those rows were restored.
         Raises :class:`~repro.errors.SnapshotError` when the monitor
         holds a different number of responses.
+
+        Returns the bound ``append`` of the response list, which the
+        kernel calls once per served row in place of :meth:`record`:
+        restore happens before attach, and nothing rebinds the list
+        during a run.
         """
         if len(self._responses) != served:
             raise SnapshotError(
@@ -119,6 +127,7 @@ class ApplicationMonitor(Snapshottable):
                 f"responses, but the replay resumes after {served} rows"
             )
         self._trace = trace
+        return self._responses.append
 
     def record(self, response_time: float) -> None:
         """Capture the measured response of the next row of the trace."""

@@ -14,12 +14,13 @@ paper's Figs 17–19: per-enclosure inter-arrival gaps of physical I/O.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping
 
 from repro.capture import Snapshottable
 from repro.storage.enclosure import DiskEnclosure
-from repro.trace.records import IOType, PhysicalIORecord
+from repro.trace.records import PhysicalIORecord
 
 
 class StorageMonitor(Snapshottable):
@@ -46,28 +47,15 @@ class StorageMonitor(Snapshottable):
     # ------------------------------------------------------------------
     def on_physical(self, record: PhysicalIORecord) -> None:
         """Record one physical I/O passed as a record."""
-        self.on_physical_fast(
-            record.timestamp,
-            record.enclosure,
-            record.block_address,
-            record.count,
-            record.io_type,
-            record.item_id,
-        )
+        self.on_physical_fast(record.timestamp, record.enclosure, record.count)
 
     def on_physical_fast(
-        self,
-        timestamp: float,
-        enclosure: str,
-        block: int,
-        count: int,
-        io_type: IOType,
-        item_id: str | None,
+        self, timestamp: float, enclosure: str, count: int
     ) -> None:
         """Physical-tap callback from the storage controller.
 
-        ``block``, ``io_type`` and ``item_id`` complete the tap's
-        signature; the books here count I/Os and time gaps only.
+        The books here count I/Os and time gaps per enclosure, so the
+        tap carries nothing else.
         """
         self.physical_io_count += count
         self._window_counts[enclosure] += count
@@ -141,7 +129,10 @@ class StorageMonitor(Snapshottable):
         return self.enclosures[enclosure].spin_up_count
 
     def spin_ups_since(self, enclosure: str, since: float) -> int:
-        """Spin-up events after ``since`` (for the §V-D trigger)."""
-        return sum(
-            1 for t in self.enclosures[enclosure].spin_up_events if t >= since
-        )
+        """Spin-up events at or after ``since`` (for the §V-D trigger).
+
+        The enclosure appends its events at a monotonic clock, so the
+        list is ascending and one bisection finds the first one counted.
+        """
+        events = self.enclosures[enclosure].spin_up_events
+        return len(events) - bisect_left(events, since)

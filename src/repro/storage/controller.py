@@ -11,8 +11,9 @@ so their energy and response-time costs are charged, exactly as the
 paper's measurements include them (§VII-A.4).
 
 Physical I/O is reported to an optional tap (the Storage Monitor
-subscribes there) as the plain fields of a
-:class:`~repro.trace.records.PhysicalIORecord`.
+subscribes there) as ``(timestamp, enclosure, count)``: the only fields
+of a :class:`~repro.trace.records.PhysicalIORecord` its subscribers
+read.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.storage.cache import StorageCache
 from repro.storage.enclosure import DiskEnclosure, IOResult
 from repro.storage.tiers import TierKind
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import IOType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.clock import FaultClock
@@ -55,18 +55,12 @@ BULK_BANDWIDTH_BPS = 150.0 * units.MB
 MIGRATION_CHUNK_BYTES = 64 * units.MB
 
 
-# Enum members bound once: on CPython 3.11 each ``IOType.X`` load in a
-# method body goes through ``EnumType.__getattr__``, and :meth:`submit`
-# picks one per physical I/O.
-_READ = IOType.READ
-_WRITE = IOType.WRITE
-
 _T = TypeVar("_T")
 
-#: The physical tap: ``(timestamp, enclosure name, block, count,
-#: io_type, item_id)``, the fields of a ``PhysicalIORecord`` in order.
-#: The subscriber decides for itself whether a record needs to exist.
-PhysicalTapFast = Callable[[float, str, int, int, IOType, "str | None"], None]
+#: The physical tap: ``(timestamp, enclosure name, count)`` of each
+#: physical I/O batch.  Its subscribers count I/Os and time gaps per
+#: enclosure; nothing reads a block address, I/O type or item there.
+PhysicalTapFast = Callable[[float, str, int], None]
 
 
 class StorageController(Snapshottable):
@@ -355,37 +349,25 @@ class StorageController(Snapshottable):
         return result, delay
 
     def _emit_physical(
-        self,
-        timestamp: float,
-        enclosure: str,
-        block: int,
-        count: int,
-        io_type: IOType,
-        item_id: str | None,
+        self, timestamp: float, enclosure: str, count: int
     ) -> None:
         if self._physical_tap is not None:
-            self._physical_tap(timestamp, enclosure, block, count, io_type, item_id)
+            self._physical_tap(timestamp, enclosure, count)
 
     def _bulk_transfer(
         self,
         now: float,
         enclosure: DiskEnclosure,
         size_bytes: int,
-        io_type: IOType,
-        item_id: str | None,
         bandwidth_bps: float,
+        is_read: bool,
     ) -> IOResult:
         seconds = size_bytes / bandwidth_bps
         count = max(1, size_bytes // BULK_IO_UNIT)
         result, delay = self._with_fault_retry(
-            now, enclosure.occupy, seconds, count, io_type.is_read
+            now, enclosure.occupy, seconds, count, is_read
         )
-        base_block = 0
-        if item_id is not None and self.virtualization.has_item(item_id):
-            base_block = self.virtualization.extent_of(item_id).base_block
-        self._emit_physical(
-            now + delay, enclosure.name, base_block, count, io_type, item_id
-        )
+        self._emit_physical(now + delay, enclosure.name, count)
         return result
 
     # ------------------------------------------------------------------
@@ -422,9 +404,7 @@ class StorageController(Snapshottable):
             self.on_time(timestamp)
         # One route lookup per I/O, via the cached route; it raises
         # MappingError for an unplaced item before any book moves.
-        enclosure, name, base_block, item_size = self.virtualization.route(
-            item_id
-        )
+        enclosure, name, item_size = self.virtualization.route(item_id)
         cache = self.cache
         first_page = offset // cache_mod.PAGE_BYTES
         last_page = (offset + size - 1) // cache_mod.PAGE_BYTES
@@ -433,7 +413,6 @@ class StorageController(Snapshottable):
             if cache.read_hit(item_id, first_page, last_page):
                 self.cache_hit_count += 1
                 return CACHE_HIT_LATENCY
-            io_type = _READ
         else:
             write_delay = cache.write_delay
             if write_delay.is_selected(item_id):
@@ -441,13 +420,18 @@ class StorageController(Snapshottable):
                 if write_delay.absorb_write(item_id, first_page, last_page):
                     self.flush_write_delay(timestamp)
                 return CACHE_HIT_LATENCY
-            if faulted and not self._battery_failed:
+            # The emergency buffer can absorb a write only while the
+            # battery holds, and only on an enclosure with outage windows.
+            if (
+                faulted
+                and enclosure.outage_windows
+                and not self._battery_failed
+            ):
                 buffered = self._emergency_buffer_write(
                     timestamp, item_id, name, first_page, last_page
                 )
                 if buffered is not None:
                     return buffered
-            io_type = _WRITE
 
         # One physical I/O, with the tap dispatch of :meth:`_emit_physical`
         # unrolled — this is the hottest call chain of the whole replay,
@@ -469,10 +453,9 @@ class StorageController(Snapshottable):
             )
             issued = timestamp + delay
             response = served + delay
-        block = base_block + offset // units.BLOCK_SIZE
         tap = self._physical_tap
         if tap is not None:
-            tap(issued, name, block, 1, io_type, item_id)
+            tap(issued, name, 1)
         self._device_service_seconds[name] += response
         self._device_service_ios[name] += 1
         if name in self._archive_devices:
@@ -496,7 +479,8 @@ class StorageController(Snapshottable):
         buffer cannot be used (battery gone, no outage, partition full)
         and the write must take the physical path instead.  ``enclosure``
         is the name of the item's home enclosure.  The caller has checked
-        that the battery still holds.
+        that the battery still holds and that the enclosure has outage
+        windows.
         """
         if self._fault_clock.outage_at(enclosure, timestamp) is None:
             return None
@@ -527,7 +511,7 @@ class StorageController(Snapshottable):
         self.cache.preload.pin(item_id, size)
         enclosure = self.virtualization.enclosure_of(item_id)
         result = self._bulk_transfer(
-            now, enclosure, size, _READ, item_id, self.bulk_bandwidth_bps
+            now, enclosure, size, self.bulk_bandwidth_bps, is_read=True
         )
         self.preloaded_bytes += size
         return result.completion
@@ -609,7 +593,7 @@ class StorageController(Snapshottable):
                 continue
             enclosure = self.virtualization.enclosure_of(item_id)
             result = self._bulk_transfer(
-                now, enclosure, size, _WRITE, item_id, self.bulk_bandwidth_bps
+                now, enclosure, size, self.bulk_bandwidth_bps, is_read=False
             )
             completion = max(completion, result.completion)
             self.flushed_bytes += size
@@ -653,12 +637,8 @@ class StorageController(Snapshottable):
         marker = now
         per_marker = max(1, int(count // max(1, duration // 60.0 + 1)))
         while marker < completion:
-            self._emit_physical(
-                marker, src.name, 0, per_marker, _READ, item_id
-            )
-            self._emit_physical(
-                marker, dst.name, 0, per_marker, _WRITE, item_id
-            )
+            self._emit_physical(marker, src.name, per_marker)
+            self._emit_physical(marker, dst.name, per_marker)
             marker += 60.0
         return completion
 
@@ -796,8 +776,8 @@ class StorageController(Snapshottable):
         seconds = size_bytes / self.bulk_bandwidth_bps
         read, _ = self._with_fault_retry(now, src.occupy, seconds, 1, True)
         write, _ = self._with_fault_retry(now, dst.occupy, seconds, 1, False)
-        self._emit_physical(now, source_enclosure, 0, 1, _READ, item_id)
-        self._emit_physical(now, target_enclosure, 0, 1, _WRITE, item_id)
+        self._emit_physical(now, source_enclosure, 1)
+        self._emit_physical(now, target_enclosure, 1)
         self.migrated_bytes += size_bytes
         self.migration_count += 1
         return max(read.completion, write.completion)

@@ -117,7 +117,7 @@ class DiskEnclosure(Snapshottable):
     caller controls exactly what has been settled.
     """
 
-    _REBUILT = frozenset({"_fault_clock", "_outage_windows", "_watts_by_state"})
+    _REBUILT = frozenset({"_fault_clock", "outage_windows", "_watts_by_state"})
 
     def __init__(
         self,
@@ -176,8 +176,9 @@ class DiskEnclosure(Snapshottable):
         self._fault_clock: FaultClock | None = None
         #: This enclosure's outage windows under that clock, bound once
         #: by :meth:`set_fault_clock`.  Empty, the outage questions are
-        #: never asked: the answer would be "none" at every instant.
-        self._outage_windows: tuple[EnclosureOutage, ...] = ()
+        #: never asked: the answer would be "none" at every instant.  The
+        #: controller reads it to gate its emergency write buffer.
+        self.outage_windows: tuple[EnclosureOutage, ...] = ()
         #: Set while the in-progress spin-up is fated to fail.
         self._spin_up_failing = False
         #: Virtual times at which injected spin-up attempts failed —
@@ -253,7 +254,7 @@ class DiskEnclosure(Snapshottable):
     def set_fault_clock(self, clock: "FaultClock") -> None:
         """Attach the simulation's fault oracle (:mod:`repro.faults`)."""
         self._fault_clock = clock
-        self._outage_windows = clock.outage_windows(self.name)
+        self.outage_windows = clock.outage_windows(self.name)
 
     # ------------------------------------------------------------------
     # timeline
@@ -488,7 +489,7 @@ class DiskEnclosure(Snapshottable):
             # After settle(now) the clock is max(now, clock): refuse
             # there before the spin-up draws its fault.
             at = self._clock
-            if self._outage_windows:
+            if self.outage_windows:
                 self._refuse_in_outage(at)
             self._ensure_on()
         start = now
@@ -496,7 +497,7 @@ class DiskEnclosure(Snapshottable):
             start = self._clock
         if self._busy_until > start:
             start = self._busy_until
-        if self._outage_windows:
+        if self.outage_windows:
             if state is _ACTIVE or state is _IDLE:
                 # No spin-up ran, so the clock is still the settled one,
                 # and finding the start moved nothing: refusing here is
@@ -611,7 +612,7 @@ class DiskEnclosure(Snapshottable):
         state = self._state
         if state is not _ACTIVE and state is not _IDLE:
             at = self._clock
-            if self._outage_windows:
+            if self.outage_windows:
                 self._refuse_in_outage(at)
             self._ensure_on()
         start = now
@@ -619,7 +620,7 @@ class DiskEnclosure(Snapshottable):
             start = self._clock
         if self._busy_until > start:
             start = self._busy_until
-        if self._outage_windows:
+        if self.outage_windows:
             if state is _ACTIVE or state is _IDLE:
                 at = self._clock
                 self._refuse_in_outage(at)

@@ -139,7 +139,7 @@ class BlockVirtualization(Snapshottable):
         # size bytes).  One dict probe replaces the three-map chain of
         # :meth:`resolve` on every served I/O; entries are dropped the
         # moment the mapping they summarize changes.
-        self._route_cache: dict[str, tuple[DiskEnclosure, str, int, int]] = {}
+        self._route_cache: dict[str, tuple[DiskEnclosure, str, int]] = {}
 
     # ------------------------------------------------------------------
     # enclosures and volumes
@@ -296,8 +296,8 @@ class BlockVirtualization(Snapshottable):
             blocks=units.bytes_to_blocks(self._item_size[item_id]),
         )
 
-    def route(self, item_id: str) -> tuple[DiskEnclosure, str, int, int]:
-        """Resolve an item to ``(enclosure, name, base block, size bytes)``.
+    def route(self, item_id: str) -> tuple[DiskEnclosure, str, int]:
+        """Resolve an item to ``(enclosure, name, size bytes)``.
 
         The hot-path companion of :meth:`resolve`/:meth:`enclosure_of`:
         the batched replay pump calls this once per I/O, so the answer is
@@ -308,12 +308,7 @@ class BlockVirtualization(Snapshottable):
         route = self._route_cache.get(item_id)
         if route is None:
             enclosure = self.enclosure_of(item_id)
-            route = (
-                enclosure,
-                enclosure.name,
-                self._item_base[item_id],
-                self._item_size[item_id],
-            )
+            route = (enclosure, enclosure.name, self._item_size[item_id])
             self._route_cache[item_id] = route
         return route
 

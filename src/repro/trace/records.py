@@ -94,8 +94,8 @@ class PhysicalIORecord:
     io_type: IOType = field(compare=False, default=IOType.READ)
     #: The data item this physical I/O serves, when known.  The paper's
     #: power-management component joins logical and physical traces to
-    #: find it; here the controller's physical tap passes the item id
-    #: with each physical I/O, and no code joins the two traces.
+    #: find it; here no code reads it, so the controller's physical tap
+    #: passes only the timestamp, enclosure and count.
     item_id: str | None = field(compare=False, default=None)
 
     def __post_init__(self) -> None:

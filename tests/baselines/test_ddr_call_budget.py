@@ -9,7 +9,8 @@ records: a budget on these counts catches added per-checkpoint or
 per-enclosure frames in the policy or in the storage monitor it reads,
 without the noise of a wall-clock gate.  The fault clock's budget
 catches outage questions asked per I/O again on enclosures that have no
-outage window (the storm plan gives one enclosure of ten a window).
+outage window (the storm plan gives one enclosure of ten a window), by
+the enclosure or by the controller's emergency write buffer.
 
 Only named functions whose code lives under the package counts.
 Comprehension, generator-expression and lambda frames are skipped:
@@ -44,9 +45,9 @@ PACKAGES = {
 
 #: Most calls into each package one faulted smoke replay under DDR may make.
 BUDGETS = {
-    "repro.baselines": 57_359,
-    "repro.monitoring": 47_076,
-    "repro.faults": 8_317,
+    "repro.baselines": 37_362,
+    "repro.monitoring": 33_145,
+    "repro.faults": 7_403,
 }
 
 

@@ -34,7 +34,7 @@ ENGINE_DIR = os.path.dirname(repro.engine.__file__) + os.sep
 
 #: Most calls into ``repro.engine`` one faulted smoke replay under DDR
 #: may make.
-BUDGET = 50_149
+BUDGET = 36_218
 
 
 def engine_calls() -> tuple[int, int]:

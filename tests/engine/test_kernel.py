@@ -105,6 +105,18 @@ class TestReplayValidation:
         with pytest.raises(ReplayError):
             kernel.replay([record(10.0), record(5.0)])
 
+    def test_checkpoint_moved_into_the_past_raises(self):
+        class Rewinding(PeriodicPolicy):
+            def after_io(self, timestamp, *_):
+                self._next = timestamp - 5.0
+
+        context = make_context()
+        policy = Rewinding()
+        policy.bind(context)
+        kernel = SimulationKernel(context, policy)
+        with pytest.raises(ReplayError):
+            kernel.replay([record(10.0), record(20.0)])
+
     def test_non_positive_duration_raises(self):
         context = make_context()
         policy = NoPowerSavingPolicy()

@@ -293,7 +293,7 @@ class TestControllerRetry:
         controller, _, encs, clock = build(plan)
         issued: list[tuple[float, str]] = []
         controller.set_physical_tap(
-            lambda at, enclosure, *_: issued.append((at, enclosure))
+            lambda at, enclosure, count: issued.append((at, enclosure))
         )
         controller.select_write_delay(0.0, {"a"})
         assert controller.submit(*io_fields(write("a", 10.0))) == CACHE_HIT_LATENCY
@@ -301,6 +301,7 @@ class TestControllerRetry:
         assert controller.cache.write_delay.dirty_pages == 0
         assert controller.emergency_flushes == 1
         assert issued == [(300.0, "e0")]
+        assert (encs[0].read_count, encs[0].write_count) == (0, 1)
         assert controller.fault_denied_ios == 1
         assert controller.fault_delayed_ios == 1
         assert controller.fault_spin_up_retries == 0

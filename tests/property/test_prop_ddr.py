@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.baselines.ddr import DDRPolicy
 from repro.config import DEFAULT_CONFIG
 from repro.simulation import build_context
-from repro.trace.records import IOType
 
 #: One checkpoint: the time since the previous one (0 is a zero-length
 #: window) and the physical I/O count of each enclosure in the window.
@@ -90,7 +89,7 @@ def test_checkpoint_fold_matches_window_stats_reference(
         now += gap
         for name, count in zip(names, counts):
             if count:
-                monitor.on_physical_fast(now, name, 0, count, IOType.READ, None)
+                monitor.on_physical_fast(now, name, count)
         reference.checkpoint(monitor, now)
         policy.on_checkpoint(now)
         assert _bits(policy._smoothed_iops) == _bits(reference.smoothed)

@@ -5,11 +5,10 @@ the entry carries an action log and a fault report) is run once through
 the engine's on-disk cache.  The entry's bytes are then truncated,
 flipped and spliced, and :meth:`ExperimentEngine._cache_load` reads
 them back.  It must never raise: it returns ``None`` (a miss, and the
-cell replays), or a result that re-serializes to exactly the payload
-the damaged bytes hold — never a partial load that silently drops or
-reshapes part of it.  A flipped digit can still decode to a valid,
-different number; the cache has no checksum, so that is a faithful
-load of what the file says.
+cell replays), or exactly the result that was stored.  Each entry
+carries the sha256 of its result text, so damage that still decodes —
+a flipped digit that reads as a different number — misses too, and any
+change to the bytes of the result payload misses.
 """
 
 from __future__ import annotations
@@ -84,19 +83,10 @@ def _mutate(image: bytes, steps) -> bytes:
     return bytes(data)
 
 
-def _stored_payload(damaged: bytes) -> object:
-    """The ``result`` payload the damaged bytes decode to (or ``None``)."""
-    try:
-        entry = json.loads(damaged.decode("utf-8"))
-    except ValueError:
-        return None
-    return entry.get("result") if isinstance(entry, dict) else None
-
-
 @given(steps=st.lists(mutations, min_size=1, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_damaged_entry_misses_or_loads_faithfully(cached, steps):
-    engine, key, image, _ = cached
+    engine, key, image, result = cached
     path = engine._cache_path(key)
     damaged = _mutate(image, steps)
     path.write_bytes(damaged)
@@ -106,8 +96,59 @@ def test_damaged_entry_misses_or_loads_faithfully(cached, steps):
         path.write_bytes(image)
     if loaded is not None:
         assert _canonical(result_to_dict(loaded)) == _canonical(
-            _stored_payload(damaged)
+            result_to_dict(result)
         )
+
+
+def _payload_span(image: bytes, result) -> tuple[int, int]:
+    """Byte range of the stored result text: the entry's last member."""
+    text = _canonical(result_to_dict(result)).encode("utf-8")
+    assert image.endswith(text + b"}")
+    start = len(image) - len(text) - 1
+    return start, start + len(text)
+
+
+@given(offset=st.integers(0, 10**9), flip=st.integers(1, 255))
+@settings(max_examples=150, deadline=None)
+def test_any_flip_inside_the_result_payload_misses(cached, offset, flip):
+    engine, key, image, result = cached
+    start, end = _payload_span(image, result)
+    position = start + offset % (end - start)
+    damaged = bytearray(image)
+    damaged[position] ^= flip
+    path = engine._cache_path(key)
+    path.write_bytes(bytes(damaged))
+    try:
+        assert engine._cache_load(key) is None
+    finally:
+        path.write_bytes(image)
+
+
+@given(
+    offset=st.integers(0, 10**9),
+    length=st.integers(1, 64),
+    source=st.integers(0, 10**9),
+)
+@settings(max_examples=100, deadline=None)
+def test_any_splice_inside_the_result_payload_misses(
+    cached, offset, length, source
+):
+    engine, key, image, result = cached
+    start, end = _payload_span(image, result)
+    position = start + offset % (end - start)
+    stop = min(end, position + length)
+    origin = start + source % (end - start)
+    damaged = (
+        image[:position] + image[origin : origin + length] + image[stop:]
+    )
+    if damaged == image:
+        return
+    path = engine._cache_path(key)
+    path.write_bytes(damaged)
+    try:
+        assert engine._cache_load(key) is None
+    finally:
+        path.write_bytes(image)
 
 
 def test_undamaged_entry_loads_equal(cached):

@@ -1,5 +1,7 @@
 """Tests for repro.storage.controller."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro import units
@@ -9,9 +11,17 @@ from repro.storage.controller import CACHE_HIT_LATENCY, StorageController
 from repro.storage.enclosure import DiskEnclosure
 from repro.storage.power import PowerState
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
+from repro.trace.records import IOType, LogicalIORecord
 
 from tests.io_helpers import io_fields
+
+
+class Tap(NamedTuple):
+    """One call of the controller's physical tap."""
+
+    timestamp: float
+    enclosure: str
+    count: int
 
 
 def build(enclosures=2, cache_kwargs=None):
@@ -28,11 +38,10 @@ def build(enclosures=2, cache_kwargs=None):
     virt.add_item("a", 100 * units.MB, "v0")
     virt.add_item("b", 100 * units.MB, "v1")
     cache = StorageCache(**(cache_kwargs or {}))
-    taps: list[PhysicalIORecord] = []
+    taps: list[Tap] = []
 
-    def tap(*fields):
-        # The tap hands over a record's fields, in order.
-        taps.append(PhysicalIORecord(*fields))
+    def tap(timestamp: float, enclosure: str, count: int) -> None:
+        taps.append(Tap(timestamp=timestamp, enclosure=enclosure, count=count))
 
     controller = StorageController(virt, cache, physical_tap=tap)
     return controller, virt, cache, taps
@@ -48,12 +57,12 @@ def write(t, item="a", offset=0, size=8192, seq=False):
 
 class TestReadPath:
     def test_cold_read_goes_physical(self):
-        controller, _, _, taps = build()
+        controller, virt, _, taps = build()
         response = controller.submit(*io_fields(read(1.0)))
         assert response == pytest.approx(0.5)
-        assert len(taps) == 1
-        assert taps[0].enclosure == "e0"
-        assert taps[0].io_type is IOType.READ
+        assert taps == [Tap(timestamp=1.0, enclosure="e0", count=1)]
+        home = virt.enclosure("e0")
+        assert (home.read_count, home.write_count) == (1, 0)
 
     def test_repeat_read_hits_lru(self):
         controller, _, _, taps = build()
@@ -92,10 +101,12 @@ class TestReadPath:
 
 class TestWritePath:
     def test_normal_write_goes_physical(self):
-        controller, _, _, taps = build()
+        controller, virt, _, taps = build()
         response = controller.submit(*io_fields(write(1.0)))
         assert response == pytest.approx(0.5)
-        assert taps[0].io_type is IOType.WRITE
+        assert taps == [Tap(timestamp=1.0, enclosure="e0", count=1)]
+        home = virt.enclosure("e0")
+        assert (home.read_count, home.write_count) == (0, 1)
 
     def test_write_delayed_item_absorbs(self):
         controller, _, cache, taps = build()
@@ -106,7 +117,7 @@ class TestWritePath:
         assert cache.write_delay.dirty_pages == 1
 
     def test_dirty_threshold_triggers_bulk_flush(self):
-        controller, _, cache, taps = build(
+        controller, virt, cache, taps = build(
             cache_kwargs=dict(
                 total_bytes=4 * units.MB,
                 preload_bytes=units.MB,
@@ -119,7 +130,9 @@ class TestWritePath:
         assert taps == []
         controller.submit(*io_fields(write(2.0, offset=PAGE_BYTES)))
         # Threshold reached: a bulk write burst went to e0.
-        assert any(t.io_type is IOType.WRITE for t in taps)
+        assert [t.enclosure for t in taps] == ["e0"]
+        home = virt.enclosure("e0")
+        assert (home.read_count, home.write_count) == (0, 1)
         assert cache.write_delay.dirty_pages == 0
         assert controller.flushed_bytes == 2 * PAGE_BYTES
 
@@ -135,12 +148,15 @@ class TestWritePath:
 
 class TestPreload:
     def test_preload_pins_and_costs_a_read_burst(self):
-        controller, _, cache, taps = build()
+        controller, virt, cache, taps = build()
         completion = controller.preload_item(5.0, "a")
         assert cache.preload.is_pinned("a")
         assert completion > 5.0
         assert controller.preloaded_bytes == 100 * units.MB
-        assert taps and taps[0].io_type is IOType.READ
+        # One bulk I/O per megabyte, all reads on the item's home.
+        assert taps == [Tap(timestamp=5.0, enclosure="e0", count=100)]
+        home = virt.enclosure("e0")
+        assert (home.read_count, home.write_count) == (100, 0)
 
     def test_preload_is_idempotent(self):
         controller, _, _, _ = build()
@@ -207,13 +223,15 @@ class TestMigration:
         assert response == pytest.approx(0.5)
 
     def test_migration_emits_interval_markers(self):
-        controller, _, _, taps = build()
+        controller, virt, _, taps = build()
         controller.migrate_item(0.0, "a", "e1")
-        reads = [t for t in taps if t.io_type is IOType.READ]
-        writes = [t for t in taps if t.io_type is IOType.WRITE]
-        assert reads and writes
-        assert {t.enclosure for t in reads} == {"e0"}
-        assert {t.enclosure for t in writes} == {"e1"}
+        # Markers alternate source, target along the copy.
+        assert taps
+        assert [t.enclosure for t in taps[0::2]] == ["e0"] * (len(taps) // 2)
+        assert [t.enclosure for t in taps[1::2]] == ["e1"] * (len(taps) // 2)
+        src, dst = virt.enclosure("e0"), virt.enclosure("e1")
+        assert src.read_count > 0 and src.write_count == 0
+        assert dst.write_count > 0 and dst.read_count == 0
 
     def test_migration_holds_enclosures_awake(self):
         controller, virt, _, _ = build()

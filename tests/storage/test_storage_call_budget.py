@@ -42,8 +42,8 @@ STORAGE_DIR = os.path.dirname(repro.storage.__file__) + os.sep
 
 #: Most calls into ``repro.storage`` each smoke replay may make.
 BUDGETS = {
-    "fileserver-proposed": 128_607,
-    "tpcc-ddr-storm": 106_520,
+    "fileserver-proposed": 128_367,
+    "tpcc-ddr-storm": 105_606,
 }
 
 
