@@ -132,7 +132,29 @@ class ActionExecutor(Snapshottable):
     the gate's per-enclosure cool-down deadlines.
     """
 
+    __slots__ = (
+        "controller",
+        "config",
+        "log",
+        "actions_applied",
+        "actions_aborted",
+        "actions_vetoed",
+        "actions_rejected",
+        "migrations_applied",
+        "migrations_aborted",
+        "migrated_bytes_applied",
+        "promotes_applied",
+        "demotes_applied",
+        "archives_applied",
+        "replicates_applied",
+        "promote_attempt_items",
+        "_cooldown_until",
+        "degraded_cooldowns",
+    )
+
     _REBUILT = frozenset({"controller", "config"})
+
+    _LOGS = frozenset({"log"})
 
     def __init__(
         self,

@@ -51,6 +51,11 @@ class PowerPolicy(abc.ABC, Snapshottable):
     reflects it.
     """
 
+    __slots__ = (
+        "context",
+        "determinations",
+    )
+
     _REBUILT = frozenset({"context"})
 
     #: Human-readable policy name used in reports.

@@ -34,6 +34,11 @@ from repro.baselines.base import PowerPolicy
 class CacheOnlyPolicy(PowerPolicy):
     """Device-level interval control: write-behind + spin-down only."""
 
+    __slots__ = (
+        "refresh_period",
+        "_next_checkpoint",
+    )
+
     name = "cache-only"
 
     def __init__(self, refresh_period: float = 300.0) -> None:

@@ -34,6 +34,17 @@ from repro.baselines.base import PowerPolicy
 class DDRPolicy(PowerPolicy):
     """Threshold-based physical reorganization with spin-down."""
 
+    __slots__ = (
+        "monitoring_period",
+        "target_th",
+        "iops_smoothing_seconds",
+        "_next_checkpoint",
+        "_window_start",
+        "_smoothed_iops",
+        "_cold",
+        "blocks_migrated",
+    )
+
     name = "ddr"
 
     def __init__(

@@ -17,6 +17,8 @@ class NoPowerSavingPolicy(PowerPolicy):
     """Do nothing: all enclosures stay powered, no migration, no cache
     reconfiguration."""
 
+    __slots__ = ()
+
     name = "no-power-saving"
 
     def on_start(self, now: float) -> None:

@@ -32,6 +32,14 @@ from repro.simulation import SimulationContext
 class PDCPolicy(PowerPolicy):
     """Popularity-ranked data concentration with periodic reshuffles."""
 
+    __slots__ = (
+        "monitoring_period",
+        "load_fill_fraction",
+        "_next_checkpoint",
+        "_window_start",
+        "_popularity",
+    )
+
     name = "pdc"
 
     def __init__(

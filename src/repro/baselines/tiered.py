@@ -65,6 +65,19 @@ def _bucket_counts() -> defaultdict[int, int]:
 class TieredLifecyclePolicy(PowerPolicy):
     """Hot→flash / warm→HDD / frozen→archive temperature lifecycle."""
 
+    __slots__ = (
+        "monitoring_period",
+        "half_life",
+        "replicate_hot",
+        "_next_checkpoint",
+        "_window_start",
+        "_temperature",
+        "_window_counts",
+        "_window_buckets",
+        "_cold_streak",
+        "_preferred_hot",
+    )
+
     name = "tiered-lifecycle"
 
     def __init__(

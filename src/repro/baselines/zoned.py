@@ -107,6 +107,11 @@ class _ZoneVirtualization:
 class ZonedPolicy(PowerPolicy):
     """Runs one sub-policy per enclosure zone."""
 
+    __slots__ = (
+        "zones",
+        "_item_zone",
+    )
+
     name = "zoned"
 
     _REBUILT = PowerPolicy._REBUILT | {"zones", "_item_zone"}
@@ -160,7 +165,9 @@ class ZonedPolicy(PowerPolicy):
             cache=context.cache,
             controller=context.controller,
             app_monitor=ApplicationMonitor(context.app_monitor),
-            storage_monitor=StorageMonitor(enclosures),
+            storage_monitor=StorageMonitor(
+                enclosures, context.config.break_even_time
+            ),
             meter=PowerMeter(enclosures, context.config.controller_power),
             # All zones share the parent executor: one action log, one
             # degraded-mode gate, one mutation path (zone enclosure sets

@@ -89,6 +89,22 @@ class ManagementSnapshot:
 class EnergyEfficientPolicy(PowerPolicy):
     """The paper's application-collaborative power-saving method."""
 
+    __slots__ = (
+        "enable_migration",
+        "enable_write_delay",
+        "enable_preload",
+        "adaptive_period",
+        "enable_triggers",
+        "iops_bucket_seconds",
+        "_period",
+        "_next_checkpoint",
+        "_split",
+        "_triggers",
+        "_trigger_throttle",
+        "_trigger_count",
+        "snapshots",
+    )
+
     name = "proposed"
 
     def __init__(

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.capture import SlotValue
 from repro.errors import ValidationError
 from repro.monitoring.storage import StorageMonitor
 
@@ -29,21 +30,20 @@ class TriggerResult:
     reason: str = ""
 
 
-class PatternChangeTriggers:
-    """Evaluates the §V-D early-recomputation conditions."""
+class PatternChangeTriggers(SlotValue):
+    """Evaluates the §V-D early-recomputation conditions.
+
+    Instances compare equal with equal break-even time and
+    management-run mark.
+    """
+
+    __slots__ = ("break_even_time", "_period_end")
 
     def __init__(self, break_even_time: float) -> None:
         if break_even_time <= 0:
             raise ValidationError("break_even_time must be positive")
         self.break_even_time = break_even_time
         self._period_end = 0.0
-
-    def __eq__(self, other: object) -> bool:
-        """Equal break-even time and management-run mark."""
-        return (
-            isinstance(other, PatternChangeTriggers)
-            and vars(other) == vars(self)
-        )
 
     def reset(self, period_end_time: float) -> None:
         """Mark the end of a management run (the paper's ``t_e``)."""

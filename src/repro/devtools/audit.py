@@ -77,6 +77,16 @@ class InvariantAuditor(Snapshottable):
     stay armed across a resume seam.
     """
 
+    __slots__ = (
+        "context",
+        "rel_tol",
+        "abs_tol",
+        "checks_run",
+        "_last_now",
+        "_last_clock",
+        "_watts",
+    )
+
     _REBUILT = frozenset({"context", "_watts"})
 
     def __init__(

@@ -106,6 +106,18 @@ class SimulationKernel(Snapshottable):
     the timeline snapshots.
     """
 
+    __slots__ = (
+        "context",
+        "policy",
+        "timeline",
+        "clock",
+        "_scheduled_checkpoint",
+        "_checkpoint_hooks",
+        "_finish_hooks",
+        "_record_hook",
+        "_finished",
+    )
+
     _REBUILT = frozenset(
         {
             "context",

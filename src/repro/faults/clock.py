@@ -70,7 +70,21 @@ class FaultClock(Snapshottable):
     rebuilt by construction.
     """
 
+    __slots__ = (
+        "plan",
+        "_outages",
+        "_battery_failure_time",
+        "_states",
+        "_consumed_spin_up_events",
+        "_consumed_aborts",
+        "outage_violations",
+        "spin_up_failures_injected",
+        "migration_aborts_injected",
+    )
+
     _REBUILT = frozenset({"plan", "_outages", "_battery_failure_time"})
+
+    _LOGS = frozenset({"outage_violations"})
 
     def __init__(self, plan: FaultPlan | None = None) -> None:
         self.plan = plan if plan is not None else FaultPlan()

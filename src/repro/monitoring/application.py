@@ -79,7 +79,18 @@ class ApplicationMonitor(Snapshottable):
     trace is the workload's, which the resumed replay attaches again.
     """
 
+    __slots__ = (
+        "_source",
+        "_trace",
+        "_responses",
+        "window_row",
+        "_window_start",
+        "_item_volume",
+    )
+
     _REBUILT = frozenset({"_source", "_trace"})
+
+    _LOGS = frozenset({"_responses"})
 
     def __init__(self, source: ApplicationMonitor | None = None) -> None:
         self._source = self if source is None else source

@@ -10,6 +10,9 @@ power timeline (:mod:`repro.monitoring.timeline`) and the meters.
 
 It is also the data source for the I/O-interval analysis behind the
 paper's Figs 17–19: per-enclosure inter-arrival gaps of physical I/O.
+Only gaps longer than the monitor's gap floor are kept — the
+break-even time when :func:`~repro.simulation.build_context` builds it,
+since the curve reads nothing shorter.
 """
 
 from __future__ import annotations
@@ -24,20 +27,35 @@ from repro.trace.records import PhysicalIORecord
 
 
 class StorageMonitor(Snapshottable):
-    """Counts physical I/O and keeps per-enclosure interval statistics."""
+    """Counts physical I/O and keeps per-enclosure interval statistics.
 
-    _REBUILT = frozenset({"enclosures"})
+    ``gap_floor`` is the retention floor of the interval books: a gap
+    is kept only if it is longer.  Construction wires it in from the
+    configuration, so it is rebuilt on resume, never captured.
+    """
 
-    #: Gaps shorter than this are not retained individually (they can
-    #: never be Long Intervals and would bloat memory on busy runs).
-    MIN_RETAINED_GAP = 0.1
+    __slots__ = (
+        "enclosures",
+        "_gap_floor",
+        "_window_counts",
+        "_window_start",
+        "_last_io",
+        "_gaps",
+        "physical_io_count",
+        "_finished_at",
+    )
 
-    def __init__(self, enclosures: list[DiskEnclosure]) -> None:
+    _REBUILT = frozenset({"enclosures", "_gap_floor"})
+
+    def __init__(
+        self, enclosures: list[DiskEnclosure], gap_floor: float = 0.0
+    ) -> None:
         self.enclosures = {enc.name: enc for enc in enclosures}
+        self._gap_floor = gap_floor
         self._window_counts: defaultdict[str, int] = defaultdict(int)
         self._window_start = 0.0
         self._last_io: dict[str, float] = {}
-        #: Per-enclosure retained physical I/O gaps (>= MIN_RETAINED_GAP).
+        #: Per-enclosure physical I/O gaps longer than the gap floor.
         self._gaps: defaultdict[str, list[float]] = defaultdict(list)
         self.physical_io_count = 0
         self._finished_at: float | None = None
@@ -62,7 +80,7 @@ class StorageMonitor(Snapshottable):
         prev = self._last_io.get(enclosure)
         if prev is not None:
             gap = timestamp - prev
-            if gap >= self.MIN_RETAINED_GAP:
+            if gap > self._gap_floor:
                 self._gaps[enclosure].append(gap)
         self._last_io[enclosure] = timestamp
 
@@ -100,18 +118,22 @@ class StorageMonitor(Snapshottable):
         for name in self.enclosures:
             last = self._last_io.get(name)
             final_gap = now - last if last is not None else now
-            if final_gap >= self.MIN_RETAINED_GAP:
+            if final_gap > self._gap_floor:
                 self._gaps[name].append(final_gap)
         self._finished_at = now
 
     def intervals(self, enclosure: str) -> list[float]:
-        """Retained physical I/O gaps of one enclosure (unordered)."""
+        """Physical I/O gaps of one enclosure, unordered.
+
+        Only gaps longer than the gap floor are kept; the shorter ones
+        are never recorded.
+        """
         if enclosure not in self.enclosures:
             raise KeyError(f"unknown enclosure {enclosure!r}")
         return list(self._gaps.get(enclosure, []))
 
     def all_intervals(self) -> list[float]:
-        """Retained gaps across all enclosures (Figs 17–19 input)."""
+        """Kept gaps across all enclosures (Figs 17–19 input), unordered."""
         merged: list[float] = []
         for gaps in self._gaps.values():
             merged.extend(gaps)

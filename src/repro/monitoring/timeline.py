@@ -40,6 +40,15 @@ class TimelinePoint:
 class PowerTimeline(Snapshottable):
     """Samples enclosure power at a fixed cadence."""
 
+    __slots__ = (
+        "enclosures",
+        "interval_seconds",
+        "points",
+        "_last_energy",
+        "_last_time",
+        "_next_sample",
+    )
+
     _REBUILT = frozenset({"enclosures"})
 
     def __init__(

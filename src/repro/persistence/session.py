@@ -309,16 +309,28 @@ class SnapshotSession:
         return assemble_result(self.context, self.policy, outcome)
 
     def resume(self, payload: dict) -> ReplayResult:
-        """Restore a verified snapshot payload and finish the replay.
+        """Restore a verified snapshot payload and finish the replay."""
+        count, ts = self.restore(payload)
+        outcome = self.kernel.resume_replay(
+            self.workload.columnar(), self.workload.duration, count, ts
+        )
+        return assemble_result(self.context, self.policy, outcome)
 
-        The payload must come from :func:`~repro.persistence.format.load_snapshot`
-        (which already proved it bytewise intact), must have been taken
-        for this session's exact :class:`RunSpec`, and must hold exactly
-        the component states :meth:`capture` writes for it; anything
-        else raises :class:`~repro.errors.SnapshotError` before a single
+    def restore(self, payload: dict) -> tuple[int, float]:
+        """Restore a verified snapshot payload into this fresh session.
+
+        Returns the record count and timestamp the snapshot was taken
+        at, where :meth:`resume` continues the replay.  The payload must
+        come from :func:`~repro.persistence.format.load_snapshot` (which
+        already proved it bytewise intact), must have been taken for
+        this session's exact :class:`RunSpec`, and must hold exactly the
+        component states :meth:`capture` writes for it; anything else
+        raises :class:`~repro.errors.SnapshotError` before a single
         component is touched.  A component state that lacks a key or has
         the wrong shape is refused with a :class:`~repro.errors.SnapshotError`
-        naming the component; the session is not reusable after that.
+        naming the component, which is left as it was; components
+        restored before it keep their restored state, so the session is
+        not reusable after that.
         """
         _, count, ts = read_meta(payload)
         if payload["meta"]["spec"] != self.spec.to_dict():
@@ -339,7 +351,4 @@ class SnapshotSession:
         for name, component in components.items():
             with _reading(f"component state {name!r}"):
                 component.restore_state(states[name])
-        outcome = self.kernel.resume_replay(
-            self.workload.columnar(), self.workload.duration, count, ts
-        )
-        return assemble_result(self.context, self.policy, outcome)
+        return count, ts

@@ -169,7 +169,9 @@ def build_context(
         write_delay_bytes=config.write_delay_cache_bytes,
         dirty_block_rate=config.dirty_block_rate,
     )
-    storage_monitor = StorageMonitor(enclosures)
+    # The interval curve reads only gaps longer than the break-even
+    # time, so the monitor keeps nothing shorter.
+    storage_monitor = StorageMonitor(enclosures, config.break_even_time)
     controller = StorageController(
         virtualization,
         cache,

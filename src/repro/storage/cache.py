@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro import units
-from repro.capture import Snapshottable
+from repro.capture import SlotValue, Snapshottable
 from repro.errors import CapacityError, ValidationError
 from repro.units import Bytes
 
@@ -31,14 +31,17 @@ PAGE_BLOCKS = 64
 PAGE_BYTES = PAGE_BLOCKS * units.BLOCK_SIZE
 
 
-class LRUBlockCache:
+class LRUBlockCache(SlotValue):
     """Page-grained LRU over ``(item_id, page_index)`` keys.
 
     :meth:`StorageCache.read_hit` walks it: a hit moves the page to the
     most-recent end, a miss inserts it and evicts from the oldest end.
     Eviction is silent (clean read cache — dirty data lives in the
-    write-delay partition, never here).
+    write-delay partition, never here).  Instances compare equal with
+    equal capacity and pages, in the same recency order.
     """
+
+    __slots__ = ("capacity_pages", "_blocks")
 
     def __init__(self, capacity_bytes: Bytes) -> None:
         if capacity_bytes < 0:
@@ -52,17 +55,15 @@ class LRUBlockCache:
     def __contains__(self, key: tuple[str, int]) -> bool:
         return key in self._blocks
 
-    def __eq__(self, other: object) -> bool:
-        """Equal capacity and pages, in the same recency order."""
-        return isinstance(other, LRUBlockCache) and vars(other) == vars(self)
 
-
-class PreloadPartition:
+class PreloadPartition(SlotValue):
     """Cache region pinning whole data items (the preload function).
 
     Items are pinned until explicitly unpinned at the next management
     point (paper §V-C keeps already-preloaded items).
     """
+
+    __slots__ = ("capacity_bytes", "_items")
 
     def __init__(self, capacity_bytes: Bytes) -> None:
         if capacity_bytes < 0:
@@ -105,12 +106,8 @@ class PreloadPartition:
         """Whether the item is currently pinned."""
         return item_id in self._items
 
-    def __eq__(self, other: object) -> bool:
-        """Equal capacity and pin table."""
-        return isinstance(other, PreloadPartition) and vars(other) == vars(self)
 
-
-class WriteDelayPartition:
+class WriteDelayPartition(SlotValue):
     """Cache region buffering dirty blocks of write-delayed data items.
 
     Only items explicitly selected by the policy (``select``) are
@@ -119,6 +116,17 @@ class WriteDelayPartition:
     (paper §V-B: "flushes these updated blocks into disk enclosures at one
     time").
     """
+
+    __slots__ = (
+        "capacity_bytes",
+        "dirty_block_rate",
+        "_selected",
+        "_dirty",
+        "dirty_pages",
+        "flush_count",
+        "absorbed_pages",
+        "flushed_pages",
+    )
 
     def __init__(self, capacity_bytes: Bytes, dirty_block_rate: float = 0.5) -> None:
         if capacity_bytes < 0:
@@ -245,7 +253,7 @@ class WriteDelayPartition:
         """Equal selection, dirty pages (in first-dirtied order) and books."""
         return (
             isinstance(other, WriteDelayPartition)
-            and vars(other) == vars(self)
+            and super().__eq__(other)
             and list(other._dirty) == list(self._dirty)
         )
 
@@ -258,6 +266,8 @@ class StorageCache(Snapshottable):
     preload and write delay out of 2 GB).  The partitions are its
     snapshot state, captured as values.
     """
+
+    __slots__ = ("total_bytes", "lru", "preload", "write_delay")
 
     def __init__(
         self,

@@ -70,6 +70,50 @@ class StorageController(Snapshottable):
     The cache and virtualization snapshot as separate components.
     """
 
+    __slots__ = (
+        "virtualization",
+        "cache",
+        "migration_throughput_bps",
+        "bulk_bandwidth_bps",
+        "_physical_tap",
+        "retry_backoff_base",
+        "retry_backoff_cap",
+        "logical_io_count",
+        "cache_hit_count",
+        "migrated_bytes",
+        "migration_count",
+        "preloaded_bytes",
+        "flushed_bytes",
+        "promotion_count",
+        "demotion_count",
+        "archive_move_count",
+        "replication_count",
+        "replicated_bytes",
+        "_archive_devices",
+        "archive_serviced_items",
+        "_device_service_seconds",
+        "_device_service_ios",
+        "_fault_clock",
+        "_battery_failed",
+        "_emergency_items",
+        "_policy_selected",
+        "fault_denied_ios",
+        "fault_delayed_ios",
+        "fault_spin_up_retries",
+        "fault_delay_seconds",
+        "fault_max_queue_delay",
+        "emergency_buffered_ios",
+        "emergency_flushes",
+        "migration_aborts",
+        "_at_risk_last_time",
+        "_at_risk_last_bytes",
+        "at_risk_peak_bytes",
+        "at_risk_byte_seconds",
+        "at_risk_samples",
+    )
+
+    _LOGS = frozenset({"at_risk_samples"})
+
     _REBUILT = frozenset(
         {
             "virtualization",

@@ -117,7 +117,41 @@ class DiskEnclosure(Snapshottable):
     caller controls exactly what has been settled.
     """
 
+    __slots__ = (
+        "name",
+        "power_model",
+        "iops_random",
+        "iops_sequential",
+        "capacity_bytes",
+        "spin_down_timeout",
+        "_clock",
+        "_state",
+        "_state_entered",
+        "_idle_since",
+        "_busy_until",
+        "_transition_end",
+        "_power_off_enabled",
+        "_hold_awake_until",
+        "_external_energy",
+        "_watts_by_state",
+        "_energy_by_state",
+        "_time_by_state",
+        "spin_up_count",
+        "spin_down_count",
+        "io_count",
+        "read_count",
+        "write_count",
+        "last_io_time",
+        "spin_up_events",
+        "_fault_clock",
+        "outage_windows",
+        "_spin_up_failing",
+        "spin_up_failure_times",
+    )
+
     _REBUILT = frozenset({"_fault_clock", "outage_windows", "_watts_by_state"})
+
+    _LOGS = frozenset({"spin_up_events", "spin_up_failure_times"})
 
     def __init__(
         self,

@@ -140,6 +140,8 @@ class FlashTier(DiskEnclosure):
     charged to an I/O.
     """
 
+    __slots__ = ()
+
     #: Default service capacities of one flash device (I/Os per second).
     DEFAULT_IOPS_RANDOM = 20000.0
     DEFAULT_IOPS_SEQUENTIAL = 40000.0
@@ -178,6 +180,8 @@ class ArchiveTier(DiskEnclosure):
     power-off function enabled, so it spends nearly all of its life OFF
     and every access pays the long spin-up.
     """
+
+    __slots__ = ()
 
     #: Default service capacities of one archive device (I/Os per second).
     DEFAULT_IOPS_RANDOM = 120.0

@@ -68,6 +68,22 @@ class BlockVirtualization(Snapshottable):
     tier structure and the derived route cache are rebuilt.
     """
 
+    __slots__ = (
+        "_enclosures",
+        "_tiers",
+        "_device_tier",
+        "tier_ledger",
+        "_volumes",
+        "_item_volume",
+        "_item_size",
+        "_item_base",
+        "_used_bytes",
+        "_next_block",
+        "_replicas",
+        "_replica_bytes",
+        "_route_cache",
+    )
+
     _REBUILT = frozenset(
         {
             "_enclosures",

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro import units
+from repro.actions.executor import ActionExecutor
 from repro.actions.records import ActionOutcome, SetPowerOffEnabled
 from repro.baselines.ddr import DDRPolicy
 from repro.config import DEFAULT_CONFIG
@@ -201,15 +202,18 @@ class TestDDRRecurrence:
 
 class TestDDRPlanRule:
     def spy_on_apply(self, context, monkeypatch):
+        # Components are slotted, so the spy wraps the class's method
+        # and records only the calls on this context's executor.
         executor = context.executor
         calls = []
-        real_apply = executor.apply
+        real_apply = ActionExecutor.apply
 
-        def spy(now, plan):
-            calls.append((now, list(plan)))
-            return real_apply(now, plan)
+        def spy(self, now, plan):
+            if self is executor:
+                calls.append((now, list(plan)))
+            return real_apply(self, now, plan)
 
-        monkeypatch.setattr(executor, "apply", spy)
+        monkeypatch.setattr(ActionExecutor, "apply", spy)
         return calls
 
     def test_no_plan_while_nothing_is_or_was_cold(self, monkeypatch):

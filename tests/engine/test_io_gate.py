@@ -94,9 +94,16 @@ def _ungated(policy: PowerPolicy) -> PowerPolicy:
     """``policy`` recast as a subclass whose gate never skips a record."""
     cls = type(policy)
     policy.__class__ = type(
-        f"Ungated{cls.__name__}", (cls,), {"io_gate": lambda self: -math.inf}
+        f"Ungated{cls.__name__}",
+        (cls,),
+        {"__slots__": (), "io_gate": lambda self: -math.inf},
     )
     return policy
+
+
+def _after_io_owner(cls: type) -> type:
+    """The class on ``cls``'s MRO that defines the ``after_io`` it runs."""
+    return next(klass for klass in cls.__mro__ if "after_io" in vars(klass))
 
 
 def _sha(payload: object) -> str:
@@ -116,17 +123,21 @@ def _run(
     if not gated:
         policy = _ungated(policy)
     calls = 0
-    after_io = policy.after_io
+    owner = _after_io_owner(type(policy))
+    after_io = owner.after_io
 
-    def counted(*args: object) -> None:
+    def counted(self: PowerPolicy, *args: object) -> None:
         nonlocal calls
-        calls += 1
-        after_io(*args)
+        if self is policy:
+            calls += 1
+        after_io(self, *args)
 
-    # The pump binds ``policy.after_io``, so the instance attribute wins.
-    policy.after_io = counted  # type: ignore[method-assign]
-    result = run_on_context(context, workload, policy)
-    del policy.after_io
+    # Policies are slotted, so the count wraps the method where it is
+    # defined: the default gate's override test still sees the same
+    # ``after_io`` on the policy's class and on ``PowerPolicy``.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, "after_io", counted)
+        result = run_on_context(context, workload, policy)
     actions = [record.to_dict() for record in result.replay.actions]
     state = policy.snapshot_state()
     return _sha(result_to_dict(result)), _sha(actions), state, calls

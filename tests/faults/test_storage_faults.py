@@ -150,7 +150,7 @@ class TestEnclosureSpinUp:
         _, _, encs, _ = build(plan)
         enc = encs[0]
         power_off(enc, 0.0)
-        monkeypatch.setattr(enc, "_ensure_on", lambda: None)
+        monkeypatch.setattr(DiskEnclosure, "_ensure_on", lambda self: None)
         with pytest.raises(
             AuditError, match="illegal power-state transition off -> active"
         ):
@@ -166,7 +166,7 @@ class TestEnclosureSpinUp:
         _, _, encs, _ = build()
         enc = encs[0]
         power_off(enc, 0.0)
-        monkeypatch.setattr(enc, "_ensure_on", lambda: None)
+        monkeypatch.setattr(DiskEnclosure, "_ensure_on", lambda self: None)
         with pytest.raises(
             AuditError, match="illegal power-state transition off -> active"
         ):

@@ -61,7 +61,7 @@ class TestWindowBuffer:
         array.record(0.3)
         assert list(zone.window_columns()) == [rec(2.0, "b"), rec(3.0)]
         assert list(array.window_columns()) == [rec(1.0), rec(2.0, "b"), rec(3.0)]
-        assert zone.snapshot_state()["_responses"] == []
+        assert zone.snapshot_state()["_responses"] == ()
 
 
 class TestResponseStats:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.monitoring.storage import StorageMonitor
+from repro.simulation import build_context
 from repro.storage.enclosure import DiskEnclosure
 from repro.trace.records import IOType, PhysicalIORecord
 
@@ -54,10 +56,31 @@ class TestIntervals:
         assert mon.intervals("e0") == [10.0, 60.0]
 
     def test_tiny_gaps_not_retained(self):
-        mon, _ = monitor()
+        mon = StorageMonitor([DiskEnclosure("e0")], gap_floor=0.1)
         mon.on_physical(phys(0.0))
         mon.on_physical(phys(0.01))
         assert mon.intervals("e0") == []
+
+    def test_only_gaps_longer_than_the_floor_are_kept(self):
+        mon = StorageMonitor([DiskEnclosure("e0")], gap_floor=52.0)
+        for t in (0.0, 52.0, 52.5, 200.0):
+            mon.on_physical(phys(t))
+        mon.finish(252.0)
+        assert mon.intervals("e0") == [147.5]
+
+    def test_simultaneous_ios_leave_no_zero_gap(self):
+        mon, _ = monitor()
+        mon.on_physical(phys(3.0))
+        mon.on_physical(phys(3.0))
+        assert mon.intervals("e0") == []
+
+    def test_build_context_keeps_gaps_longer_than_break_even(self):
+        context = build_context(DEFAULT_CONFIG, 1)
+        mon = context.storage_monitor
+        break_even = DEFAULT_CONFIG.break_even_time
+        for t in (0.0, break_even, break_even + 0.5, 4 * break_even):
+            mon.on_physical_fast(t, "enc-00", 1)
+        assert mon.intervals("enc-00") == [3 * break_even - 0.5]
 
     def test_finish_closes_final_gap(self):
         mon, _ = monitor()

@@ -196,7 +196,8 @@ class TestResumeBitIdentity:
         spec = RunSpec(workload="tpcc", policy="ddr")
         session = SnapshotSession(spec)
         payload = _capture_at(session, 500)
-        payload["states"]["app_monitor"]["_responses"].pop()
+        state = payload["states"]["app_monitor"]
+        state["_responses"] = state["_responses"][:-1]
         with pytest.raises(SnapshotError, match="499 responses"):
             SnapshotSession(spec).resume(payload)
 
