@@ -46,13 +46,13 @@ from repro.errors import CapacityError, MigrationAbortedError, UsageError
 from repro.storage.cache import PAGE_BYTES
 from repro.storage.tiers import TierKind
 
-#: Action types whose applied/aborted counts roll into the executor's
+#: Action types whose applied counts roll into the executor's
 #: migration aggregates: all of them delegate to the controller's
 #: migration machinery, so the auditor's one-directional consistency
 #: check against ``controller.migration_count`` must see them.
 #: :class:`ReplicateItem` is deliberately absent — a replica copy is a
 #: transfer but not a move, and the controller books it under
-#: ``replication_count`` / ``replicated_bytes``, never as a migration.
+#: ``replication_count``, never as a migration.
 _MIGRATION_ACTIONS = (
     MigrateItem,
     ChargeBlockMigration,
@@ -141,7 +141,6 @@ class ActionExecutor(Snapshottable):
         "actions_vetoed",
         "actions_rejected",
         "migrations_applied",
-        "migrations_aborted",
         "migrated_bytes_applied",
         "promotes_applied",
         "demotes_applied",
@@ -174,7 +173,6 @@ class ActionExecutor(Snapshottable):
         # Migration-flavoured aggregates, for the invariant auditor's
         # one-directional consistency check against controller books.
         self.migrations_applied = 0
-        self.migrations_aborted = 0
         self.migrated_bytes_applied = 0
         # Tier-lifecycle aggregates (repro.storage.tiers).
         self.promotes_applied = 0
@@ -226,12 +224,9 @@ class ActionExecutor(Snapshottable):
             else:
                 self.actions_rejected += 1
             action = record.action
-            if isinstance(action, _MIGRATION_ACTIONS):
-                if outcome is _APPLIED:
-                    self.migrations_applied += 1
-                    self.migrated_bytes_applied += record.cost_bytes
-                elif outcome is _ABORTED_BY_FAULT:
-                    self.migrations_aborted += 1
+            if isinstance(action, _MIGRATION_ACTIONS) and outcome is _APPLIED:
+                self.migrations_applied += 1
+                self.migrated_bytes_applied += record.cost_bytes
             if isinstance(action, PromoteItem):
                 self.promote_attempt_items.add(action.item_id)
                 if outcome is _APPLIED:

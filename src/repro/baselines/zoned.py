@@ -19,6 +19,7 @@ from typing import Any
 
 from repro.actions.plan import ActionPlan
 from repro.baselines.base import PowerPolicy
+from repro.capture import Snapshottable
 from repro.errors import ConfigurationError, SnapshotError
 from repro.monitoring.application import ApplicationMonitor
 from repro.monitoring.storage import StorageMonitor
@@ -26,6 +27,9 @@ from repro.simulation import SimulationContext
 from repro.storage.enclosure import DiskEnclosure
 from repro.storage.meter import PowerMeter
 from repro.storage.virtualization import BlockVirtualization
+
+#: The keys of one zone's captured state.
+_ZONE_PARTS = frozenset({"policy", "app_monitor", "storage_monitor"})
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,6 @@ class _ZoneVirtualization:
 
     def has_item(self, item_id: str) -> bool:
         return self._inner.has_item(item_id)
-
-    def resolve(self, item_id: str, offset: int) -> tuple[str, int]:
-        return self._inner.resolve(item_id, offset)
 
     def move_item(self, item_id: str, target: str) -> tuple[str, str]:
         if target not in self._names:
@@ -297,32 +298,72 @@ class ZonedPolicy(PowerPolicy):
         }
         return state
 
+    def _zone_parts(
+        self, zones: dict[str, Any]
+    ) -> list[tuple[Snapshottable, Any]]:
+        """Every zone component paired with its state in ``zones``."""
+        by_name = {zone.name: zone for zone in self.zones}
+        parts: list[tuple[Snapshottable, Any]] = []
+        for name, zone_state in zones.items():
+            if not isinstance(zone_state, dict) or set(zone_state) != _ZONE_PARTS:
+                raise SnapshotError(
+                    f"zone {name!r} state does not hold exactly "
+                    f"{sorted(_ZONE_PARTS)}"
+                )
+            policy = by_name[name].policy
+            zone_context = policy._require_context()
+            parts += [
+                (policy, zone_state["policy"]),
+                (zone_context.app_monitor, zone_state["app_monitor"]),
+                (zone_context.storage_monitor, zone_state["storage_monitor"]),
+            ]
+        return parts
+
+    def check_state(self, state: dict[str, Any]) -> None:
+        """Refuse ``state`` unless :meth:`restore_state` would take it whole.
+
+        Checks the outer policy's own state, the zone-name set, the item
+        router's zone names and every zone's policy, app-monitor and
+        storage-monitor state; changes nothing.
+        """
+        if not isinstance(state, dict):
+            raise SnapshotError("ZonedPolicy state is not a mapping")
+        outer = dict(state)
+        zones = outer.pop("zones", None)
+        item_zone = outer.pop("item_zone", None)
+        super().check_state(outer)
+        names = {zone.name for zone in self.zones}
+        if not isinstance(zones, dict) or set(zones) != names:
+            found = sorted(zones) if isinstance(zones, dict) else zones
+            raise SnapshotError(
+                "snapshot zones do not match this policy's zones: "
+                f"snapshot has {found}, policy has {sorted(names)}"
+            )
+        if not isinstance(item_zone, dict) or not set(item_zone.values()) <= names:
+            raise SnapshotError(
+                "ZonedPolicy state 'item_zone' does not map items to this "
+                "policy's zones"
+            )
+        for component, part_state in self._zone_parts(zones):
+            component.check_state(part_state)
+
     def restore_state(self, state: dict[str, Any]) -> None:
         """Restore every zone from :meth:`snapshot_state`'s capture.
 
-        The policy must already be ``bind()``-ed (which rebuilds the
-        zone sub-contexts); restoring also re-arms the physical-record
-        fan-out tap that :meth:`on_start` installed in the original run.
+        All or nothing: :meth:`check_state` refuses a bad state before
+        any part is assigned.  The policy must already be ``bind()``-ed
+        (which rebuilds the zone sub-contexts); restoring also re-arms
+        the physical-record fan-out tap that :meth:`on_start` installed
+        in the original run.
         """
+        self.check_state(state)
         state = dict(state)
         item_zone = state.pop("item_zone")
         zones = state.pop("zones")
         super().restore_state(state)
+        for component, part_state in self._zone_parts(zones):
+            component.restore_state(part_state)
         by_name = {zone.name: zone for zone in self.zones}
-        if set(zones) != set(by_name):
-            raise SnapshotError(
-                "snapshot zones do not match this policy's zones: "
-                f"snapshot has {sorted(zones)}, "
-                f"policy has {sorted(by_name)}"
-            )
-        for name, zone_state in zones.items():
-            zone = by_name[name]
-            zone.policy.restore_state(zone_state["policy"])
-            zone_context = zone.policy._require_context()
-            zone_context.app_monitor.restore_state(zone_state["app_monitor"])
-            zone_context.storage_monitor.restore_state(
-                zone_state["storage_monitor"]
-            )
         self._item_zone = {
             item: by_name[name] for item, name in item_zone.items()
         }

@@ -158,14 +158,14 @@ class Snapshottable:
             for name, value in state.items()
         }
 
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Overwrite this freshly built component's state with ``state``.
+    def check_state(self, state: dict[str, Any]) -> None:
+        """Refuse ``state`` unless :meth:`restore_state` would take it.
 
-        Raises :class:`~repro.errors.SnapshotError`, naming the missing
-        and the extra attributes, unless ``state`` holds exactly the
-        attributes :meth:`snapshot_state` captures.  Every value is
-        checked and copied before the first slot is assigned, so a
-        refused state leaves the component as it was.
+        Raises :class:`~repro.errors.SnapshotError` unless ``state`` is a
+        mapping holding exactly the attributes :meth:`snapshot_state`
+        captures (naming the missing and the extra ones), with every
+        :attr:`_LOGS` value a sequence.  Reads the component, changes
+        nothing.
         """
         name = type(self).__name__
         if not isinstance(state, dict):
@@ -184,6 +184,16 @@ class Snapshottable:
                     f"{name} state {log!r} is not a sequence: "
                     f"{type(state[log]).__name__}"
                 )
+
+    def restore_state(self, state: dict[str, Any]) -> None:
+        """Overwrite this freshly built component's state with ``state``.
+
+        The state is refused by :meth:`Snapshottable.check_state`, and
+        every value copied, before the first slot is assigned, so a
+        refused state leaves the component as it was.
+        """
+        Snapshottable.check_state(self, state)
+        _, logs = _layout(type(self))
         copied = _copy(
             {key: value for key, value in state.items() if key not in logs}
         )

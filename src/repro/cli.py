@@ -39,7 +39,7 @@ regenerates every paper table/figure as text (``--jobs``/``--cache-dir``
 route its sweeps through the same engine); ``run`` replays one workload
 under one policy (``--audit`` verifies the energy / capacity / time
 invariants every monitoring period; ``--snapshot-every`` writes
-crash-safe ``.ecsn`` state snapshots (format 4: each component's
+crash-safe ``.ecsn`` state snapshots (format 5: each component's
 attributes minus its construction wiring) that ``resume`` continues
 from bit-identically, refusing a file of an older format with exit 2,
 and ``crash-test`` proves that with a seeded kill/resume sweep — see
@@ -230,44 +230,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise UsageError(
             "--snapshot-every and --snapshot-dir must be given together"
         )
-    if args.snapshot_every:
-        # The durable path: route through a snapshot session so every
-        # Nth record boundary lands an atomic .ecsn file that `ecostor
-        # resume` can continue from (see docs/snapshots.md).
-        from repro.persistence import RunSpec, SnapshotSession
+    # Every run is a snapshot session; without --snapshot-every it
+    # writes no snapshot.  With it, every Nth record boundary lands an
+    # atomic .ecsn file that `ecostor resume` can continue from (see
+    # docs/snapshots.md).
+    from repro.persistence import RunSpec, SnapshotSession
 
-        spec = RunSpec(
-            workload=args.workload,
-            policy=args.policy,
-            full=args.full,
-            audit=args.audit,
-        )
-        session = SnapshotSession(spec)
-        replay = session.run(args.snapshot_every, args.snapshot_dir)
-        _print_replay_report(
-            f"{session.workload.name} ({session.workload.io_count} I/Os)",
-            replay,
-        )
-        if args.audit:
-            print(
-                f"audit:           {session.auditor.checks_run} invariant "
-                "checks, 0 violations"
-            )
-        print(
-            f"snapshots:       {session.snapshots_written} written to "
-            f"{args.snapshot_dir}"
-        )
-        return 0
-    workload = build_workload(args.workload, args.full)
-    policy = STANDARD_POLICIES[args.policy]()
-    result = run_cell(workload, policy, audit=args.audit)
+    spec = RunSpec(
+        workload=args.workload,
+        policy=args.policy,
+        full=args.full,
+        audit=args.audit,
+    )
+    session = SnapshotSession(spec)
+    replay = session.run(args.snapshot_every, args.snapshot_dir)
     _print_replay_report(
-        f"{workload.name} ({workload.io_count} I/Os)", result.replay
+        f"{session.workload.name} ({session.workload.io_count} I/Os)",
+        replay,
     )
     if args.audit:
         print(
-            f"audit:           {result.audit_checks} invariant checks, "
-            "0 violations"
+            f"audit:           {session.auditor.checks_run} invariant "
+            "checks, 0 violations"
+        )
+    if args.snapshot_every:
+        print(
+            f"snapshots:       {session.snapshots_written} written to "
+            f"{args.snapshot_dir}"
         )
     return 0
 

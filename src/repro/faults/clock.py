@@ -7,9 +7,11 @@ questions the storage layer asks at its injection points:
 * :meth:`FaultClock.spin_up_attempt` — from
   :meth:`~repro.storage.enclosure.DiskEnclosure._ensure_on`: does this
   spin-up attempt fail, and how slow is it?
-* :meth:`FaultClock.outage_at` — from enclosure
-  ``submit_one``/``submit``/``occupy`` and the controller's routing
-  logic: is this enclosure inside an injected outage window right now?
+* :meth:`FaultClock.outage_at` — from
+  :meth:`~repro.storage.enclosure.DiskEnclosure.submit_one`, the one
+  service body behind ``submit`` and ``occupy``, and from the
+  controller's routing logic: is this enclosure inside an injected
+  outage window right now?
   An enclosure asks it only if :meth:`FaultClock.outage_windows`, bound
   once when the clock is attached, gave it any windows.
 * :meth:`FaultClock.battery_failure_time` — from the controller's

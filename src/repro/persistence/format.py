@@ -4,7 +4,7 @@ A snapshot file is one fixed header followed by one pickled payload::
 
     offset  size  field
     0       4     magic ``b"ECSN"``
-    4       4     format version (u32, little-endian) — currently 4
+    4       4     format version (u32, little-endian) — currently 5
     8       8     payload length in bytes (u64, little-endian)
     16      4     CRC-32 of the payload bytes (u32, little-endian)
     20      len   payload: ``pickle.dumps({"meta": ..., "states": ...})``
@@ -56,10 +56,12 @@ __all__ = [
 MAGIC = b"ECSN"
 
 #: Envelope version written by :func:`write_snapshot`, the only one
-#: :func:`load_snapshot` reads.  Version 4: every component state is
+#: :func:`load_snapshot` reads.  Version 5: every component state is
 #: the component's attributes, minus the ones construction rebuilds
-#: (:class:`repro.capture.Snapshottable`).
-FORMAT_VERSION = 4
+#: (:class:`repro.capture.Snapshottable`); version 4 also carried the
+#: write-only books that version 5 dropped (the enclosure's state-entry
+#: time, the block map, ``replicated_bytes``, ``migrations_aborted``).
+FORMAT_VERSION = 5
 
 #: File-name suffix of snapshot files.
 SNAPSHOT_SUFFIX = ".ecsn"

@@ -24,11 +24,7 @@ from repro.storage.tiers import (
     TierKind,
     TierLedger,
 )
-from repro.storage.virtualization import (
-    BlockVirtualization,
-    PhysicalExtent,
-    Volume,
-)
+from repro.storage.virtualization import BlockVirtualization, Volume
 
 __all__ = [
     "ArchiveTier",
@@ -38,7 +34,6 @@ __all__ = [
     "FlashTier",
     "IOResult",
     "LRUBlockCache",
-    "PhysicalExtent",
     "PowerMeter",
     "PowerModel",
     "PowerReading",

@@ -88,7 +88,6 @@ class StorageController(Snapshottable):
         "demotion_count",
         "archive_move_count",
         "replication_count",
-        "replicated_bytes",
         "_archive_devices",
         "archive_serviced_items",
         "_device_service_seconds",
@@ -165,7 +164,6 @@ class StorageController(Snapshottable):
         self.demotion_count = 0
         self.archive_move_count = 0
         self.replication_count = 0
-        self.replicated_bytes: Bytes = 0
         #: Devices of the archive tier; service routed to one of these
         #: records the item in :attr:`archive_serviced_items`.
         self._archive_devices = frozenset(
@@ -343,7 +341,8 @@ class StorageController(Snapshottable):
         try:
             return attempt(now, *args), 0.0
         except (EnclosureUnavailableError, SpinUpFailedError) as err:
-            return self._retry_fault(now, err, attempt, *args)
+            result, at = self._retry_fault(now, err, attempt, *args)
+            return result, at - now
 
     def _retry_fault(
         self,
@@ -359,8 +358,8 @@ class StorageController(Snapshottable):
         virtual time, so the schedule is deterministic.  Both fault
         types are finite by construction (outage windows end, failure
         streaks break), so the loop terminates.  Returns the result
-        plus the fault-imposed delay before the successful attempt, and
-        counts the I/O as denied and/or delayed.
+        plus the instant of the successful attempt, and counts the I/O
+        as denied and/or delayed.
         """
         at = now
         retries = 0
@@ -390,7 +389,7 @@ class StorageController(Snapshottable):
             self.fault_delayed_ios += 1
             self.fault_delay_seconds += delay
             self.fault_max_queue_delay = max(self.fault_max_queue_delay, delay)
-        return result, delay
+        return result, at
 
     def _emit_physical(
         self, timestamp: float, enclosure: str, count: int
@@ -439,8 +438,8 @@ class StorageController(Snapshottable):
         (:meth:`on_time`) and a write whose enclosure is out may land in
         the emergency buffer.  The physical I/O is one
         :meth:`~repro.storage.enclosure.DiskEnclosure.submit_one` call
-        on every run; only an injected fault it raises enters the retry
-        loop (:meth:`_retry_fault`).
+        for ``1/rate`` seconds on every run; only an injected fault it
+        raises enters the retry loop (:meth:`_retry_fault`).
         """
         self.logical_io_count += 1
         faulted = self._fault_clock is not None
@@ -487,16 +486,31 @@ class StorageController(Snapshottable):
         # The first attempt is the whole physical I/O on every run; an
         # injected fault (never raised without a fault clock) hands the
         # I/O to the retry loop.  A try block costs nothing in 3.11
-        # until it catches.
+        # until it catches.  The response is summed in one of two forms,
+        # which can differ in the last bit because ``(start + s) - start``
+        # need not equal ``s``: with a fault clock ``(start - arrival) +
+        # (completion - start)``, bit-equal to the
+        # ``IOResult.mean_response_time`` of a one-I/O batch (the faulted
+        # golden fixtures pin it); without one ``(start - arrival) + s``
+        # (the fault-free golden fixtures pin it).
         issued = timestamp
+        service = 1.0 / (
+            enclosure.iops_sequential if sequential else enclosure.iops_random
+        )
         try:
-            response = enclosure.submit_one(timestamp, is_read, sequential)
+            start = enclosure.submit_one(timestamp, service, 1, is_read)
         except (EnclosureUnavailableError, SpinUpFailedError) as err:
-            served, delay = self._retry_fault(
-                timestamp, err, enclosure.submit_one, is_read, sequential
+            start, at = self._retry_fault(
+                timestamp, err, enclosure.submit_one, service, 1, is_read
             )
+            delay = at - timestamp
             issued = timestamp + delay
-            response = served + delay
+            response = ((start - at) + ((start + service) - start)) + delay
+        else:
+            if faulted:
+                response = (start - timestamp) + ((start + service) - start)
+            else:
+                response = (start - timestamp) + service
         tap = self._physical_tap
         if tap is not None:
             tap(issued, name, 1)
@@ -793,7 +807,6 @@ class StorageController(Snapshottable):
             )
         completion = self._background_copy(now, item_id, size, src, dst)
         self.virtualization.add_replica(item_id, target_enclosure)
-        self.replicated_bytes += size
         self.replication_count += 1
         return completion
 

@@ -126,7 +126,6 @@ class DiskEnclosure(Snapshottable):
         "spin_down_timeout",
         "_clock",
         "_state",
-        "_state_entered",
         "_idle_since",
         "_busy_until",
         "_transition_end",
@@ -175,7 +174,6 @@ class DiskEnclosure(Snapshottable):
 
         self._clock: Seconds = 0.0
         self._state = _IDLE
-        self._state_entered: Seconds = 0.0
         self._idle_since: Seconds = 0.0
         self._busy_until: Seconds = 0.0
         self._transition_end: Seconds = 0.0
@@ -303,15 +301,14 @@ class DiskEnclosure(Snapshottable):
         :class:`~repro.errors.AuditError` instead of silently clamping.
         The two edges every served I/O takes (IDLE→ACTIVE when service
         starts, ACTIVE→IDLE when the queue drains) are taken in place by
-        :meth:`settle`, :meth:`submit_one` and :meth:`_serve`, with the
-        same truth table (``_INTO_ACTIVE`` / ``_INTO_IDLE`` hold the
-        graph's legal sources of those two targets) and the same error,
-        so the audit stays on in the hot path without this call frame.
+        :meth:`settle` and :meth:`submit_one`, with the same truth table
+        (``_INTO_ACTIVE`` / ``_INTO_IDLE`` hold the graph's legal sources
+        of those two targets) and the same error, so the audit stays on
+        in the hot path without this call frame.
         """
         if (self._state, target) not in LEGAL_TRANSITIONS:
             raise self._illegal_transition(target, at)
         self._state = target
-        self._state_entered = at
 
     def _illegal_transition(self, target: PowerState, at: Seconds) -> AuditError:
         return AuditError(
@@ -364,7 +361,6 @@ class DiskEnclosure(Snapshottable):
                     if self._state not in _INTO_IDLE:
                         raise self._illegal_transition(idle, end)
                     self._state = idle
-                    self._state_entered = end
                     self._idle_since = end
             elif self._state is idle:
                 end = now
@@ -475,46 +471,33 @@ class DiskEnclosure(Snapshottable):
     ) -> IOResult:
         """Submit a batch of I/Os arriving at ``now``; returns timing.
 
-        Handles spin-up (with its wait charged to the request), queueing
-        behind earlier requests, and the ACTIVE energy of the service
-        itself.  ``now`` may be earlier than the settled clock (the
-        enclosure was busy servicing a prior spin-up); the request then
-        queues at the current clock.
+        Validates the batch and serves it through :meth:`submit_one` at
+        the IOPS service time of :meth:`service_time`.
         """
-        if count <= 0:
-            raise ValidationError("count must be positive")
         service = self.service_time(count, sequential)
-        start, completion = self._serve(now, service, count, read)
-        return IOResult(arrival=now, start=start, completion=completion, count=count)
+        start = self.submit_one(now, service, count, read)
+        return IOResult(
+            arrival=now, start=start, completion=start + service, count=count
+        )
 
     def submit_one(
-        self,
-        now: Seconds,
-        read: bool,
-        sequential: bool,
+        self, now: Seconds, seconds: Seconds, count: int, read: bool
     ) -> Seconds:
-        """Serve a single I/O; returns its mean response time in seconds.
+        """Queue ``count`` I/Os arriving at ``now`` for ``seconds`` of service.
 
-        The allocation-free form of :meth:`submit` for ``count=1`` that
-        the replay path drives, faulted or not: no :class:`IOResult` is
-        built.  It walks the timeline exactly as :meth:`_serve` does and
-        leaves the same state.  On an enclosure with outage windows it
+        Returns the service start; service completes at ``start +
+        seconds``.  This is the one service body: the controller calls it
+        for every application I/O, and :meth:`submit` and :meth:`occupy`
+        validate their arguments and call it.  It handles spin-up (the
+        wait is charged to the request), queueing behind earlier
+        requests, and the ACTIVE energy of the service itself; ``now``
+        may be earlier than the settled clock, and the request then
+        queues at that clock.  On an enclosure with outage windows it
         refuses service inside one (at the settled clock, and again at
         the start if the queue moved it) and records the start for the
         outage-violation audit; without windows neither question is
         asked, since both would answer "no outage".  :meth:`_ensure_on`
         draws the spin-up fault whenever a fault clock is attached.
-
-        The response is summed in one of two forms, which can differ in
-        the last bit because ``(start + s) - start`` need not equal
-        ``s``:
-
-        * with a fault clock attached, ``(start - now) + (completion -
-          start)`` — bit-equal to ``submit(now, count=1,
-          ...).mean_response_time`` (its ``service × 2 / 2`` is exact in
-          floating point); the faulted golden fixtures pin this form;
-        * without one, ``(start - now) + 1/rate``; the fault-free golden
-          replay fixtures pin this form.
         """
         if now > self._clock:
             self.settle(now)
@@ -545,29 +528,21 @@ class DiskEnclosure(Snapshottable):
         # the settled clock (start >= clock by construction).
         if start > self._clock:
             self.settle(start)
-        # 1/rate == service_time(1, sequential) exactly (1 converts to
-        # 1.0 with no rounding).
-        service = 1.0 / (self.iops_sequential if sequential else self.iops_random)
-        completion = start + service
+        completion = start + seconds
         if self._state is not _ACTIVE:
             # _transition(ACTIVE, start), in place.
             if self._state not in _INTO_ACTIVE:
                 raise self._illegal_transition(_ACTIVE, start)
             self._state = _ACTIVE
-            self._state_entered = start
         if completion > self._busy_until:
             self._busy_until = completion
-        self.io_count += 1
+        self.io_count += count
         if read:
-            self.read_count += 1
+            self.read_count += count
         else:
-            self.write_count += 1
+            self.write_count += count
         self.last_io_time = now
-        # Two sums on purpose (see the docstring): each golden set pins
-        # one, and they can differ by one ULP.
-        if self._fault_clock is not None:
-            return (start - now) + (completion - start)
-        return (start - now) + service
+        return start
 
     def background_transfer(
         self,
@@ -620,65 +595,16 @@ class DiskEnclosure(Snapshottable):
         Bulk operations (preload bursts, write-delay flushes, migration
         copies) are bandwidth-dominated rather than IOPS-dominated, so the
         caller computes their duration from bytes / bandwidth and this
-        method charges the ACTIVE time directly.  Queueing and spin-up
-        behave exactly as in :meth:`submit`.
+        method validates it and serves it through :meth:`submit_one`.
         """
         if seconds < 0:
             raise ValidationError("seconds must be non-negative")
         if count <= 0:
             raise ValidationError("count must be positive")
-        start, completion = self._serve(now, seconds, count, read)
-        return IOResult(arrival=now, start=start, completion=completion, count=count)
-
-    def _serve(
-        self, now: Seconds, seconds: Seconds, count: int, read: bool
-    ) -> tuple[Seconds, Seconds]:
-        """Queue ``count`` I/Os arriving at ``now`` for ``seconds`` of service.
-
-        Returns the service ``(start, completion)``.  The service body of
-        :meth:`submit` and :meth:`occupy`, step for step that of
-        :meth:`submit_one`: the same outage refusals behind the same
-        windows gate, the same spin-up fault draw and outage-violation
-        audit, in the same order.
-        """
-        if now > self._clock:
-            self.settle(now)
-        state = self._state
-        if state is not _ACTIVE and state is not _IDLE:
-            at = self._clock
-            if self.outage_windows:
-                self._refuse_in_outage(at)
-            self._ensure_on()
-        start = now
-        if self._clock > start:
-            start = self._clock
-        if self._busy_until > start:
-            start = self._busy_until
-        if self.outage_windows:
-            if state is _ACTIVE or state is _IDLE:
-                at = self._clock
-                self._refuse_in_outage(at)
-            if start != at:
-                self._refuse_in_outage(start)
-            self._fault_clock.note_service(self.name, start)
-        if start > self._clock:
-            self.settle(start)
-        completion = start + seconds
-        if self._state is not _ACTIVE:
-            # _transition(ACTIVE, start), in place.
-            if self._state not in _INTO_ACTIVE:
-                raise self._illegal_transition(_ACTIVE, start)
-            self._state = _ACTIVE
-            self._state_entered = start
-        if completion > self._busy_until:
-            self._busy_until = completion
-        self.io_count += count
-        if read:
-            self.read_count += count
-        else:
-            self.write_count += count
-        self.last_io_time = now
-        return start, completion
+        start = self.submit_one(now, seconds, count, read)
+        return IOResult(
+            arrival=now, start=start, completion=start + seconds, count=count
+        )
 
     def _refuse_in_outage(self, at: Seconds) -> None:
         """Refuse service at ``at`` if it falls inside an outage window.

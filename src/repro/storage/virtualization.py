@@ -3,11 +3,11 @@
 The paper's storage stack (Fig 2) interposes a block-virtualization layer
 between applications and disk enclosures.  Applications address **data
 items** (tables, indexes, files) inside **volumes**; the virtualization
-layer maps each volume to a disk enclosure and each data item to a block
-extent.  A data item lives wholly on one enclosure — the paper splits
-anything spanning enclosures into separate items (§II-C.1) — so the
-mapping here is simply *item → volume → enclosure* plus a base block
-address per item.
+layer maps each volume to a disk enclosure.  A data item lives wholly on
+one enclosure — the paper splits anything spanning enclosures into
+separate items (§II-C.1) — so the mapping here is simply *item → volume
+→ enclosure*; no block address is modelled, since service time depends
+only on the enclosure and the access pattern.
 
 The layer also owns capacity accounting (used/free bytes per enclosure),
 which the placement algorithms (paper Algorithms 2 and 3) consult, and it
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import units
 from repro.capture import Snapshottable
 from repro.errors import CapacityError, MappingError, ValidationError
 from repro.storage.enclosure import DiskEnclosure
@@ -36,20 +35,6 @@ class Volume:
 
     name: str
     enclosure: str
-
-
-@dataclass(frozen=True)
-class PhysicalExtent:
-    """Physical location of a data item: enclosure + block extent."""
-
-    enclosure: str
-    base_block: int
-    blocks: int
-
-    @property
-    def size_bytes(self) -> int:
-        """Volume size in bytes."""
-        return units.blocks_to_bytes(self.blocks)
 
 
 class BlockVirtualization(Snapshottable):
@@ -76,9 +61,7 @@ class BlockVirtualization(Snapshottable):
         "_volumes",
         "_item_volume",
         "_item_size",
-        "_item_base",
         "_used_bytes",
-        "_next_block",
         "_replicas",
         "_replica_bytes",
         "_route_cache",
@@ -142,19 +125,17 @@ class BlockVirtualization(Snapshottable):
         self._volumes: dict[str, Volume] = {}
         self._item_volume: dict[str, str] = {}
         self._item_size: dict[str, int] = {}
-        self._item_base: dict[str, int] = {}
         self._used_bytes: dict[str, int] = {name: 0 for name in names}
-        self._next_block: dict[str, int] = {name: 0 for name in names}
         #: Replica copies (item → {enclosure → size bytes}): redundancy
         #: registered by :class:`~repro.actions.records.ReplicateItem`.
         #: Replicas occupy capacity and tier books but never serve I/O —
         #: routing always resolves to the primary copy.
         self._replicas: dict[str, dict[str, int]] = {}
         self._replica_bytes: dict[str, int] = {name: 0 for name in names}
-        # Hot-path routing cache: item id → (enclosure, name, base block,
-        # size bytes).  One dict probe replaces the three-map chain of
-        # :meth:`resolve` on every served I/O; entries are dropped the
-        # moment the mapping they summarize changes.
+        # Hot-path routing cache: item id → (enclosure, name, size
+        # bytes).  One dict probe replaces the three-map chain of
+        # :meth:`enclosure_of` on every served I/O; entries are dropped
+        # the moment the mapping they summarize changes.
         self._route_cache: dict[str, tuple[DiskEnclosure, str, int]] = {}
 
     # ------------------------------------------------------------------
@@ -251,10 +232,7 @@ class BlockVirtualization(Snapshottable):
             )
         self._item_volume[item_id] = volume
         self._item_size[item_id] = size_bytes
-        self._item_base[item_id] = self._next_block[enc.name]
         self._route_cache.pop(item_id, None)
-        blocks = units.bytes_to_blocks(size_bytes)
-        self._next_block[enc.name] += blocks
         self._used_bytes[enc.name] += size_bytes
         self.tier_ledger.record_in(self._device_tier[enc.name], size_bytes)
 
@@ -266,7 +244,6 @@ class BlockVirtualization(Snapshottable):
         enclosure = self._volumes[volume].enclosure
         size = self._item_size.pop(item_id)
         self._used_bytes[enclosure] -= size
-        self._item_base.pop(item_id)
         self._route_cache.pop(item_id, None)
         self.tier_ledger.record_out(self._device_tier[enclosure], size)
         for replica_enclosure, replica_size in self._replicas.pop(
@@ -303,19 +280,10 @@ class BlockVirtualization(Snapshottable):
         """Enclosure holding the item (via its volume)."""
         return self.enclosure(self.volume_of(item_id).enclosure)
 
-    def extent_of(self, item_id: str) -> PhysicalExtent:
-        """Physical extent of a data item (for physical trace records)."""
-        enc = self.enclosure_of(item_id)
-        return PhysicalExtent(
-            enclosure=enc.name,
-            base_block=self._item_base[item_id],
-            blocks=units.bytes_to_blocks(self._item_size[item_id]),
-        )
-
     def route(self, item_id: str) -> tuple[DiskEnclosure, str, int]:
         """Resolve an item to ``(enclosure, name, size bytes)``.
 
-        The hot-path companion of :meth:`resolve`/:meth:`enclosure_of`:
+        The hot-path companion of :meth:`enclosure_of`:
         the batched replay pump calls this once per I/O, so the answer is
         cached until :meth:`add_item`/:meth:`remove_item`/:meth:`move_item`
         changes the mapping.  Raises :class:`MappingError` for unplaced
@@ -327,16 +295,6 @@ class BlockVirtualization(Snapshottable):
             route = (enclosure, enclosure.name, self._item_size[item_id])
             self._route_cache[item_id] = route
         return route
-
-    def resolve(self, item_id: str, offset: int) -> tuple[str, int]:
-        """Map (item, byte offset) → (enclosure name, block address)."""
-        size = self.item_size(item_id)
-        if offset < 0 or offset >= size:
-            raise MappingError(
-                f"offset {offset} outside item {item_id!r} of size {size}"
-            )
-        extent = self.extent_of(item_id)
-        return extent.enclosure, extent.base_block + offset // units.BLOCK_SIZE
 
     def items_on(self, enclosure: str) -> list[str]:
         """Data items currently placed on one enclosure."""
@@ -484,8 +442,6 @@ class BlockVirtualization(Snapshottable):
         self._used_bytes[src] -= size
         self._used_bytes[target_enclosure] += size
         self._item_volume[item_id] = volume_name
-        self._item_base[item_id] = self._next_block[target_enclosure]
-        self._next_block[target_enclosure] += units.bytes_to_blocks(size)
         self._route_cache.pop(item_id, None)
         source_tier = self._device_tier[src]
         target_tier = self._device_tier[target_enclosure]

@@ -79,7 +79,8 @@ class TestManagerInvariants:
 
     def test_migrated_items_remain_resolvable(self, completed_run):
         context, _, _ = completed_run
-        for item in context.virtualization.item_ids():
-            enclosure, block = context.virtualization.resolve(item, 0)
-            assert enclosure in context.virtualization.enclosure_names
-            assert block >= 0
+        virtualization = context.virtualization
+        for item in virtualization.item_ids():
+            _, name, _ = virtualization.route(item)
+            assert name in virtualization.enclosure_names
+            assert name == virtualization.enclosure_of(item).name

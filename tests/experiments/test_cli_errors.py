@@ -91,15 +91,23 @@ class TestDomainErrorsExitTwo:
         assert main(["resume", str(bad)]) == 2
         assert "truncated" in capsys.readouterr().err
 
-    def test_snapshot_error_from_version_3_snapshot(self, capsys, tmp_path):
+    @staticmethod
+    def _resume_older(capsys, tmp_path, version):
         path = write_snapshot(
             tmp_path / snapshot_filename(1), {"meta": {}, "states": {}}
         )
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 3)
+        data[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(data))
         assert main(["resume", str(path)]) == 2
-        assert "older release (format version 3)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"older release (format version {version})" in err
+
+    def test_snapshot_error_from_version_3_snapshot(self, capsys, tmp_path):
+        self._resume_older(capsys, tmp_path, 3)
+
+    def test_snapshot_error_from_version_4_snapshot(self, capsys, tmp_path):
+        self._resume_older(capsys, tmp_path, 4)
 
     @pytest.mark.parametrize(
         "malformed, named",

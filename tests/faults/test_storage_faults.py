@@ -143,8 +143,9 @@ class TestEnclosureSpinUp:
     def test_in_place_service_start_audits_source_state(
         self, plan: FaultPlan | None, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        # submit_one takes the edge into ACTIVE in place, not through
-        # _transition, with or without a fault clock.  With _ensure_on a
+        # submit_one, the one service body, takes the edge into ACTIVE
+        # in place, not through _transition, with or without a fault
+        # clock.  With _ensure_on a
         # no-op an OFF enclosure reaches that edge from OFF, which the
         # legal graph refuses.
         _, _, encs, _ = build(plan)
@@ -154,15 +155,15 @@ class TestEnclosureSpinUp:
         with pytest.raises(
             AuditError, match="illegal power-state transition off -> active"
         ):
-            enc.submit_one(1000.0, read=True, sequential=False)
+            enc.submit_one(1000.0, 1.0 / enc.iops_random, 1, read=True)
         assert enc.state is PowerState.OFF
         assert enc.io_count == 0
 
     def test_in_place_bulk_service_start_audits_source_state(
         self, monkeypatch: pytest.MonkeyPatch
     ) -> None:
-        # _serve, the body behind submit and occupy, takes the same edge
-        # in place.
+        # occupy validates and calls submit_one: the same edge, the same
+        # refusal.
         _, _, encs, _ = build()
         enc = encs[0]
         power_off(enc, 0.0)
@@ -201,7 +202,7 @@ class TestEnclosureOutage:
         enc.occupy(9.0, 2.0)
         served = enc.io_count
         with pytest.raises(EnclosureUnavailableError) as excinfo:
-            enc.submit_one(9.5, True, False)
+            enc.submit_one(9.5, 1.0 / enc.iops_random, 1, True)
         assert excinfo.value.until == 50.0
         assert enc.io_count == served
         assert clock.outage_violations == []

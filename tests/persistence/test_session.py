@@ -321,6 +321,40 @@ class TestStrictRestore:
                     fresh.resume({"meta": payload["meta"], "states": states})
 
 
+class TestZonedRestoreIsAtomic:
+    def test_a_refused_zone_leaves_every_zone_untouched(self):
+        """A state refused for the ``archive`` zone's policy is refused
+        before the ``db`` zone (or the outer policy) is restored."""
+        payload = _capture_at(_zoned_session(), 7000)
+        policy_state = payload["states"]["policy"]
+        archive = policy_state["zones"]["archive"]
+        dropped = next(iter(archive["policy"]))
+        bad = {
+            **policy_state,
+            "zones": {
+                **policy_state["zones"],
+                "archive": {
+                    **archive,
+                    "policy": {
+                        k: v for k, v in archive["policy"].items() if k != dropped
+                    },
+                },
+            },
+        }
+        fresh = _zoned_session()
+        before = {
+            name: component.snapshot_state()
+            for name, component in fresh._components().items()
+        }
+        with pytest.raises(SnapshotError, match="EnergyEfficientPolicy"):
+            fresh.policy.restore_state(bad)
+        after = {
+            name: component.snapshot_state()
+            for name, component in fresh._components().items()
+        }
+        assert after == before
+
+
 class TestRunSpec:
     def test_round_trips_through_dict(self):
         spec = RunSpec(

@@ -116,9 +116,10 @@ def test_items_always_resolvable(ops):
     controller, virt, _ = build_controller()
     run_ops(controller, virt, ops)
     for item in ITEMS:
-        enclosure, block = virt.resolve(item, 0)
-        assert enclosure in ("e0", "e1", "e2")
-        assert block >= 0
+        _, name, size = virt.route(item)
+        assert name in ("e0", "e1", "e2")
+        assert name == virt.enclosure_of(item).name
+        assert size == 64 * units.MB
 
 
 @given(operations())

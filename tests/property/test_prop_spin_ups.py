@@ -82,7 +82,7 @@ def test_bisected_count_matches_linear_count(plan, ops, sinces):
         now += delta
         if op == "io":
             try:
-                enclosure.submit_one(now, True, False)
+                enclosure.submit_one(now, 1.0 / enclosure.iops_random, 1, True)
             except SpinUpFailedError:
                 pass
         elif op == "settle":

@@ -98,6 +98,14 @@ class TestReadPath:
         with pytest.raises(MappingError):
             controller.submit(*io_fields(read(1.0, item="ghost")))
 
+    @pytest.mark.parametrize("offset", [-1, 100 * units.MB])
+    def test_offset_outside_item_rejected(self, offset):
+        controller, virt, _, taps = build()
+        with pytest.raises(MappingError, match="outside item"):
+            controller.submit(1.0, "a", offset, 1, True, False)
+        assert taps == []
+        assert virt.enclosure("e0").io_count == 0
+
 
 class TestWritePath:
     def test_normal_write_goes_physical(self):

@@ -56,31 +56,8 @@ class TestItems:
     def test_add_and_resolve(self):
         virt = make_virt()
         virt.add_item("a", 10 * units.MB, "v0")
-        enclosure, block = virt.resolve("a", 0)
-        assert enclosure == "e0"
-        assert block == 0
-
-    def test_items_get_disjoint_extents(self):
-        virt = make_virt()
-        virt.add_item("a", 10 * units.MB, "v0")
-        virt.add_item("b", 10 * units.MB, "v0")
-        ext_a = virt.extent_of("a")
-        ext_b = virt.extent_of("b")
-        assert ext_b.base_block >= ext_a.base_block + ext_a.blocks
-
-    def test_resolve_offset_maps_to_block(self):
-        virt = make_virt()
-        virt.add_item("a", 10 * units.MB, "v0")
-        _, block = virt.resolve("a", 2 * units.BLOCK_SIZE)
-        assert block == 2
-
-    def test_resolve_out_of_range_rejected(self):
-        virt = make_virt()
-        virt.add_item("a", units.MB, "v0")
-        with pytest.raises(MappingError):
-            virt.resolve("a", 2 * units.MB)
-        with pytest.raises(MappingError):
-            virt.resolve("a", -1)
+        assert virt.route("a") == (virt.enclosure("e0"), "e0", 10 * units.MB)
+        assert virt.enclosure_of("a").name == "e0"
 
     def test_duplicate_item_rejected(self):
         virt = make_virt()
@@ -161,9 +138,9 @@ class TestMoveItem:
     def test_resolve_after_move(self):
         virt = make_virt()
         virt.add_item("a", units.MB, "v0")
+        assert virt.route("a")[1] == "e0"
         virt.move_item("a", "e1")
-        enclosure, _ = virt.resolve("a", 0)
-        assert enclosure == "e1"
+        assert virt.route("a")[1] == "e1"
 
     def test_repeated_moves(self):
         virt = make_virt()
